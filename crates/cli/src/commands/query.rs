@@ -97,9 +97,19 @@ fn run_connect(addr: &str, query: &[String]) -> i32 {
             return 1;
         }
     });
+    if let Err(e) = stream.set_nodelay(true) {
+        eprintln!("connect {addr}: {e}");
+        return 1;
+    }
     let mut writer = stream;
+    let mut request = String::new();
+    // One write per request: a line and its newline sent separately
+    // would leave the newline waiting on the server's delayed ACK.
     let mut ask = |line: &str| -> Option<String> {
-        writeln!(writer, "{line}").ok()?;
+        request.clear();
+        request.push_str(line);
+        request.push('\n');
+        writer.write_all(request.as_bytes()).ok()?;
         let mut out = String::new();
         reader.read_line(&mut out).ok()?;
         Some(out.trim().to_string())

@@ -103,7 +103,7 @@ pub const RULES: [RuleInfo; 9] = [
         id: "L007",
         slug: "unsafe-contract",
         summary: "unsafe outside allowlisted modules, or without an adjacent SAFETY: comment",
-        help: "keep unsafety inside the audited modules (serve/src/mmap.rs, the zero-alloc \
+        help: "keep unsafety inside the audited modules (serve/src/mmap.rs, the counting \
                test allocator) and give every `unsafe` a `// SAFETY:` comment on the same \
                line or directly above",
     },

@@ -31,8 +31,8 @@ pub mod source;
 pub mod state;
 
 pub use mmap::MappedBytes;
-pub use proto::{format_answer, parse_request, Request};
-pub use server::Server;
+pub use proto::{format_answer, parse_request, write_answer, Request};
+pub use server::{serve_lines, Server, MAX_LINE};
 pub use snapshot::{Answer, Query, ServeSnapshot};
 pub use source::{
     ConeFlavor, ResolvedFrames, ServeError, SourceSpec, SourceStamp, INFERENCE_STAGE,

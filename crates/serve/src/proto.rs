@@ -16,7 +16,9 @@
 //! `<flavor>` is `recursive` (alias `rec`), `bgp` (alias `bgp-observed`,
 //! `observed`), or `pp` (alias `provider-peer`). `rel` answers from
 //! `x`'s point of view: `provider` means *y is x's provider*. Errors
-//! answer `err <detail>` and keep the connection open.
+//! answer `err <detail>` and keep the connection open, except a line
+//! longer than [`MAX_LINE`](crate::server::MAX_LINE), which is refused
+//! and closes it.
 
 use crate::snapshot::{Answer, Query};
 use crate::source::{ConeFlavor, ServeError};
@@ -33,64 +35,97 @@ pub enum Request {
     Quit,
 }
 
-fn asn(tok: Option<&str>, line: &str) -> Result<Asn, ServeError> {
-    tok.and_then(|t| t.parse::<u32>().ok())
-        .map(Asn)
-        .ok_or_else(|| ServeError::BadQuery(line.to_string()))
+fn asn(tok: Option<&str>) -> Option<Asn> {
+    tok.and_then(|t| t.parse::<u32>().ok()).map(Asn)
 }
 
-fn flavor(tok: Option<&str>, line: &str) -> Result<ConeFlavor, ServeError> {
-    tok.and_then(ConeFlavor::parse)
-        .ok_or_else(|| ServeError::BadQuery(line.to_string()))
+/// Parse one protocol line without allocating; `None` for any line
+/// [`parse_request`] rejects. The connection loop uses this so a
+/// malformed line costs no more than a good one.
+pub(crate) fn parse_line(line: &str) -> Option<Request> {
+    let mut toks = line.split_whitespace();
+    let req = match toks.next()? {
+        "rel" => Request::Query(Query::Rel(asn(toks.next())?, asn(toks.next())?)),
+        "cone" => Request::Query(Query::ConeContains(
+            toks.next().and_then(ConeFlavor::parse)?,
+            asn(toks.next())?,
+            asn(toks.next())?,
+        )),
+        "cone-size" => Request::Query(Query::ConeSize(
+            toks.next().and_then(ConeFlavor::parse)?,
+            asn(toks.next())?,
+        )),
+        "degree" => Request::Query(Query::Degree(asn(toks.next())?)),
+        "rank" => Request::Query(Query::Rank(asn(toks.next())?)),
+        "gen" => Request::Gen,
+        "quit" => Request::Quit,
+        _ => return None,
+    };
+    toks.next().is_none().then_some(req)
 }
 
 /// Parse one protocol line. Unknown verbs, bad ASNs, bad flavors, and
 /// trailing junk are all [`ServeError::BadQuery`].
 pub fn parse_request(line: &str) -> Result<Request, ServeError> {
-    let mut toks = line.split_whitespace();
-    let verb = toks.next().ok_or_else(|| ServeError::BadQuery(line.into()))?;
-    let req = match verb {
-        "rel" => Request::Query(Query::Rel(asn(toks.next(), line)?, asn(toks.next(), line)?)),
-        "cone" => Request::Query(Query::ConeContains(
-            flavor(toks.next(), line)?,
-            asn(toks.next(), line)?,
-            asn(toks.next(), line)?,
-        )),
-        "cone-size" => Request::Query(Query::ConeSize(
-            flavor(toks.next(), line)?,
-            asn(toks.next(), line)?,
-        )),
-        "degree" => Request::Query(Query::Degree(asn(toks.next(), line)?)),
-        "rank" => Request::Query(Query::Rank(asn(toks.next(), line)?)),
-        "gen" => Request::Gen,
-        "quit" => Request::Quit,
-        _ => return Err(ServeError::BadQuery(line.into())),
-    };
-    if toks.next().is_some() {
-        return Err(ServeError::BadQuery(line.into()));
-    }
-    Ok(req)
+    parse_line(line).ok_or_else(|| ServeError::BadQuery(line.into()))
 }
 
-/// Render one answer as its protocol line (no trailing newline).
-pub fn format_answer(a: &Answer) -> String {
-    match a {
-        Answer::Rel(o) => match o {
-            Some(Orientation::Provider) => "provider".into(),
-            Some(Orientation::Customer) => "customer".into(),
-            Some(Orientation::Peer) => "peer".into(),
-            Some(Orientation::Sibling) => "sibling".into(),
-            None => "none".into(),
-        },
-        Answer::ConeContains(b) => b.to_string(),
-        Answer::ConeSize(s) => format!(
-            "ases={} prefixes={} addresses={}",
-            s.ases, s.prefixes, s.addresses
-        ),
-        Answer::Degree(t, n) => format!("transit={t} node={n}"),
-        Answer::Rank(Some(r)) => r.to_string(),
-        Answer::Rank(None) => "none".into(),
+/// Append the decimal digits of `v` (no allocation beyond `out`'s growth).
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Append one answer's protocol line, newline included, to `out`. Once
+/// `out` has grown to its working size this allocates nothing, which is
+/// what lets the connection loop reuse one reply buffer.
+pub fn write_answer(a: &Answer, out: &mut Vec<u8>) {
+    match a {
+        Answer::Rel(o) => out.extend_from_slice(match o {
+            Some(Orientation::Provider) => b"provider",
+            Some(Orientation::Customer) => b"customer",
+            Some(Orientation::Peer) => b"peer",
+            Some(Orientation::Sibling) => b"sibling",
+            None => b"none",
+        }),
+        Answer::ConeContains(true) => out.extend_from_slice(b"true"),
+        Answer::ConeContains(false) => out.extend_from_slice(b"false"),
+        Answer::ConeSize(s) => {
+            out.extend_from_slice(b"ases=");
+            push_u64(out, s.ases as u64);
+            out.extend_from_slice(b" prefixes=");
+            push_u64(out, s.prefixes as u64);
+            out.extend_from_slice(b" addresses=");
+            push_u64(out, s.addresses);
+        }
+        Answer::Degree(t, n) => {
+            out.extend_from_slice(b"transit=");
+            push_u64(out, *t);
+            out.extend_from_slice(b" node=");
+            push_u64(out, *n);
+        }
+        Answer::Rank(Some(r)) => push_u64(out, *r),
+        Answer::Rank(None) => out.extend_from_slice(b"none"),
+    }
+    out.push(b'\n');
+}
+
+/// Render one answer as its protocol line (no trailing newline): the
+/// [`write_answer`] bytes as an owned `String`.
+pub fn format_answer(a: &Answer) -> String {
+    let mut out = Vec::new();
+    write_answer(a, &mut out);
+    out.pop();
+    String::from_utf8(out).expect("write_answer emits only ASCII")
 }
 
 #[cfg(test)]
@@ -159,5 +194,18 @@ mod tests {
         assert_eq!(format_answer(&Answer::Degree(4, 9)), "transit=4 node=9");
         assert_eq!(format_answer(&Answer::Rank(Some(1))), "1");
         assert_eq!(format_answer(&Answer::Rank(None)), "none");
+        assert_eq!(
+            format_answer(&Answer::Rel(Some(Orientation::Customer))),
+            "customer"
+        );
+        assert_eq!(format_answer(&Answer::Rel(Some(Orientation::Peer))), "peer");
+        assert_eq!(
+            format_answer(&Answer::Rel(Some(Orientation::Sibling))),
+            "sibling"
+        );
+        assert_eq!(format_answer(&Answer::ConeContains(false)), "false");
+        for v in [0, 9, 10, 99, 100, 4_200_000_000, u64::MAX] {
+            assert_eq!(format_answer(&Answer::Rank(Some(v))), v.to_string());
+        }
     }
 }

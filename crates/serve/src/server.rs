@@ -9,15 +9,19 @@
 //! generation and publishes it; connections converge via their
 //! [`ReaderHandle`](crate::state::ReaderHandle)s while in-flight queries
 //! finish on the old pinned snapshot. A half-written cache (frames
-//! mid-rewrite) simply fails validation and leaves the old snapshot
-//! serving; the watcher retries on the next tick.
+//! mid-rewrite) fails validation and leaves the old snapshot serving;
+//! the watcher counts the failure on the [`ServeState`] and retries on
+//! the next tick.
+//!
+//! Each connection runs [`serve_lines`]: bounded request reads and one
+//! write per reply (or per pipelined batch) on a `TCP_NODELAY` socket.
 
-use crate::proto::{format_answer, parse_request, Request};
+use crate::proto::{parse_line, push_u64, write_answer, Request};
 use crate::snapshot::ServeSnapshot;
 use crate::source::{ServeError, SourceSpec};
 use crate::state::ServeState;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -128,35 +132,99 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>, stop: &Arc<Atomi
     }
 }
 
-/// Run one connection's request loop (exposed for the CLI's stdio mode).
+/// Longest request line the server reads, newline included. A longer
+/// line is answered `err serve: line too long` and the connection closes,
+/// so a client can never make a connection buffer more than this.
+pub const MAX_LINE: usize = 4096;
+
+/// Pending replies are sent once they reach this many bytes, even while
+/// more pipelined requests are already buffered.
+pub const FLUSH_AT: usize = 64 * 1024;
+
+/// Run one accepted connection: `TCP_NODELAY` on, then
+/// [`serve_lines`] over the socket. The write side is shut down on
+/// return, so a client cut off mid-line reads the `err` reply and then
+/// end-of-file.
 pub fn serve_connection(stream: TcpStream, state: &Arc<ServeState>) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    stream.set_nodelay(true)?;
+    let served = serve_lines(BufReader::new(&stream), &stream, state);
+    let _ = stream.shutdown(Shutdown::Write);
+    served
+}
+
+/// The request loop of one connection over any line source and sink.
+///
+/// Replies accumulate in one reused buffer and go out in a single
+/// `write_all` just before a read that may block — when `reader` has no
+/// buffered bytes left — or once [`FLUSH_AT`] bytes are pending. A
+/// closed-loop client therefore gets one write per request and a
+/// pipelined batch one write per batch. Request lines are read into a
+/// reused buffer capped at [`MAX_LINE`]. After both buffers reach their
+/// working size the loop allocates nothing, whatever the requests.
+pub fn serve_lines<R: BufRead, W: Write>(
+    mut reader: R,
+    mut writer: W,
+    state: &Arc<ServeState>,
+) -> std::io::Result<()> {
     let mut handle = state.reader();
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::with_capacity(MAX_LINE);
+    let mut out: Vec<u8> = Vec::new();
+    // Bytes `reader` still holds from its last `fill_buf`; zero means
+    // the next `fill_buf` may block on the peer.
+    let mut buffered = 0usize;
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        loop {
+            if buffered == 0 && !out.is_empty() {
+                writer.write_all(&out)?;
+                out.clear();
+            }
+            let avail = reader.fill_buf()?;
+            if avail.is_empty() {
+                break;
+            }
+            let (take, newline) = match avail.iter().position(|&b| b == b'\n') {
+                Some(i) => (i + 1, true),
+                None => (avail.len(), false),
+            };
+            if line.len() + take > MAX_LINE {
+                out.extend_from_slice(b"err serve: line too long\n");
+                return writer.write_all(&out);
+            }
+            line.extend_from_slice(&avail[..take]);
+            buffered = avail.len() - take;
+            reader.consume(take);
+            if newline {
+                break;
+            }
+        }
+        if line.is_empty() {
+            // End of input; `buffered == 0` flushed every reply.
             return Ok(());
         }
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
+        match std::str::from_utf8(&line).map(str::trim) {
+            Err(_) => out.extend_from_slice(b"err serve: request is not UTF-8\n"),
+            Ok("") => {}
+            Ok(text) => match parse_line(text) {
+                Some(Request::Quit) => break,
+                Some(Request::Gen) => {
+                    push_u64(&mut out, handle.snapshot().generation());
+                    out.push(b'\n');
+                }
+                Some(Request::Query(q)) => write_answer(&handle.snapshot().answer(q), &mut out),
+                None => {
+                    out.extend_from_slice(b"err serve: bad query: ");
+                    out.extend_from_slice(text.as_bytes());
+                    out.push(b'\n');
+                }
+            },
         }
-        match parse_request(text) {
-            Ok(Request::Quit) => return Ok(()),
-            Ok(Request::Gen) => {
-                writeln!(writer, "{}", handle.snapshot().generation())?;
-            }
-            Ok(Request::Query(q)) => {
-                let answer = handle.snapshot().answer(q);
-                writeln!(writer, "{}", format_answer(&answer))?;
-            }
-            Err(e) => {
-                writeln!(writer, "err {e}")?;
-            }
+        if out.len() >= FLUSH_AT {
+            writer.write_all(&out)?;
+            out.clear();
         }
     }
+    writer.write_all(&out)
 }
 
 /// Monotone generation source for hot-swap loads.
@@ -181,13 +249,10 @@ fn watch_loop(
         // lint: allow(relaxed-ordering, the counter only needs unique monotone values; publication ordering is ServeState::publish's)
         let generation = NEXT_GENERATION.fetch_add(1, Ordering::Relaxed);
         match ServeSnapshot::load(spec, generation) {
-            Ok(snapshot) => {
-                state.publish(snapshot);
-            }
-            Err(_) => {
-                // Cache mid-rewrite or temporarily invalid: keep serving
-                // the pinned snapshot and retry next tick.
-            }
+            Ok(snapshot) => state.publish(snapshot),
+            // Cache mid-rewrite or broken: keep serving the pinned
+            // snapshot, count the failure, and retry next tick.
+            Err(e) => state.record_reload_failure(&e),
         }
     }
 }

@@ -228,11 +228,10 @@ impl SourceSpec {
     /// Recover the engine's content fingerprint from the current on-disk
     /// state: checksum the RIB bytes, find the ingest PATHSET frame, and
     /// stream-hash it. Returns the frame path too (it enters the
-    /// hot-swap stamp). No frame payload is decoded.
+    /// hot-swap stamp). No frame payload is decoded, and the RIB is
+    /// checksummed through a mapping rather than copied to the heap.
     pub fn content_fp(&self) -> Result<(PathBuf, u64), ServeError> {
-        let rib_bytes = std::fs::read(&self.rib).map_err(|e| io_err(&self.rib, e))?;
-        let rib_key = checksum64(&rib_bytes);
-        drop(rib_bytes);
+        let rib_key = checksum64(&MappedBytes::open(&self.rib).map_err(|e| io_err(&self.rib, e))?);
 
         let pathset = self.cache().entry_path(RIB_INGEST_STAGE, rib_key);
         if !pathset.is_file() {

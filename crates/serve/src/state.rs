@@ -20,14 +20,24 @@
 //!   pinned clone drops — hot swap never tears an in-flight query.
 
 use crate::snapshot::ServeSnapshot;
+use crate::source::ServeError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Shared server state: the current snapshot + its generation.
+/// Shared server state: the current snapshot + its generation, and the
+/// record of failed reloads.
 #[derive(Debug)]
 pub struct ServeState {
     current: Mutex<Arc<ServeSnapshot>>,
     generation: AtomicU64,
+    reload_failures: Mutex<ReloadFailures>,
+}
+
+/// Failed hot-swap loads since startup and the newest one's error text.
+#[derive(Debug, Default)]
+struct ReloadFailures {
+    count: u64,
+    last: Option<String>,
 }
 
 impl ServeState {
@@ -37,7 +47,38 @@ impl ServeState {
         ServeState {
             current: Mutex::new(Arc::new(snapshot)),
             generation,
+            reload_failures: Mutex::default(),
         }
+    }
+
+    fn failures(&self) -> std::sync::MutexGuard<'_, ReloadFailures> {
+        // Each update below leaves the record valid after every step, so
+        // a guard poisoned by a panicking holder still guards sound data.
+        self.reload_failures
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Record one failed reload: the watcher found the cache changed but
+    /// could not load it, and the current snapshot keeps serving.
+    pub(crate) fn record_reload_failure(&self, error: &ServeError) {
+        let mut failures = self.failures();
+        failures.count += 1;
+        failures.last = Some(error.to_string());
+    }
+
+    /// How many reloads have failed since startup. The watcher retries
+    /// every tick while the cache stays unloadable, so a cache caught
+    /// mid-rewrite may add one or two; a steadily rising count means the
+    /// cache is broken and answers are stale.
+    pub fn reload_failures(&self) -> u64 {
+        self.failures().count
+    }
+
+    /// The error text of the most recent failed reload (it names the
+    /// stage or file that failed), `None` if no reload has failed.
+    pub fn last_reload_error(&self) -> Option<String> {
+        self.failures().last.clone()
     }
 
     /// The published generation (one `Acquire` load).

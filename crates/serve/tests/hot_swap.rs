@@ -6,7 +6,7 @@
 
 mod common;
 
-use asrank_serve::{ConeFlavor, Server, ServeSnapshot, ServeState, SourceSpec};
+use asrank_serve::{ConeFlavor, Server, ServeSnapshot, ServeState};
 use asrank_types::Asn;
 use common::{alternate_paths, sample_paths, scratch, warm_cache, warm_cache_frames};
 use std::io::{BufRead, BufReader, Write};
@@ -97,7 +97,9 @@ fn send(
     writer: &mut TcpStream,
     line: &str,
 ) -> String {
-    writeln!(writer, "{line}").expect("write request");
+    writer
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write request");
     let mut out = String::new();
     reader.read_line(&mut out).expect("read answer");
     out.trim().to_string()
@@ -115,6 +117,7 @@ fn tcp_server_hot_swaps_when_cache_rewarms() {
     let addr = server.addr();
 
     let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
@@ -154,7 +157,59 @@ fn tcp_server_hot_swaps_when_cache_rewarms() {
     assert_eq!(send(&mut reader, &mut writer, "rel 1 2"), "none");
     assert_ne!(send(&mut reader, &mut writer, "rel 901 902"), "none");
     let _ = send(&mut reader, &mut writer, "degree 901");
-    writeln!(writer, "quit").unwrap();
+    writer.write_all(b"quit\n").unwrap();
 
+    drop(server);
+}
+
+#[test]
+fn watcher_counts_failed_reloads_and_keeps_serving() {
+    let root = scratch("badframe");
+    let spec = warm_cache(&root, b"bad-frame-rib", &sample_paths());
+    let server = Server::start(spec, 0, Some(Duration::from_millis(20))).expect("start server");
+    let state = Arc::clone(server.state());
+    assert_eq!(state.reload_failures(), 0);
+    assert_eq!(state.last_reload_error(), None);
+
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let rel = send(&mut reader, &mut writer, "rel 1 2");
+    assert_ne!(rel, "none");
+
+    // Corrupt the served inference frame the way a broken cache writer
+    // would: a new file (a rename, so the live mapping keeps its bytes)
+    // with one payload bit flipped and the last byte cut off.
+    let frame = state.current().frames().inference.clone();
+    let mut bytes = std::fs::read(&frame).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    bytes.pop();
+    let tmp = frame.with_extension("corrupt");
+    std::fs::write(&tmp, &bytes).unwrap();
+    std::fs::rename(&tmp, &frame).unwrap();
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while state.reload_failures() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "watcher never tried the corrupt frame"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let error = state.last_reload_error().expect("failure recorded");
+    assert!(
+        error.contains("s11_inference"),
+        "error names the stage: {error}"
+    );
+
+    // The old generation keeps answering, with the old answers.
+    assert_eq!(send(&mut reader, &mut writer, "gen"), "1");
+    assert_eq!(send(&mut reader, &mut writer, "rel 1 2"), rel);
+    assert_eq!(state.generation(), 1);
     drop(server);
 }

@@ -720,6 +720,55 @@ mod tests {
         assert_eq!(view.slice(5, 5).unwrap().len(), 0);
     }
 
+    /// `len` bytes of a seeded splitmix64 stream.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// Frames and cache keys on disk are sealed with `checksum64`, so its
+    /// output may never change. These values were computed by the
+    /// original byte-chunk loop; every length 0..=17 covers the empty
+    /// input, each tail width, and one and two whole words.
+    #[test]
+    fn checksum64_golden_values() {
+        const SHORT: [u64; 18] = [
+            0x0000000000000000,
+            0x833ee9d4222a179f,
+            0x8e4430686ceb069f,
+            0x53abe397cf0a069f,
+            0x3cb4017e950a069f,
+            0xec9ded2e950a069f,
+            0x7b74062e950a069f,
+            0xf048062e950a069f,
+            0x7048062e950a069f,
+            0x07d529b80a5969ab,
+            0x6b158ff13a30b0ab,
+            0x1d7d75c586b8b0ab,
+            0xf416d7fc0ab8b0ab,
+            0xc19170320ab8b0ab,
+            0x45d289320ab8b0ab,
+            0x6c1689320ab8b0ab,
+            0xa01689320ab8b0ab,
+            0xdba56bfe3fa67958,
+        ];
+        let short = seeded_bytes(17, 17);
+        for (n, &want) in SHORT.iter().enumerate() {
+            assert_eq!(checksum64(&short[..n]), want, "length {n}");
+        }
+        let big = seeded_bytes(0x5eed, 1 << 20);
+        assert_eq!(checksum64(&big), 0xee86_05b6_cfb5_474d);
+    }
+
     #[test]
     fn skip_advances_past_raw_sections() {
         let bytes = sample_frame();

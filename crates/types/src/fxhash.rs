@@ -36,11 +36,21 @@ impl Hasher for FxHasher {
         self.hash
     }
 
+    /// Little-endian 8-byte words, the last one zero-padded. Whole words
+    /// are loaded directly; only the tail goes through a padded copy.
+    /// Frame checksums and cache keys depend on this exact word sequence.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
+        let mut words = bytes.chunks_exact(8);
+        for chunk in &mut words {
             let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
             self.add(u64::from_le_bytes(word));
         }
     }
