@@ -9,7 +9,7 @@ BENCH_OUT ?= BENCH.json
 # clique, mrt, baselines, trie, stability — run via `cargo bench` as usual).
 BENCHES := cones sanitize pipeline propagation ingest warm_vs_cold serve scale delta
 
-.PHONY: all build test test-engine lint lint-strict audit verify bench bench-cones bench-ingest bench-serve bench-scale bench-tenx bench-delta profile-scale serve-smoke stage-report clean
+.PHONY: all build test test-engine lint lint-strict audit bench-lock verify bench bench-cones bench-ingest bench-serve bench-scale bench-tenx bench-delta profile-scale serve-smoke stage-report clean
 
 all: build
 
@@ -23,9 +23,9 @@ test:
 	$(CARGO) test --workspace
 
 # Staged-engine acceptance: property tests pinning the memoized stage
-# graph to the monolithic pipeline (bit-identical inference at both
-# parallelism levels and under every ablation), plus the cache
-# invalidation/reuse counters.
+# graph to the arena-free monolithic oracle, which runs the path-slice
+# step definitions (bit-identical inference at both parallelism levels
+# and under every ablation), plus the cache invalidation/reuse counters.
 test-engine:
 	$(CARGO) test -p asrank-core --test engine_equivalence
 	$(CARGO) test -p asrank-core engine::
@@ -60,11 +60,19 @@ audit: build
 	./target/release/asrank audit --rels $$tmp/as-rel.txt --rib $$tmp/rib.mrt; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
+# The benchmark package (benchmark/) builds with --locked against its
+# own Cargo.lock, which pins every crate it reaches, vendored stand-ins
+# included. A dependency change in those crates that the lock does not
+# match makes cargo refuse the benchmark; this catches it before merge.
+# It only reads the lock, never writes it.
+bench-lock:
+	$(CARGO) metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
+
 # The full pre-merge gate: compile, test (workspace tests include the
 # engine-equivalence suite; test-engine re-runs it explicitly so a
 # failure is named in the gate output), strict source lint (all nine
-# rules + the annotation audit), semantic audit.
-verify: build test test-engine lint-strict audit
+# rules + the annotation audit), semantic audit, benchmark lock check.
+verify: build test test-engine lint-strict audit bench-lock
 
 # Run the wired criterion benches with JSON-line capture, then assemble
 # the lines into a single $(BENCH_OUT) snapshot (medians + derived

@@ -16,21 +16,17 @@
 //!   stage re-runs, the session must not cost *more* than a cold
 //!   rebuild.
 //!
-//! Measured crossover for the dirty-fraction cutover
-//! (`InferenceConfig::delta_cold_cutover`): **none up to 20% churn**.
-//! The session's maintained evidence keeps the walk's S1 (fate
-//! reassembly), S2 (link-refcount ledger), arena (slot
-//! canonicalization), and S6 (counter re-classification) strictly
-//! cheaper than their cold scans, and every other stage runs the same
-//! body either way — so the walk undercuts a cold rebuild at every
-//! churn point this bench exercises, and the cutover defaults to off
-//! (`1.0`). Routing high-churn refreshes through a cold rebuild was
-//! measured *slower* (~1.5-1.8x the walk at 20%) because it forfeits
-//! those provider savings. What actually fixed the former
-//! `delta_20pct` regression (1.10 in the PR9 record) was making the
-//! evidence cheaper to maintain and consume: the flattened S6
-//! triple-sort, the S2 degree ledger, and `apply`'s in-place
-//! compaction with index fix-up instead of a rebuild.
+//! Measured crossover between the incremental walk and a cold rebuild:
+//! **none up to 20% churn**. The session's maintained evidence keeps
+//! the walk's S1 (fate reassembly), S2 (link-refcount ledger), arena
+//! (slot canonicalization), and S6 (counter re-classification) cheaper
+//! than their cold scans, and every other stage runs the same body
+//! either way. Routing high-churn refreshes through a cold rebuild was
+//! measured *slower* (~1.5-1.8x the walk at 20%), so `refresh` has one
+//! path: the walk. What fixed the former `delta_20pct` regression (a
+//! 1.10 ratio) was making the evidence cheaper to maintain and consume:
+//! the flattened S6 triple-sort, the S2 degree ledger, and `apply`'s
+//! in-place compaction with index fix-up instead of a rebuild.
 //!
 //! The vendored criterion has no `iter_batched`, so each delta bench
 //! alternates a forward batch with its exact inverse — every timed

@@ -207,13 +207,15 @@ fn bench_scale(c: &mut Criterion) {
             ))
         })
     });
+    // `usize::MAX` clamps to one full-width block: the unblocked merge.
     group.bench_function(BenchmarkId::new("cone_unblocked", "42k"), |b| {
         b.iter(|| {
-            black_box(CustomerCones::bgp_observed_from_arena_unblocked(
+            black_box(CustomerCones::bgp_observed_from_arena_with_block(
                 &arena,
                 rels,
                 None,
                 Parallelism::auto(),
+                usize::MAX,
             ))
         })
     });

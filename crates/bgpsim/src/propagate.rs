@@ -598,10 +598,20 @@ mod tests {
                     let prefs: Vec<PrefClass> =
                         path.iter().map(|&x| t.route(x).unwrap().pref).collect();
                     for w in prefs.windows(2) {
-                        // hops strictly decrease toward the origin.
-                        let (a, b) = (w[0], w[1]);
-                        let _ = (a, b);
+                        assert!(
+                            w[0] >= w[1],
+                            "dest {dest} node {node}: pref climbs in {prefs:?}"
+                        );
+                        assert!(
+                            !(w[0] == PrefClass::Peer && w[1] == PrefClass::Peer),
+                            "dest {dest} node {node}: two peer hops in {prefs:?}"
+                        );
                     }
+                    assert_eq!(
+                        prefs.last(),
+                        Some(&PrefClass::Origin),
+                        "dest {dest} node {node}"
+                    );
                     let hops: Vec<u16> = path.iter().map(|&x| t.route(x).unwrap().hops).collect();
                     for w in hops.windows(2) {
                         assert_eq!(w[0], w[1] + 1, "hop counts must chain");

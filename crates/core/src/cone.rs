@@ -542,9 +542,11 @@ impl CustomerCones {
 
     /// [`CustomerCones::bgp_observed_from_arena`] with an explicit
     /// owner-block width for the pair merge: `0` picks a cache-sized
-    /// width automatically (the default engine path), any other value
-    /// forces that many owner ids per block. Output is bit-identical
-    /// for every width — the knob only moves the merge's working set.
+    /// width automatically (the engine's path), any other value forces
+    /// that many owner ids per block, and `usize::MAX` runs the single
+    /// full-width merge. Output is bit-identical for every width — the
+    /// width only moves the merge's working set. Tests and the `scale`
+    /// bench are the only callers that pick one.
     pub fn bgp_observed_from_arena_with_block(
         arena: &PathArena,
         rels: &RelationshipMap,
@@ -554,21 +556,6 @@ impl CustomerCones {
     ) -> Self {
         let providers = witness_graph(arena, rels, false);
         let pairs = sweep_pairs_blocked(arena, &providers, par, scan_descents, block_ids);
-        observed_cones(arena, pairs, prefixes, par)
-    }
-
-    /// [`CustomerCones::bgp_observed_from_arena`] forced through the
-    /// pre-PR8 single full-width counting-sort merge. Kept as the
-    /// blocked merge's equivalence oracle and the baseline the `scale`
-    /// benchmark measures the cache-blocked merge against.
-    pub fn bgp_observed_from_arena_unblocked(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        let providers = witness_graph(arena, rels, false);
-        let pairs = sweep_pairs(arena, &providers, par, scan_descents);
         observed_cones(arena, pairs, prefixes, par)
     }
 
@@ -619,21 +606,6 @@ impl CustomerCones {
     ) -> Self {
         let graphs = witness_graph(arena, rels, true);
         let pairs = sweep_pairs_blocked(arena, &graphs, par, scan_announcements, block_ids);
-        observed_cones(arena, pairs, prefixes, par)
-    }
-
-    /// [`CustomerCones::provider_peer_observed_from_arena`] forced
-    /// through the pre-PR8 full-width merge (equivalence oracle and
-    /// bench baseline; see
-    /// [`CustomerCones::bgp_observed_from_arena_unblocked`]).
-    pub fn provider_peer_observed_from_arena_unblocked(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        let graphs = witness_graph(arena, rels, true);
-        let pairs = sweep_pairs(arena, &graphs, par, scan_announcements);
         observed_cones(arena, pairs, prefixes, par)
     }
 
@@ -763,20 +735,11 @@ where
     .concat()
 }
 
-/// The single parallel sweep with the pre-PR8 merge: one full-width
-/// counting sort over the whole pair list, then dedup.
-fn sweep_pairs<F>(arena: &PathArena, witness: &Csr, par: Parallelism, scan: F) -> Vec<u64>
-where
-    F: Fn(&[u32], &Csr, &mut dyn FnMut(u32, u32)) + Sync,
-{
-    let raw = raw_sweep_pairs(arena, witness, par, scan);
-    merge_sweep_pairs_unblocked(&raw, arena.num_ases())
-}
-
-/// [`sweep_pairs`] with the merge replaced by the cache-blocked
-/// per-owner-block counting sort of [`merge_sweep_pairs_blocked`].
-/// `block_ids == 0` sizes blocks automatically from the pair count;
-/// the output is bit-identical to [`sweep_pairs`] for every width.
+/// The single parallel sweep: [`raw_sweep_pairs`] merged by the
+/// cache-blocked [`merge_sweep_pairs_blocked`]. `block_ids == 0` sizes
+/// blocks automatically from the pair count; the output is identical
+/// for every width, and `usize::MAX` is the full-width
+/// [`merge_sweep_pairs_unblocked`].
 fn sweep_pairs_blocked<F>(
     arena: &PathArena,
     witness: &Csr,
@@ -850,9 +813,9 @@ fn sort_pairs(pairs: &mut Vec<u64>, n: usize) {
 /// exactly as on many.
 const SWEEP_BLOCK_BITMAP_BYTES: usize = 256 * 1024;
 
-/// The pre-PR8 merge on raw sweep pairs: one full-width two-pass
-/// counting sort plus dedup. Kept callable as the blocked merge's
-/// benchmark baseline and equivalence oracle.
+/// The full-width merge on raw sweep pairs: one two-pass counting sort
+/// plus dedup. It is the blocked merge's single-block fallback, and
+/// stays `pub` as its benchmark baseline and pair-level oracle.
 pub fn merge_sweep_pairs_unblocked(raw: &[u64], num_ases: usize) -> Vec<u64> {
     let mut pairs = raw.to_vec();
     sort_pairs(&mut pairs, num_ases);
@@ -892,7 +855,7 @@ pub fn merge_sweep_pairs_blocked(
     // Owner-block width: forced, or sized so one block's bitmap fits
     // the cache budget. The automatic width is rounded to a power of
     // two so the hot partition passes divide by shifting; forced widths
-    // (a test/config knob) keep exact ragged boundaries and real
+    // (a test/bench parameter) keep exact ragged boundaries and real
     // division.
     let auto_shift = if block_ids == 0 {
         let w = (SWEEP_BLOCK_BITMAP_BYTES * 8 / n.max(1)).clamp(1, n.max(1));

@@ -42,7 +42,7 @@ use crate::patharena::{MutablePathArena, PathArena, PathEvent};
 use crate::pipeline::{steps, Inference, InferenceConfig};
 use crate::sanitize::{sample_fate, SampleFate, SanitizeReport, SanitizedPaths};
 use asrank_types::prelude::*;
-use asrank_types::{EngineError, FxHashMap, FxHashSet, PathDelta, UpdateBatch};
+use asrank_types::{EngineError, FxHashMap, PathDelta, UpdateBatch};
 use std::sync::Arc;
 
 /// What one [`DeltaSession::refresh`] did: how much of the DAG the
@@ -124,12 +124,6 @@ pub struct DeltaSession {
     tok_samples: bool,
     tok_structure: bool,
     tok_mult: bool,
-    /// Distinct `(vp, prefix)` keys mutated since the last refresh —
-    /// the numerator of the dirty fraction that drives the
-    /// [`InferenceConfig::delta_cold_cutover`] decision. A set, not a
-    /// counter, so repeated updates to the same key cannot inflate the
-    /// fraction past the real churn.
-    dirty_keys: FxHashSet<(Asn, Ipv4Prefix)>,
 }
 
 impl DeltaSession {
@@ -190,7 +184,6 @@ impl DeltaSession {
             tok_samples: false,
             tok_structure: false,
             tok_mult: false,
-            dirty_keys: FxHashSet::default(),
         };
         for s in session.master.iter() {
             let fate = sample_fate(&s.path, &session.cfg.sanitize);
@@ -237,7 +230,6 @@ impl DeltaSession {
                     );
                     self.retire(vp, &old)?;
                     self.tok_samples = true;
-                    self.dirty_keys.insert((vp, prefix));
                     // Batches fold by key, so this key cannot recur; drop
                     // it now and fix up the surviving positions after the
                     // compaction below.
@@ -255,14 +247,12 @@ impl DeltaSession {
                     let old = std::mem::replace(&mut self.fates[i], fate);
                     self.retire(vp, &old)?;
                     self.tok_samples = true;
-                    self.dirty_keys.insert((vp, prefix));
                     self.master.samples_mut()[i].path = path.clone();
                 }
                 (None, PathDelta::Announce(path)) => {
                     let fate = sample_fate(path, &self.cfg.sanitize);
                     self.admit(vp, &fate);
                     self.tok_samples = true;
-                    self.dirty_keys.insert((vp, prefix));
                     self.index
                         .insert((vp, prefix), dense_id(self.master.len()));
                     self.master.push(PathSample {
@@ -309,32 +299,6 @@ impl DeltaSession {
     /// With no dirt accumulated every stage is a skip and the held
     /// `Arc`s are reused untouched.
     pub fn refresh(&mut self) -> Result<DeltaOutcome, EngineError> {
-        // Dirty-fraction cutover: past the configured churn fraction the
-        // delta walk recomputes nearly every stage anyway but still pays
-        // its per-stage overhead (provider hooks, content-equality
-        // comparison of each recomputed artifact against the held one),
-        // so a cold run is strictly cheaper. The session evidence
-        // (fates, slots, S6 counters) is maintained by `apply`, not by
-        // the walk, so skipping the walk loses nothing.
-        let dirty_fraction =
-            self.dirty_keys.len() as f64 / self.master.len().max(1) as f64;
-        if dirty_fraction > self.cfg.delta_cold_cutover {
-            let mut snap = Snapshot::new(&self.master, self.cfg.clone());
-            let mut prev = Vec::with_capacity(Snapshot::stage_names().len());
-            for name in Snapshot::stage_names() {
-                prev.push(snap.materialize(name)?);
-            }
-            self.prev = prev;
-            self.last_report = snap.stage_report();
-            self.tok_samples = false;
-            self.tok_structure = false;
-            self.tok_mult = false;
-            self.dirty_keys.clear();
-            return Ok(DeltaOutcome {
-                skipped: 0,
-                recomputed: Snapshot::stage_names().len(),
-            });
-        }
         let plan = DeltaPlan {
             samples: self.tok_samples,
             structure: self.tok_structure,
@@ -364,7 +328,6 @@ impl DeltaSession {
         self.tok_samples = false;
         self.tok_structure = false;
         self.tok_mult = false;
-        self.dirty_keys.clear();
         let (skipped, recomputed) = self.last_report.stages.iter().fold(
             (0usize, 0usize),
             |(sk, rc), &(_, s)| {

@@ -578,8 +578,9 @@ fn as_inference<'x>(
 }
 
 // ---------------------------------------------------------------------
-// Stage bodies. Together these replicate pipeline::infer_monolithic
-// exactly (pinned by the engine-equivalence tests).
+// Stage bodies. Together they compute exactly what the arena-free
+// oracle pipeline::infer_monolithic computes through the path-slice
+// step definitions (pinned by the engine-equivalence tests).
 
 fn run_sanitize(env: &Env, _inputs: &[Artifact]) -> Result<Artifact, EngineError> {
     Ok(Artifact::Sanitized(Arc::new(sanitize_with(
@@ -773,12 +774,11 @@ fn run_cone_bgp(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError>
     let inf = as_inference(inputs, 0, "cone_bgp_observed")?;
     let arena = as_arena(inputs, 1, "cone_bgp_observed")?;
     Ok(Artifact::Cone(Arc::new(
-        CustomerCones::bgp_observed_from_arena_with_block(
+        CustomerCones::bgp_observed_from_arena(
             arena,
             &inf.relationships,
             env.prefixes.as_ref(),
             env.cfg.parallelism,
-            env.cfg.cone_sweep_block,
         ),
     )))
 }
@@ -787,12 +787,11 @@ fn run_cone_provider_peer(env: &Env, inputs: &[Artifact]) -> Result<Artifact, En
     let inf = as_inference(inputs, 0, "cone_provider_peer")?;
     let arena = as_arena(inputs, 1, "cone_provider_peer")?;
     Ok(Artifact::Cone(Arc::new(
-        CustomerCones::provider_peer_observed_from_arena_with_block(
+        CustomerCones::provider_peer_observed_from_arena(
             arena,
             &inf.relationships,
             env.prefixes.as_ref(),
             env.cfg.parallelism,
-            env.cfg.cone_sweep_block,
         ),
     )))
 }

@@ -9,11 +9,11 @@ pub mod steps;
 
 use crate::clique::{infer_clique, CliqueConfig};
 use crate::degree::DegreeTable;
-use crate::patharena::PathArena;
 use crate::sanitize::{sanitize_with, SanitizeConfig, SanitizeReport};
 use asrank_types::prelude::*;
 use asrank_types::EngineError;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// Pipeline configuration. `Default` matches the paper's published
 /// parameters where known and conservative values elsewhere.
@@ -40,29 +40,6 @@ pub struct InferenceConfig {
     /// identical for every value.
     // lint: allow(fp-excluded, thread budget only — outputs are bit-identical for every value, so it must not invalidate cached artifacts)
     pub parallelism: Parallelism,
-    /// Owner-block width (in dense ids) for the cone sweep's pair
-    /// merge. `0` (the default) sizes blocks automatically so each
-    /// block's sort working set stays cache-resident; any other value
-    /// forces that width. A layout knob like `parallelism`: the merged
-    /// pairs are bit-identical for every value, so it must not
-    /// invalidate cached artifacts.
-    // lint: allow(fp-excluded, cache-blocking width only — outputs are bit-identical for every value, so it must not invalidate cached artifacts)
-    pub cone_sweep_block: usize,
-    /// Dirty-sample fraction above which a
-    /// [`crate::delta::DeltaSession::refresh`] abandons the incremental
-    /// walk and recomputes from scratch. `benches/delta.rs` measured the
-    /// crossover at the 8k tier and found none up to 20% churn: the
-    /// session's maintained evidence makes the walk's S1/S2/arena/S6
-    /// strictly cheaper than their cold scans while every other stage
-    /// runs identically, so the walk undercuts a cold rebuild at every
-    /// churn fraction. The default of `1.0` therefore disables the
-    /// fallback for any single-emission churn up to full replacement;
-    /// the knob remains as an operational escape hatch (the fraction
-    /// can exceed 1.0 for withdraw-heavy streams, and other datasets
-    /// may balance differently). A scheduling policy, not an algorithm
-    /// parameter: both paths emit byte-identical artifacts.
-    // lint: allow(fp-excluded, refresh scheduling policy only — outputs are bit-identical for every value, so it must not invalidate cached artifacts)
-    pub delta_cold_cutover: f64,
 }
 
 /// Per-step ablation switches (used by the E12 ablation experiment).
@@ -93,8 +70,6 @@ impl Default for InferenceConfig {
             degree_flip_ratio: 10.0,
             ablation: Ablation::default(),
             parallelism: Parallelism::default(),
-            cone_sweep_block: 0,
-            delta_cold_cutover: 1.0,
         }
     }
 }
@@ -188,9 +163,11 @@ pub fn try_infer(paths: &PathSet, cfg: &InferenceConfig) -> Result<Inference, En
     Ok(Inference::clone(&inference))
 }
 
-/// The original single-call pipeline, kept as the reference
-/// implementation the staged engine is tested bit-identical against
-/// (see `tests/engine_equivalence.rs`). Prefer [`infer`] — it memoizes
+/// The single-call reference pipeline the staged engine is tested
+/// bit-identical against (see `tests/engine_equivalence.rs`). It builds
+/// no path arena: S4–S11 run the path-slice step definitions in
+/// [`steps`] over the sorted distinct paths, so the oracle shares no
+/// S4/S5/S8/S9/S10 code with the engine. Prefer [`infer`] — it memoizes
 /// through the engine — for everything except equivalence oracles.
 pub fn infer_monolithic(paths: &PathSet, cfg: &InferenceConfig) -> Inference {
     // S1: sanitize.
@@ -205,17 +182,51 @@ pub fn infer_monolithic(paths: &PathSet, cfg: &InferenceConfig) -> Inference {
 
     // S3: clique.
     let clique = infer_clique(&sanitized, &degrees, &cfg.clique);
+    let clique_set: HashSet<Asn> = clique.iter().copied().collect();
 
-    // Interned path arena: paths are parsed, deduplicated, and indexed
-    // exactly once; S4–S10 share this view.
-    let arena = PathArena::build_with(&sanitized, cfg.parallelism);
+    // Distinct paths in ASN-lexicographic order: multiplicity (one
+    // sample per prefix) adds no relationship evidence, and S5's walk
+    // order follows path order.
+    let mut distinct: Vec<AsPath> = sanitized.paths().cloned().collect();
+    distinct.sort_by(|a, b| a.0.cmp(&b.0));
+    distinct.dedup();
 
-    // S4–S10.
-    let relationships = steps::run(&arena, &sanitized, &degrees, &clique, cfg, &mut report);
+    // S4: discard poisoned paths.
+    let kept = if cfg.ablation.no_poison_filter {
+        distinct
+    } else {
+        steps::discard_poisoned(distinct, &clique_set, &mut report)
+    };
 
-    report.total_links = relationships.len();
+    // Clique links are p2p by construction.
+    let mut rels = RelationshipMap::new();
+    for (i, &a) in clique.iter().enumerate() {
+        for &b in &clique[i + 1..] {
+            rels.insert_p2p(a, b);
+        }
+    }
+
+    // S5–S10, each honouring its ablation switch.
+    steps::infer_topdown(&kept, &degrees, &clique_set, &mut rels, &mut report);
+    if !cfg.ablation.no_vp_step {
+        steps::infer_vp_providers(&sanitized, &degrees, cfg, &mut rels, &mut report);
+    }
+    if !cfg.ablation.no_anomaly_repair {
+        steps::repair_anomalies(&degrees, cfg, &mut rels, &mut report);
+    }
+    if !cfg.ablation.no_stub_clique {
+        steps::infer_stub_clique(&kept, &degrees, &clique_set, &mut rels, &mut report);
+    }
+    if !cfg.ablation.no_providerless {
+        steps::infer_providerless(&kept, &degrees, &clique_set, &mut rels, &mut report);
+    }
+    steps::assign_remaining_p2p(&kept, &mut rels, &mut report);
+
+    // S11: audit.
+    report.cycle_links = steps::audit_cycles(&rels);
+    report.total_links = rels.len();
     Inference {
-        relationships,
+        relationships: rels,
         clique,
         degrees,
         report,

@@ -1,16 +1,15 @@
 //! The relationship-classification steps S4–S11.
 //!
 //! Each step is a standalone function taking the working
-//! [`RelationshipMap`] so tests can exercise them in isolation; [`run`]
-//! executes them in paper order.
+//! [`RelationshipMap`] so tests can exercise them in isolation.
 //!
-//! [`run`] operates over the shared [`PathArena`]: distinct paths (the
-//! old `HashSet<&AsPath>` + clone + sort), the S5 occurrence index (the
-//! old per-run `HashMap<Asn, Vec<(u32, u32)>>`), and the observed link
-//! list S8/S10 both need are all read from the arena the pipeline built
-//! exactly once. The path-slice step functions remain `pub` — they are
-//! the unit-testable definitions the arena versions must (and are
-//! tested to) agree with.
+//! Two forms exist. The `pub` path-slice functions are the definitions:
+//! [`super::infer_monolithic`] runs them in paper order over the sorted
+//! distinct paths, and it is the oracle the engine is tested against.
+//! The `pub(crate)` `*_arena` / `*_over` forms are what the engine's
+//! stages run over the shared [`PathArena`]: distinct paths, the S5
+//! occurrence index and the observed link list S8/S10 both need are
+//! read from the arena built exactly once.
 
 use super::{InferenceConfig, InferenceReport};
 use crate::degree::DegreeTable;
@@ -19,89 +18,6 @@ use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
 use asrank_types::FxHashMap;
 use std::collections::{HashMap, HashSet};
-
-/// Execute S4–S11 over the shared path arena and return the final
-/// relationship map.
-pub fn run(
-    arena: &PathArena,
-    sanitized: &SanitizedPaths,
-    degrees: &DegreeTable,
-    clique: &[Asn],
-    cfg: &InferenceConfig,
-    report: &mut InferenceReport,
-) -> RelationshipMap {
-    let clique_set: HashSet<Asn> = clique.iter().copied().collect();
-    let interner = arena.interner();
-
-    // Dense clique mask over the arena's id space (clique members that
-    // appear in no path can never match a hop, so dropping them from
-    // the mask is exact).
-    let mut clique_mask = vec![false; interner.len()];
-    for &a in clique {
-        if let Some(id) = interner.get(a) {
-            clique_mask[id as usize] = true;
-        }
-    }
-
-    // S4: discard poisoned paths — a kept-mask over the arena's
-    // distinct paths instead of materializing a filtered Vec<AsPath>.
-    // (Distinct paths only: multiplicity — one sample per prefix — adds
-    // no relationship evidence and would inflate the S5 index.)
-    let mut kept = vec![true; arena.len()];
-    if !cfg.ablation.no_poison_filter {
-        let mut discarded = 0usize;
-        for (p, keep) in kept.iter_mut().enumerate() {
-            if is_poisoned_ids(arena.path(p), &clique_mask) {
-                *keep = false;
-                discarded += 1;
-            }
-        }
-        report.discarded_poisoned = discarded;
-    }
-
-    let mut rels = RelationshipMap::new();
-
-    // Clique links are p2p by construction.
-    for (i, &a) in clique.iter().enumerate() {
-        for &b in &clique[i + 1..] {
-            rels.insert_p2p(a, b);
-        }
-    }
-
-    // S5: top-down c2p inference via the arena's inverted index.
-    infer_topdown_arena(arena, &kept, degrees, &clique_mask, &mut rels, report);
-
-    // S6: VP-side providers.
-    if !cfg.ablation.no_vp_step {
-        infer_vp_providers(sanitized, degrees, cfg, &mut rels, report);
-    }
-
-    // S7: repair degree anomalies.
-    if !cfg.ablation.no_anomaly_repair {
-        repair_anomalies(degrees, cfg, &mut rels, report);
-    }
-
-    // Observed links of the kept paths, computed once for S8 and S10.
-    let links = observed_links_arena(arena, &kept);
-
-    // S8: stub-to-clique.
-    if !cfg.ablation.no_stub_clique {
-        stub_clique_over(&links, degrees, &clique_set, &mut rels, report);
-    }
-
-    // S9: providers for provider-less transit ASes.
-    if !cfg.ablation.no_providerless {
-        infer_providerless_arena(arena, &kept, degrees, &clique_set, &mut rels, report);
-    }
-
-    // S10: the rest is p2p.
-    remaining_p2p_over(&links, &mut rels, report);
-
-    // S11: audit.
-    report.cycle_links = audit_cycles(&rels);
-
-    rels
-}
 
 /// S4 — a path is poisoned when a non-clique AS appears between two
 /// clique members: legitimate routing never sandwiches a smaller AS

@@ -1,4 +1,4 @@
-//! Property tests pinning the PR8 cache-blocked cone sweep to the PR3
+//! Property tests pinning the cache-blocked cone sweep to the full-width
 //! unblocked sweep: for random topologies, every forced block width
 //! (including degenerate 1-id blocks and widths larger than the id
 //! space), and both thread budgets, the blocked merge must produce
@@ -18,6 +18,11 @@ use std::collections::HashMap;
 /// 3/17 force ragged boundaries, 256 typically covers the whole small
 /// universe in one block (the unblocked fast path).
 const BLOCK_WIDTHS: [usize; 5] = [0, 1, 3, 17, 256];
+
+/// A width no id space reaches: it clamps to one full-width block, so
+/// the merge falls through to `merge_sweep_pairs_unblocked` — the
+/// unblocked sweep every forced width is compared against.
+const FULL_WIDTH: usize = usize::MAX;
 
 /// Random raw path sets over a small ASN universe (same shape as
 /// `cone_equivalence.rs`, the unblocked sweep's own oracle suite).
@@ -122,8 +127,8 @@ proptest! {
         let prefixes = prefixes_for(&edges);
         for par in [Parallelism::sequential(), Parallelism::threads(4)] {
             let arena = PathArena::build_with(&sanitized, par);
-            let unblocked = CustomerCones::bgp_observed_from_arena_unblocked(
-                &arena, &rels, Some(&prefixes), par,
+            let unblocked = CustomerCones::bgp_observed_from_arena_with_block(
+                &arena, &rels, Some(&prefixes), par, FULL_WIDTH,
             );
             for block in BLOCK_WIDTHS {
                 let blocked = CustomerCones::bgp_observed_from_arena_with_block(
@@ -144,8 +149,8 @@ proptest! {
         let prefixes = prefixes_for(&edges);
         for par in [Parallelism::sequential(), Parallelism::threads(4)] {
             let arena = PathArena::build_with(&sanitized, par);
-            let unblocked = CustomerCones::provider_peer_observed_from_arena_unblocked(
-                &arena, &rels, Some(&prefixes), par,
+            let unblocked = CustomerCones::provider_peer_observed_from_arena_with_block(
+                &arena, &rels, Some(&prefixes), par, FULL_WIDTH,
             );
             for block in BLOCK_WIDTHS {
                 let blocked = CustomerCones::provider_peer_observed_from_arena_with_block(

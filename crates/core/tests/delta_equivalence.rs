@@ -4,7 +4,8 @@
 //!   must hold artifacts **byte-identical** (serialized frame compare,
 //!   every stage) to a cold run over the same final sample set — at
 //!   `Parallelism::sequential()` and `Parallelism::threads(4)`, whether
-//!   it refreshes after every batch or coalesces them;
+//!   it refreshes after every batch or coalesces them — and every
+//!   refresh walks each stage incrementally, whatever the churn;
 //! * an empty update batch is a byte-identical no-op: zero recomputes,
 //!   every stage a delta skip, every held `Arc` reused, every encoded
 //!   frame unchanged — pinned via the engine's cache counters.
@@ -124,6 +125,16 @@ proptest! {
                 oracle = batch.apply(oracle);
                 session.refresh().expect("refresh");
                 prop_assert_eq!(session.len(), oracle.len());
+                // One refresh path at every churn level: each stage is
+                // walked incrementally, as exactly one skip or recompute.
+                for (name, stats) in &session.stage_report().stages {
+                    prop_assert_eq!(
+                        stats.delta_skipped + stats.delta_recomputed,
+                        1,
+                        "stage {} not walked incrementally",
+                        name
+                    );
+                }
                 assert_matches_cold(&session, &oracle, &cfg);
             }
         }
@@ -193,79 +204,5 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-/// The dirty-fraction cutover (`InferenceConfig::delta_cold_cutover`):
-/// churn above the threshold routes `refresh` through a from-scratch
-/// recompute with no delta bookkeeping, churn below stays on the
-/// incremental walk — and both paths emit byte-identical frames.
-#[test]
-fn cold_cutover_routes_by_dirty_fraction() {
-    let paths: Vec<Vec<u32>> = (0..20u32)
-        .map(|i| vec![1 + (i % 7), 8 + (i % 5), 13 + (i % 3)])
-        .collect();
-    let base = path_set(&paths);
-    // Re-announce the first `n` keys with a path not in the base set.
-    let churn = |n: usize| -> UpdateBatch {
-        let deltas: Vec<_> = base
-            .iter()
-            .take(n)
-            .map(|s| {
-                let hops = [s.vp.0, 35, 36];
-                (s.vp, s.prefix, PathDelta::Announce(AsPath::from_u32s(hops)))
-            })
-            .collect();
-        UpdateBatch::from_deltas(deltas)
-    };
-    // The default leaves the fallback off (the measured crossover at
-    // the 8k tier is above any realistic churn — see benches/delta.rs);
-    // this test pins the routing itself with an explicit threshold.
-    let mut cfg = InferenceConfig::default();
-    assert_eq!(cfg.delta_cold_cutover, 1.0);
-    cfg.delta_cold_cutover = 0.10;
-
-    // 1/20 = 5% churn: below the cutover, the incremental walk runs and
-    // accounts every stage as a delta skip or recompute.
-    {
-        let mut session = DeltaSession::new(base.clone(), cfg.clone()).expect("session");
-        let batch = churn(1);
-        session.apply(&batch).expect("apply");
-        let oracle = batch.apply(base.clone());
-        session.refresh().expect("refresh");
-        for (name, stats) in &session.stage_report().stages {
-            assert_eq!(
-                stats.delta_skipped + stats.delta_recomputed,
-                1,
-                "stage {name} not walked incrementally at 5% churn"
-            );
-        }
-        assert_matches_cold(&session, &oracle, &cfg);
-    }
-
-    // 5/20 = 25% churn: above the cutover, refresh recomputes from
-    // scratch — every stage simply runs, no delta accounting at all.
-    {
-        let mut session = DeltaSession::new(base.clone(), cfg.clone()).expect("session");
-        let batch = churn(5);
-        session.apply(&batch).expect("apply");
-        let oracle = batch.apply(base.clone());
-        let outcome = session.refresh().expect("refresh");
-        assert_eq!(outcome.skipped, 0);
-        assert_eq!(outcome.recomputed, Snapshot::stage_names().len());
-        for (name, stats) in &session.stage_report().stages {
-            assert_eq!(stats.runs, 1, "stage {name} did not run cold");
-            assert_eq!(
-                stats.delta_skipped + stats.delta_recomputed,
-                0,
-                "stage {name} delta-walked despite the cold cutover"
-            );
-        }
-        assert_matches_cold(&session, &oracle, &cfg);
-
-        // The cutover resets the dirty accounting: a follow-up refresh
-        // with no new churn is a pure skip.
-        let outcome = session.refresh().expect("refresh");
-        assert_eq!(outcome.recomputed, 0);
     }
 }

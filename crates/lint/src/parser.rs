@@ -393,9 +393,7 @@ fn parse_block(
                         match (punct_at(tokens, *pos), ident_at(tokens, *pos)) {
                             (Some('{'), _) => {
                                 let body_start = line_at(tokens, *pos);
-                                let start = *pos;
                                 skip_balanced(tokens, pos, '{', '}');
-                                let _ = start;
                                 items.push(Item {
                                     kind: ItemKind::ExternBlock,
                                     name: String::new(),

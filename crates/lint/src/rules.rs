@@ -558,10 +558,9 @@ fn l004(rel: &str, s: &Stripped, mask: &[bool], orig: &[&str], out: &mut Vec<Fin
         if mask[i] {
             continue;
         }
-        let Some(idx) = find_pub_fn(line) else {
+        if find_pub_fn(line).is_none() {
             continue;
-        };
-        let _ = idx;
+        }
         // Walk up over attributes and blank lines looking for a doc line.
         let mut j = i;
         let mut documented = false;
