@@ -25,9 +25,11 @@ test:
 # Staged-engine acceptance: property tests pinning the memoized stage
 # graph to the arena-free monolithic oracle, which runs the path-slice
 # step definitions (bit-identical inference at both parallelism levels
-# and under every ablation), plus the cache invalidation/reuse counters.
+# and under every ablation), the delta session's frames to a cold run
+# over the same samples, plus the cache invalidation/reuse counters.
 test-engine:
 	$(CARGO) test -p asrank-core --test engine_equivalence
+	$(CARGO) test -p asrank-core --test delta_equivalence
 	$(CARGO) test -p asrank-core engine::
 
 # Source-level determinism/robustness checks: the file-local rules
@@ -69,9 +71,10 @@ bench-lock:
 	$(CARGO) metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
 
 # The full pre-merge gate: compile, test (workspace tests include the
-# engine-equivalence suite; test-engine re-runs it explicitly so a
-# failure is named in the gate output), strict source lint (all nine
-# rules + the annotation audit), semantic audit, benchmark lock check.
+# engine- and delta-equivalence suites; test-engine re-runs them
+# explicitly so a failure is named in the gate output), strict source
+# lint (all nine rules + the annotation audit), semantic audit,
+# benchmark lock check.
 verify: build test test-engine lint-strict audit bench-lock
 
 # Run the wired criterion benches with JSON-line capture, then assemble

@@ -52,15 +52,6 @@ impl AnomalyConfig {
             poison_pool,
         }
     }
-
-    /// True when every probability is zero (fast path: skip emission
-    /// post-processing entirely).
-    pub fn is_clean(&self) -> bool {
-        self.leak_prob == 0.0
-            && self.poison_prob == 0.0
-            && self.prepend_prob == 0.0
-            && self.rs_insertion_prob == 0.0
-    }
 }
 
 /// Counters of artifacts actually injected during a simulation.

@@ -52,19 +52,6 @@ impl SimConfig {
             seed,
         }
     }
-
-    /// Paper-scale collection: 315 VPs with the 2013 full-feed share.
-    pub fn paper_scale(seed: u64) -> Self {
-        SimConfig {
-            vp_selection: VpSelection::Count(315),
-            full_feed_fraction: 116.0 / 315.0,
-            anomalies: AnomalyConfig::none(),
-            destination_sample: None,
-            rib_cap_per_vp: None,
-            threads: 0,
-            seed,
-        }
-    }
 }
 
 /// Aggregate simulation statistics.

@@ -37,7 +37,11 @@
 
 use crate::cone::CustomerCones;
 use crate::degree::DegreeTable;
-use crate::engine::{stage_idx, Artifact, DeltaPlan, DeltaProvider, Snapshot, StageReport, StepState};
+use crate::engine::{
+    dirt, Artifact, DeltaProvider, Payload, Snapshot, StageReport, StepState, CONE_BGP_OBSERVED,
+    CONE_PROVIDER_PEER, CONE_RECURSIVE, PATH_ARENA, S11_INFERENCE, S1_SANITIZE, S2_DEGREES,
+    S3_CLIQUE,
+};
 use crate::patharena::{MutablePathArena, PathArena, PathEvent};
 use crate::pipeline::{steps, Inference, InferenceConfig};
 use crate::sanitize::{sample_fate, SampleFate, SanitizeReport, SanitizedPaths};
@@ -53,13 +57,6 @@ pub struct DeltaOutcome {
     pub skipped: usize,
     /// Stages re-executed (incremental provider or full body).
     pub recomputed: usize,
-}
-
-impl DeltaOutcome {
-    /// The dirty set: stages that could not be reused.
-    pub fn dirty_set_size(&self) -> usize {
-        self.recomputed
-    }
 }
 
 /// An inference session that folds update batches into its sample set
@@ -121,9 +118,9 @@ pub struct DeltaSession {
     prev: Vec<Artifact>,
     /// Instrumentation of the last emission (cold or delta).
     last_report: StageReport,
-    tok_samples: bool,
-    tok_structure: bool,
-    tok_mult: bool,
+    /// The [`dirt`] aspects applied batches touched since the last
+    /// emission.
+    dirt: u8,
 }
 
 impl DeltaSession {
@@ -157,16 +154,7 @@ impl DeltaSession {
         let last_report = snap.stage_report();
         drop(snap);
 
-        let slots = match &prev[stage_idx::PATH_ARENA] {
-            Artifact::Arena(a) => MutablePathArena::from_arena(a),
-            other => {
-                return Err(EngineError::ArtifactType {
-                    stage: "delta_session".to_string(),
-                    expected: "arena".to_string(),
-                    got: other.kind().to_string(),
-                })
-            }
-        };
+        let slots = MutablePathArena::from_arena(prev[PATH_ARENA].payload("delta_session")?);
 
         let mut session = DeltaSession {
             fates: Vec::with_capacity(paths.len()),
@@ -181,9 +169,7 @@ impl DeltaSession {
             clean: 0,
             prev,
             last_report,
-            tok_samples: false,
-            tok_structure: false,
-            tok_mult: false,
+            dirt: 0,
         };
         for s in session.master.iter() {
             let fate = sample_fate(&s.path, &session.cfg.sanitize);
@@ -229,7 +215,7 @@ impl DeltaSession {
                         },
                     );
                     self.retire(vp, &old)?;
-                    self.tok_samples = true;
+                    self.dirt |= dirt::SAMPLES;
                     // Batches fold by key, so this key cannot recur; drop
                     // it now and fix up the surviving positions after the
                     // compaction below.
@@ -246,13 +232,13 @@ impl DeltaSession {
                     self.admit(vp, &fate);
                     let old = std::mem::replace(&mut self.fates[i], fate);
                     self.retire(vp, &old)?;
-                    self.tok_samples = true;
+                    self.dirt |= dirt::SAMPLES;
                     self.master.samples_mut()[i].path = path.clone();
                 }
                 (None, PathDelta::Announce(path)) => {
                     let fate = sample_fate(path, &self.cfg.sanitize);
                     self.admit(vp, &fate);
-                    self.tok_samples = true;
+                    self.dirt |= dirt::SAMPLES;
                     self.index
                         .insert((vp, prefix), dense_id(self.master.len()));
                     self.master.push(PathSample {
@@ -299,11 +285,6 @@ impl DeltaSession {
     /// With no dirt accumulated every stage is a skip and the held
     /// `Arc`s are reused untouched.
     pub fn refresh(&mut self) -> Result<DeltaOutcome, EngineError> {
-        let plan = DeltaPlan {
-            samples: self.tok_samples,
-            structure: self.tok_structure,
-            mult: self.tok_mult,
-        };
         let mut snap = Snapshot::new(&self.master, self.cfg.clone());
         {
             let mut provider = SessionProvider {
@@ -317,7 +298,7 @@ impl DeltaSession {
                 ledger: &self.degrees,
                 cfg: &self.cfg,
             };
-            snap.delta_run(&self.prev, &plan, &mut provider)?;
+            snap.delta_run(&self.prev, self.dirt, &mut provider)?;
         }
         let mut prev = Vec::with_capacity(Snapshot::stage_names().len());
         for name in Snapshot::stage_names() {
@@ -325,9 +306,7 @@ impl DeltaSession {
         }
         self.prev = prev;
         self.last_report = snap.stage_report();
-        self.tok_samples = false;
-        self.tok_structure = false;
-        self.tok_mult = false;
+        self.dirt = 0;
         let (skipped, recomputed) = self.last_report.stages.iter().fold(
             (0usize, 0usize),
             |(sk, rc), &(_, s)| {
@@ -343,7 +322,7 @@ impl DeltaSession {
     /// True when applied batches have dirtied evidence that the next
     /// [`DeltaSession::refresh`] must propagate.
     pub fn pending(&self) -> bool {
-        self.tok_samples || self.tok_structure || self.tok_mult
+        self.dirt != 0
     }
 
     /// Samples currently held.
@@ -370,54 +349,34 @@ impl DeltaSession {
         &self.prev
     }
 
-    /// The sanitize counters of the current sample set, as S1 would
-    /// report them.
-    pub fn sanitize_report(&self) -> SanitizeReport {
-        SanitizeReport {
-            input_paths: self.master.len(),
-            output_paths: self.clean,
-            ..self.counters
-        }
+    /// The held artifact of stage `idx`, downcast to its payload.
+    fn held<T: Payload>(&self, idx: usize) -> Result<Arc<T>, EngineError> {
+        self.prev[idx].payload("delta_session").map(Arc::clone)
     }
 
     /// The held S11 inference of the last emission.
     pub fn inference(&self) -> Result<Arc<Inference>, EngineError> {
-        match &self.prev[stage_idx::S11_INFERENCE] {
-            Artifact::Inference(i) => Ok(Arc::clone(i)),
-            other => Err(held_type_err("inference", other)),
-        }
+        self.held(S11_INFERENCE)
     }
 
     /// The held Tier-1 clique of the last emission.
     pub fn clique(&self) -> Result<Arc<Vec<Asn>>, EngineError> {
-        match &self.prev[stage_idx::S3_CLIQUE] {
-            Artifact::Clique(c) => Ok(Arc::clone(c)),
-            other => Err(held_type_err("clique", other)),
-        }
+        self.held(S3_CLIQUE)
     }
 
     /// The held degree table of the last emission.
     pub fn degrees(&self) -> Result<Arc<DegreeTable>, EngineError> {
-        match &self.prev[stage_idx::S2_DEGREES] {
-            Artifact::Degrees(d) => Ok(Arc::clone(d)),
-            other => Err(held_type_err("degrees", other)),
-        }
+        self.held(S2_DEGREES)
     }
 
     /// The held path arena of the last emission.
     pub fn arena(&self) -> Result<Arc<PathArena>, EngineError> {
-        match &self.prev[stage_idx::PATH_ARENA] {
-            Artifact::Arena(a) => Ok(Arc::clone(a)),
-            other => Err(held_type_err("arena", other)),
-        }
+        self.held(PATH_ARENA)
     }
 
     /// The held sanitized paths of the last emission.
     pub fn sanitized(&self) -> Result<Arc<SanitizedPaths>, EngineError> {
-        match &self.prev[stage_idx::S1_SANITIZE] {
-            Artifact::Sanitized(s) => Ok(Arc::clone(s)),
-            other => Err(held_type_err("sanitized", other)),
-        }
+        self.held(S1_SANITIZE)
     }
 
     /// The three held cone flavors (recursive, BGP-observed,
@@ -425,14 +384,10 @@ impl DeltaSession {
     pub fn cones(
         &self,
     ) -> Result<(Arc<CustomerCones>, Arc<CustomerCones>, Arc<CustomerCones>), EngineError> {
-        let cone = |idx: usize| match &self.prev[idx] {
-            Artifact::Cone(c) => Ok(Arc::clone(c)),
-            other => Err(held_type_err("cone", other)),
-        };
         Ok((
-            cone(stage_idx::CONE_RECURSIVE)?,
-            cone(stage_idx::CONE_BGP_OBSERVED)?,
-            cone(stage_idx::CONE_PROVIDER_PEER)?,
+            self.held(CONE_RECURSIVE)?,
+            self.held(CONE_BGP_OBSERVED)?,
+            self.held(CONE_PROVIDER_PEER)?,
         ))
     }
 
@@ -477,9 +432,9 @@ impl DeltaSession {
     }
 
     fn note(&mut self, ev: PathEvent) {
-        self.tok_mult = true;
+        self.dirt |= dirt::MULT;
         if matches!(ev, PathEvent::AddedDistinct | PathEvent::RemovedDistinct) {
-            self.tok_structure = true;
+            self.dirt |= dirt::STRUCTURE;
         }
     }
 }
@@ -627,14 +582,6 @@ fn sub_report(dst: &mut SanitizeReport, d: &SanitizeReport) {
     dst.discarded_short -= d.discarded_short;
     dst.compressed_prepending -= d.compressed_prepending;
     dst.stripped_ixp -= d.stripped_ixp;
-}
-
-fn held_type_err(expected: &'static str, got: &Artifact) -> EngineError {
-    EngineError::ArtifactType {
-        stage: "delta_session".to_string(),
-        expected: expected.to_string(),
-        got: got.kind().to_string(),
-    }
 }
 
 /// The session's view handed to `Snapshot::delta_run` — disjoint field

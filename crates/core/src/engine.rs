@@ -97,20 +97,63 @@ pub enum Artifact {
     Cone(Arc<CustomerCones>),
 }
 
-impl Artifact {
-    /// Short kind name used in error messages and the stage report.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Artifact::Sanitized(_) => "sanitized",
-            Artifact::Degrees(_) => "degrees",
-            Artifact::Clique(_) => "clique",
-            Artifact::Arena(_) => "arena",
-            Artifact::Kept(_) => "kept",
-            Artifact::Links(_) => "links",
-            Artifact::Steps(_) => "steps",
-            Artifact::Inference(_) => "inference",
-            Artifact::Cone(_) => "cone",
+/// A payload type one [`Artifact`] variant carries — what
+/// [`Artifact::payload`] downcasts to.
+pub(crate) trait Payload {
+    /// The variant's [`Artifact::kind`] name.
+    const KIND: &'static str;
+    /// The payload, when `artifact` is this type's variant.
+    fn of(artifact: &Artifact) -> Option<&Arc<Self>>;
+}
+
+/// One table of `variant(payload type) = kind name` rows: generates
+/// [`Artifact::kind`] and a [`Payload`] impl per row.
+macro_rules! payloads {
+    ($($variant:ident($ty:ty) = $kind:literal),* $(,)?) => {
+        impl Artifact {
+            /// Short kind name used in error messages and the stage report.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Artifact::$variant(_) => $kind,)*
+                }
+            }
         }
+        $(
+            impl Payload for $ty {
+                const KIND: &'static str = $kind;
+                fn of(artifact: &Artifact) -> Option<&Arc<Self>> {
+                    match artifact {
+                        Artifact::$variant(x) => Some(x),
+                        _ => None,
+                    }
+                }
+            }
+        )*
+    };
+}
+
+payloads! {
+    Sanitized(SanitizedPaths) = "sanitized",
+    Degrees(DegreeTable) = "degrees",
+    Clique(Vec<Asn>) = "clique",
+    Arena(PathArena) = "arena",
+    Kept(KeptPaths) = "kept",
+    Links(Vec<AsLink>) = "links",
+    Steps(StepState) = "steps",
+    Inference(Inference) = "inference",
+    Cone(CustomerCones) = "cone",
+}
+
+impl Artifact {
+    /// The payload as a `T`, or an [`EngineError::ArtifactType`] naming
+    /// `stage` when this is another kind — the one downcast every
+    /// consumer uses, so a wiring bug surfaces as an error, not a panic.
+    pub(crate) fn payload<T: Payload>(&self, stage: &str) -> Result<&Arc<T>, EngineError> {
+        T::of(self).ok_or_else(|| EngineError::ArtifactType {
+            stage: stage.to_string(),
+            expected: T::KIND.to_string(),
+            got: self.kind().to_string(),
+        })
     }
 
     /// Number of primary items in the artifact (paths, ASes, links, …) —
@@ -209,133 +252,174 @@ impl<'a> Env<'a> {
     }
 }
 
-/// One node of the stage DAG: a name, the stages it consumes, the config
-/// subset entering its fingerprint, and a pure body.
+/// One node of the stage DAG: a name, the stages it consumes, the dirt
+/// aspects it reads, the config subset entering its fingerprint, and a
+/// pure body. The entry is the only statement of the node's edges: the
+/// fingerprint chain, cold materialization and the delta run's dirty
+/// rule all derive from it.
 struct StageSpec {
     name: &'static str,
     /// Indices into [`STAGES`] of the artifacts this stage consumes, in
     /// the order the body expects them.
     inputs: &'static [usize],
+    /// The [`dirt`] aspects this stage reads. A delta run recomputes the
+    /// stage when one of them is dirty or an input's artifact changed.
+    reads: u8,
     /// Hash of the config subset this stage reads (0 when it reads none).
     cfg_fp: fn(&FpCtx) -> u64,
     /// The stage body. Pure: output depends only on `env` and `inputs`.
-    run: fn(&Env, &[Artifact]) -> Result<Artifact, EngineError>,
+    run: fn(&Env, &Inputs) -> Result<Artifact, EngineError>,
+}
+
+/// Dirt aspects: the bits of a delta run's dirt mask and of
+/// [`StageSpec::reads`]. They are finer than whole-artifact changes,
+/// which is why a multiplicity-only batch leaves almost the whole DAG
+/// untouched. S1, the arena and S11 never mark their artifact changed;
+/// their consumers read them through these aspects instead.
+pub(crate) mod dirt {
+    /// Some sanitized sample changed (content, addition, or removal).
+    pub(crate) const SAMPLES: u8 = 1;
+    /// The distinct clean path set changed.
+    pub(crate) const STRUCTURE: u8 = 1 << 1;
+    /// Path multiplicities changed.
+    pub(crate) const MULT: u8 = 1 << 2;
+    /// S1's sanitize counters changed (S11 embeds them).
+    pub(crate) const REPORT: u8 = 1 << 3;
+    /// S11's relationship map changed (the cones read nothing else
+    /// from it).
+    pub(crate) const RELS: u8 = 1 << 4;
 }
 
 // Stage indices. Order is topological; `STAGES[i].inputs` only contains
 // indices < i.
-const S1_SANITIZE: usize = 0;
-const S2_DEGREES: usize = 1;
-const S3_CLIQUE: usize = 2;
-const PATH_ARENA: usize = 3;
-const S4_POISON: usize = 4;
-const OBSERVED_LINKS: usize = 5;
-const S5_TOPDOWN: usize = 6;
-const S6_VP_PROVIDERS: usize = 7;
-const S7_ANOMALY_REPAIR: usize = 8;
-const S8_STUB_CLIQUE: usize = 9;
-const S9_PROVIDERLESS: usize = 10;
-const S10_P2P: usize = 11;
-const S11_INFERENCE: usize = 12;
-const CONE_RECURSIVE: usize = 13;
-const CONE_BGP_OBSERVED: usize = 14;
-const CONE_PROVIDER_PEER: usize = 15;
+pub(crate) const S1_SANITIZE: usize = 0;
+pub(crate) const S2_DEGREES: usize = 1;
+pub(crate) const S3_CLIQUE: usize = 2;
+pub(crate) const PATH_ARENA: usize = 3;
+pub(crate) const S4_POISON: usize = 4;
+pub(crate) const OBSERVED_LINKS: usize = 5;
+pub(crate) const S5_TOPDOWN: usize = 6;
+pub(crate) const S6_VP_PROVIDERS: usize = 7;
+pub(crate) const S7_ANOMALY_REPAIR: usize = 8;
+pub(crate) const S8_STUB_CLIQUE: usize = 9;
+pub(crate) const S9_PROVIDERLESS: usize = 10;
+pub(crate) const S10_P2P: usize = 11;
+pub(crate) const S11_INFERENCE: usize = 12;
+pub(crate) const CONE_RECURSIVE: usize = 13;
+pub(crate) const CONE_BGP_OBSERVED: usize = 14;
+pub(crate) const CONE_PROVIDER_PEER: usize = 15;
 
 /// The stage DAG, in topological order.
 static STAGES: &[StageSpec] = &[
     StageSpec {
         name: "s1_sanitize",
         inputs: &[],
+        reads: dirt::SAMPLES,
         cfg_fp: fp_sanitize,
         run: run_sanitize,
     },
     StageSpec {
         name: "s2_degrees",
         inputs: &[S1_SANITIZE],
+        reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
         run: run_degrees,
     },
     StageSpec {
         name: "s3_clique",
         inputs: &[S1_SANITIZE, S2_DEGREES],
+        reads: dirt::STRUCTURE,
         cfg_fp: fp_clique,
         run: run_clique,
     },
     StageSpec {
         name: "path_arena",
         inputs: &[S1_SANITIZE],
+        reads: dirt::STRUCTURE | dirt::MULT,
         cfg_fp: fp_none,
         run: run_arena,
     },
     StageSpec {
         name: "s4_poison",
         inputs: &[PATH_ARENA, S3_CLIQUE],
+        reads: dirt::STRUCTURE,
         cfg_fp: fp_poison,
         run: run_poison,
     },
     StageSpec {
         name: "observed_links",
         inputs: &[PATH_ARENA, S4_POISON],
+        reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
         run: run_links,
     },
     StageSpec {
         name: "s5_topdown",
         inputs: &[PATH_ARENA, S4_POISON, S2_DEGREES, S3_CLIQUE],
+        reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
         run: run_topdown,
     },
     StageSpec {
         name: "s6_vp_providers",
         inputs: &[S5_TOPDOWN, S1_SANITIZE, S2_DEGREES],
+        reads: dirt::SAMPLES,
         cfg_fp: fp_vp,
         run: run_vp_providers,
     },
     StageSpec {
         name: "s7_anomaly_repair",
         inputs: &[S6_VP_PROVIDERS, S2_DEGREES],
+        reads: 0,
         cfg_fp: fp_anomaly,
         run: run_anomaly_repair,
     },
     StageSpec {
         name: "s8_stub_clique",
         inputs: &[S7_ANOMALY_REPAIR, OBSERVED_LINKS, S2_DEGREES, S3_CLIQUE],
+        reads: 0,
         cfg_fp: fp_stub,
         run: run_stub_clique,
     },
     StageSpec {
         name: "s9_providerless",
         inputs: &[S8_STUB_CLIQUE, PATH_ARENA, S4_POISON, S2_DEGREES, S3_CLIQUE],
+        reads: dirt::STRUCTURE,
         cfg_fp: fp_providerless,
         run: run_providerless,
     },
     StageSpec {
         name: "s10_p2p",
         inputs: &[S9_PROVIDERLESS, OBSERVED_LINKS],
+        reads: 0,
         cfg_fp: fp_none,
         run: run_p2p,
     },
     StageSpec {
         name: "s11_inference",
         inputs: &[S10_P2P, S1_SANITIZE, S2_DEGREES, S3_CLIQUE],
+        reads: dirt::REPORT,
         cfg_fp: fp_none,
         run: run_inference,
     },
     StageSpec {
         name: "cone_recursive",
         inputs: &[S11_INFERENCE],
+        reads: dirt::RELS,
         cfg_fp: fp_prefixes,
         run: run_cone_recursive,
     },
     StageSpec {
         name: "cone_bgp_observed",
         inputs: &[S11_INFERENCE, PATH_ARENA],
+        reads: dirt::RELS | dirt::STRUCTURE,
         cfg_fp: fp_prefixes,
         run: run_cone_bgp,
     },
     StageSpec {
         name: "cone_provider_peer",
         inputs: &[S11_INFERENCE, PATH_ARENA],
+        reads: dirt::RELS | dirt::STRUCTURE,
         cfg_fp: fp_prefixes,
         run: run_cone_provider_peer,
     },
@@ -466,114 +550,22 @@ fn hash_prefixes(prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>) -> u64 {
     h.finish()
 }
 
-// ---------------------------------------------------------------------
-// Artifact downcast helpers: wiring bugs surface as EngineError, not as
-// panics.
-
-fn type_err(stage: &'static str, expected: &'static str, got: &Artifact) -> EngineError {
-    EngineError::ArtifactType {
-        stage: stage.to_string(),
-        expected: expected.to_string(),
-        got: got.kind().to_string(),
-    }
+/// A stage body's resolved inputs, in [`StageSpec::inputs`] order.
+struct Inputs<'x> {
+    stage: &'static str,
+    artifacts: &'x [Artifact],
 }
 
-fn want<'x>(
-    inputs: &'x [Artifact],
-    i: usize,
-    stage: &'static str,
-) -> Result<&'x Artifact, EngineError> {
-    inputs.get(i).ok_or_else(|| EngineError::StageFailed {
-        stage: stage.to_string(),
-        detail: format!("missing declared input #{i}"),
-    })
-}
-
-fn as_sanitized<'x>(
-    inputs: &'x [Artifact],
-    i: usize,
-    stage: &'static str,
-) -> Result<&'x Arc<SanitizedPaths>, EngineError> {
-    match want(inputs, i, stage)? {
-        Artifact::Sanitized(s) => Ok(s),
-        other => Err(type_err(stage, "sanitized", other)),
-    }
-}
-
-fn as_degrees<'x>(
-    inputs: &'x [Artifact],
-    i: usize,
-    stage: &'static str,
-) -> Result<&'x Arc<DegreeTable>, EngineError> {
-    match want(inputs, i, stage)? {
-        Artifact::Degrees(d) => Ok(d),
-        other => Err(type_err(stage, "degrees", other)),
-    }
-}
-
-fn as_clique<'x>(
-    inputs: &'x [Artifact],
-    i: usize,
-    stage: &'static str,
-) -> Result<&'x Arc<Vec<Asn>>, EngineError> {
-    match want(inputs, i, stage)? {
-        Artifact::Clique(c) => Ok(c),
-        other => Err(type_err(stage, "clique", other)),
-    }
-}
-
-fn as_arena<'x>(
-    inputs: &'x [Artifact],
-    i: usize,
-    stage: &'static str,
-) -> Result<&'x Arc<PathArena>, EngineError> {
-    match want(inputs, i, stage)? {
-        Artifact::Arena(a) => Ok(a),
-        other => Err(type_err(stage, "arena", other)),
-    }
-}
-
-fn as_kept<'x>(
-    inputs: &'x [Artifact],
-    i: usize,
-    stage: &'static str,
-) -> Result<&'x Arc<KeptPaths>, EngineError> {
-    match want(inputs, i, stage)? {
-        Artifact::Kept(k) => Ok(k),
-        other => Err(type_err(stage, "kept", other)),
-    }
-}
-
-fn as_links<'x>(
-    inputs: &'x [Artifact],
-    i: usize,
-    stage: &'static str,
-) -> Result<&'x Arc<Vec<AsLink>>, EngineError> {
-    match want(inputs, i, stage)? {
-        Artifact::Links(l) => Ok(l),
-        other => Err(type_err(stage, "links", other)),
-    }
-}
-
-fn as_steps<'x>(
-    inputs: &'x [Artifact],
-    i: usize,
-    stage: &'static str,
-) -> Result<&'x Arc<StepState>, EngineError> {
-    match want(inputs, i, stage)? {
-        Artifact::Steps(s) => Ok(s),
-        other => Err(type_err(stage, "steps", other)),
-    }
-}
-
-fn as_inference<'x>(
-    inputs: &'x [Artifact],
-    i: usize,
-    stage: &'static str,
-) -> Result<&'x Arc<Inference>, EngineError> {
-    match want(inputs, i, stage)? {
-        Artifact::Inference(inf) => Ok(inf),
-        other => Err(type_err(stage, "inference", other)),
+impl<'x> Inputs<'x> {
+    /// Input `i`, downcast to its payload. A missing or mistyped input
+    /// is an [`EngineError`] naming the stage.
+    fn get<T: Payload>(&self, i: usize) -> Result<&'x Arc<T>, EngineError> {
+        self.artifacts
+            .get(i)
+            .ok_or_else(|| {
+                EngineError::stage_failed(self.stage, format!("missing declared input #{i}"))
+            })?
+            .payload(self.stage)
     }
 }
 
@@ -582,7 +574,7 @@ fn as_inference<'x>(
 // oracle pipeline::infer_monolithic computes through the path-slice
 // step definitions (pinned by the engine-equivalence tests).
 
-fn run_sanitize(env: &Env, _inputs: &[Artifact]) -> Result<Artifact, EngineError> {
+fn run_sanitize(env: &Env, _inputs: &Inputs) -> Result<Artifact, EngineError> {
     Ok(Artifact::Sanitized(Arc::new(sanitize_with(
         env.paths,
         &env.cfg.sanitize,
@@ -590,14 +582,14 @@ fn run_sanitize(env: &Env, _inputs: &[Artifact]) -> Result<Artifact, EngineError
     ))))
 }
 
-fn run_degrees(_env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let sanitized = as_sanitized(inputs, 0, "s2_degrees")?;
+fn run_degrees(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let sanitized = inputs.get::<SanitizedPaths>(0)?;
     Ok(Artifact::Degrees(Arc::new(DegreeTable::compute(sanitized))))
 }
 
-fn run_clique(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let sanitized = as_sanitized(inputs, 0, "s3_clique")?;
-    let degrees = as_degrees(inputs, 1, "s3_clique")?;
+fn run_clique(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let sanitized = inputs.get::<SanitizedPaths>(0)?;
+    let degrees = inputs.get::<DegreeTable>(1)?;
     Ok(Artifact::Clique(Arc::new(infer_clique(
         sanitized,
         degrees,
@@ -605,8 +597,8 @@ fn run_clique(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
     ))))
 }
 
-fn run_arena(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let sanitized = as_sanitized(inputs, 0, "path_arena")?;
+fn run_arena(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let sanitized = inputs.get::<SanitizedPaths>(0)?;
     Ok(Artifact::Arena(Arc::new(PathArena::build_with(
         sanitized,
         env.cfg.parallelism,
@@ -627,9 +619,9 @@ fn clique_mask_for(arena: &PathArena, clique: &[Asn]) -> Vec<bool> {
     mask
 }
 
-fn run_poison(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let arena = as_arena(inputs, 0, "s4_poison")?;
-    let clique = as_clique(inputs, 1, "s4_poison")?;
+fn run_poison(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let arena = inputs.get::<PathArena>(0)?;
+    let clique = inputs.get::<Vec<Asn>>(1)?;
     let mut kept = vec![true; arena.len()];
     let mut discarded = 0usize;
     if !env.cfg.ablation.no_poison_filter {
@@ -644,19 +636,19 @@ fn run_poison(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
     Ok(Artifact::Kept(Arc::new(KeptPaths { kept, discarded })))
 }
 
-fn run_links(_env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let arena = as_arena(inputs, 0, "observed_links")?;
-    let kept = as_kept(inputs, 1, "observed_links")?;
+fn run_links(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let arena = inputs.get::<PathArena>(0)?;
+    let kept = inputs.get::<KeptPaths>(1)?;
     Ok(Artifact::Links(Arc::new(steps::observed_links_arena(
         arena, &kept.kept,
     ))))
 }
 
-fn run_topdown(_env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let arena = as_arena(inputs, 0, "s5_topdown")?;
-    let kept = as_kept(inputs, 1, "s5_topdown")?;
-    let degrees = as_degrees(inputs, 2, "s5_topdown")?;
-    let clique = as_clique(inputs, 3, "s5_topdown")?;
+fn run_topdown(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let arena = inputs.get::<PathArena>(0)?;
+    let kept = inputs.get::<KeptPaths>(1)?;
+    let degrees = inputs.get::<DegreeTable>(2)?;
+    let clique = inputs.get::<Vec<Asn>>(3)?;
 
     let mut report = InferenceReport {
         discarded_poisoned: kept.discarded,
@@ -674,53 +666,53 @@ fn run_topdown(_env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError>
     Ok(Artifact::Steps(Arc::new(StepState { rels, report })))
 }
 
-fn run_vp_providers(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let prev = as_steps(inputs, 0, "s6_vp_providers")?;
+fn run_vp_providers(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let prev = inputs.get::<StepState>(0)?;
     if env.cfg.ablation.no_vp_step {
         // Stage-level skip: pass the relationship state through.
         return Ok(Artifact::Steps(Arc::clone(prev)));
     }
-    let sanitized = as_sanitized(inputs, 1, "s6_vp_providers")?;
-    let degrees = as_degrees(inputs, 2, "s6_vp_providers")?;
+    let sanitized = inputs.get::<SanitizedPaths>(1)?;
+    let degrees = inputs.get::<DegreeTable>(2)?;
     let mut state = StepState::clone(prev);
     steps::infer_vp_providers(sanitized, degrees, &env.cfg, &mut state.rels, &mut state.report);
     Ok(Artifact::Steps(Arc::new(state)))
 }
 
-fn run_anomaly_repair(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let prev = as_steps(inputs, 0, "s7_anomaly_repair")?;
+fn run_anomaly_repair(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let prev = inputs.get::<StepState>(0)?;
     if env.cfg.ablation.no_anomaly_repair {
         return Ok(Artifact::Steps(Arc::clone(prev)));
     }
-    let degrees = as_degrees(inputs, 1, "s7_anomaly_repair")?;
+    let degrees = inputs.get::<DegreeTable>(1)?;
     let mut state = StepState::clone(prev);
     steps::repair_anomalies(degrees, &env.cfg, &mut state.rels, &mut state.report);
     Ok(Artifact::Steps(Arc::new(state)))
 }
 
-fn run_stub_clique(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let prev = as_steps(inputs, 0, "s8_stub_clique")?;
+fn run_stub_clique(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let prev = inputs.get::<StepState>(0)?;
     if env.cfg.ablation.no_stub_clique {
         return Ok(Artifact::Steps(Arc::clone(prev)));
     }
-    let links = as_links(inputs, 1, "s8_stub_clique")?;
-    let degrees = as_degrees(inputs, 2, "s8_stub_clique")?;
-    let clique = as_clique(inputs, 3, "s8_stub_clique")?;
+    let links = inputs.get::<Vec<AsLink>>(1)?;
+    let degrees = inputs.get::<DegreeTable>(2)?;
+    let clique = inputs.get::<Vec<Asn>>(3)?;
     let clique_set: HashSet<Asn> = clique.iter().copied().collect();
     let mut state = StepState::clone(prev);
     steps::stub_clique_over(links, degrees, &clique_set, &mut state.rels, &mut state.report);
     Ok(Artifact::Steps(Arc::new(state)))
 }
 
-fn run_providerless(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let prev = as_steps(inputs, 0, "s9_providerless")?;
+fn run_providerless(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let prev = inputs.get::<StepState>(0)?;
     if env.cfg.ablation.no_providerless {
         return Ok(Artifact::Steps(Arc::clone(prev)));
     }
-    let arena = as_arena(inputs, 1, "s9_providerless")?;
-    let kept = as_kept(inputs, 2, "s9_providerless")?;
-    let degrees = as_degrees(inputs, 3, "s9_providerless")?;
-    let clique = as_clique(inputs, 4, "s9_providerless")?;
+    let arena = inputs.get::<PathArena>(1)?;
+    let kept = inputs.get::<KeptPaths>(2)?;
+    let degrees = inputs.get::<DegreeTable>(3)?;
+    let clique = inputs.get::<Vec<Asn>>(4)?;
     let clique_set: HashSet<Asn> = clique.iter().copied().collect();
     let mut state = StepState::clone(prev);
     steps::infer_providerless_arena(
@@ -734,19 +726,19 @@ fn run_providerless(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineEr
     Ok(Artifact::Steps(Arc::new(state)))
 }
 
-fn run_p2p(_env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let prev = as_steps(inputs, 0, "s10_p2p")?;
-    let links = as_links(inputs, 1, "s10_p2p")?;
+fn run_p2p(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let prev = inputs.get::<StepState>(0)?;
+    let links = inputs.get::<Vec<AsLink>>(1)?;
     let mut state = StepState::clone(prev);
     steps::remaining_p2p_over(links, &mut state.rels, &mut state.report);
     Ok(Artifact::Steps(Arc::new(state)))
 }
 
-fn run_inference(_env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let state = as_steps(inputs, 0, "s11_inference")?;
-    let sanitized = as_sanitized(inputs, 1, "s11_inference")?;
-    let degrees = as_degrees(inputs, 2, "s11_inference")?;
-    let clique = as_clique(inputs, 3, "s11_inference")?;
+fn run_inference(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let state = inputs.get::<StepState>(0)?;
+    let sanitized = inputs.get::<SanitizedPaths>(1)?;
+    let degrees = inputs.get::<DegreeTable>(2)?;
+    let clique = inputs.get::<Vec<Asn>>(3)?;
 
     let mut report = state.report;
     report.sanitize = sanitized.report;
@@ -761,8 +753,8 @@ fn run_inference(_env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineErro
     })))
 }
 
-fn run_cone_recursive(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let inf = as_inference(inputs, 0, "cone_recursive")?;
+fn run_cone_recursive(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let inf = inputs.get::<Inference>(0)?;
     Ok(Artifact::Cone(Arc::new(CustomerCones::recursive_with(
         &inf.relationships,
         env.prefixes.as_ref(),
@@ -770,9 +762,9 @@ fn run_cone_recursive(env: &Env, inputs: &[Artifact]) -> Result<Artifact, Engine
     ))))
 }
 
-fn run_cone_bgp(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let inf = as_inference(inputs, 0, "cone_bgp_observed")?;
-    let arena = as_arena(inputs, 1, "cone_bgp_observed")?;
+fn run_cone_bgp(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let inf = inputs.get::<Inference>(0)?;
+    let arena = inputs.get::<PathArena>(1)?;
     Ok(Artifact::Cone(Arc::new(
         CustomerCones::bgp_observed_from_arena(
             arena,
@@ -783,9 +775,9 @@ fn run_cone_bgp(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError>
     )))
 }
 
-fn run_cone_provider_peer(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
-    let inf = as_inference(inputs, 0, "cone_provider_peer")?;
-    let arena = as_arena(inputs, 1, "cone_provider_peer")?;
+fn run_cone_provider_peer(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let inf = inputs.get::<Inference>(0)?;
+    let arena = inputs.get::<PathArena>(1)?;
     Ok(Artifact::Cone(Arc::new(
         CustomerCones::provider_peer_observed_from_arena(
             arena,
@@ -826,34 +818,6 @@ impl ArtifactStore {
         found
     }
 
-    fn record_run(&mut self, idx: usize, fp: u64, wall_ns: u64, artifact: &Artifact) {
-        if let Some(stat) = self.stats.get_mut(idx) {
-            stat.runs += 1;
-            stat.wall_ns += wall_ns;
-            stat.items = artifact.items();
-            stat.bytes = artifact.approx_bytes();
-        }
-        self.slots.insert((idx, fp), artifact.clone());
-    }
-
-    /// An in-memory miss answered from the persistent cache: the loaded
-    /// artifact enters the store (so the next request is an ordinary
-    /// hit) without counting as a stage run.
-    fn record_disk_hit(&mut self, idx: usize, fp: u64, artifact: &Artifact) {
-        if let Some(stat) = self.stats.get_mut(idx) {
-            stat.disk_hits += 1;
-            stat.items = artifact.items();
-            stat.bytes = artifact.approx_bytes();
-        }
-        self.slots.insert((idx, fp), artifact.clone());
-    }
-
-    fn record_disk_store(&mut self, idx: usize) {
-        if let Some(stat) = self.stats.get_mut(idx) {
-            stat.disk_stores += 1;
-        }
-    }
-
     /// Fetch without touching the hit/miss counters — the delta loop's
     /// input resolution, which must not distort the cache statistics the
     /// tests and bench reports pin.
@@ -861,16 +825,44 @@ impl ArtifactStore {
         self.slots.get(&(idx, fp)).cloned()
     }
 
-    /// A delta run reused the previous emission's artifact: it enters
-    /// the store (so accessors hit) without counting as a stage run.
-    fn record_delta_skip(&mut self, idx: usize, fp: u64, artifact: &Artifact) {
+    /// Enter `artifact` as stage `idx`'s output under `fp`, counting how
+    /// it was obtained. Only a run counts as a stage run: a disk hit or
+    /// a delta skip makes the next request an ordinary hit without one.
+    fn record(&mut self, idx: usize, fp: u64, artifact: &Artifact, source: Source) {
         if let Some(stat) = self.stats.get_mut(idx) {
-            stat.delta_skipped += 1;
+            match source {
+                Source::Run(wall_ns) => {
+                    stat.runs += 1;
+                    stat.wall_ns += wall_ns;
+                }
+                Source::DeltaRun(wall_ns) => {
+                    stat.runs += 1;
+                    stat.wall_ns += wall_ns;
+                    stat.delta_recomputed += 1;
+                }
+                Source::Disk => stat.disk_hits += 1,
+                Source::DeltaSkip => stat.delta_skipped += 1,
+            }
             stat.items = artifact.items();
             stat.bytes = artifact.approx_bytes();
         }
         self.slots.insert((idx, fp), artifact.clone());
     }
+}
+
+/// How a stage output entered the store.
+#[derive(Clone, Copy)]
+enum Source {
+    /// The stage body ran (a cold materialization), taking this many
+    /// nanoseconds.
+    Run(u64),
+    /// A delta run re-executed the stage (body or incremental provider),
+    /// taking this many nanoseconds.
+    DeltaRun(u64),
+    /// A delta run reused the previous emission's artifact.
+    DeltaSkip,
+    /// Decoded from the persistent cache instead of running the stage.
+    Disk,
 }
 
 // ---------------------------------------------------------------------
@@ -1019,24 +1011,36 @@ impl<'a> Snapshot<'a> {
         // stage without touching any of its inputs.
         if let (Some(cache), Some(tag)) = (&self.cache, crate::persist::tag_for_stage(spec.name)) {
             if let Some(artifact) = cache.load(spec.name, self.disk_key(fp), tag) {
-                self.store.record_disk_hit(idx, fp, &artifact);
+                self.store.record(idx, fp, &artifact, Source::Disk);
                 return Ok(artifact);
             }
         }
-        let mut inputs = Vec::with_capacity(spec.inputs.len());
+        let mut artifacts = Vec::with_capacity(spec.inputs.len());
         for &j in spec.inputs {
-            inputs.push(self.materialize_idx(j)?);
+            artifacts.push(self.materialize_idx(j)?);
         }
         let started = Instant::now();
+        let inputs = Inputs {
+            stage: spec.name,
+            artifacts: &artifacts,
+        };
         let artifact = (spec.run)(&self.env, &inputs)?;
         let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.store.record_run(idx, fp, wall_ns, &artifact);
-        if let Some(cache) = &self.cache {
-            if cache.store(spec.name, self.disk_key(fp), &artifact) {
-                self.store.record_disk_store(idx);
+        self.keep(idx, fp, &artifact, Source::Run(wall_ns));
+        Ok(artifact)
+    }
+
+    /// Enter `artifact` as stage `idx`'s output under `fp` and spill it
+    /// to the attached cache directory — the one write path for every
+    /// stage output not loaded from that directory.
+    fn keep(&mut self, idx: usize, fp: u64, artifact: &Artifact, source: Source) {
+        self.store.record(idx, fp, artifact, source);
+        let Some(cache) = &self.cache else { return };
+        if cache.store(STAGES[idx].name, self.disk_key(fp), artifact) {
+            if let Some(stat) = self.store.stats.get_mut(idx) {
+                stat.disk_stores += 1;
             }
         }
-        Ok(artifact)
     }
 
     /// Materialize a stage by name — the partial-materialization entry
@@ -1049,69 +1053,51 @@ impl<'a> Snapshot<'a> {
         }
     }
 
+    /// Materialize stage `idx` and downcast it to its payload.
+    fn typed<T: Payload>(&mut self, idx: usize) -> Result<Arc<T>, EngineError> {
+        let artifact = self.materialize_idx(idx)?;
+        artifact.payload(STAGES[idx].name).map(Arc::clone)
+    }
+
     /// S1 output: sanitized paths + counters.
     pub fn sanitized(&mut self) -> Result<Arc<SanitizedPaths>, EngineError> {
-        match self.materialize_idx(S1_SANITIZE)? {
-            Artifact::Sanitized(s) => Ok(s),
-            other => Err(type_err("s1_sanitize", "sanitized", &other)),
-        }
+        self.typed(S1_SANITIZE)
     }
 
     /// S2 output: the degree table.
     pub fn degrees(&mut self) -> Result<Arc<DegreeTable>, EngineError> {
-        match self.materialize_idx(S2_DEGREES)? {
-            Artifact::Degrees(d) => Ok(d),
-            other => Err(type_err("s2_degrees", "degrees", &other)),
-        }
+        self.typed(S2_DEGREES)
     }
 
     /// S3 output: the Tier-1 clique, sorted by ASN.
     pub fn clique(&mut self) -> Result<Arc<Vec<Asn>>, EngineError> {
-        match self.materialize_idx(S3_CLIQUE)? {
-            Artifact::Clique(c) => Ok(c),
-            other => Err(type_err("s3_clique", "clique", &other)),
-        }
+        self.typed(S3_CLIQUE)
     }
 
     /// The shared interned path arena.
     pub fn arena(&mut self) -> Result<Arc<PathArena>, EngineError> {
-        match self.materialize_idx(PATH_ARENA)? {
-            Artifact::Arena(a) => Ok(a),
-            other => Err(type_err("path_arena", "arena", &other)),
-        }
+        self.typed(PATH_ARENA)
     }
 
     /// S11 output: the full [`Inference`] (relationships, clique,
     /// degrees, report).
     pub fn inference(&mut self) -> Result<Arc<Inference>, EngineError> {
-        match self.materialize_idx(S11_INFERENCE)? {
-            Artifact::Inference(inf) => Ok(inf),
-            other => Err(type_err("s11_inference", "inference", &other)),
-        }
+        self.typed(S11_INFERENCE)
     }
 
     /// The paper's recursive (transitive-closure) customer cone.
     pub fn recursive_cone(&mut self) -> Result<Arc<CustomerCones>, EngineError> {
-        match self.materialize_idx(CONE_RECURSIVE)? {
-            Artifact::Cone(c) => Ok(c),
-            other => Err(type_err("cone_recursive", "cone", &other)),
-        }
+        self.typed(CONE_RECURSIVE)
     }
 
     /// The BGP-observed customer cone.
     pub fn bgp_observed_cone(&mut self) -> Result<Arc<CustomerCones>, EngineError> {
-        match self.materialize_idx(CONE_BGP_OBSERVED)? {
-            Artifact::Cone(c) => Ok(c),
-            other => Err(type_err("cone_bgp_observed", "cone", &other)),
-        }
+        self.typed(CONE_BGP_OBSERVED)
     }
 
     /// The provider/peer-observed customer cone.
     pub fn provider_peer_cone(&mut self) -> Result<Arc<CustomerCones>, EngineError> {
-        match self.materialize_idx(CONE_PROVIDER_PEER)? {
-            Artifact::Cone(c) => Ok(c),
-            other => Err(type_err("cone_provider_peer", "cone", &other)),
-        }
+        self.typed(CONE_PROVIDER_PEER)
     }
 
     /// All three cone flavors, materialized through the store.
@@ -1126,34 +1112,28 @@ impl<'a> Snapshot<'a> {
     }
 
     /// The incremental propagation pass behind [`crate::delta::DeltaSession`]:
-    /// walk the DAG in topological order, decide per stage whether any
-    /// input **aspect** is dirty, and either inject the previous
+    /// walk the DAG in topological order and either inject the previous
     /// emission's artifact (a delta skip) or re-execute the stage (body,
-    /// or an incremental provider for S1/arena/S6) and compare the
+    /// or an incremental provider for S1/arena/S2/S6) and compare the
     /// result against the previous artifact.
     ///
-    /// Aspects are finer than whole-artifact dependencies — they are why
-    /// a multiplicity-only batch leaves almost the whole DAG untouched:
+    /// `aspects` holds the [`dirt`] aspects the session's batches touched.
+    /// Every stage's rule comes from its [`STAGES`] entry: it is dirty
+    /// when an aspect it `reads` is dirty or an artifact it `inputs`
+    /// changed. S1 and S11 add the aspects they publish (`REPORT`,
+    /// `RELS`) to the mask instead of marking their artifact changed;
+    /// the arena's changes are already `STRUCTURE`/`MULT`.
     ///
-    /// * `plan.samples` — some sanitized sample changed (S1, S6);
-    /// * `plan.structure` — the distinct clean path set changed (S2, S3,
-    ///   S4, links, S5, S9, the two path-observed cones);
-    /// * `plan.mult` — only evidence weight moved (the arena alone);
-    /// * `report_changed` — the sanitize counters moved (S11 embeds
-    ///   them) even though downstream path structure did not;
-    /// * `rels_changed` — S11's relationship map actually differs (the
-    ///   cones read nothing else from it).
-    ///
-    /// Every recomputed stage is content-compared against its previous
-    /// artifact, so a dirty input whose recomputation lands on the same
-    /// output cuts the propagation off immediately. Both skipped and
-    /// recomputed artifacts are (re-)spilled to the attached cache
-    /// directory, keeping the emission serve-ready under the new dataset
-    /// content fingerprint.
+    /// Every other recomputed stage is content-compared against its
+    /// previous artifact, so a dirty input whose recomputation lands on
+    /// the same output cuts the propagation off immediately. Both
+    /// skipped and recomputed artifacts are (re-)spilled to the attached
+    /// cache directory, keeping the emission serve-ready under the new
+    /// dataset content fingerprint.
     pub(crate) fn delta_run(
         &mut self,
         prev: &[Artifact],
-        plan: &DeltaPlan,
+        mut aspects: u8,
         provider: &mut dyn DeltaProvider,
     ) -> Result<(), EngineError> {
         if prev.len() != STAGES.len() {
@@ -1163,123 +1143,55 @@ impl<'a> Snapshot<'a> {
             ));
         }
         let mut changed = vec![false; STAGES.len()];
-        let mut report_changed = false;
-        let mut rels_changed = false;
-        for idx in 0..STAGES.len() {
-            let dirty = match idx {
-                S1_SANITIZE => plan.samples,
-                S2_DEGREES => plan.structure,
-                S3_CLIQUE => plan.structure || changed[S2_DEGREES],
-                PATH_ARENA => plan.structure || plan.mult,
-                S4_POISON => plan.structure || changed[S3_CLIQUE],
-                OBSERVED_LINKS => plan.structure || changed[S4_POISON],
-                S5_TOPDOWN => {
-                    plan.structure
-                        || changed[S4_POISON]
-                        || changed[S2_DEGREES]
-                        || changed[S3_CLIQUE]
-                }
-                S6_VP_PROVIDERS => {
-                    changed[S5_TOPDOWN] || plan.samples || changed[S2_DEGREES]
-                }
-                S7_ANOMALY_REPAIR => changed[S6_VP_PROVIDERS],
-                S8_STUB_CLIQUE => {
-                    changed[S7_ANOMALY_REPAIR]
-                        || changed[OBSERVED_LINKS]
-                        || changed[S2_DEGREES]
-                        || changed[S3_CLIQUE]
-                }
-                S9_PROVIDERLESS => {
-                    changed[S8_STUB_CLIQUE]
-                        || plan.structure
-                        || changed[S4_POISON]
-                        || changed[S2_DEGREES]
-                        || changed[S3_CLIQUE]
-                }
-                S10_P2P => changed[S9_PROVIDERLESS] || changed[OBSERVED_LINKS],
-                S11_INFERENCE => {
-                    changed[S10_P2P]
-                        || report_changed
-                        || changed[S2_DEGREES]
-                        || changed[S3_CLIQUE]
-                }
-                CONE_RECURSIVE => rels_changed,
-                _ => rels_changed || plan.structure,
-            };
+        for (idx, spec) in STAGES.iter().enumerate() {
             let fp = self.fingerprint(idx);
-            let spec = &STAGES[idx];
-            if !dirty {
-                self.store.record_delta_skip(idx, fp, &prev[idx]);
-                if let Some(cache) = &self.cache {
-                    if cache.store(spec.name, self.disk_key(fp), &prev[idx]) {
-                        self.store.record_disk_store(idx);
-                    }
-                }
+            if spec.reads & aspects == 0 && !spec.inputs.iter().any(|&j| changed[j]) {
+                self.keep(idx, fp, &prev[idx], Source::DeltaSkip);
                 continue;
             }
             let started = Instant::now();
+            let mut artifacts = Vec::with_capacity(spec.inputs.len());
+            for &j in spec.inputs {
+                artifacts.push(self.store.peek(j, self.fingerprint(j)).ok_or_else(|| {
+                    EngineError::stage_failed(
+                        spec.name,
+                        format!("delta run found no input #{j} in the store"),
+                    )
+                })?);
+            }
+            let inputs = Inputs {
+                stage: spec.name,
+                artifacts: &artifacts,
+            };
             let artifact = match idx {
                 S1_SANITIZE => Artifact::Sanitized(provider.sanitized()),
                 PATH_ARENA => Artifact::Arena(provider.arena()),
                 S2_DEGREES => Artifact::Degrees(provider.degrees()),
                 S6_VP_PROVIDERS if !self.env.cfg.ablation.no_vp_step => {
-                    let step = match self.store.peek(S5_TOPDOWN, self.fingerprint(S5_TOPDOWN)) {
-                        Some(Artifact::Steps(s)) => s,
-                        _ => {
-                            return Err(EngineError::stage_failed(
-                                "s6_vp_providers",
-                                "delta run found no s5_topdown artifact in the store",
-                            ))
-                        }
-                    };
-                    let degrees = match self.store.peek(S2_DEGREES, self.fingerprint(S2_DEGREES)) {
-                        Some(Artifact::Degrees(d)) => d,
-                        _ => {
-                            return Err(EngineError::stage_failed(
-                                "s6_vp_providers",
-                                "delta run found no s2_degrees artifact in the store",
-                            ))
-                        }
-                    };
-                    Artifact::Steps(provider.vp_providers(&step, &degrees))
+                    Artifact::Steps(provider.vp_providers(inputs.get(0)?, inputs.get(2)?))
                 }
-                _ => {
-                    let mut inputs = Vec::with_capacity(spec.inputs.len());
-                    for &j in spec.inputs {
-                        inputs.push(self.store.peek(j, self.fingerprint(j)).ok_or_else(|| {
-                            EngineError::stage_failed(
-                                spec.name,
-                                format!("delta run found no input #{j} in the store"),
-                            )
-                        })?);
-                    }
-                    (spec.run)(&self.env, &inputs)?
-                }
+                _ => (spec.run)(&self.env, &inputs)?,
             };
             let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            // Content-equality cutoff. S1 and the arena propagate through
-            // the finer aspects above (report_changed / plan.*) instead of
-            // whole-artifact comparisons, which would be the two most
-            // expensive equality checks for no consumer.
+            // Content-equality cutoff. S1 and S11 publish the finer
+            // aspects their consumers read, and the arena's are the
+            // batch's own; comparing those whole artifacts would be the
+            // most expensive checks for no consumer.
             match (idx, &artifact, &prev[idx]) {
                 (S1_SANITIZE, Artifact::Sanitized(n), Artifact::Sanitized(p)) => {
-                    report_changed = n.report != p.report;
+                    if n.report != p.report {
+                        aspects |= dirt::REPORT;
+                    }
                 }
                 (PATH_ARENA, ..) => {}
                 (S11_INFERENCE, Artifact::Inference(n), Artifact::Inference(p)) => {
-                    rels_changed = n.relationships != p.relationships;
+                    if n.relationships != p.relationships {
+                        aspects |= dirt::RELS;
+                    }
                 }
                 _ => changed[idx] = !artifact_eq(&artifact, &prev[idx]),
             }
-            self.store.record_run(idx, fp, wall_ns, &artifact);
-            if let Some(stat) = self.store.stats.get_mut(idx) {
-                stat.delta_recomputed += 1;
-            }
-            if let Some(cache) = &self.cache {
-                if cache.store(spec.name, self.disk_key(fp), &artifact) {
-                    self.store.record_disk_store(idx);
-                }
-            }
+            self.keep(idx, fp, &artifact, Source::DeltaRun(wall_ns));
         }
         Ok(())
     }
@@ -1299,19 +1211,6 @@ impl<'a> Snapshot<'a> {
                 .collect(),
         }
     }
-}
-
-/// The base dirt tokens a [`crate::delta::DeltaSession`] accumulated
-/// between emissions — the aspect-level summary of what its applied
-/// batches actually touched.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DeltaPlan {
-    /// Some sanitized sample changed (content, addition, or removal).
-    pub samples: bool,
-    /// The distinct clean path set changed.
-    pub structure: bool,
-    /// Path multiplicities changed.
-    pub mult: bool,
 }
 
 /// The incremental recomputation hooks a delta run may call instead of
@@ -1359,19 +1258,6 @@ fn artifact_eq(a: &Artifact, b: &Artifact) -> bool {
         (Artifact::Cone(x), Artifact::Cone(y)) => Arc::ptr_eq(x, y),
         _ => false,
     }
-}
-
-/// Stage indices of the artifacts a [`crate::delta::DeltaSession`] keeps
-/// between emissions, re-exported for its typed accessors.
-pub(crate) mod stage_idx {
-    pub(crate) const S1_SANITIZE: usize = super::S1_SANITIZE;
-    pub(crate) const S2_DEGREES: usize = super::S2_DEGREES;
-    pub(crate) const S3_CLIQUE: usize = super::S3_CLIQUE;
-    pub(crate) const PATH_ARENA: usize = super::PATH_ARENA;
-    pub(crate) const S11_INFERENCE: usize = super::S11_INFERENCE;
-    pub(crate) const CONE_RECURSIVE: usize = super::CONE_RECURSIVE;
-    pub(crate) const CONE_BGP_OBSERVED: usize = super::CONE_BGP_OBSERVED;
-    pub(crate) const CONE_PROVIDER_PEER: usize = super::CONE_PROVIDER_PEER;
 }
 
 /// Per-stage instrumentation, in DAG order.

@@ -34,8 +34,7 @@
 use super::kind;
 use crate::cone::ConeSize;
 use crate::pipeline::InferenceReport;
-use crate::sanitize::SanitizeReport;
-use asrank_types::codec::{CodecError, Decoder, U32View, U64View, HEADER_LEN};
+use asrank_types::codec::{CodecError, Decoder, U32View, HEADER_LEN};
 use asrank_types::prelude::*;
 
 /// Byte size of one packed relationship entry: `(u32 a, u32 b, u8 tag)`.
@@ -44,8 +43,6 @@ const REL_STRIDE: usize = 9;
 const DEGREE_STRIDE: usize = 20;
 /// Byte size of one packed cone-size entry: `(u64 ases, u64 prefixes, u64 addresses)`.
 const SIZE_STRIDE: usize = 24;
-/// Byte size of one packed link entry: `(u32 a, u32 b)`.
-const LINK_STRIDE: usize = 8;
 
 /// Location of one packed section inside a frame: `count` entries
 /// starting at byte `off` *of the frame* (not the payload), so a layout
@@ -270,14 +267,6 @@ impl<'a> DegreesView<'a> {
         }
     }
 
-    /// Open a standalone DEGREES frame (stage `s2_degrees`).
-    pub fn open_frame(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::open(bytes, kind::DEGREES)?;
-        let (_, view) = Self::read(&mut d)?;
-        d.finish()?;
-        Ok(view)
-    }
-
     /// Number of ASes observed.
     pub fn len(&self) -> usize {
         self.raw.len() / DEGREE_STRIDE
@@ -446,220 +435,6 @@ impl<'a> Iterator for SamplesIter<'a> {
 // ---------------------------------------------------------------------
 // Frame views, per artifact kind
 // ---------------------------------------------------------------------
-
-/// View of a SANITIZED frame (stage `s1_sanitize`): counters plus the
-/// surviving samples in place.
-#[derive(Debug, Clone)]
-pub struct SanitizedView<'a> {
-    /// Sanitization counters (seven scalars, decoded at open).
-    pub report: SanitizeReport,
-    /// The sanitized samples, in place.
-    pub samples: SamplesView<'a>,
-}
-
-impl<'a> SanitizedView<'a> {
-    /// Validate and open a SANITIZED frame.
-    pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::open(bytes, kind::SANITIZED)?;
-        let report = super::get_sanitize_report(&mut d)?;
-        let samples = SamplesView::read(&mut d)?;
-        d.finish()?;
-        Ok(SanitizedView { report, samples })
-    }
-}
-
-/// View of a CLIQUE frame (stage `s3_clique`): the Tier-1 clique ASNs.
-#[derive(Debug, Clone, Copy)]
-pub struct CliqueView<'a> {
-    /// Clique member ASNs in stored (ascending) order.
-    pub asns: U32View<'a>,
-}
-
-impl<'a> CliqueView<'a> {
-    /// Validate and open a CLIQUE frame.
-    pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::open(bytes, kind::CLIQUE)?;
-        let asns = d.seq_u32_view("clique asns")?;
-        d.finish()?;
-        Ok(CliqueView { asns })
-    }
-}
-
-/// View of an ARENA frame (stage `path_arena`): interner + CSR paths.
-#[derive(Debug, Clone, Copy)]
-pub struct ArenaView<'a> {
-    /// Interned ASNs, sorted ascending (dense id = index).
-    pub interner: U32View<'a>,
-    /// CSR offsets (`paths + 1` entries, monotone).
-    pub offsets: U32View<'a>,
-    /// Flat hop-id array.
-    pub ids: U32View<'a>,
-    /// Per-path multiplicity.
-    pub multiplicity: U32View<'a>,
-}
-
-impl<'a> ArenaView<'a> {
-    /// Validate and open an ARENA frame, re-checking the CSR invariants
-    /// the accessors index by.
-    pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::open(bytes, kind::ARENA)?;
-        let interner = d.seq_u32_view("interner asns")?;
-        let offsets = d.seq_u32_view("arena offsets")?;
-        let ids = d.seq_u32_view("arena ids")?;
-        let multiplicity = d.seq_u32_view("arena multiplicity")?;
-        d.finish()?;
-        if offsets.len() != multiplicity.len() + 1 && !(offsets.is_empty() && multiplicity.is_empty())
-        {
-            return Err(bad("arena offset count", offsets.len() as u64));
-        }
-        let mut prev = 0u32;
-        for (i, o) in offsets.iter().enumerate() {
-            if (i == 0 && o != 0) || o < prev || o as usize > ids.len() {
-                return Err(bad("arena offsets", u64::from(o)));
-            }
-            prev = o;
-        }
-        if offsets.len() > 0 && prev as usize != ids.len() {
-            return Err(bad("arena offsets", u64::from(prev)));
-        }
-        if ids.iter().any(|id| id as usize >= interner.len()) {
-            return Err(bad("arena hop id", 0));
-        }
-        Ok(ArenaView {
-            interner,
-            offsets,
-            ids,
-            multiplicity,
-        })
-    }
-
-    /// Number of distinct paths.
-    pub fn len(&self) -> usize {
-        self.multiplicity.len()
-    }
-
-    /// Hop ids of distinct path `p`, or `None` out of range.
-    pub fn path(&self, p: usize) -> Option<U32View<'a>> {
-        let lo = self.offsets.get(p)? as usize;
-        let hi = self.offsets.get(p + 1)? as usize;
-        self.ids.slice(lo, hi)
-    }
-}
-
-/// View of a KEPT frame (stage `s4_poison`): a packed kept-path bitmask.
-#[derive(Debug, Clone, Copy)]
-pub struct KeptView<'a> {
-    discarded: usize,
-    len: usize,
-    words: U64View<'a>,
-}
-
-impl<'a> KeptView<'a> {
-    /// Validate and open a KEPT frame.
-    pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::open(bytes, kind::KEPT)?;
-        let discarded = d.usize("kept discarded")?;
-        let len = d.usize("kept length")?;
-        let words = d.seq_u64_view("kept words")?;
-        d.finish()?;
-        if words.len() != len.div_ceil(64) {
-            return Err(bad("kept word count", words.len() as u64));
-        }
-        Ok(KeptView {
-            discarded,
-            len,
-            words,
-        })
-    }
-
-    /// Paths discarded as poisoned.
-    pub fn discarded(&self) -> usize {
-        self.discarded
-    }
-
-    /// Length of the mask (one bit per distinct path).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the mask is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether path `i` was kept, or `None` out of range.
-    pub fn get(&self, i: usize) -> Option<bool> {
-        if i >= self.len {
-            return None;
-        }
-        Some((self.words.get(i / 64)? >> (i % 64)) & 1 == 1)
-    }
-}
-
-/// View of a LINKS frame (stage `observed_links`): packed 8-byte
-/// `(u32 a, u32 b)` canonical links.
-#[derive(Debug, Clone, Copy)]
-pub struct LinksView<'a> {
-    raw: &'a [u8],
-}
-
-impl<'a> LinksView<'a> {
-    /// Validate and open a LINKS frame.
-    pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::open(bytes, kind::LINKS)?;
-        let (_, raw) = section(&mut d, LINK_STRIDE, "link count")?;
-        d.finish()?;
-        Ok(LinksView { raw })
-    }
-
-    /// Number of links.
-    pub fn len(&self) -> usize {
-        self.raw.len() / LINK_STRIDE
-    }
-
-    /// True when no link was observed.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
-    /// Link `i` in stored order, or `None` past the end.
-    pub fn entry(&self, i: usize) -> Option<AsLink> {
-        let off = i.checked_mul(LINK_STRIDE)?;
-        Some(AsLink {
-            a: Asn(rd_u32(self.raw, off)?),
-            b: Asn(rd_u32(self.raw, off + 4)?),
-        })
-    }
-
-    /// Iterate the links in stored order.
-    pub fn iter(&self) -> impl Iterator<Item = AsLink> + 'a {
-        self.raw.chunks_exact(LINK_STRIDE).map(|c| AsLink {
-            a: Asn(u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-            b: Asn(u32::from_le_bytes([c[4], c[5], c[6], c[7]])),
-        })
-    }
-}
-
-/// View of a STEPS frame (stages S5–S10): intermediate relationship
-/// state plus the running report.
-#[derive(Debug, Clone)]
-pub struct StepsView<'a> {
-    /// Relationships inferred so far, sorted by canonical link.
-    pub rels: RelsView<'a>,
-    /// Running pipeline counters (decoded at open).
-    pub report: InferenceReport,
-}
-
-impl<'a> StepsView<'a> {
-    /// Validate and open a STEPS frame.
-    pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::open(bytes, kind::STEPS)?;
-        let (_, rels) = RelsView::read(&mut d)?;
-        let report = super::get_inference_report(&mut d)?;
-        d.finish()?;
-        Ok(StepsView { rels, report })
-    }
-}
 
 /// Frame-relative section table of an INFERENCE frame — everything a
 /// serve snapshot must remember to rebuild an [`InferenceView`] over the

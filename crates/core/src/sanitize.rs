@@ -71,11 +71,6 @@ impl SanitizedPaths {
         crate::patharena::PathArena::build(self)
     }
 
-    /// [`SanitizedPaths::arena`] with an explicit thread budget.
-    pub fn arena_with(&self, par: Parallelism) -> crate::patharena::PathArena {
-        crate::patharena::PathArena::build_with(self, par)
-    }
-
     /// Distinct links observed across all cleaned paths.
     pub fn links(&self) -> HashSet<AsLink> {
         let mut out = HashSet::new();

@@ -206,3 +206,86 @@ proptest! {
         }
     }
 }
+
+/// Regression: a batch that moves a transit degree while leaving S5 and
+/// S6 unchanged must still rerun S7, which reads degrees directly. Here
+/// announcing `600 500 11` lifts AS 500's transit degree from 20 to 21,
+/// and the cold run's S7 demotes 500→600 from c2p to p2p.
+#[test]
+fn degree_only_change_reruns_anomaly_repair() {
+    let base: Vec<Vec<u32>> = vec![
+        vec![800, 1, 500, 11],
+        vec![801, 1, 500, 12],
+        vec![802, 1, 500, 13],
+        vec![850, 590, 600, 500],
+        vec![900, 850, 901],
+        vec![902, 850, 903],
+        vec![2, 500, 14],
+        vec![3, 500, 15],
+        vec![4, 500, 16],
+        vec![5, 500, 17],
+        vec![6, 500, 18],
+        vec![7, 500, 19],
+        vec![8, 500, 20],
+        vec![9, 500, 11],
+        vec![10, 500, 12],
+    ];
+    let batch = UpdateBatch::from_deltas(vec![(
+        Asn(600),
+        Ipv4Prefix::new(0xC000_0100, 24).unwrap(),
+        PathDelta::Announce(AsPath::from_u32s([600, 500, 11])),
+    )]);
+    for par in [Parallelism::sequential(), Parallelism::threads(4)] {
+        let mut cfg = InferenceConfig::default();
+        cfg.parallelism = par;
+        let paths = path_set(&base);
+        let mut session = DeltaSession::new(paths.clone(), cfg.clone()).expect("session");
+        session.apply(&batch).expect("apply");
+        session.refresh().expect("refresh");
+        assert_matches_cold(&session, &batch.apply(paths), &cfg);
+    }
+}
+
+/// A batch that only moves multiplicity — a live sample re-announced
+/// with another live sample's path, sharing its first two hops, while a
+/// third sample still holds its old path — leaves the distinct path set
+/// and every `(vp, first hop)` count alone. Only S1, the arena and S6
+/// may rerun; the structural stages must stay delta skips.
+#[test]
+fn multiplicity_only_batch_skips_structural_stages() {
+    let base: Vec<Vec<u32>> = vec![
+        vec![100, 10, 1, 11, 110],
+        vec![100, 10, 1, 2, 20, 200],
+        vec![100, 10, 1, 2, 21, 210],
+        vec![210, 21, 2, 20, 200],
+        vec![210, 21, 2, 1, 10, 100],
+        vec![210, 21, 2, 1, 11, 110],
+        vec![100, 10, 1, 11, 110],
+    ];
+    // Sample 0 (vp 100, prefix 0/24) takes sample 1's path.
+    let batch = UpdateBatch::from_deltas(vec![(
+        Asn(100),
+        Ipv4Prefix::new(0, 24).unwrap(),
+        PathDelta::Announce(AsPath::from_u32s(base[1].iter().copied())),
+    )]);
+    let paths = path_set(&base);
+    let cfg = InferenceConfig::default();
+    let mut session = DeltaSession::new(paths.clone(), cfg.clone()).expect("session");
+    session.apply(&batch).expect("apply");
+    session.refresh().expect("refresh");
+    let report = session.stage_report();
+    let stats = |name: &str| report.get(name).expect("stage stats");
+    for name in [
+        "s2_degrees",
+        "s3_clique",
+        "s4_poison",
+        "observed_links",
+        "s5_topdown",
+    ] {
+        assert_eq!(stats(name).delta_skipped, 1, "{name} must be a delta skip");
+    }
+    for name in ["s1_sanitize", "path_arena", "s6_vp_providers"] {
+        assert_eq!(stats(name).delta_recomputed, 1, "{name} must recompute");
+    }
+    assert_matches_cold(&session, &batch.apply(paths), &cfg);
+}

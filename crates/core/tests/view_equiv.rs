@@ -1,14 +1,14 @@
 //! Borrowed frame views must be indistinguishable from the owned decode:
-//! for every artifact kind, every accessor the view exposes agrees with
-//! the owned structure rebuilt by `decode_artifact` — at sequential and
+//! for every artifact kind the serve tier maps (inference, cone, and the
+//! pathset ingest frame), every accessor the view exposes agrees with the
+//! owned structure rebuilt by `decode_artifact` — at sequential and
 //! parallel engine runs, since the frames themselves must not depend on
 //! parallelism. And a view constructor must reject damaged frames before
 //! any query touches them.
 
 use asrank_core::engine::Snapshot;
 use asrank_core::persist::view::{
-    pathset_fingerprint_from_frame, ArenaView, CliqueView, ConeView, InferenceView, KeptView,
-    LinksView, PathsetView, SanitizedView, StepsView,
+    pathset_fingerprint_from_frame, ConeView, InferenceView, PathsetView,
 };
 use asrank_core::persist::{encode_pathset, kind, tag_for_stage};
 use asrank_core::pipeline::InferenceConfig;
@@ -39,72 +39,11 @@ fn probes(ps: &PathSet) -> Vec<Asn> {
 }
 
 /// Compare every view accessor of `bytes` against the owned decode of
-/// the same frame.
+/// the same frame. Stages whose kind has no view are not checked here.
 fn assert_view_matches_owned(stage: &str, bytes: &[u8], probes: &[Asn]) {
     let tag = tag_for_stage(stage).expect("stage tag");
     let owned = decode_artifact(bytes, tag).expect("owned decode");
     match (tag, &owned) {
-        (kind::SANITIZED, Artifact::Sanitized(s)) => {
-            let v = SanitizedView::open(bytes).expect("open sanitized");
-            assert_eq!(v.report, s.report);
-            assert_eq!(v.samples.len(), s.samples.len());
-            for (sv, so) in v.samples.iter().zip(s.samples.iter()) {
-                assert_eq!(sv.vp, so.vp);
-                assert_eq!(sv.prefix, so.prefix);
-                let hops: Vec<u32> = so.path.iter().map(|a| a.0).collect();
-                assert_eq!(sv.hops.to_vec(), hops);
-            }
-        }
-        (kind::DEGREES, Artifact::Degrees(t)) => {
-            let v = asrank_core::persist::view::DegreesView::open_frame(bytes).expect("open degrees");
-            assert_eq!(v.len(), t.len());
-            for (i, &asn) in t.ranked().iter().enumerate() {
-                let (va, vt, vn) = v.entry(i).expect("degree entry");
-                assert_eq!(va, asn);
-                assert_eq!(vt as usize, t.transit_degree(asn));
-                assert_eq!(vn as usize, t.node_degree(asn));
-            }
-            assert_eq!(v.entry(t.len()), None);
-        }
-        (kind::CLIQUE, Artifact::Clique(c)) => {
-            let v = CliqueView::open(bytes).expect("open clique");
-            let want: Vec<u32> = c.iter().map(|a| a.0).collect();
-            assert_eq!(v.asns.to_vec(), want);
-        }
-        (kind::ARENA, Artifact::Arena(a)) => {
-            let v = ArenaView::open(bytes).expect("open arena");
-            assert_eq!(v.len(), a.len());
-            let want: Vec<u32> = a.interner().iter().map(|(_, asn)| asn.0).collect();
-            assert_eq!(v.interner.to_vec(), want);
-            assert_eq!(v.offsets.to_vec(), a.offsets());
-            assert_eq!(v.ids.to_vec(), a.ids());
-            for p in 0..a.len() {
-                assert_eq!(v.path(p).expect("path").to_vec(), a.path(p));
-                assert_eq!(v.multiplicity.get(p), Some(a.multiplicity(p)));
-            }
-            assert!(v.path(a.len()).is_none());
-        }
-        (kind::KEPT, Artifact::Kept(k)) => {
-            let v = KeptView::open(bytes).expect("open kept");
-            assert_eq!(v.discarded(), k.discarded);
-            assert_eq!(v.len(), k.kept.len());
-            for (i, &b) in k.kept.iter().enumerate() {
-                assert_eq!(v.get(i), Some(b));
-            }
-            assert_eq!(v.get(k.kept.len()), None);
-        }
-        (kind::LINKS, Artifact::Links(links)) => {
-            let v = LinksView::open(bytes).expect("open links");
-            assert_eq!(v.len(), links.len());
-            let got: Vec<_> = v.iter().collect();
-            assert_eq!(&got, links.as_ref());
-            assert_eq!(v.entry(links.len()), None);
-        }
-        (kind::STEPS, Artifact::Steps(s)) => {
-            let v = StepsView::open(bytes).expect("open steps");
-            assert_eq!(v.report, s.report);
-            assert_rels_match(&v.rels, &s.rels, probes);
-        }
         (kind::INFERENCE, Artifact::Inference(inf)) => {
             let (v, layout, report) = InferenceView::open(bytes).expect("open inference");
             assert_eq!(report, inf.report);
@@ -149,7 +88,8 @@ fn assert_view_matches_owned(stage: &str, bytes: &[u8], probes: &[Asn]) {
                 assert_eq!(r.size(x).ases, v.size(x).ases);
             }
         }
-        other => panic!("unhandled artifact kind {}", other.0),
+        (kind::INFERENCE | kind::CONE, _) => panic!("{stage}: decoded to the wrong kind"),
+        _ => {}
     }
 }
 
@@ -206,7 +146,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn views_match_owned_decode_for_every_kind(
+    fn views_match_owned_decode_for_every_viewed_kind(
         paths in prop::collection::vec(prop::collection::vec(1u32..40, 2..6), 1..30),
     ) {
         let ps = path_set(paths);
@@ -228,18 +168,13 @@ fn fixture() -> PathSet {
     ])
 }
 
-fn open_any(stage: &str, bytes: &[u8]) -> bool {
+/// Whether the view for `stage`'s kind opens `bytes`; `None` for kinds
+/// without a view.
+fn open_any(stage: &str, bytes: &[u8]) -> Option<bool> {
     match tag_for_stage(stage).unwrap() {
-        kind::SANITIZED => SanitizedView::open(bytes).is_ok(),
-        kind::DEGREES => asrank_core::persist::view::DegreesView::open_frame(bytes).is_ok(),
-        kind::CLIQUE => CliqueView::open(bytes).is_ok(),
-        kind::ARENA => ArenaView::open(bytes).is_ok(),
-        kind::KEPT => KeptView::open(bytes).is_ok(),
-        kind::LINKS => LinksView::open(bytes).is_ok(),
-        kind::STEPS => StepsView::open(bytes).is_ok(),
-        kind::INFERENCE => InferenceView::open(bytes).is_ok(),
-        kind::CONE => ConeView::open(bytes).is_ok(),
-        _ => unreachable!(),
+        kind::INFERENCE => Some(InferenceView::open(bytes).is_ok()),
+        kind::CONE => Some(ConeView::open(bytes).is_ok()),
+        _ => None,
     }
 }
 
@@ -252,19 +187,28 @@ fn view_constructors_reject_damaged_frames() {
     let mut snap = Snapshot::new(&ps, InferenceConfig::default());
     for stage in Snapshot::stage_names() {
         let bytes = encode_artifact(&snap.materialize(stage).expect("materialize"));
-        assert!(open_any(stage, &bytes), "{stage}: pristine frame must open");
+        if open_any(stage, &bytes).is_none() {
+            continue;
+        }
+        assert_eq!(
+            open_any(stage, &bytes),
+            Some(true),
+            "{stage}: pristine frame must open"
+        );
         for pos in [0, 5, 9, 12, HEADER_MID, bytes.len() / 2, bytes.len() - 1] {
             let mut bad = bytes.clone();
             let at = pos % bad.len();
             bad[at] ^= 0x10;
-            assert!(
-                !open_any(stage, &bad),
+            assert_eq!(
+                open_any(stage, &bad),
+                Some(false),
                 "{stage}: flip at byte {pos} went undetected"
             );
         }
         for cut in [0, 4, HEADER_MID, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                !open_any(stage, &bytes[..cut.min(bytes.len() - 1)]),
+            assert_eq!(
+                open_any(stage, &bytes[..cut.min(bytes.len() - 1)]),
+                Some(false),
                 "{stage}: truncation to {cut} went undetected"
             );
         }

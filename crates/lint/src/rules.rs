@@ -118,10 +118,9 @@ pub const RULES: [RuleInfo; 9] = [
     RuleInfo {
         id: "L009",
         slug: "codec-kind",
-        summary: "artifact kind tag without encode, decode, and view coverage",
-        help: "give every `u16` tag in `persist::kind` an `Encoder::new(kind::X)` site, a \
-               decode match arm (or `Decoder::open`), and a borrowed-view reference in \
-               persist/view.rs — or remove the dead tag",
+        summary: "artifact kind tag without encode and decode coverage",
+        help: "give every `u16` tag in `persist::kind` an `Encoder::new(kind::X)` site and a \
+               decode match arm (or `Decoder::open`) — or remove the dead tag",
     },
 ];
 

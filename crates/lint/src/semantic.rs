@@ -7,8 +7,8 @@
 //! fingerprint functions in `engine.rs` (L006), `unsafe` sites against
 //! the module allowlist and their `// SAFETY:` contracts (L007), release
 //! stores against acquire loads elsewhere in the same compilation unit
-//! (L008), and codec kind tags against their encode/decode/view call
-//! sites (L009).
+//! (L008), and codec kind tags against their encode/decode call sites
+//! (L009).
 //!
 //! The same annotation grammar applies: a finding is suppressed by
 //! `// lint: allow(<slug>, <reason>)` on the flagged line or the line
@@ -509,11 +509,11 @@ fn l008_atomics_audit(idx: &WorkspaceIndex, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------- L009
 
 /// L009: every artifact kind tag (a `u16` const inside a `mod kind`) must
-/// have encode (`Encoder::new(kind::X)`), decode (a `kind::X => …` match
-/// arm or `Decoder::open(…, kind::X)`), and borrowed-view coverage (a
-/// `kind::X` reference in a `view.rs`) — all in non-test code. A frame
-/// kind that can be written but not read back, or read but never viewed
-/// zero-copy, is a latent cache-corruption bug.
+/// have encode (`Encoder::new(kind::X)`) and decode (a `kind::X => …`
+/// match arm or `Decoder::open(…, kind::X)`) coverage, both in non-test
+/// code. A frame kind that can be written but not read back is a latent
+/// cache-corruption bug. Borrowed views are not required: only the kinds
+/// a query tier maps have one.
 fn l009_codec_kinds(idx: &WorkspaceIndex, out: &mut Vec<Finding>) {
     let info = &RULES[8];
     for f in &idx.files {
@@ -532,9 +532,6 @@ fn l009_codec_kinds(idx: &WorkspaceIndex, out: &mut Vec<Finding>) {
                 if !kind_usage(idx, &it.name, KindUse::Decode) {
                     missing.push("decode (a `kind::… =>` match arm or `Decoder::open`)");
                 }
-                if !kind_usage(idx, &it.name, KindUse::View) {
-                    missing.push("a borrowed view (reference from a `view.rs`)");
-                }
                 if !missing.is_empty() {
                     emit(
                         out,
@@ -543,7 +540,7 @@ fn l009_codec_kinds(idx: &WorkspaceIndex, out: &mut Vec<Finding>) {
                         it.line,
                         format!(
                             "artifact kind `{}` is missing {}; every frame kind needs \
-                             encode, decode, and view coverage",
+                             encode and decode coverage",
                             it.name,
                             missing.join(", ")
                         ),
@@ -558,7 +555,6 @@ fn l009_codec_kinds(idx: &WorkspaceIndex, out: &mut Vec<Finding>) {
 enum KindUse {
     Encode,
     Decode,
-    View,
 }
 
 /// Byte offsets of right-bounded `kind::TAG` references in `line`.
@@ -587,16 +583,12 @@ fn kind_usage(idx: &WorkspaceIndex, tag: &str, usage: KindUse) -> bool {
         if rules::is_test_path(&f.rel) {
             continue; // coverage must come from production code
         }
-        if usage == KindUse::View && !f.rel.ends_with("view.rs") {
-            continue;
-        }
         for (i, line) in f.stripped.lines.iter().enumerate() {
             if f.mask.get(i).copied().unwrap_or(false) {
                 continue;
             }
             for at in kind_refs(line, tag) {
                 let hit = match usage {
-                    KindUse::View => true,
                     KindUse::Encode => {
                         // `Encoder::new(` on this line or the one above
                         // (rustfmt may wrap the argument).

@@ -102,11 +102,6 @@ impl<'a> UpdateBatchIter<'a> {
             records_per_batch: records_per_batch.max(1),
         })
     }
-
-    /// Records not yet consumed.
-    pub fn remaining_records(&self) -> usize {
-        self.frames.len() - self.next_frame
-    }
 }
 
 impl Iterator for UpdateBatchIter<'_> {

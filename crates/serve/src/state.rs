@@ -143,11 +143,6 @@ impl ReaderHandle {
         }
         &self.pinned
     }
-
-    /// The generation this reader is pinned to.
-    pub fn pinned_generation(&self) -> u64 {
-        self.seen
-    }
 }
 
 #[cfg(test)]

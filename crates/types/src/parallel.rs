@@ -46,11 +46,6 @@ impl Parallelism {
         }
     }
 
-    /// True when this configuration cannot spawn workers.
-    pub fn is_sequential(self) -> bool {
-        self.effective() == 1
-    }
-
     /// Chunk size that spreads `items` evenly over the effective threads,
     /// but never below `min` (tiny chunks cost more to dispatch than to
     /// process).
