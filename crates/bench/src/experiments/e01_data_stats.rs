@@ -1,8 +1,9 @@
 //! E1 — BGP data and vantage-point statistics (paper analog: the data
 //! table describing collectors, VPs, full feeds, and distinct paths).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::Table;
+use as_topology_gen::Scale;
 
 /// Produce the E1 report.
 pub fn run(scale: Scale, seed: u64) -> String {

@@ -1,8 +1,9 @@
 //! E2 — validation corpus composition (paper analog: the validation-data
 //! table: assertion counts per source, split by relationship kind).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
+use as_topology_gen::Scale;
 use asrank_validation::ValidationSource;
 
 /// Produce the E2 report.

@@ -2,8 +2,9 @@
 //! validation source, plus full-ground-truth scoring (paper: ≈99.6 %
 //! c2p, ≈98.7 % p2p PPV against its corpus).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
+use as_topology_gen::Scale;
 use asrank_validation::{evaluate_against_corpus, evaluate_against_truth};
 
 /// Produce the E3 report.

@@ -1,8 +1,9 @@
 //! E4 — algorithm comparison (paper analog: the table scoring ASRank
 //! against prior algorithms on the same validation data).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
+use as_topology_gen::Scale;
 use asrank_baselines::{xia_gao_infer, Baseline, XiaGaoConfig};
 use asrank_types::{LinkRel, RelationshipMap};
 use asrank_validation::{evaluate_against_truth, paired_comparison, ValidationSource};

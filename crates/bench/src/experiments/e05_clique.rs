@@ -1,8 +1,9 @@
 //! E5 — Tier-1 clique recovery (paper analog: the inferred clique's
 //! membership and stability discussion).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::{f, pct, Table};
+use as_topology_gen::Scale;
 
 /// Produce the E5 report: clique precision/recall across several seeds.
 pub fn run(scale: Scale, seed: u64) -> String {

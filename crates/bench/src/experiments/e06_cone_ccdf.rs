@@ -1,9 +1,10 @@
 //! E6 — customer cone size distributions for the three definitions
 //! (paper analog: the cone-size CCDF figure).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{pct, Table};
+use as_topology_gen::Scale;
 use asrank_core::cone::ConeSets;
 
 /// Produce the E6 report: CCDF points and quantiles per definition.

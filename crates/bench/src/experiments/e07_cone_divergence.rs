@@ -1,9 +1,10 @@
 //! E7 — cone-definition divergence for the largest ASes (paper analog:
 //! the figure comparing the three definitions per AS).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{f, Table};
+use as_topology_gen::Scale;
 use asrank_core::cone::ConeSets;
 use asrank_core::rank_ases;
 

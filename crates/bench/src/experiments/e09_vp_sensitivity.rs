@@ -2,8 +2,9 @@
 //! (paper analog: the discussion of VP coverage and peering-link
 //! invisibility).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
+use as_topology_gen::Scale;
 use asrank_validation::evaluate_against_truth;
 
 /// Produce the E9 report.

@@ -1,8 +1,9 @@
 //! E10 — robustness to path artifacts (paper analog: the sanitization /
 //! poisoned-path discussion: inference quality must degrade gracefully).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
+use as_topology_gen::Scale;
 use asrank_validation::evaluate_against_truth;
 use bgp_sim::AnomalyConfig;
 

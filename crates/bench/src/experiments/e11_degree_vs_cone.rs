@@ -2,9 +2,10 @@
 //! that cone size and transit degree correlate strongly but diverge for
 //! peering-heavy networks).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{f, Table};
+use as_topology_gen::Scale;
 use asrank_core::centrality::transit_centrality;
 use asrank_core::cone::CustomerCones;
 use asrank_core::rank::{rank_ases, spearman};

@@ -3,8 +3,9 @@
 //! realistic artifact injection so the defensive steps (S4, S7) have
 //! something to defend against.
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
+use as_topology_gen::Scale;
 use asrank_core::pipeline::{infer, Ablation, InferenceConfig};
 use asrank_types::Asn;
 use asrank_validation::evaluate_against_truth;

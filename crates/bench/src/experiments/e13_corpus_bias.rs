@@ -7,8 +7,9 @@
 //! error rate. The gap is the bias a real-world validation study
 //! inherits silently.
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
+use as_topology_gen::Scale;
 use asrank_validation::{evaluate_against_corpus, evaluate_against_truth, ValidationSource};
 
 /// Produce the E13 report.

@@ -5,9 +5,10 @@
 //! flips under resampling. A jackknife over half-VP subsamples makes it
 //! measurable.
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{f, pct, Table};
+use as_topology_gen::Scale;
 use asrank_core::pipeline::InferenceConfig;
 use asrank_core::stability::jackknife;
 use asrank_core::visibility::VisibilityTable;

@@ -2,8 +2,9 @@
 //! classes of the link endpoints (the paper's error analysis localizes
 //! mistakes to the edge and to peering-dense networks).
 
-use crate::harness::{Scale, Scenario, Workbench};
+use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
+use as_topology_gen::Scale;
 use asrank_validation::ppv_by_class;
 
 /// Produce the E15 report.

@@ -20,7 +20,7 @@ pub mod e13_corpus_bias;
 pub mod e14_stability;
 pub mod e15_error_locus;
 
-use crate::harness::Scale;
+use as_topology_gen::Scale;
 
 /// Run an experiment by id (`"e1"`…`"e15"`). Returns `None` for unknown
 /// ids.

@@ -3,16 +3,11 @@
 //! validation corpus — so every experiment starts from the same
 //! reproducible state.
 
-use as_topology_gen::{generate, GeneratedTopology, TopologyConfig};
+use as_topology_gen::{generate, GeneratedTopology, Scale, TopologyConfig};
 use asrank_core::pipeline::{infer, Inference, InferenceConfig};
 use asrank_types::prelude::*;
 use asrank_validation::{build_corpus, CorpusConfig, ValidationCorpus};
 use bgp_sim::{simulate, AnomalyConfig, SimConfig, SimOutput, VpSelection};
-
-// The scale registry lives with the topology presets it names; the
-// harness re-exports it so existing `asrank_bench::harness::Scale`
-// callers keep compiling.
-pub use as_topology_gen::{Scale, ScaleParseError};
 
 /// A full experiment scenario.
 #[derive(Debug, Clone)]

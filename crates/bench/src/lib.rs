@@ -2,7 +2,7 @@
 //!
 //! The experiment harness: every table and figure analog of the paper's
 //! evaluation is regenerated by a module in [`experiments`], keyed
-//! `e1`–`e11` (see `DESIGN.md` for the experiment index). The `report`
+//! `e1`–`e15` (see `DESIGN.md` for the experiment index). The `report`
 //! binary prints any of them:
 //!
 //! ```text
@@ -10,17 +10,14 @@
 //! cargo run --release -p asrank-bench --bin report -- all
 //! ```
 //!
-//! Criterion benchmarks (`benches/`) cover the costed stages: path
-//! sanitization, clique inference, the full pipeline, cone computation,
-//! route propagation, MRT encode/decode, and the baselines (experiment
-//! E12, scalability).
+//! Performance is measured end to end by the separate `benchmark/`
+//! package at the repository root, not here.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod harness;
-pub mod rss;
 pub mod table;
 
 pub use harness::{Scenario, Workbench};

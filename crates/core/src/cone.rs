@@ -36,8 +36,7 @@
 //! probes per member. Materialization fans out over worker threads
 //! ([`Parallelism`]); results are identical for every thread count. The
 //! pre-optimization HashSet implementation survives as
-//! [`CustomerCones::recursive_reference`] — the property-test oracle and
-//! the benchmark baseline.
+//! [`CustomerCones::recursive_reference`], the property-test oracle.
 //!
 //! The two path-observed cones run over the shared [`PathArena`] as a
 //! **single deterministic parallel sweep**: worker shards scan
@@ -47,7 +46,7 @@
 //! per-AS-rescan engines survive as
 //! [`CustomerCones::bgp_observed_reference`] /
 //! [`CustomerCones::provider_peer_observed_reference`], the proptest
-//! oracles and benchmark baselines for the recorded speedups.
+//! oracles.
 
 use crate::csr::Csr;
 use crate::par;
@@ -457,9 +456,8 @@ impl CustomerCones {
     /// provider→customer edges with hashed visited-sets.
     ///
     /// Kept as the correctness oracle for the property tests (the bitset
-    /// closure must agree on every topology, cycles included) and as the
-    /// baseline the `cones` benchmark measures the rewrite against. Do
-    /// not use it for real workloads.
+    /// closure must agree on every topology, cycles included). Do not
+    /// use it for real workloads.
     pub fn recursive_reference(
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
@@ -537,25 +535,9 @@ impl CustomerCones {
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
         par: Parallelism,
     ) -> Self {
-        Self::bgp_observed_from_arena_with_block(arena, rels, prefixes, par, 0)
-    }
-
-    /// [`CustomerCones::bgp_observed_from_arena`] with an explicit
-    /// owner-block width for the pair merge: `0` picks a cache-sized
-    /// width automatically (the engine's path), any other value forces
-    /// that many owner ids per block, and `usize::MAX` runs the single
-    /// full-width merge. Output is bit-identical for every width — the
-    /// width only moves the merge's working set. Tests and the `scale`
-    /// bench are the only callers that pick one.
-    pub fn bgp_observed_from_arena_with_block(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-        block_ids: usize,
-    ) -> Self {
         let providers = witness_graph(arena, rels, false);
-        let pairs = sweep_pairs_blocked(arena, &providers, par, scan_descents, block_ids);
+        let raw = raw_sweep_pairs(arena, &providers, par, scan_descents);
+        let pairs = merge_sweep_pairs_blocked(&raw, arena.num_ases(), 0, par);
         observed_cones(arena, pairs, prefixes, par)
     }
 
@@ -591,21 +573,9 @@ impl CustomerCones {
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
         par: Parallelism,
     ) -> Self {
-        Self::provider_peer_observed_from_arena_with_block(arena, rels, prefixes, par, 0)
-    }
-
-    /// [`CustomerCones::provider_peer_observed_from_arena`] with an
-    /// explicit owner-block width for the pair merge (`0` = auto; see
-    /// [`CustomerCones::bgp_observed_from_arena_with_block`]).
-    pub fn provider_peer_observed_from_arena_with_block(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-        block_ids: usize,
-    ) -> Self {
         let graphs = witness_graph(arena, rels, true);
-        let pairs = sweep_pairs_blocked(arena, &graphs, par, scan_announcements, block_ids);
+        let raw = raw_sweep_pairs(arena, &graphs, par, scan_announcements);
+        let pairs = merge_sweep_pairs_blocked(&raw, arena.num_ases(), 0, par);
         observed_cones(arena, pairs, prefixes, par)
     }
 
@@ -614,8 +584,7 @@ impl CustomerCones {
     /// sort+dedup — everything [`PathArena`] now amortizes.
     ///
     /// Kept as the property-test oracle (the arena sweep must agree on
-    /// every topology) and the baseline the `cones` benchmark measures
-    /// the arena engine against. Do not use it for real workloads.
+    /// every topology). Do not use it for real workloads.
     pub fn bgp_observed_reference(
         sanitized: &SanitizedPaths,
         rels: &RelationshipMap,
@@ -716,9 +685,10 @@ fn witness_graph(arena: &PathArena, rels: &RelationshipMap, include_peers: bool)
 /// The scan half of the sweep: worker shards scan contiguous path
 /// ranges of the arena once, emitting packed `(owner << 32) | member`
 /// pairs into per-shard buffers, concatenated in shard order. The
-/// result is unsorted and duplicate-bearing — it feeds one of the two
-/// merges below, and shard order is deterministic, so the merged output
-/// is independent of both path order and thread count.
+/// result is unsorted and duplicate-bearing — it feeds
+/// [`merge_sweep_pairs_blocked`], and shard order is deterministic, so
+/// the merged output is independent of both path order and thread
+/// count.
 fn raw_sweep_pairs<F>(arena: &PathArena, witness: &Csr, par: Parallelism, scan: F) -> Vec<u64>
 where
     F: Fn(&[u32], &Csr, &mut dyn FnMut(u32, u32)) + Sync,
@@ -733,35 +703,6 @@ where
         local
     })
     .concat()
-}
-
-/// The single parallel sweep: [`raw_sweep_pairs`] merged by the
-/// cache-blocked [`merge_sweep_pairs_blocked`]. `block_ids == 0` sizes
-/// blocks automatically from the pair count; the output is identical
-/// for every width, and `usize::MAX` is the full-width
-/// [`merge_sweep_pairs_unblocked`].
-fn sweep_pairs_blocked<F>(
-    arena: &PathArena,
-    witness: &Csr,
-    par: Parallelism,
-    scan: F,
-    block_ids: usize,
-) -> Vec<u64>
-where
-    F: Fn(&[u32], &Csr, &mut dyn FnMut(u32, u32)) + Sync,
-{
-    let raw = raw_sweep_pairs(arena, witness, par, scan);
-    merge_sweep_pairs_blocked(&raw, arena.num_ases(), block_ids, par)
-}
-
-/// The descent scan of the BGP-observed sweep, stopped before the
-/// merge: raw packed pairs exactly as [`raw_sweep_pairs`] emits them.
-/// Benchmark surface — the `scale` bench feeds the same raw pairs to
-/// [`merge_sweep_pairs_blocked`] and [`merge_sweep_pairs_unblocked`]
-/// so the two merges are timed on identical input.
-pub fn bgp_raw_sweep_pairs(arena: &PathArena, rels: &RelationshipMap, par: Parallelism) -> Vec<u64> {
-    let providers = witness_graph(arena, rels, false);
-    raw_sweep_pairs(arena, &providers, par, scan_descents)
 }
 
 /// Sort packed `(owner << 32) | member` pairs ascending via a two-pass
@@ -814,9 +755,8 @@ fn sort_pairs(pairs: &mut Vec<u64>, n: usize) {
 const SWEEP_BLOCK_BITMAP_BYTES: usize = 256 * 1024;
 
 /// The full-width merge on raw sweep pairs: one two-pass counting sort
-/// plus dedup. It is the blocked merge's single-block fallback, and
-/// stays `pub` as its benchmark baseline and pair-level oracle.
-pub fn merge_sweep_pairs_unblocked(raw: &[u64], num_ases: usize) -> Vec<u64> {
+/// plus dedup — the blocked merge's single-block path.
+fn merge_sweep_pairs_unblocked(raw: &[u64], num_ases: usize) -> Vec<u64> {
     let mut pairs = raw.to_vec();
     sort_pairs(&mut pairs, num_ases);
     pairs.dedup();
@@ -830,8 +770,10 @@ pub fn merge_sweep_pairs_unblocked(raw: &[u64], num_ases: usize) -> Vec<u64> {
 /// surviving pairs already sorted — the sort pass disappears entirely.
 /// Blocks own disjoint ascending owner ranges, so the per-block outputs
 /// concatenate into exactly the globally sorted, deduplicated pair list
-/// — bit-identical to [`merge_sweep_pairs_unblocked`] for every
-/// `block_ids` (`0` = automatic cache-sized width).
+/// — bit-identical for every `block_ids` (`0` = automatic cache-sized
+/// width; any other value is rounded up to a power of two, and a width
+/// covering every owner runs the single full-width merge). The engine
+/// always passes `0`; tests force widths to pin that equivalence.
 ///
 /// Why this is faster at scale: raw sweeps repeat each (owner, member)
 /// pair once per witnessing path, so the raw list is many times larger
@@ -853,28 +795,23 @@ pub fn merge_sweep_pairs_blocked(
         return Vec::new();
     }
     // Owner-block width: forced, or sized so one block's bitmap fits
-    // the cache budget. The automatic width is rounded to a power of
-    // two so the hot partition passes divide by shifting; forced widths
-    // (a test/bench parameter) keep exact ragged boundaries and real
-    // division.
-    let auto_shift = if block_ids == 0 {
-        let w = (SWEEP_BLOCK_BITMAP_BYTES * 8 / n.max(1)).clamp(1, n.max(1));
-        Some(w.next_power_of_two().trailing_zeros())
+    // the cache budget — rounded up to a power of two either way, so
+    // the partition passes divide by shifting.
+    let requested = if block_ids == 0 {
+        SWEEP_BLOCK_BITMAP_BYTES * 8 / n.max(1)
     } else {
-        None
+        block_ids
     };
-    let width = match auto_shift {
-        Some(shift) => 1usize << shift,
-        None => block_ids.min(n.max(1)),
-    };
+    let shift = requested
+        .clamp(1, n.max(1))
+        .next_power_of_two()
+        .trailing_zeros();
+    let width = 1usize << shift;
     let nblocks = n.div_ceil(width).max(1);
     if nblocks <= 1 {
         return merge_sweep_pairs_unblocked(raw, n);
     }
-    let (seg_starts, parts) = match auto_shift {
-        Some(shift) => partition_by_block(raw, nblocks, move |e| ((e >> 32) >> shift) as usize),
-        None => partition_by_block(raw, nblocks, move |e| (e >> 32) as usize / width),
-    };
+    let (seg_starts, parts) = partition_by_block(raw, nblocks, shift);
     // Collapse every block independently. Owners never cross a block
     // boundary, so per-block dedup is global dedup, and block order is
     // id order. Each worker reuses one bitmap (and the counting-sort
@@ -930,13 +867,9 @@ pub fn merge_sweep_pairs_blocked(
 /// pass, one scatter pass with `nblocks` streaming cursors. The cursor
 /// table and the block tails it appends to stay cache-resident — unlike
 /// the full-width counting-sort scatter, whose write targets span the
-/// entire pair list. Generic over the block-index function so the
-/// automatic power-of-two width monomorphizes to a shift while forced
-/// widths keep real division.
-fn partition_by_block<F>(raw: &[u64], nblocks: usize, block_of: F) -> (Vec<usize>, Vec<u64>)
-where
-    F: Fn(u64) -> usize,
-{
+/// entire pair list. Blocks are `1 << shift` owner ids wide.
+fn partition_by_block(raw: &[u64], nblocks: usize, shift: u32) -> (Vec<usize>, Vec<u64>) {
+    let block_of = |e: u64| ((e >> 32) >> shift) as usize;
     let mut seg_starts = vec![0usize; nblocks + 1];
     for &e in raw {
         seg_starts[block_of(e) + 1] += 1;

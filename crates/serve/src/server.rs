@@ -11,7 +11,8 @@
 //! finish on the old pinned snapshot. A half-written cache (frames
 //! mid-rewrite) fails validation and leaves the old snapshot serving;
 //! the watcher counts the failure on the [`ServeState`] and retries on
-//! the next tick.
+//! the next tick. A failed `accept` (out of file descriptors, say) is
+//! counted there too, and the accept loop backs off and retries.
 //!
 //! Each connection runs [`serve_lines`]: bounded request reads and one
 //! write per reply (or per pipelined batch) on a `TCP_NODELAY` socket.
@@ -112,10 +113,17 @@ impl Drop for Server {
     }
 }
 
+/// Longest pause between retries after a failed `accept`: long enough
+/// that a listener out of file descriptors does not spin, short enough
+/// that it resumes soon after connections close and free some.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(250);
+
 fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>, stop: &Arc<AtomicBool>) {
+    let mut backoff = Duration::ZERO;
     while !stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
+                backoff = Duration::ZERO;
                 let state = Arc::clone(state);
                 // Connection threads are detached: they exit when the
                 // client closes or sends `quit`, and the process exits
@@ -127,7 +135,15 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>, stop: &Arc<Atomi
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(_) => break,
+            Err(_) => {
+                // EMFILE and its kin pass once descriptors free up, so a
+                // failed accept is counted and retried, never fatal: a
+                // listener that gave up here would leave a live daemon
+                // that never accepts again.
+                state.record_accept_failure();
+                backoff = (backoff * 2).clamp(Duration::from_millis(5), ACCEPT_BACKOFF_MAX);
+                std::thread::sleep(backoff);
+            }
         }
     }
 }

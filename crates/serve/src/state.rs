@@ -25,12 +25,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Shared server state: the current snapshot + its generation, and the
-/// record of failed reloads.
+/// record of failed reloads and accepts.
 #[derive(Debug)]
 pub struct ServeState {
     current: Mutex<Arc<ServeSnapshot>>,
     generation: AtomicU64,
     reload_failures: Mutex<ReloadFailures>,
+    accept_failures: AtomicU64,
 }
 
 /// Failed hot-swap loads since startup and the newest one's error text.
@@ -48,6 +49,7 @@ impl ServeState {
             current: Mutex::new(Arc::new(snapshot)),
             generation,
             reload_failures: Mutex::default(),
+            accept_failures: AtomicU64::new(0),
         }
     }
 
@@ -79,6 +81,20 @@ impl ServeState {
     /// stage or file that failed), `None` if no reload has failed.
     pub fn last_reload_error(&self) -> Option<String> {
         self.failures().last.clone()
+    }
+
+    /// Record one failed `accept` other than "no connection pending".
+    pub(crate) fn record_accept_failure(&self) {
+        self.accept_failures.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// How many `accept` calls have failed since startup — for example
+    /// with `EMFILE` while the process is out of file descriptors. The
+    /// listener backs off and retries, so a failure delays pending
+    /// connections rather than dropping the listener; a steadily rising
+    /// count means clients are waiting.
+    pub fn accept_failures(&self) -> u64 {
+        self.accept_failures.load(Ordering::Acquire)
     }
 
     /// The published generation (one `Acquire` load).

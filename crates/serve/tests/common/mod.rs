@@ -80,13 +80,17 @@ pub fn alternate_paths() -> PathSet {
 /// Returns a [`SourceSpec`] ready for `ServeSnapshot::load`.
 pub fn warm_cache(root: &Path, rib_bytes: &[u8], ps: &PathSet) -> SourceSpec {
     std::fs::create_dir_all(root).unwrap();
-    let rib = root.join("test.mrt");
-    std::fs::write(&rib, rib_bytes).unwrap();
-    let cache_root = root.join("cache");
-    warm_cache_frames(&cache_root, rib_bytes, ps);
+    let spec = source_spec(root);
+    std::fs::write(&spec.rib, rib_bytes).unwrap();
+    warm_cache_frames(&spec.cache_root, rib_bytes, ps);
+    spec
+}
+
+/// The [`SourceSpec`] of a cache [`warm_cache`] built under `root`.
+pub fn source_spec(root: &Path) -> SourceSpec {
     SourceSpec {
-        rib,
-        cache_root,
+        rib: root.join("test.mrt"),
+        cache_root: root.join("cache"),
         cfg: InferenceConfig::default(),
         prefixes: None,
     }
