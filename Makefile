@@ -19,10 +19,15 @@ test:
 # graph to the arena-free monolithic oracle, which runs the path-slice
 # step definitions (bit-identical inference at both parallelism levels
 # and under every ablation), the delta session's frames to a cold run
-# over the same samples, plus the cache invalidation/reuse counters.
+# over the same samples, the three cone stages to their oracles (the
+# HashSet recursive closure and the definitional observed cones), the
+# blocked pair merge to sort + dedup at every block width, plus the
+# cache invalidation/reuse counters.
 test-engine:
 	$(CARGO) test -p asrank-core --test engine_equivalence
 	$(CARGO) test -p asrank-core --test delta_equivalence
+	$(CARGO) test -p asrank-core --test cone_equivalence
+	$(CARGO) test -p asrank-core --test blocked_sweep_equivalence
 	$(CARGO) test -p asrank-core engine::
 
 # Source-level determinism/robustness checks: the file-local rules
@@ -70,7 +75,7 @@ bench-test:
 	$(CARGO) test --offline --locked --manifest-path benchmark/Cargo.toml
 
 # The full pre-merge gate: compile, test (workspace tests include the
-# engine- and delta-equivalence suites; test-engine re-runs them
+# engine-, delta- and cone-equivalence suites; test-engine re-runs them
 # explicitly so a failure is named in the gate output), strict source
 # lint (all nine rules + the annotation audit), semantic audit,
 # benchmark lock check and the benchmark's unit tests.

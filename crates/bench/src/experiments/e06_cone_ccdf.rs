@@ -5,22 +5,24 @@ use crate::harness::{Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{pct, Table};
 use as_topology_gen::Scale;
-use asrank_core::cone::ConeSets;
+use asrank_core::{CustomerCones, PathArena};
+use asrank_types::Parallelism;
 
 /// Produce the E6 report: CCDF points and quantiles per definition.
 pub fn run(scale: Scale, seed: u64) -> String {
     let wb = Workbench::build(Scenario::at_scale(scale, seed));
-    let clean = sanitized(&wb);
-    let cones = ConeSets::compute(
-        &clean,
-        &wb.inference.relationships,
-        Some(&wb.topo.ground_truth.prefixes),
-    );
+    let par = Parallelism::auto();
+    let arena = PathArena::build(&sanitized(&wb), par);
+    let rels = &wb.inference.relationships;
+    let prefixes = Some(&wb.topo.ground_truth.prefixes);
+    let recursive = CustomerCones::recursive(rels, prefixes, par);
+    let bgp_observed = CustomerCones::bgp_observed(&arena, rels, prefixes, par);
+    let provider_peer = CustomerCones::provider_peer_observed(&arena, rels, prefixes, par);
 
     let defs: [(&str, &asrank_core::CustomerCones); 3] = [
-        ("recursive", &cones.recursive),
-        ("bgp-observed", &cones.bgp_observed),
-        ("provider/peer", &cones.provider_peer_observed),
+        ("recursive", &recursive),
+        ("bgp-observed", &bgp_observed),
+        ("provider/peer", &provider_peer),
     ];
 
     let thresholds = [2usize, 5, 10, 50, 100, 1000];

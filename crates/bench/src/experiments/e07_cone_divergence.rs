@@ -5,19 +5,20 @@ use crate::harness::{Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{f, Table};
 use as_topology_gen::Scale;
-use asrank_core::cone::ConeSets;
-use asrank_core::rank_ases;
+use asrank_core::{rank_ases, CustomerCones, PathArena};
+use asrank_types::Parallelism;
 
 /// Produce the E7 report.
 pub fn run(scale: Scale, seed: u64) -> String {
     let wb = Workbench::build(Scenario::at_scale(scale, seed));
-    let clean = sanitized(&wb);
-    let cones = ConeSets::compute(
-        &clean,
-        &wb.inference.relationships,
-        Some(&wb.topo.ground_truth.prefixes),
-    );
-    let ranked = rank_ases(&cones.recursive, &wb.inference.degrees);
+    let par = Parallelism::auto();
+    let arena = PathArena::build(&sanitized(&wb), par);
+    let rels = &wb.inference.relationships;
+    let prefixes = Some(&wb.topo.ground_truth.prefixes);
+    let recursive = CustomerCones::recursive(rels, prefixes, par);
+    let bgp_observed = CustomerCones::bgp_observed(&arena, rels, prefixes, par);
+    let provider_peer = CustomerCones::provider_peer_observed(&arena, rels, prefixes, par);
+    let ranked = rank_ases(&recursive, &wb.inference.degrees);
 
     let mut t = Table::new([
         "rank",
@@ -29,9 +30,9 @@ pub fn run(scale: Scale, seed: u64) -> String {
         "true cone",
     ]);
     for row in ranked.iter().take(10) {
-        let rec = cones.recursive.size(row.asn).ases;
-        let obs = cones.bgp_observed.size(row.asn).ases;
-        let pp = cones.provider_peer_observed.size(row.asn).ases;
+        let rec = recursive.size(row.asn).ases;
+        let obs = bgp_observed.size(row.asn).ases;
+        let pp = provider_peer.size(row.asn).ases;
         let truth = wb.topo.ground_truth.true_customer_cone(row.asn).len();
         t.row([
             row.rank.to_string(),

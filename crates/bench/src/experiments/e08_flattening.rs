@@ -18,6 +18,7 @@
 use crate::table::{f, pct, Table};
 use as_topology_gen::{evolve, EvolutionConfig};
 use asrank_core::cone::CustomerCones;
+use asrank_types::Parallelism;
 
 fn run_regime(preferential: bool, seed: u64) -> (Table, f64, f64, f64) {
     let mut cfg = EvolutionConfig::small();
@@ -37,7 +38,7 @@ fn run_regime(preferential: bool, seed: u64) -> (Table, f64, f64, f64) {
     for (i, snap) in snaps.iter().enumerate() {
         let gt = &snap.ground_truth;
         let (c2p, p2p, _) = gt.relationships.counts();
-        let cones = CustomerCones::recursive(&gt.relationships, None);
+        let cones = CustomerCones::recursive(&gt.relationships, None, Parallelism::auto());
         let (top, size) = cones.largest().unwrap();
         let share = size.ases as f64 / gt.as_count() as f64;
         let p2p_share = p2p as f64 / (c2p + p2p).max(1) as f64;

@@ -55,6 +55,32 @@ impl Scenario {
             seed,
         }
     }
+
+    /// The simulation config for this scenario with `vps` vantage
+    /// points (the sensitivity sweep varies only that).
+    pub fn sim_config(&self, vps: usize) -> SimConfig {
+        SimConfig {
+            vp_selection: VpSelection::Count(vps),
+            full_feed_fraction: self.full_feed,
+            anomalies: self.anomalies.clone(),
+            destination_sample: self.destination_sample,
+            rib_cap_per_vp: self.rib_cap_per_vp,
+            threads: 0,
+            seed: self.seed,
+        }
+    }
+}
+
+/// The inference config for a topology: its IXP route servers.
+fn inference_config(topo: &GeneratedTopology) -> InferenceConfig {
+    InferenceConfig::with_ixps(topo.ixps.iter().map(|i| i.route_server))
+}
+
+/// Generate a scenario's topology and simulate BGP over it.
+fn generate_and_simulate(scenario: &Scenario) -> (GeneratedTopology, SimOutput) {
+    let topo = generate(&scenario.topology, scenario.seed);
+    let sim = simulate(&topo, &scenario.sim_config(scenario.vps));
+    (topo, sim)
 }
 
 /// Build just the engine inputs for a scenario: generate the topology,
@@ -64,19 +90,8 @@ impl Scenario {
 /// directly — e.g. `report stage-report`, which wants the per-stage
 /// instrumentation rather than the finished [`Inference`].
 pub fn scenario_inputs(scenario: &Scenario) -> (PathSet, InferenceConfig) {
-    let topo = generate(&scenario.topology, scenario.seed);
-    let sim_cfg = SimConfig {
-        vp_selection: VpSelection::Count(scenario.vps),
-        full_feed_fraction: scenario.full_feed,
-        anomalies: scenario.anomalies.clone(),
-        destination_sample: scenario.destination_sample,
-        rib_cap_per_vp: scenario.rib_cap_per_vp,
-        threads: 0,
-        seed: scenario.seed,
-    };
-    let sim = simulate(&topo, &sim_cfg);
-    let ixps: Vec<Asn> = topo.ixps.iter().map(|i| i.route_server).collect();
-    (sim.paths, InferenceConfig::with_ixps(ixps))
+    let (topo, sim) = generate_and_simulate(scenario);
+    (sim.paths, inference_config(&topo))
 }
 
 /// Everything an experiment needs, built once.
@@ -97,19 +112,8 @@ pub struct Workbench {
 impl Workbench {
     /// Build the full chain: generate → simulate → infer → corpus.
     pub fn build(scenario: Scenario) -> Self {
-        let topo = generate(&scenario.topology, scenario.seed);
-        let sim_cfg = SimConfig {
-            vp_selection: VpSelection::Count(scenario.vps),
-            full_feed_fraction: scenario.full_feed,
-            anomalies: scenario.anomalies.clone(),
-            destination_sample: scenario.destination_sample,
-            rib_cap_per_vp: scenario.rib_cap_per_vp,
-            threads: 0,
-            seed: scenario.seed,
-        };
-        let sim = simulate(&topo, &sim_cfg);
-        let ixps: Vec<Asn> = topo.ixps.iter().map(|i| i.route_server).collect();
-        let inference = infer(&sim.paths, &InferenceConfig::with_ixps(ixps));
+        let (topo, sim) = generate_and_simulate(&scenario);
+        let inference = infer(&sim.paths, &inference_config(&topo));
         let corpus = build_corpus(&topo.ground_truth, &CorpusConfig::paper_like(scenario.seed));
         Workbench {
             scenario,
@@ -123,18 +127,8 @@ impl Workbench {
     /// Re-run only the simulation + inference with a different VP count
     /// (used by the sensitivity sweep; topology and corpus stay fixed).
     pub fn with_vps(&self, vps: usize) -> (SimOutput, Inference) {
-        let sim_cfg = SimConfig {
-            vp_selection: VpSelection::Count(vps),
-            full_feed_fraction: self.scenario.full_feed,
-            anomalies: self.scenario.anomalies.clone(),
-            destination_sample: self.scenario.destination_sample,
-            rib_cap_per_vp: self.scenario.rib_cap_per_vp,
-            threads: 0,
-            seed: self.scenario.seed,
-        };
-        let sim = simulate(&self.topo, &sim_cfg);
-        let ixps: Vec<Asn> = self.topo.ixps.iter().map(|i| i.route_server).collect();
-        let inference = infer(&sim.paths, &InferenceConfig::with_ixps(ixps));
+        let sim = simulate(&self.topo, &self.scenario.sim_config(vps));
+        let inference = infer(&sim.paths, &inference_config(&self.topo));
         (sim, inference)
     }
 }

@@ -21,17 +21,13 @@ use as_topology_gen::load_bundle;
 use asrank_core::engine::Snapshot;
 use asrank_core::pipeline::InferenceConfig;
 use asrank_core::{read_as_rel, CacheDir, InferenceView};
-use asrank_serve::{MappedBytes, SourceSpec, INFERENCE_STAGE};
+use asrank_serve::{MappedBytes, SourceSpec, INFERENCE_STAGE, RIB_INGEST_STAGE};
 use asrank_types::{
     checksum64, Asn, EngineError, Ipv4Prefix, LinkRel, Parallelism, PathSet, RelationshipMap,
 };
 use mrt_codec::read_rib_dump_parallel;
 use std::collections::HashMap;
 use std::path::PathBuf;
-
-/// Stage name under which decoded RIB path sets are cached (keyed by the
-/// checksum of the raw MRT bytes, not by any pipeline fingerprint).
-const RIB_INGEST_STAGE: &str = "rib_ingest";
 
 /// Everything a pipeline command needs to build a [`Snapshot`].
 pub struct LoadedInputs {
@@ -74,8 +70,10 @@ pub fn apply_cache_flags(flags: &Flags) {
 /// The file is read whole and the records decoded on the `threads`
 /// fan-out ([`read_rib_dump_parallel`] — byte-identical to the
 /// sequential reader). When a cache directory is active, the decoded
-/// path set is stored keyed by the checksum of the raw bytes; a warm run
-/// reads the file once and skips MRT decoding.
+/// path set is stored under [`RIB_INGEST_STAGE`] keyed by the checksum
+/// of the raw bytes; a warm run reads the file once and skips MRT
+/// decoding. A failed store is reported on stderr and otherwise
+/// ignored: the next run just decodes again.
 pub fn load_rib(path: &str, threads: Parallelism) -> Result<PathSet, EngineError> {
     let bytes =
         std::fs::read(path).map_err(|e| EngineError::ingest(path, e.to_string()))?;
@@ -89,9 +87,36 @@ pub fn load_rib(path: &str, threads: Parallelism) -> Result<PathSet, EngineError
     let paths = read_rib_dump_parallel(&bytes, threads)
         .map_err(|e| EngineError::ingest(path, e.to_string()))?;
     if let (Some(cache), Some(key)) = (&cache, key) {
-        cache.store_paths(RIB_INGEST_STAGE, key, &paths);
+        if !cache.store_paths(RIB_INGEST_STAGE, key, &paths) {
+            eprintln!(
+                "warning: could not store the {RIB_INGEST_STAGE} cache entry in {}",
+                cache.root().display()
+            );
+        }
     }
     Ok(paths)
+}
+
+/// Per-AS originated prefixes, as a `--topo` bundle records them.
+type PrefixTable = HashMap<Asn, Vec<Ipv4Prefix>>;
+
+/// The inference config (IXP list) and prefix table of the `--topo`
+/// bundle, or the defaults without one. On a load failure, prints it and
+/// returns exit code 1.
+fn load_topo(flags: &Flags) -> Result<(InferenceConfig, Option<PrefixTable>), i32> {
+    let Some(dir) = flags.get("topo") else {
+        return Ok((InferenceConfig::default(), None));
+    };
+    match load_bundle(&PathBuf::from(dir)) {
+        Ok(t) => Ok((
+            InferenceConfig::with_ixps(t.ixps.iter().map(|i| i.route_server)),
+            Some(t.ground_truth.prefixes),
+        )),
+        Err(e) => {
+            eprintln!("{}", EngineError::ingest(dir, e.to_string()));
+            Err(1)
+        }
+    }
 }
 
 /// Parse the shared `--rib` / `--topo` / `--threads` / cache flags into
@@ -113,22 +138,7 @@ pub fn load_inputs(flags: &Flags) -> Result<LoadedInputs, i32> {
         }
     };
 
-    let (mut cfg, prefixes) = match flags.get("topo") {
-        Some(dir) => match load_bundle(&PathBuf::from(dir)) {
-            Ok(t) => {
-                let ixps: Vec<Asn> = t.ixps.iter().map(|i| i.route_server).collect();
-                (
-                    InferenceConfig::with_ixps(ixps),
-                    Some(t.ground_truth.prefixes),
-                )
-            }
-            Err(e) => {
-                eprintln!("{}", EngineError::ingest(dir, e.to_string()));
-                return Err(1);
-            }
-        },
-        None => (InferenceConfig::default(), None),
-    };
+    let (mut cfg, prefixes) = load_topo(flags)?;
     cfg.parallelism = threads;
 
     Ok(LoadedInputs {
@@ -148,22 +158,7 @@ pub fn load_serve_spec(flags: &Flags) -> Result<SourceSpec, i32> {
     let Some(cache_dir) = flags.required("cache-dir") else {
         return Err(2);
     };
-    let (cfg, prefixes) = match flags.get("topo") {
-        Some(dir) => match load_bundle(&PathBuf::from(dir)) {
-            Ok(t) => {
-                let ixps: Vec<Asn> = t.ixps.iter().map(|i| i.route_server).collect();
-                (
-                    InferenceConfig::with_ixps(ixps),
-                    Some(t.ground_truth.prefixes),
-                )
-            }
-            Err(e) => {
-                eprintln!("{}", EngineError::ingest(dir, e.to_string()));
-                return Err(1);
-            }
-        },
-        None => (InferenceConfig::default(), None),
-    };
+    let (cfg, prefixes) = load_topo(flags)?;
     Ok(SourceSpec {
         rib: PathBuf::from(rib),
         cache_root: PathBuf::from(cache_dir),

@@ -311,6 +311,65 @@ fn stability_runs_on_generated_data() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A cache directory that cannot be created (its parent is a regular
+/// file) must not fail `infer`, but the dropped RIB ingest store is
+/// reported on stderr, naming the stage and the directory.
+#[test]
+fn failed_rib_ingest_store_is_reported() {
+    let dir = tmp("store_fail");
+    let topo = dir.join("topo");
+    let rib = dir.join("rib.mrt");
+    let blocker = dir.join("regular-file");
+    std::fs::write(&blocker, b"").unwrap();
+    let cache = blocker.join("sub");
+
+    for args in [
+        sv(&[
+            "generate",
+            "--scale",
+            "tiny",
+            "--seed",
+            "11",
+            "--out",
+            topo.to_str().unwrap(),
+        ]),
+        sv(&[
+            "simulate",
+            "--topo",
+            topo.to_str().unwrap(),
+            "--vps",
+            "8",
+            "--seed",
+            "11",
+            "--out",
+            rib.to_str().unwrap(),
+        ]),
+    ] {
+        assert!(bin().args(&args).status().unwrap().success());
+    }
+    let out = bin()
+        .args(sv(&[
+            "infer",
+            "--rib",
+            rib.to_str().unwrap(),
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "--out",
+            dir.join("as-rel.txt").to_str().unwrap(),
+        ]))
+        .output()
+        .expect("infer");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.contains("rib_ingest") && l.contains(cache.to_str().unwrap())),
+        "no failed rib_ingest store reported: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cache_dir_warm_run_matches_cold_and_no_cache_disables() {
     let dir = tmp("cache");

@@ -36,22 +36,21 @@
 //! probes per member. Materialization fans out over worker threads
 //! ([`Parallelism`]); results are identical for every thread count. The
 //! pre-optimization HashSet implementation survives as
-//! [`CustomerCones::recursive_reference`], the property-test oracle.
+//! [`CustomerCones::recursive_reference`]: the property-test oracle and
+//! the independent recomputation `asrank audit` cross-checks against.
 //!
 //! The two path-observed cones run over the shared [`PathArena`] as a
 //! **single deterministic parallel sweep**: worker shards scan
 //! contiguous ranges of the arena's distinct paths once, emit packed
-//! `(cone-root, member)` pairs, and a sort+dedup merge builds the flat
-//! member sets — bit-identical for every thread count. The pre-arena
-//! per-AS-rescan engines survive as
-//! [`CustomerCones::bgp_observed_reference`] /
-//! [`CustomerCones::provider_peer_observed_reference`], the proptest
-//! oracles.
+//! `(cone-root, member)` pairs, and a cache-blocked sort+dedup merge
+//! builds the flat member sets — bit-identical for every thread count.
+//! Their oracle lives in `tests/cone_equivalence.rs`: it recomputes both
+//! cones straight from the definitions above, sharing no scan code with
+//! the sweep.
 
 use crate::csr::Csr;
 use crate::par;
 use crate::patharena::PathArena;
-use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -86,60 +85,6 @@ pub struct CustomerCones {
     bounds: Vec<u32>,
     /// Measured size of each set, aligned with `bounds`.
     sizes: Vec<ConeSize>,
-}
-
-/// The three cone definitions computed side by side, for comparison
-/// experiments.
-#[derive(Debug, Clone)]
-pub struct ConeSets {
-    /// Transitive closure of p2c.
-    pub recursive: CustomerCones,
-    /// Path-witnessed descent.
-    pub bgp_observed: CustomerCones,
-    /// Announcement-witnessed (to provider or peer).
-    pub provider_peer_observed: CustomerCones,
-}
-
-impl ConeSets {
-    /// Compute all three definitions.
-    pub fn compute(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        Self::compute_with(sanitized, rels, prefixes, Parallelism::auto())
-    }
-
-    /// [`ConeSets::compute`] with an explicit thread budget. The result
-    /// is identical for every `par` value.
-    pub fn compute_with(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        // One shared arena: both observed cones read the same interned,
-        // deduplicated paths instead of re-parsing them independently.
-        let arena = PathArena::build_with(sanitized, par);
-        Self::compute_from_arena(&arena, rels, prefixes, par)
-    }
-
-    /// Compute all three definitions over a prebuilt [`PathArena`]
-    /// (e.g. the one the inference pipeline already constructed).
-    pub fn compute_from_arena(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        ConeSets {
-            recursive: CustomerCones::recursive_with(rels, prefixes, par),
-            bgp_observed: CustomerCones::bgp_observed_from_arena(arena, rels, prefixes, par),
-            provider_peer_observed: CustomerCones::provider_peer_observed_from_arena(
-                arena, rels, prefixes, par,
-            ),
-        }
-    }
 }
 
 /// Pre-dedup member bound below which a cone is kept as a sorted id vec
@@ -313,27 +258,21 @@ impl CustomerCones {
     /// Cycles (inference errors) are collapsed first so the closure is
     /// well-defined: every member of a c2p cycle shares one cone.
     ///
+    /// The result is identical for every `par` value.
+    ///
     /// ```
     /// use asrank_core::CustomerCones;
-    /// use asrank_types::{Asn, RelationshipMap};
+    /// use asrank_types::{Asn, Parallelism, RelationshipMap};
     ///
     /// let mut rels = RelationshipMap::new();
     /// rels.insert_c2p(Asn(10), Asn(1));
     /// rels.insert_c2p(Asn(100), Asn(10));
-    /// let cones = CustomerCones::recursive(&rels, None);
+    /// let cones = CustomerCones::recursive(&rels, None, Parallelism::auto());
     /// assert_eq!(cones.size(Asn(1)).ases, 3);   // {1, 10, 100}
     /// assert!(cones.contains(Asn(1), Asn(100)));
     /// assert_eq!(cones.size(Asn(100)).ases, 1); // just itself
     /// ```
     pub fn recursive(
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        Self::recursive_with(rels, prefixes, Parallelism::auto())
-    }
-
-    /// [`CustomerCones::recursive`] with an explicit thread budget.
-    pub fn recursive_with(
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
         par: Parallelism,
@@ -456,8 +395,9 @@ impl CustomerCones {
     /// provider→customer edges with hashed visited-sets.
     ///
     /// Kept as the correctness oracle for the property tests (the bitset
-    /// closure must agree on every topology, cycles included). Do not
-    /// use it for real workloads.
+    /// closure must agree on every topology, cycles included) and for
+    /// `asrank audit`'s cone-agreement check. Do not use it for real
+    /// workloads.
     pub fn recursive_reference(
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
@@ -502,34 +442,17 @@ impl CustomerCones {
         }
     }
 
-    /// **BGP-observed cone**: membership requires a witnessed descent.
+    /// **BGP-observed cone**: `y ∈ cone(x)` only when an observed path
+    /// descends from `x` to `y`, each step an inferred c2p link.
+    ///
+    /// One deterministic parallel sweep over the shared [`PathArena`]:
+    /// worker shards scan contiguous path ranges once for maximal
+    /// descending runs (each run puts everything below the top AS into
+    /// that AS's cone), emit packed (cone-root, member) pairs into
+    /// per-shard buffers, and [`merge_sweep_pairs_blocked`] sorts and
+    /// deduplicates them into the flat member sets — bit-identical for
+    /// every thread count.
     pub fn bgp_observed(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        Self::bgp_observed_with(sanitized, rels, prefixes, Parallelism::auto())
-    }
-
-    /// [`CustomerCones::bgp_observed`] with an explicit thread budget.
-    pub fn bgp_observed_with(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        let arena = PathArena::build_with(sanitized, par);
-        Self::bgp_observed_from_arena(&arena, rels, prefixes, par)
-    }
-
-    /// [`CustomerCones::bgp_observed`] over a prebuilt [`PathArena`] —
-    /// the single-sweep engine. Worker shards scan contiguous path
-    /// ranges once for maximal descending runs (each run puts everything
-    /// below the top AS into that AS's cone), emit packed (cone-root,
-    /// member) pairs into per-shard buffers, and a sort+dedup merge
-    /// builds the flat member sets — deterministic for every thread
-    /// count.
-    pub fn bgp_observed_from_arena(
         arena: &PathArena,
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
@@ -541,33 +464,10 @@ impl CustomerCones {
         observed_cones(arena, pairs, prefixes, par)
     }
 
-    /// **Provider/peer observed cone**: membership requires `x` to have
-    /// been seen announcing the member to a provider or peer.
+    /// **Provider/peer observed cone**: `y ∈ cone(x)` only when a path
+    /// shows `x` announcing `y` to one of `x`'s providers or peers. Same
+    /// single sweep and merge as [`CustomerCones::bgp_observed`].
     pub fn provider_peer_observed(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        Self::provider_peer_observed_with(sanitized, rels, prefixes, Parallelism::auto())
-    }
-
-    /// [`CustomerCones::provider_peer_observed`] with an explicit thread
-    /// budget.
-    pub fn provider_peer_observed_with(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        let arena = PathArena::build_with(sanitized, par);
-        Self::provider_peer_observed_from_arena(&arena, rels, prefixes, par)
-    }
-
-    /// [`CustomerCones::provider_peer_observed`] over a prebuilt
-    /// [`PathArena`] — the single-sweep engine (see
-    /// [`CustomerCones::bgp_observed_from_arena`] for the merge
-    /// strategy).
-    pub fn provider_peer_observed_from_arena(
         arena: &PathArena,
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
@@ -577,38 +477,6 @@ impl CustomerCones {
         let raw = raw_sweep_pairs(arena, &graphs, par, scan_announcements);
         let pairs = merge_sweep_pairs_blocked(&raw, arena.num_ases(), 0, par);
         observed_cones(arena, pairs, prefixes, par)
-    }
-
-    /// The pre-arena BGP-observed computation: per-call interner build,
-    /// per-path `Vec<u32>` allocation, and lexicographic `Vec<Vec<u32>>`
-    /// sort+dedup — everything [`PathArena`] now amortizes.
-    ///
-    /// Kept as the property-test oracle (the arena sweep must agree on
-    /// every topology). Do not use it for real workloads.
-    pub fn bgp_observed_reference(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        let par = Parallelism::auto();
-        let ctx = ObservedContext::build(sanitized, rels);
-        // Scan distinct paths for maximal descending runs; each run puts
-        // everything below the top AS into that AS's cone.
-        let pairs = ctx.collect_pairs(&ctx.c2p, par, scan_descents);
-        ctx.into_cones(pairs, prefixes, par)
-    }
-
-    /// The pre-arena provider/peer-observed computation; see
-    /// [`CustomerCones::bgp_observed_reference`] for why it survives.
-    pub fn provider_peer_observed_reference(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        let par = Parallelism::auto();
-        let ctx = ObservedContext::build(sanitized, rels);
-        let pairs = ctx.collect_pairs(&ctx.c2p_or_p2p, par, scan_announcements);
-        ctx.into_cones(pairs, prefixes, par)
     }
 }
 
@@ -705,63 +573,12 @@ where
     .concat()
 }
 
-/// Sort packed `(owner << 32) | member` pairs ascending via a two-pass
-/// stable counting sort over the dense id space — O(pairs + ids) versus
-/// the O(pairs·log pairs) comparison sort it replaces, and exactly as
-/// deterministic (counting sort has no comparator, let alone an
-/// unstable one).
-fn sort_pairs(pairs: &mut Vec<u64>, n: usize) {
-    // Comparison sort is fine (and allocation-free) for tiny inputs.
-    if pairs.len() <= n || n == 0 {
-        pairs.sort_unstable();
-        return;
-    }
-    let mut tmp: Vec<u64> = vec![0; pairs.len()];
-    let mut counts: Vec<u32> = vec![0; n + 1];
-    // Pass 1: stable bucket by member (low word) into tmp.
-    for &e in pairs.iter() {
-        counts[(e & 0xFFFF_FFFF) as usize + 1] += 1;
-    }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    for &e in pairs.iter() {
-        let c = &mut counts[(e & 0xFFFF_FFFF) as usize];
-        tmp[*c as usize] = e;
-        *c += 1;
-    }
-    // Pass 2: stable bucket by owner (high word) back into pairs; the
-    // member order within each owner survives from pass 1.
-    counts.clear();
-    counts.resize(n + 1, 0);
-    for &e in tmp.iter() {
-        counts[(e >> 32) as usize + 1] += 1;
-    }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    for &e in tmp.iter() {
-        let c = &mut counts[(e >> 32) as usize];
-        pairs[*c as usize] = e;
-        *c += 1;
-    }
-}
-
 /// Presence-bitmap budget for the automatic block width: one block's
 /// `width × num_ases` bitmap is sized to ~256 KiB — L2-resident on
 /// current cores. Cache-sized, not core-sized: the win is that every
 /// dedup write lands in a resident bitmap, so it holds on one core
 /// exactly as on many.
 const SWEEP_BLOCK_BITMAP_BYTES: usize = 256 * 1024;
-
-/// The full-width merge on raw sweep pairs: one two-pass counting sort
-/// plus dedup — the blocked merge's single-block path.
-fn merge_sweep_pairs_unblocked(raw: &[u64], num_ases: usize) -> Vec<u64> {
-    let mut pairs = raw.to_vec();
-    sort_pairs(&mut pairs, num_ases);
-    pairs.dedup();
-    pairs
-}
 
 /// Cache-blocked merge of raw sweep pairs: partition by owner-id block,
 /// then collapse each block through a presence bitmap of
@@ -772,8 +589,8 @@ fn merge_sweep_pairs_unblocked(raw: &[u64], num_ases: usize) -> Vec<u64> {
 /// concatenate into exactly the globally sorted, deduplicated pair list
 /// — bit-identical for every `block_ids` (`0` = automatic cache-sized
 /// width; any other value is rounded up to a power of two, and a width
-/// covering every owner runs the single full-width merge). The engine
-/// always passes `0`; tests force widths to pin that equivalence.
+/// covering every owner is a single block). The engine always passes
+/// `0`; tests force widths to pin that equivalence.
 ///
 /// Why this is faster at scale: raw sweeps repeat each (owner, member)
 /// pair once per witnessing path, so the raw list is many times larger
@@ -808,9 +625,6 @@ pub fn merge_sweep_pairs_blocked(
         .trailing_zeros();
     let width = 1usize << shift;
     let nblocks = n.div_ceil(width).max(1);
-    if nblocks <= 1 {
-        return merge_sweep_pairs_unblocked(raw, n);
-    }
     let (seg_starts, parts) = partition_by_block(raw, nblocks, shift);
     // Collapse every block independently. Owners never cross a block
     // boundary, so per-block dedup is global dedup, and block order is
@@ -963,8 +777,7 @@ fn dedup_from(v: &mut Vec<u64>, from: usize) {
 
 /// Materialize observed cones from sorted `(owner, member)` pairs:
 /// every observed AS gets the trivial cone of itself plus its collected
-/// members (the same final stage as [`ObservedContext::into_cones`],
-/// reading the interner from the shared arena).
+/// members, over the shared arena's interner.
 fn observed_cones(
     arena: &PathArena,
     pairs: Vec<u64>,
@@ -1029,152 +842,6 @@ fn has_edge(g: &Csr, from: u32, to: u32) -> bool {
     g.neighbors(from).binary_search(&to).is_ok()
 }
 
-/// Shared scaffolding of the two observed-cone computations: dense ids
-/// over every AS seen in the sanitized paths, distinct paths mapped to
-/// dense hops, and the relationship edges needed for witness tests.
-struct ObservedContext {
-    interner: AsnInterner,
-    /// Distinct paths as dense-id hop lists.
-    paths: Vec<Vec<u32>>,
-    /// `c → p` c2p edges (sorted CSR) — the BGP-observed descent test.
-    c2p: Csr,
-    /// `c → p` c2p plus symmetric p2p edges — the provider/peer-observed
-    /// announcement-witness test.
-    c2p_or_p2p: Csr,
-}
-
-impl ObservedContext {
-    fn build(sanitized: &SanitizedPaths, rels: &RelationshipMap) -> Self {
-        let interner =
-            AsnInterner::from_ases(sanitized.paths().flat_map(|p| p.iter()));
-        let n = interner.len();
-
-        // Distinct paths in sorted id order: dedup via sort rather than a
-        // HashSet so downstream traversal order is reproducible (L001).
-        let mut paths: Vec<Vec<u32>> = sanitized
-            .paths()
-            .map(|p| {
-                p.iter()
-                    // The interner was seeded from these same paths above.
-                    // lint: allow(panics, interner built from sanitized.paths covers every path ASN)
-                    .map(|a| interner.get(a).expect("interned"))
-                    .collect()
-            })
-            .collect();
-        paths.sort_unstable();
-        paths.dedup();
-
-        // Witness edges restricted to interned (path-observed) ASes:
-        // x → w where w is x's provider (c2p), optionally also peers.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (c, p) in rels.c2p_pairs() {
-            if let (Some(ci), Some(pi)) = (interner.get(c), interner.get(p)) {
-                edges.push((ci, pi));
-            }
-        }
-        let c2p = Csr::from_edges_dedup(n, &edges);
-        for (a, b) in rels.p2p_pairs() {
-            if let (Some(ai), Some(bi)) = (interner.get(a), interner.get(b)) {
-                edges.push((ai, bi));
-                edges.push((bi, ai));
-            }
-        }
-        let c2p_or_p2p = Csr::from_edges_dedup(n, &edges);
-
-        ObservedContext {
-            interner,
-            paths,
-            c2p,
-            c2p_or_p2p,
-        }
-    }
-
-    /// Run `scan` over every distinct path in parallel, collecting
-    /// `(owner, member)` dense-id pairs; the packed pair list is sorted
-    /// and deduplicated, so the result is independent of path order and
-    /// thread count.
-    fn collect_pairs<F>(&self, witness: &Csr, par: Parallelism, scan: F) -> Vec<u64>
-    where
-        F: Fn(&[u32], &Csr, &mut dyn FnMut(u32, u32)) + Sync,
-    {
-        let per_chunk = par::map_chunks(par, 32, &self.paths, |chunk| {
-            let mut local: Vec<u64> = Vec::new();
-            for hops in chunk {
-                scan(hops, witness, &mut |owner, member| {
-                    local.push((owner as u64) << 32 | member as u64);
-                });
-            }
-            local
-        });
-        let mut pairs: Vec<u64> = per_chunk.concat();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
-
-    /// Build the final cones: every observed AS gets the trivial cone of
-    /// itself plus its collected members. `pairs` must be sorted.
-    fn into_cones(
-        self,
-        pairs: Vec<u64>,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> CustomerCones {
-        let n = self.interner.len();
-        let weights = PrefixWeights::build(&self.interner, prefixes);
-
-        // Per-owner slice boundaries in the sorted pair list.
-        let mut starts = vec![0usize; n + 1];
-        {
-            let mut cursor = 0usize;
-            for owner in 0..n as u64 {
-                while cursor < pairs.len() && pairs[cursor] >> 32 < owner {
-                    cursor += 1;
-                }
-                starts[owner as usize] = cursor;
-            }
-            starts[n] = pairs.len();
-        }
-
-        let materialized = par::map_ranges(par, 256, n, |range| {
-            let mut chunk = ChunkSets::with_capacity(range.len());
-            for owner in range {
-                let (lo, hi) = (starts[owner], starts[owner + 1]);
-                let before = chunk.members.len();
-                let mut size = ConeSize::default();
-                // Merge the owner itself into its sorted member run.
-                let mut self_pending = true;
-                for &packed in &pairs[lo..hi] {
-                    let member = packed as u32;
-                    if self_pending && member as usize >= owner {
-                        if member as usize > owner {
-                            chunk.push_member(owner as u32, &self.interner, &weights, &mut size);
-                        }
-                        self_pending = false;
-                    }
-                    chunk.push_member(member, &self.interner, &weights, &mut size);
-                }
-                if self_pending {
-                    chunk.push_member(owner as u32, &self.interner, &weights, &mut size);
-                }
-                chunk.finish_set(before, size);
-            }
-            chunk
-        });
-
-        let (members_flat, bounds, sizes) = ChunkSets::assemble(materialized);
-        CustomerCones {
-            interner: self.interner,
-            set_of: (0..n as u32).collect(),
-            members_flat,
-            bounds,
-            sizes,
-        }
-    }
-}
-
-/// Materialize one bitset cone as a sorted member list plus its measured
-/// size (ids ascend with ASN, so no sort is needed).
 /// Kahn topological order over `0..n` along `edges` / its CSR `succ`.
 /// Returns fewer than `n` nodes exactly when the digraph has a cycle.
 fn kahn_order(n: usize, edges: &[(u32, u32)], succ: &Csr) -> Vec<u32> {
@@ -1199,7 +866,7 @@ fn kahn_order(n: usize, edges: &[(u32, u32)], succ: &Csr) -> Vec<u32> {
 }
 
 /// The shared closure DP + materialization behind
-/// [`CustomerCones::recursive_with`], over an acyclic component graph.
+/// [`CustomerCones::recursive`], over an acyclic component graph.
 ///
 /// `comp_customers` is the provider→customer adjacency of `ncomp`
 /// components in `order` (a topological order, processed in reverse so
@@ -1441,7 +1108,7 @@ mod tests {
         r
     }
 
-    fn paths(raw: &[&[u32]]) -> SanitizedPaths {
+    fn arena(raw: &[&[u32]], par: Parallelism) -> PathArena {
         let ps: PathSet = raw
             .iter()
             .enumerate()
@@ -1451,12 +1118,12 @@ mod tests {
                 path: AsPath::from_u32s(p.iter().copied()),
             })
             .collect();
-        sanitize(&ps, &SanitizeConfig::default())
+        PathArena::build(&sanitize(&ps, &SanitizeConfig::default()), par)
     }
 
     #[test]
     fn recursive_cone_closure() {
-        let cones = CustomerCones::recursive(&rels(), None);
+        let cones = CustomerCones::recursive(&rels(), None, Parallelism::auto());
         assert_eq!(cones.members(Asn(1)), &[Asn(1), Asn(10), Asn(100)]);
         assert_eq!(
             cones.members(Asn(2)),
@@ -1475,7 +1142,7 @@ mod tests {
         r.insert_c2p(Asn(2), Asn(3));
         r.insert_c2p(Asn(3), Asn(1)); // cycle 1→2→3→1
         r.insert_c2p(Asn(9), Asn(1)); // 9 below the cycle
-        let cones = CustomerCones::recursive(&r, None);
+        let cones = CustomerCones::recursive(&r, None, Parallelism::auto());
         // All cycle members share one cone containing the cycle + 9.
         for a in [1u32, 2, 3] {
             assert_eq!(
@@ -1497,7 +1164,7 @@ mod tests {
             r.insert_c2p(Asn(9), Asn(1));
             r
         }] {
-            let fast = CustomerCones::recursive(&r, None);
+            let fast = CustomerCones::recursive(&r, None, Parallelism::auto());
             let slow = CustomerCones::recursive_reference(&r, None);
             assert_eq!(fast.len(), slow.len());
             for asn in fast.ases() {
@@ -1518,7 +1185,7 @@ mod tests {
                 "12.0.0.0/23".parse().unwrap(),
             ],
         );
-        let cones = CustomerCones::recursive(&rels(), Some(&prefixes));
+        let cones = CustomerCones::recursive(&rels(), Some(&prefixes), Parallelism::auto());
         let s1 = cones.size(Asn(1)); // cone {1,10,100}
         assert_eq!(s1.prefixes, 3);
         assert_eq!(s1.addresses, 256 + 256 + 512);
@@ -1533,8 +1200,8 @@ mod tests {
         // Only one path descends 1 → 10 → 100; nobody ever observes
         // 20 → 100, so 100 is NOT in 20's BGP-observed cone even though
         // the recursive cone contains it.
-        let p = paths(&[&[200, 20, 2, 1, 10, 100]]);
-        let cones = CustomerCones::bgp_observed(&p, &r, None);
+        let p = arena(&[&[200, 20, 2, 1, 10, 100]], Parallelism::auto());
+        let cones = CustomerCones::bgp_observed(&p, &r, None, Parallelism::auto());
         assert!(cones.contains(Asn(1), Asn(100)));
         assert!(cones.contains(Asn(1), Asn(10)));
         assert!(cones.contains(Asn(10), Asn(100)));
@@ -1543,7 +1210,7 @@ mod tests {
         // descent… 2→1 is p2p so the descent run stops at 2.
         assert!(!cones.contains(Asn(2), Asn(100)));
         // Recursive ⊇ BGP-observed.
-        let rec = CustomerCones::recursive(&r, None);
+        let rec = CustomerCones::recursive(&r, None, Parallelism::auto());
         for asn in cones.ases() {
             let obs = cones.members(asn);
             for m in obs {
@@ -1569,8 +1236,8 @@ mod tests {
         //    i=2: x=2, w=20: orientation(2,20)=Customer → skip.
         //    i=3: x=1, w=2: orientation(1,2)=Peer → cone(1) ⊇ {10,100}. ✓
         //    i=4: x=10, w=1: orientation(10,1)=Provider → cone(10) ⊇ {100}. ✓
-        let p = paths(&[&[200, 20, 2, 1, 10, 100]]);
-        let cones = CustomerCones::provider_peer_observed(&p, &r, None);
+        let p = arena(&[&[200, 20, 2, 1, 10, 100]], Parallelism::auto());
+        let cones = CustomerCones::provider_peer_observed(&p, &r, None, Parallelism::auto());
         assert!(cones.contains(Asn(1), Asn(10)));
         assert!(cones.contains(Asn(1), Asn(100)));
         assert!(cones.contains(Asn(10), Asn(100)));
@@ -1581,7 +1248,7 @@ mod tests {
 
     #[test]
     fn largest_reports_biggest_cone() {
-        let cones = CustomerCones::recursive(&rels(), None);
+        let cones = CustomerCones::recursive(&rels(), None, Parallelism::auto());
         let (asn, size) = cones.largest().unwrap();
         assert_eq!(asn, Asn(2));
         assert_eq!(size.ases, 4);
@@ -1589,7 +1256,7 @@ mod tests {
 
     #[test]
     fn bulk_size_iterator_matches_point_lookups() {
-        let cones = CustomerCones::recursive(&rels(), None);
+        let cones = CustomerCones::recursive(&rels(), None, Parallelism::auto());
         let bulk: Vec<(Asn, ConeSize)> = cones.iter_sizes().collect();
         assert_eq!(bulk.len(), cones.len());
         for &(a, s) in &bulk {
@@ -1605,14 +1272,19 @@ mod tests {
     #[test]
     fn thread_counts_do_not_change_results() {
         let r = rels();
-        let p = paths(&[&[200, 20, 2, 1, 10, 100], &[100, 10, 1, 2, 20, 200]]);
-        let seq = ConeSets::compute_with(&p, &r, None, Parallelism::sequential());
-        let par = ConeSets::compute_with(&p, &r, None, Parallelism::threads(4));
-        for (a, b) in [
-            (&seq.recursive, &par.recursive),
-            (&seq.bgp_observed, &par.bgp_observed),
-            (&seq.provider_peer_observed, &par.provider_peer_observed),
-        ] {
+        let raw: &[&[u32]] = &[&[200, 20, 2, 1, 10, 100], &[100, 10, 1, 2, 20, 200]];
+        let all = |par: Parallelism| {
+            let p = arena(raw, par);
+            [
+                CustomerCones::recursive(&r, None, par),
+                CustomerCones::bgp_observed(&p, &r, None, par),
+                CustomerCones::provider_peer_observed(&p, &r, None, par),
+            ]
+        };
+        for (a, b) in all(Parallelism::sequential())
+            .iter()
+            .zip(&all(Parallelism::threads(4)))
+        {
             assert_eq!(a.len(), b.len());
             for asn in a.ases() {
                 assert_eq!(a.members(asn), b.members(asn));
@@ -1623,7 +1295,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let cones = CustomerCones::recursive(&RelationshipMap::new(), None);
+        let cones = CustomerCones::recursive(&RelationshipMap::new(), None, Parallelism::auto());
         assert!(cones.is_empty());
         assert_eq!(cones.size(Asn(7)).ases, 1, "unknown AS has trivial cone");
         assert!(cones.members(Asn(7)).is_empty());

@@ -599,7 +599,7 @@ fn run_clique(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
 
 fn run_arena(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let sanitized = inputs.get::<SanitizedPaths>(0)?;
-    Ok(Artifact::Arena(Arc::new(PathArena::build_with(
+    Ok(Artifact::Arena(Arc::new(PathArena::build(
         sanitized,
         env.cfg.parallelism,
     ))))
@@ -755,7 +755,7 @@ fn run_inference(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
 
 fn run_cone_recursive(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let inf = inputs.get::<Inference>(0)?;
-    Ok(Artifact::Cone(Arc::new(CustomerCones::recursive_with(
+    Ok(Artifact::Cone(Arc::new(CustomerCones::recursive(
         &inf.relationships,
         env.prefixes.as_ref(),
         env.cfg.parallelism,
@@ -765,27 +765,23 @@ fn run_cone_recursive(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineErro
 fn run_cone_bgp(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let inf = inputs.get::<Inference>(0)?;
     let arena = inputs.get::<PathArena>(1)?;
-    Ok(Artifact::Cone(Arc::new(
-        CustomerCones::bgp_observed_from_arena(
-            arena,
-            &inf.relationships,
-            env.prefixes.as_ref(),
-            env.cfg.parallelism,
-        ),
-    )))
+    Ok(Artifact::Cone(Arc::new(CustomerCones::bgp_observed(
+        arena,
+        &inf.relationships,
+        env.prefixes.as_ref(),
+        env.cfg.parallelism,
+    ))))
 }
 
 fn run_cone_provider_peer(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let inf = inputs.get::<Inference>(0)?;
     let arena = inputs.get::<PathArena>(1)?;
-    Ok(Artifact::Cone(Arc::new(
-        CustomerCones::provider_peer_observed_from_arena(
-            arena,
-            &inf.relationships,
-            env.prefixes.as_ref(),
-            env.cfg.parallelism,
-        ),
-    )))
+    Ok(Artifact::Cone(Arc::new(CustomerCones::provider_peer_observed(
+        arena,
+        &inf.relationships,
+        env.prefixes.as_ref(),
+        env.cfg.parallelism,
+    ))))
 }
 
 // ---------------------------------------------------------------------

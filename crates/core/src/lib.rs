@@ -57,7 +57,7 @@ pub mod visibility;
 
 pub use centrality::{transit_centrality, Centrality};
 pub use clique::{infer_clique, CliqueConfig};
-pub use cone::{ConeSets, ConeSize, CustomerCones};
+pub use cone::{ConeSize, CustomerCones};
 pub use csr::{Adjacency, Csr};
 pub use degree::DegreeTable;
 pub use delta::{DeltaOutcome, DeltaSession};

@@ -41,7 +41,7 @@ use std::sync::Arc;
 /// Deduplicated, interned, CSR-flattened view of a sanitized path set.
 ///
 /// See the [module docs](self) for the layout. Construct with
-/// [`PathArena::build`] / [`PathArena::build_with`] (or
+/// [`PathArena::build`] (or
 /// [`PathArena::from_raw`] for audit fixtures), then hand shared
 /// references to every consumer — the arena is immutable.
 #[derive(Debug, Clone, Default)]
@@ -64,15 +64,9 @@ pub struct PathArena {
 }
 
 impl PathArena {
-    /// Build the arena from sanitized paths with the default thread
-    /// budget.
-    pub fn build(sanitized: &SanitizedPaths) -> Self {
-        Self::build_with(sanitized, Parallelism::auto())
-    }
-
-    /// [`PathArena::build`] with an explicit thread budget. The result
-    /// is bit-identical for every `par` value.
-    pub fn build_with(sanitized: &SanitizedPaths, par: Parallelism) -> Self {
+    /// Build the arena from sanitized paths. The result is
+    /// bit-identical for every `par` value.
+    pub fn build(sanitized: &SanitizedPaths, par: Parallelism) -> Self {
         let samples = &sanitized.samples;
 
         // Flatten every sample's raw hops into one contiguous buffer so
@@ -549,7 +543,7 @@ impl MutablePathArena {
     }
 
     /// Emit the canonical arena for the current state — bit-identical to
-    /// [`PathArena::build_with`] over the equivalent sample multiset.
+    /// [`PathArena::build`] over the equivalent sample multiset.
     ///
     /// Returns the previous `Arc` untouched when nothing changed, a
     /// structure-sharing multiplicity patch when only evidence weight
@@ -723,7 +717,7 @@ mod tests {
             &[7, 2, 1],
         ];
         let clean = sanitized(&raw);
-        let arena = PathArena::build(&clean);
+        let arena = PathArena::build(&clean, Parallelism::auto());
 
         let mut old: Vec<AsPath> = {
             let set: HashSet<&AsPath> = clean.paths().collect();
@@ -741,7 +735,7 @@ mod tests {
     #[test]
     fn inverted_index_is_complete_and_ordered() {
         let clean = sanitized(&[&[9, 1, 5, 7], &[8, 1, 5], &[7, 2, 1]]);
-        let arena = PathArena::build(&clean);
+        let arena = PathArena::build(&clean, Parallelism::auto());
         assert!(arena.validate().is_empty(), "{:?}", arena.validate());
         let mut seen = 0usize;
         for a in 0..dense_id(arena.num_ases()) {
@@ -763,8 +757,8 @@ mod tests {
             .collect();
         let refs: Vec<&[u32]> = raw.iter().map(Vec::as_slice).collect();
         let clean = sanitized(&refs);
-        let seq = PathArena::build_with(&clean, Parallelism::sequential());
-        let par = PathArena::build_with(&clean, Parallelism::threads(4));
+        let seq = PathArena::build(&clean, Parallelism::sequential());
+        let par = PathArena::build(&clean, Parallelism::threads(4));
         assert_eq!(seq.offsets, par.offsets);
         assert_eq!(seq.ids, par.ids);
         assert_eq!(seq.multiplicity, par.multiplicity);
@@ -775,7 +769,7 @@ mod tests {
     #[test]
     fn validate_catches_corruption() {
         let clean = sanitized(&[&[9, 1, 5], &[8, 1, 5]]);
-        let good = PathArena::build(&clean);
+        let good = PathArena::build(&clean, Parallelism::auto());
         assert!(good.validate().is_empty());
 
         // Non-monotone offsets.
@@ -817,7 +811,7 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_arena() {
         let clean = sanitized(&[]);
-        let arena = PathArena::build(&clean);
+        let arena = PathArena::build(&clean, Parallelism::auto());
         assert!(arena.is_empty());
         assert_eq!(arena.offsets(), &[0]);
         assert!(arena.validate().is_empty());
@@ -825,7 +819,7 @@ mod tests {
     }
 
     /// The rebuilt-from-scratch oracle: an arena built over one synthetic
-    /// sample per `(path, repeat)` entry of the multiset. `build_with`
+    /// sample per `(path, repeat)` entry of the multiset. `build`
     /// only reads `sample.path`, so dummy vp/prefix values are fine.
     fn oracle_arena(multiset: &[Vec<u32>]) -> PathArena {
         let samples: Vec<PathSample> = multiset
@@ -841,7 +835,7 @@ mod tests {
             samples,
             report: Default::default(),
         };
-        PathArena::build_with(&clean, Parallelism::sequential())
+        PathArena::build(&clean, Parallelism::sequential())
     }
 
     #[test]

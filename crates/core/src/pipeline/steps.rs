@@ -863,7 +863,7 @@ mod tests {
         let sanitized = sanitized_for(&raw);
         let degrees = DegreeTable::compute(&sanitized);
         let clique: HashSet<Asn> = [Asn(1), Asn(2)].into_iter().collect();
-        let arena = sanitized.arena();
+        let arena = PathArena::build(&sanitized, Parallelism::auto());
 
         // Reference: the pre-arena sequence — hash-dedup distinct paths,
         // sort, poison-filter, then the path-slice step functions.

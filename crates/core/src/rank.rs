@@ -98,14 +98,14 @@ pub fn spearman(xs: &[(Asn, f64)], ys: &[(Asn, f64)]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asrank_types::RelationshipMap;
+    use asrank_types::{Parallelism, RelationshipMap};
 
     fn setup() -> (CustomerCones, DegreeTable) {
         let mut r = RelationshipMap::new();
         r.insert_c2p(Asn(10), Asn(1));
         r.insert_c2p(Asn(11), Asn(1));
         r.insert_c2p(Asn(20), Asn(2));
-        let cones = CustomerCones::recursive(&r, None);
+        let cones = CustomerCones::recursive(&r, None, Parallelism::auto());
         (cones, DegreeTable::default())
     }
 

@@ -64,13 +64,6 @@ impl SanitizedPaths {
         self.samples.iter().map(|s| &s.path)
     }
 
-    /// Build the interned [`crate::patharena::PathArena`] over these
-    /// paths: the one-shot dedup + flatten + inverted index every
-    /// path-consuming stage shares.
-    pub fn arena(&self) -> crate::patharena::PathArena {
-        crate::patharena::PathArena::build(self)
-    }
-
     /// Distinct links observed across all cleaned paths.
     pub fn links(&self) -> HashSet<AsLink> {
         let mut out = HashSet::new();

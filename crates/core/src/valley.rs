@@ -359,7 +359,7 @@ mod tests {
             })
             .collect();
         let clean = sanitize(&ps, &SanitizeConfig::default());
-        let arena = PathArena::build(&clean);
+        let arena = PathArena::build(&clean, Parallelism::auto());
 
         let stats = grade_arena(&arena, &r, Parallelism::sequential());
         assert_eq!(stats, grade_arena(&arena, &r, Parallelism::threads(4)));

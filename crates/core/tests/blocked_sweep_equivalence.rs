@@ -8,8 +8,8 @@
 //!
 //! The observed cones are a pure function of the merged pairs, and
 //! `cone_equivalence.rs` checks both observed cones against their
-//! reference engines, so pinning the merge here covers the cones at
-//! every width.
+//! definitions at the automatic width, so pinning the merge here covers
+//! the cones at every width.
 
 use asrank_core::cone::merge_sweep_pairs_blocked;
 use asrank_types::prelude::*;
@@ -17,8 +17,8 @@ use proptest::prelude::*;
 
 /// Block widths the merge must be invariant over: 0 is the automatic
 /// cache-sized width, 1 makes every owner its own block, 3/17 are
-/// rounded up to 4/32, 256 leaves few blocks, and `usize::MAX` runs
-/// the single full-width merge.
+/// rounded up to 4/32, 256 leaves few blocks, and `usize::MAX` makes
+/// one block of every owner.
 const BLOCK_WIDTHS: [usize; 6] = [0, 1, 3, 17, 256, usize::MAX];
 
 /// Pack drawn `(owner, member, pick)` triples into pairs over `n` ids,

@@ -1,4 +1,4 @@
-//! Property tests pinning the fast cone engines to their references:
+//! Property tests pinning the cone engines to independent oracles:
 //!
 //! * the dense bitset recursive-cone closure must agree with the
 //!   straightforward HashSet implementation on random small topologies —
@@ -6,14 +6,21 @@
 //!   through an SCC condensation while the reference walks them directly
 //!   with a visited-set BFS;
 //! * the arena-backed single-sweep BGP-observed and provider/peer
-//!   observed cones must agree exactly with the retained pre-arena
-//!   references on random path sets + relationship maps, at both
-//!   `Parallelism::sequential()` and `Parallelism::threads(4)`.
+//!   observed cones must agree exactly with [`observed_oracle`], which
+//!   recomputes both straight from the paper's definitions over the
+//!   sanitized paths and shares no scan code with the engine — on random
+//!   path sets whose own links carry random relationships, at both
+//!   `Parallelism::sequential()` and `Parallelism::threads(4)`, and on
+//!   one generated topology large enough for the multi-block pair merge.
 
-use asrank_core::{sanitize, CustomerCones, SanitizeConfig, SanitizedPaths};
+use as_topology_gen::{generate, TopologyConfig};
+use asrank_core::engine::Snapshot;
+use asrank_core::pipeline::InferenceConfig;
+use asrank_core::{sanitize, ConeSize, CustomerCones, PathArena, SanitizeConfig, SanitizedPaths};
 use asrank_types::prelude::*;
+use bgp_sim::{simulate, SimConfig, VpSelection};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Random c2p edge list over a small ASN universe. Drawing endpoints
 /// independently produces diamonds, multihoming, self-referential SCCs,
@@ -22,19 +29,17 @@ fn edges_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((1u32..40, 1u32..40), 0..80)
 }
 
-/// Optional prefix table assigning a deterministic number of /24s to a
-/// subset of the ASes, so measured sizes are exercised too.
-fn prefixes_for(edges: &[(u32, u32)]) -> HashMap<Asn, Vec<Ipv4Prefix>> {
+/// Prefix table assigning a deterministic number of /24s to the ASes
+/// divisible by 3, so measured sizes are exercised too.
+fn prefixes_for(ases: impl IntoIterator<Item = u32>) -> HashMap<Asn, Vec<Ipv4Prefix>> {
     let mut table: HashMap<Asn, Vec<Ipv4Prefix>> = HashMap::new();
-    for &(c, p) in edges {
-        for a in [c, p] {
-            if a % 3 == 0 {
-                table.entry(Asn(a)).or_insert_with(|| {
-                    (0..a % 5)
-                        .map(|i| Ipv4Prefix::new((a << 16) | (i << 8), 24).unwrap())
-                        .collect()
-                });
-            }
+    for a in ases {
+        if a % 3 == 0 {
+            table.entry(Asn(a)).or_insert_with(|| {
+                (0..a % 5)
+                    .map(|i| Ipv4Prefix::new((a << 16) | (i << 8), 24).unwrap())
+                    .collect()
+            });
         }
     }
     table
@@ -57,13 +62,6 @@ fn paths_strategy() -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(proptest::collection::vec(1u32..40, 2..6), 1..40)
 }
 
-/// Random mixed relationship edges: `(x, y, peer?)` — p2p when the flag
-/// is set, c2p (x customer of y) otherwise. Last writer wins, exactly as
-/// in the pipeline.
-fn mixed_edges_strategy() -> impl Strategy<Value = Vec<(u32, u32, bool)>> {
-    proptest::collection::vec((1u32..40, 1u32..40, any::<bool>()), 0..80)
-}
-
 fn sanitized_from(paths: &[Vec<u32>]) -> SanitizedPaths {
     let ps: PathSet = paths
         .iter()
@@ -77,27 +75,99 @@ fn sanitized_from(paths: &[Vec<u32>]) -> SanitizedPaths {
     sanitize(&ps, &SanitizeConfig::default())
 }
 
-fn mixed_rels(edges: &[(u32, u32, bool)]) -> RelationshipMap {
+/// Relationships on the paths' own links, so descents and announcements
+/// are dense: the `k`-th distinct link (in ascending order) takes
+/// `labels[k % labels.len()]` — 0 unrelated, 1 c2p low→high, 2 c2p
+/// high→low, 3 p2p.
+fn rels_on_links(sanitized: &SanitizedPaths, labels: &[u8]) -> RelationshipMap {
+    let links: BTreeSet<(Asn, Asn)> = sanitized
+        .paths()
+        .flat_map(|p| p.links())
+        .map(|(a, b)| (a.min(b), a.max(b)))
+        .collect();
     let mut rels = RelationshipMap::new();
-    for &(x, y, peer) in edges {
-        if x == y {
-            continue;
-        }
-        if peer {
-            rels.insert_p2p(Asn(x), Asn(y));
-        } else {
-            rels.insert_c2p(Asn(x), Asn(y));
+    for (k, (lo, hi)) in links.into_iter().enumerate() {
+        match labels[k % labels.len()] {
+            1 => rels.insert_c2p(lo, hi),
+            2 => rels.insert_c2p(hi, lo),
+            3 => rels.insert_p2p(lo, hi),
+            _ => {}
         }
     }
     rels
+}
+
+/// Cone membership per AS, as the definitions state it.
+type Cones = BTreeMap<Asn, BTreeSet<Asn>>;
+
+/// Both observed cones from the definitions, over every sanitized path
+/// (hop 0 is the vantage point, the last hop the origin):
+///
+/// * BGP-observed: `y ∈ cone(x)` when a path descends from `x` to `y`,
+///   each step a c2p edge (the next hop a customer of the previous);
+/// * provider/peer-observed: when `hops[i]` is a customer or peer of
+///   `hops[i-1]`, `hops[i]` announced everything after itself;
+/// * every observed AS contains itself.
+fn observed_oracle(sanitized: &SanitizedPaths, rels: &RelationshipMap) -> (Cones, Cones) {
+    let (mut bgp, mut pp) = (Cones::new(), Cones::new());
+    for path in sanitized.paths() {
+        let hops: Vec<Asn> = path.iter().collect();
+        for &a in &hops {
+            bgp.entry(a).or_default().insert(a);
+            pp.entry(a).or_default().insert(a);
+        }
+        for i in 0..hops.len() {
+            for j in i + 1..hops.len() {
+                if !rels.is_c2p(hops[j], hops[j - 1]) {
+                    break;
+                }
+                bgp.entry(hops[i]).or_default().insert(hops[j]);
+            }
+        }
+        for i in 1..hops.len() {
+            if rels.is_c2p(hops[i], hops[i - 1]) || rels.is_p2p(hops[i], hops[i - 1]) {
+                pp.entry(hops[i]).or_default().extend(&hops[i + 1..]);
+            }
+        }
+    }
+    (bgp, pp)
+}
+
+/// Compare an engine cone against the oracle: coverage, members, and
+/// sizes weighed from the prefix table.
+fn assert_matches(
+    name: &str,
+    got: &CustomerCones,
+    want: &Cones,
+    prefixes: &HashMap<Asn, Vec<Ipv4Prefix>>,
+) -> Result<(), proptest::TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{} covers a different AS set", name);
+    for (&asn, members) in want {
+        let members: Vec<Asn> = members.iter().copied().collect();
+        prop_assert_eq!(
+            got.members(asn),
+            members.as_slice(),
+            "{} members of {}",
+            name,
+            asn
+        );
+        let owned = members.iter().filter_map(|m| prefixes.get(m));
+        let size = ConeSize {
+            ases: members.len(),
+            prefixes: owned.clone().map(Vec::len).sum(),
+            addresses: owned.flatten().map(Ipv4Prefix::address_count).sum(),
+        };
+        prop_assert_eq!(got.size(asn), size, "{} size of {}", name, asn);
+    }
+    Ok(())
 }
 
 proptest! {
     #[test]
     fn bitset_closure_matches_reference(edges in edges_strategy()) {
         let rels = rels_from(&edges);
-        let prefixes = prefixes_for(&edges);
-        let fast = CustomerCones::recursive(&rels, Some(&prefixes));
+        let prefixes = prefixes_for(edges.iter().flat_map(|&(c, p)| [c, p]));
+        let fast = CustomerCones::recursive(&rels, Some(&prefixes), Parallelism::auto());
         let slow = CustomerCones::recursive_reference(&rels, Some(&prefixes));
 
         prop_assert_eq!(fast.len(), slow.len());
@@ -124,7 +194,7 @@ proptest! {
         let mut edges: Vec<(u32, u32)> = extra;
         edges.extend((1..=chain).map(|i| (i, if i == chain { 1 } else { i + 1 })));
         let rels = rels_from(&edges);
-        let fast = CustomerCones::recursive(&rels, None);
+        let fast = CustomerCones::recursive(&rels, None, Parallelism::auto());
         let slow = CustomerCones::recursive_reference(&rels, None);
         for asn in slow.ases() {
             prop_assert_eq!(fast.members(asn), slow.members(asn));
@@ -137,42 +207,63 @@ proptest! {
     }
 
     #[test]
-    fn arena_bgp_observed_matches_reference(
+    fn observed_cones_match_definitions(
         paths in paths_strategy(),
-        edges in mixed_edges_strategy(),
+        labels in proptest::collection::vec(0u8..4, 1..64),
     ) {
         let sanitized = sanitized_from(&paths);
-        let rels = mixed_rels(&edges);
-        let pairs: Vec<(u32, u32)> = edges.iter().map(|&(x, y, _)| (x, y)).collect();
-        let prefixes = prefixes_for(&pairs);
-        let slow = CustomerCones::bgp_observed_reference(&sanitized, &rels, Some(&prefixes));
+        let rels = rels_on_links(&sanitized, &labels);
+        let prefixes = prefixes_for(1..40);
+        let (bgp, pp) = observed_oracle(&sanitized, &rels);
         for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            let fast = CustomerCones::bgp_observed_with(&sanitized, &rels, Some(&prefixes), par);
-            prop_assert_eq!(fast.len(), slow.len(), "cone count differs at {:?}", par);
-            for asn in slow.ases() {
-                prop_assert_eq!(fast.members(asn), slow.members(asn), "members of {} differ at {:?}", asn, par);
-                prop_assert_eq!(fast.size(asn), slow.size(asn), "size of {} differs at {:?}", asn, par);
-            }
+            let arena = PathArena::build(&sanitized, par);
+            let got = CustomerCones::bgp_observed(&arena, &rels, Some(&prefixes), par);
+            assert_matches(&format!("bgp-observed at {par}"), &got, &bgp, &prefixes)?;
+            let got = CustomerCones::provider_peer_observed(&arena, &rels, Some(&prefixes), par);
+            assert_matches(&format!("provider/peer at {par}"), &got, &pp, &prefixes)?;
         }
     }
+}
 
-    #[test]
-    fn arena_provider_peer_observed_matches_reference(
-        paths in paths_strategy(),
-        edges in mixed_edges_strategy(),
-    ) {
-        let sanitized = sanitized_from(&paths);
-        let rels = mixed_rels(&edges);
-        let pairs: Vec<(u32, u32)> = edges.iter().map(|&(x, y, _)| (x, y)).collect();
-        let prefixes = prefixes_for(&pairs);
-        let slow = CustomerCones::provider_peer_observed_reference(&sanitized, &rels, Some(&prefixes));
-        for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            let fast = CustomerCones::provider_peer_observed_with(&sanitized, &rels, Some(&prefixes), par);
-            prop_assert_eq!(fast.len(), slow.len(), "cone count differs at {:?}", par);
-            for asn in slow.ases() {
-                prop_assert_eq!(fast.members(asn), slow.members(asn), "members of {} differ at {:?}", asn, par);
-                prop_assert_eq!(fast.size(asn), slow.size(asn), "size of {} differs at {:?}", asn, par);
-            }
+/// The engine's observed-cone stages on a generated topology whose arena
+/// holds more than 2,048 ASes — the size above which the automatic block
+/// width splits the pair merge into several blocks — against the
+/// definitional oracle.
+#[test]
+fn observed_cones_match_definitions_across_merge_blocks() {
+    let seed = 17;
+    let mut topology = TopologyConfig::small();
+    topology.mix.stubs = 2_600;
+    let topo = generate(&topology, seed);
+    let sim = simulate(
+        &topo,
+        &SimConfig {
+            vp_selection: VpSelection::Count(8),
+            destination_sample: Some(2_300),
+            ..SimConfig::defaults(seed)
+        },
+    );
+    let cfg = InferenceConfig::with_ixps(topo.ixps.iter().map(|i| i.route_server));
+    let prefixes = topo.ground_truth.prefixes.clone();
+    let mut snapshot = Snapshot::new(&sim.paths, cfg)
+        .without_cache()
+        .with_prefixes(prefixes.clone());
+    let arena = snapshot.arena().expect("arena");
+    assert!(
+        arena.num_ases() >= 2048,
+        "only {} arena ASes: the merge runs a single block",
+        arena.num_ases()
+    );
+    let sanitized = snapshot.sanitized().expect("sanitized");
+    let inference = snapshot.inference().expect("inference");
+    let (bgp, pp) = observed_oracle(&sanitized, &inference.relationships);
+    let check = |name: &str, got: &CustomerCones, want: &Cones| {
+        if let Err(e) = assert_matches(name, got, want, &prefixes) {
+            panic!("{e}");
         }
-    }
+    };
+    let bgp_cone = snapshot.bgp_observed_cone().expect("bgp-observed cone");
+    check("bgp-observed", &bgp_cone, &bgp);
+    let pp_cone = snapshot.provider_peer_cone().expect("provider/peer cone");
+    check("provider/peer", &pp_cone, &pp);
 }

@@ -6,9 +6,9 @@
 //! — any drift is a bug, not noise.
 
 use as_topology_gen::{generate, TopologyConfig};
-use asrank_core::cone::ConeSets;
 use asrank_core::pipeline::{infer, InferenceConfig};
 use asrank_core::sanitize::sanitize_with;
+use asrank_core::{CustomerCones, PathArena};
 use asrank_types::prelude::*;
 use bgp_sim::{simulate, SimConfig, VpSelection};
 
@@ -55,23 +55,24 @@ fn cone_sizes_identical_across_thread_counts() {
     let inference = infer(&paths, &cfg);
     let clean = sanitize_with(&paths, &cfg.sanitize, Parallelism::sequential());
 
-    let seq = ConeSets::compute_with(
-        &clean,
-        &inference.relationships,
-        None,
-        Parallelism::sequential(),
-    );
-    for par in [Parallelism::threads(3), Parallelism::auto()] {
-        let other = ConeSets::compute_with(&clean, &inference.relationships, None, par);
-        for (name, a, b) in [
-            ("recursive", &seq.recursive, &other.recursive),
-            ("bgp_observed", &seq.bgp_observed, &other.bgp_observed),
+    let rels = &inference.relationships;
+    let cones = |par: Parallelism| {
+        let arena = PathArena::build(&clean, par);
+        [
+            ("recursive", CustomerCones::recursive(rels, None, par)),
+            (
+                "bgp_observed",
+                CustomerCones::bgp_observed(&arena, rels, None, par),
+            ),
             (
                 "provider_peer_observed",
-                &seq.provider_peer_observed,
-                &other.provider_peer_observed,
+                CustomerCones::provider_peer_observed(&arena, rels, None, par),
             ),
-        ] {
+        ]
+    };
+    let seq = cones(Parallelism::sequential());
+    for par in [Parallelism::threads(3), Parallelism::auto()] {
+        for ((name, a), (_, b)) in seq.iter().zip(&cones(par)) {
             assert_eq!(a.len(), b.len(), "{name} coverage differs at {par}");
             for (x, y) in a.iter_sizes().zip(b.iter_sizes()) {
                 assert_eq!(x, y, "{name} sizes differ at {par}");

@@ -177,24 +177,6 @@ fn maybe_peer(b: &mut Builder, x: Asn, y: Asn) {
     }
 }
 
-/// How edge-phase Bernoulli successes are decoded into AS pairs.
-///
-/// Both modes consume the RNG identically (the draws happen inside
-/// [`bernoulli_positions`], shared by construction); they differ only in
-/// the non-random machinery that maps a success position back to a
-/// candidate pair. [`EdgeSampling::Fast`] decodes positions in closed
-/// form without materializing the candidate space;
-/// [`EdgeSampling::Reference`] builds the explicit candidate list and
-/// indexes into it — O(candidates) per phase, kept as the oracle the
-/// fast decode is proptest-pinned against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EdgeSampling {
-    /// Closed-form position decode; the production path.
-    Fast,
-    /// Materialized candidate lists; the pinned reference.
-    Reference,
-}
-
 /// Success positions of `n` independent Bernoulli(`p`) trials, found by
 /// geometric gap skipping: each draw yields the number of failures
 /// before the next success (`⌊ln(1-u)/ln(1-p)⌋`, the inverse-CDF of the
@@ -249,34 +231,14 @@ fn tri_decode(n: usize, k: usize) -> (usize, usize) {
 /// Peer unordered pairs of `items` with probability `p` each, visiting
 /// successes in the same lexicographic `(i, j)` order the old nested
 /// `random_bool` loops used.
-fn peer_triangular(b: &mut Builder, items: &[Asn], p: f64, mode: EdgeSampling) {
+fn peer_triangular(b: &mut Builder, items: &[Asn], p: f64) {
     let n = items.len();
     if n < 2 {
         return;
     }
-    let hits = bernoulli_positions(&mut b.rng, n * (n - 1) / 2, p);
-    if hits.is_empty() {
-        return;
-    }
-    match mode {
-        EdgeSampling::Fast => {
-            for k in hits {
-                let (i, j) = tri_decode(n, k);
-                maybe_peer(b, items[i], items[j]);
-            }
-        }
-        EdgeSampling::Reference => {
-            let mut pairs: Vec<(Asn, Asn)> = Vec::with_capacity(n * (n - 1) / 2);
-            for (i, &x) in items.iter().enumerate() {
-                for &y in &items[i + 1..] {
-                    pairs.push((x, y));
-                }
-            }
-            for k in hits {
-                let (x, y) = pairs[k];
-                maybe_peer(b, x, y);
-            }
-        }
+    for k in bernoulli_positions(&mut b.rng, n * (n - 1) / 2, p) {
+        let (i, j) = tri_decode(n, k);
+        maybe_peer(b, items[i], items[j]);
     }
 }
 
@@ -295,22 +257,6 @@ fn peer_triangular(b: &mut Builder, items: &[Asn], p: f64, mode: EdgeSampling) {
 /// assert!(t1.ground_truth.check_invariants().is_empty());
 /// ```
 pub fn generate(config: &TopologyConfig, seed: u64) -> GeneratedTopology {
-    generate_with(config, seed, EdgeSampling::Fast)
-}
-
-/// Generate with the retained reference edge sampler: candidate spaces
-/// are materialized and indexed instead of decoded in closed form.
-///
-/// Consumes the RNG identically to [`generate`] (both paths share
-/// [`bernoulli_positions`]), so for any `(config, seed)` the two must
-/// produce the same topology — the equivalence proptest pins this.
-/// O(candidates) time and memory per peering phase; use only as an
-/// oracle.
-pub fn generate_reference(config: &TopologyConfig, seed: u64) -> GeneratedTopology {
-    generate_with(config, seed, EdgeSampling::Reference)
-}
-
-fn generate_with(config: &TopologyConfig, seed: u64, mode: EdgeSampling) -> GeneratedTopology {
     let mut b = Builder {
         rng: StdRng::seed_from_u64(seed),
         gt: GroundTruth::default(),
@@ -351,7 +297,7 @@ fn generate_with(config: &TopologyConfig, seed: u64, mode: EdgeSampling) -> Gene
         let n = provider_count(&mut b.rng, config.mean_providers_transit);
         attach_providers(&mut b, &mut tier1_pool, a, n, config.cross_region_prob);
     }
-    peer_triangular(&mut b, &large, config.peer_prob_large, mode);
+    peer_triangular(&mut b, &large, config.peer_prob_large);
 
     // --- Mid transit: customers of large transit (sometimes the clique). ---
     let mut upper_pool = ProviderPool::new(regions);
@@ -377,7 +323,7 @@ fn generate_with(config: &TopologyConfig, seed: u64, mode: EdgeSampling) -> Gene
         by_region[b.regions[&m] as usize].push(m);
     }
     for bucket in &by_region {
-        peer_triangular(&mut b, bucket, config.peer_prob_mid, mode);
+        peer_triangular(&mut b, bucket, config.peer_prob_mid);
     }
 
     // --- Small transit: customers of mid (occasionally large) transit. ---
@@ -415,36 +361,19 @@ fn generate_with(config: &TopologyConfig, seed: u64, mode: EdgeSampling) -> Gene
     }
     // Content peers with transit (and other content) in its region. Each
     // content AS sits in its own region bucket, so the candidate space is
-    // the bucket minus itself — the fast decode skips the self slot in
-    // closed form, the reference materializes the filtered list.
+    // the bucket minus itself.
     let mut transit_by_region: Vec<Vec<Asn>> = vec![Vec::new(); regions];
-    let mut bucket_pos: HashMap<Asn, usize> = HashMap::new();
     for &t in large.iter().chain(&mid).chain(&small).chain(&content) {
-        let bucket = &mut transit_by_region[b.regions[&t] as usize];
-        bucket_pos.insert(t, bucket.len());
-        bucket.push(t);
+        transit_by_region[b.regions[&t] as usize].push(t);
     }
     for &c in &content {
-        let region = b.regions[&c] as usize;
-        let bucket = &transit_by_region[region];
+        let bucket = &transit_by_region[b.regions[&c] as usize];
         if bucket.len() < 2 {
             continue;
         }
-        let hits = bernoulli_positions(&mut b.rng, bucket.len() - 1, config.peer_prob_content);
-        match mode {
-            EdgeSampling::Fast => {
-                let cpos = bucket_pos[&c];
-                for k in hits {
-                    let idx = if k >= cpos { k + 1 } else { k };
-                    maybe_peer(&mut b, c, bucket[idx]);
-                }
-            }
-            EdgeSampling::Reference => {
-                let candidates: Vec<Asn> = bucket.iter().copied().filter(|&t| t != c).collect();
-                for k in hits {
-                    maybe_peer(&mut b, c, candidates[k]);
-                }
-            }
+        let candidates: Vec<Asn> = bucket.iter().copied().filter(|&t| t != c).collect();
+        for k in bernoulli_positions(&mut b.rng, candidates.len(), config.peer_prob_content) {
+            maybe_peer(&mut b, c, candidates[k]);
         }
     }
 
@@ -487,7 +416,7 @@ fn generate_with(config: &TopologyConfig, seed: u64, mode: EdgeSampling) -> Gene
             members.swap(j, k);
         }
         members.truncate(want);
-        peer_triangular(&mut b, &members, config.ixp.peering_prob, mode);
+        peer_triangular(&mut b, &members, config.ixp.peering_prob);
         ixps.push(Ixp {
             route_server: rs,
             region,
@@ -732,6 +661,23 @@ mod tests {
                     k += 1;
                 }
             }
+        }
+    }
+
+    /// Row boundaries at sizes the exhaustive test cannot reach, where
+    /// the float row guess is furthest from exact: the first and last
+    /// index of every row, with row starts summed, not closed-form.
+    #[test]
+    fn tri_decode_row_boundaries_at_scale() {
+        for n in [40usize, 1000, 4096, 10_007, 65_536, 300_000] {
+            let mut start = 0usize;
+            for i in 0..n - 1 {
+                let last = start + (n - 2 - i);
+                assert_eq!(tri_decode(n, start), (i, i + 1), "n={n} first of row {i}");
+                assert_eq!(tri_decode(n, last), (i, n - 1), "n={n} last of row {i}");
+                start = last + 1;
+            }
+            assert_eq!(start, n * (n - 1) / 2, "n={n} rows cover every pair");
         }
     }
 

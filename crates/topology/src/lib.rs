@@ -38,7 +38,7 @@ pub use config::{ClassMix, IxpConfig, TopologyConfig};
 pub use evolution::{evolve, EvolutionConfig};
 pub mod sampling;
 pub mod scale;
-pub use generator::{generate, generate_reference, GeneratedTopology};
+pub use generator::{generate, GeneratedTopology};
 pub use scale::{Scale, ScaleParseError};
 pub use io::{load_bundle, save_bundle, BundleError};
 pub use realism::{check_realism, RealismReport};

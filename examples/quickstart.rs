@@ -6,11 +6,10 @@
 //! ```
 
 use asrank::bgpsim::{simulate, SimConfig, VpSelection};
-use asrank::core::cone::ConeSets;
 use asrank::core::pipeline::{infer, InferenceConfig};
-use asrank::core::{rank_ases, sanitize, SanitizeConfig};
+use asrank::core::{rank_ases, CustomerCones};
 use asrank::topology::{generate, TopologyConfig};
-use asrank::types::Asn;
+use asrank::types::{Asn, Parallelism};
 use asrank::validation::{
     build_corpus, evaluate_against_corpus, evaluate_against_truth, CorpusConfig,
 };
@@ -43,25 +42,22 @@ fn main() {
     // 3. Run the ASRank inference pipeline (IXP ASNs known, as in the
     //    paper's IXP list).
     let ixps: Vec<Asn> = topo.ixps.iter().map(|i| i.route_server).collect();
-    let inference = infer(&sim.paths, &InferenceConfig::with_ixps(ixps.clone()));
+    let inference = infer(&sim.paths, &InferenceConfig::with_ixps(ixps));
     let (c2p, p2p, s2s) = inference.relationships.counts();
     println!(
         "inferred: {c2p} c2p, {p2p} p2p, {s2s} s2s; clique {:?}",
         inference.clique
     );
 
-    // 4. Customer cones (all three definitions) and the AS ranking.
-    let clean = sanitize(&sim.paths, &SanitizeConfig::with_ixps(ixps));
-    let cones = ConeSets::compute(
-        &clean,
+    // 4. Recursive customer cones, weighted by originated prefixes, and
+    //    the AS ranking.
+    let cones = CustomerCones::recursive(
         &inference.relationships,
         Some(&topo.ground_truth.prefixes),
+        Parallelism::auto(),
     );
     println!("\ntop 5 ASes by customer cone:");
-    for row in rank_ases(&cones.recursive, &inference.degrees)
-        .iter()
-        .take(5)
-    {
+    for row in rank_ases(&cones, &inference.degrees).iter().take(5) {
         println!(
             "  #{} {}  cone: {} ASes / {} prefixes / {} addrs  (transit degree {})",
             row.rank,

@@ -11,11 +11,10 @@
 //! a dump first so it is runnable offline, then treats it as foreign
 //! data (nothing from the generator is reused).
 
-use asrank::core::cone::ConeSets;
 use asrank::core::pipeline::{infer, InferenceConfig};
-use asrank::core::{rank_ases, sanitize, write_as_rel};
+use asrank::core::{rank_ases, write_as_rel, CustomerCones};
 use asrank::mrt::read_rib_dump;
-use asrank::types::Asn;
+use asrank::types::{Asn, Parallelism};
 
 fn synthesize(path: &std::path::Path) {
     use asrank::bgpsim::{simulate, SimConfig, VpSelection};
@@ -69,8 +68,7 @@ fn main() {
         paths.ases().len()
     );
 
-    let cfg = InferenceConfig::with_ixps(ixps.clone());
-    let inference = infer(&paths, &cfg);
+    let inference = infer(&paths, &InferenceConfig::with_ixps(ixps));
     let (c2p, p2p, s2s) = inference.relationships.counts();
     println!(
         "inferred {c2p} c2p / {p2p} p2p / {s2s} s2s; clique {:?}",
@@ -85,13 +83,9 @@ fn main() {
     );
 
     // Rank and export, exactly like the public artifact.
-    let clean = sanitize(&paths, &cfg.sanitize);
-    let cones = ConeSets::compute(&clean, &inference.relationships, None);
+    let cones = CustomerCones::recursive(&inference.relationships, None, Parallelism::auto());
     println!("\ntop 10 by customer cone:");
-    for row in rank_ases(&cones.recursive, &inference.degrees)
-        .iter()
-        .take(10)
-    {
+    for row in rank_ases(&cones, &inference.degrees).iter().take(10) {
         println!(
             "  #{:<3} {:<10} cone {:>6} ASes   transit degree {:>5}",
             row.rank,

@@ -69,7 +69,7 @@ pub use asrank_validation as validation;
 /// Convenience prelude spanning the whole workspace.
 pub mod prelude {
     pub use asrank_core::pipeline::{infer, Inference, InferenceConfig};
-    pub use asrank_core::{rank_ases, ConeSets, CustomerCones};
+    pub use asrank_core::{rank_ases, CustomerCones};
     pub use asrank_types::prelude::*;
     pub use asrank_validation::{evaluate_against_truth, GroundTruthReport};
 }

@@ -2,9 +2,8 @@
 //! scale, across seeds, including the MRT interchange path.
 
 use asrank::bgpsim::{simulate, SimConfig, VpSelection};
-use asrank::core::cone::ConeSets;
 use asrank::core::pipeline::{infer, InferenceConfig};
-use asrank::core::{sanitize, SanitizeConfig};
+use asrank::core::{sanitize, CustomerCones, PathArena, SanitizeConfig};
 use asrank::mrt::{read_rib_dump, write_rib_dump};
 use asrank::topology::{generate, TopologyConfig};
 use asrank::types::prelude::*;
@@ -91,14 +90,18 @@ fn mrt_interchange_preserves_inference() {
 fn cone_definitions_nest_on_clean_data() {
     let (topo, sim, inference) = chain(23);
     let ixps: Vec<Asn> = topo.ixps.iter().map(|i| i.route_server).collect();
-    let clean = sanitize(&sim.paths, &SanitizeConfig::with_ixps(ixps));
-    let cones = ConeSets::compute(&clean, &inference.relationships, None);
+    let par = Parallelism::auto();
+    let arena = PathArena::build(&sanitize(&sim.paths, &SanitizeConfig::with_ixps(ixps)), par);
+    let rels = &inference.relationships;
+    let recursive = CustomerCones::recursive(rels, None, par);
+    let bgp_observed = CustomerCones::bgp_observed(&arena, rels, None, par);
+    let provider_peer = CustomerCones::provider_peer_observed(&arena, rels, None, par);
     // BGP-observed ⊆ recursive holds unconditionally (observed descents
     // use exactly the p2c links whose closure is the recursive cone).
-    for asn in cones.bgp_observed.ases() {
-        for m in cones.bgp_observed.members(asn) {
+    for asn in bgp_observed.ases() {
+        for m in bgp_observed.members(asn) {
             assert!(
-                cones.recursive.contains(asn, *m),
+                recursive.contains(asn, *m),
                 "{m} in bgp-observed but not recursive cone of {asn}"
             );
         }
@@ -110,10 +113,10 @@ fn cone_definitions_nest_on_clean_data() {
     // (the paper's definitions diverge the same way). Require strong
     // overlap rather than strict nesting.
     let (mut inside, mut total) = (0usize, 0usize);
-    for asn in cones.provider_peer_observed.ases() {
-        for m in cones.provider_peer_observed.members(asn) {
+    for asn in provider_peer.ases() {
+        for m in provider_peer.members(asn) {
             total += 1;
-            if cones.recursive.contains(asn, *m) {
+            if recursive.contains(asn, *m) {
                 inside += 1;
             }
         }
@@ -129,7 +132,8 @@ fn recursive_cone_matches_ground_truth_for_correct_inference() {
     // Where the inference is perfect (use ground truth directly), the
     // recursive cone must equal the true customer cone.
     let topo = generate(&TopologyConfig::tiny(), 3);
-    let cones = asrank::core::CustomerCones::recursive(&topo.ground_truth.relationships, None);
+    let cones =
+        CustomerCones::recursive(&topo.ground_truth.relationships, None, Parallelism::auto());
     for &asn in topo.ground_truth.classes.keys() {
         let truth = topo.ground_truth.true_customer_cone(asn);
         let got: std::collections::HashSet<Asn> = cones.members(asn).iter().copied().collect();

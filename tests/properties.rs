@@ -151,7 +151,7 @@ proptest! {
                 rels.insert_c2p(Asn(c), Asn(p));
             }
         }
-        let cones = asrank::core::CustomerCones::recursive(&rels, None);
+        let cones = asrank::core::CustomerCones::recursive(&rels, None, Parallelism::auto());
         for (customer, provider) in rels.c2p_pairs() {
             for m in cones.members(customer) {
                 prop_assert!(
