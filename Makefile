@@ -21,13 +21,17 @@ test:
 # and under every ablation), the delta session's frames to a cold run
 # over the same samples, the three cone stages to their oracles (the
 # HashSet recursive closure and the definitional observed cones), the
-# blocked pair merge to sort + dedup at every block width, plus the
-# cache invalidation/reuse counters.
+# blocked pair merge to sort + dedup at every block width, the arena
+# forms of S2/S3 to their path-slice definitions, the one-pass S1
+# cleaner to the composition it folds (the monolithic oracle shares
+# S1, so only this test sees it), plus the cache invalidation/reuse
+# counters.
 test-engine:
 	$(CARGO) test -p asrank-core --test engine_equivalence
 	$(CARGO) test -p asrank-core --test delta_equivalence
 	$(CARGO) test -p asrank-core --test cone_equivalence
 	$(CARGO) test -p asrank-core --test blocked_sweep_equivalence
+	$(CARGO) test -p asrank-core --lib -- arena_oracle one_pass_oracle
 	$(CARGO) test -p asrank-core engine::
 
 # Source-level determinism/robustness checks: the file-local rules

@@ -311,18 +311,11 @@ fn stability_runs_on_generated_data() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A cache directory that cannot be created (its parent is a regular
-/// file) must not fail `infer`, but the dropped RIB ingest store is
-/// reported on stderr, naming the stage and the directory.
-#[test]
-fn failed_rib_ingest_store_is_reported() {
-    let dir = tmp("store_fail");
+/// Generate a tiny topology (seed 11) and simulate an 8-VP RIB from it
+/// into `dir`; returns the RIB path.
+fn tiny_rib(dir: &std::path::Path) -> PathBuf {
     let topo = dir.join("topo");
     let rib = dir.join("rib.mrt");
-    let blocker = dir.join("regular-file");
-    std::fs::write(&blocker, b"").unwrap();
-    let cache = blocker.join("sub");
-
     for args in [
         sv(&[
             "generate",
@@ -347,6 +340,20 @@ fn failed_rib_ingest_store_is_reported() {
     ] {
         assert!(bin().args(&args).status().unwrap().success());
     }
+    rib
+}
+
+/// A cache directory that cannot be created (its parent is a regular
+/// file) must not fail `infer`, but the dropped RIB ingest store is
+/// reported on stderr, naming the stage and the directory.
+#[test]
+fn failed_rib_ingest_store_is_reported() {
+    let dir = tmp("store_fail");
+    let rib = tiny_rib(&dir);
+    let blocker = dir.join("regular-file");
+    std::fs::write(&blocker, b"").unwrap();
+    let cache = blocker.join("sub");
+
     let out = bin()
         .args(sv(&[
             "infer",
@@ -367,6 +374,64 @@ fn failed_rib_ingest_store_is_reported() {
             .any(|l| l.contains("rib_ingest") && l.contains(cache.to_str().unwrap())),
         "no failed rib_ingest store reported: {stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every stage's failed spill to an unusable cache directory is counted
+/// in the stage report (per stage and in the totals), and `infer` still
+/// succeeds from its in-memory store.
+#[test]
+fn failed_stage_stores_are_counted_in_the_stage_report() {
+    let dir = tmp("stage_store_fail");
+    let rib = tiny_rib(&dir);
+    let blocker = dir.join("regular-file");
+    std::fs::write(&blocker, b"").unwrap();
+    let report = dir.join("r.json");
+
+    let out = bin()
+        .args(sv(&[
+            "infer",
+            "--rib",
+            rib.to_str().unwrap(),
+            "--cache-dir",
+            blocker.join("sub").to_str().unwrap(),
+            "--stage-report",
+            report.to_str().unwrap(),
+            "--out",
+            dir.join("as-rel.txt").to_str().unwrap(),
+        ]))
+        .output()
+        .expect("infer");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let json = std::fs::read_to_string(&report).expect("stage report written");
+    let count = |line: &str, key: &str| -> Option<u64> {
+        let rest = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
+        rest[..rest.find(|c: char| !c.is_ascii_digit())?]
+            .parse()
+            .ok()
+    };
+    let stages: Vec<&str> = json.lines().filter(|l| l.contains("\"stage\":")).collect();
+    assert_eq!(stages.len(), 16, "{json}");
+    let mut sum = 0;
+    for line in &stages {
+        let failures = count(line, "disk_store_failures").expect("per-stage failure count");
+        assert!(
+            failures > 0,
+            "stage stored nothing yet reports no failure: {line}"
+        );
+        assert_eq!(count(line, "disk_stores"), Some(0), "{line}");
+        sum += failures;
+    }
+    let totals = json
+        .lines()
+        .find(|l| l.contains("\"totals\""))
+        .expect("totals");
+    assert_eq!(count(totals, "disk_store_failures"), Some(sum), "{totals}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

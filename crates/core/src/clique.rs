@@ -10,6 +10,7 @@
 //! from the clique.
 
 use crate::degree::DegreeTable;
+use crate::patharena::PathArena;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -64,7 +65,43 @@ pub fn infer_clique(paths: &SanitizedPaths, degrees: &DegreeTable, cfg: &CliqueC
     clique_from_adjacency(&candidates, &adj, degrees, cfg)
 }
 
-/// Candidate list shared by [`infer_clique`] and the incremental engine:
+/// [`infer_clique`] over the arena's distinct paths — the S3 stage body.
+/// Every candidate link shows up as one candidate directly followed by
+/// another on some distinct path, so walking each candidate's own
+/// occurrences and looking its next hop up in a dense slot table
+/// recovers the observed adjacency without scanning any other path.
+pub(crate) fn infer_clique_from_arena(
+    arena: &PathArena,
+    degrees: &DegreeTable,
+    cfg: &CliqueConfig,
+) -> Vec<Asn> {
+    let candidates = clique_candidates(degrees, cfg);
+    let interner = arena.interner();
+    // Candidates as `(candidate index, dense id)`; `slot[id]` is the
+    // candidate index + 1, 0 when the id is not a candidate.
+    let present: Vec<(usize, u32)> = candidates
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &a)| interner.get(a).map(|id| (i, id)))
+        .collect();
+    let mut slot = vec![0usize; interner.len()];
+    for &(i, id) in &present {
+        slot[id as usize] = i + 1;
+    }
+    let mut adj: Vec<HashSet<usize>> = vec![HashSet::new(); candidates.len()];
+    for &(i, id) in &present {
+        for (p, pos) in arena.occurrences(id) {
+            let next = arena.path(p as usize).get(pos as usize + 1);
+            if let Some(j) = next.and_then(|&b| slot[b as usize].checked_sub(1)) {
+                adj[i].insert(j);
+                adj[j].insert(i);
+            }
+        }
+    }
+    clique_from_adjacency(&candidates, &adj, degrees, cfg)
+}
+
+/// Candidate list shared by [`infer_clique`] and the arena form:
 /// the `cfg.candidates` highest-ranked ASes with nonzero transit degree.
 pub(crate) fn clique_candidates(degrees: &DegreeTable, cfg: &CliqueConfig) -> Vec<Asn> {
     degrees
@@ -78,8 +115,8 @@ pub(crate) fn clique_candidates(degrees: &DegreeTable, cfg: &CliqueConfig) -> Ve
 
 /// The adjacency-independent core of [`infer_clique`]: given the
 /// candidate list and their observed adjacency (however it was built —
-/// a full path scan here, maintained link refcounts on the incremental
-/// path), run the deterministic Bron-Kerbosch search and tie-breaks.
+/// a full path scan, or the arena's inverted index), run the
+/// deterministic Bron-Kerbosch search and tie-breaks.
 /// Splitting here keeps both callers byte-identical by construction.
 pub(crate) fn clique_from_adjacency(
     candidates: &[Asn],
@@ -243,7 +280,10 @@ mod tests {
         let paths = clique_paths();
         let degrees = DegreeTable::compute(&paths);
         let clique = infer_clique(&paths, &degrees, &CliqueConfig::default());
-        let links = paths.links();
+        let links: HashSet<AsLink> = paths
+            .paths()
+            .flat_map(|p| p.links().map(|(a, b)| AsLink::new(a, b)))
+            .collect();
         for (i, &a) in clique.iter().enumerate() {
             for &b in &clique[i + 1..] {
                 assert!(
@@ -270,5 +310,61 @@ mod tests {
         let degrees = DegreeTable::compute(&paths);
         let clique = infer_clique(&paths, &degrees, &CliqueConfig::default());
         assert_eq!(clique, vec![Asn(2)]);
+    }
+
+    /// The engine's arena forms of S2 and S3 against the path-slice
+    /// definitions the monolithic pipeline runs.
+    mod arena_oracle {
+        use super::*;
+        use crate::patharena::PathArena;
+        use proptest::prelude::*;
+
+        /// Random paths over ASNs 1..60 whose hops land on the hubs 1–4
+        /// a third of the time (dense hub-to-hub adjacency for the
+        /// clique), plus a fan of `n` paths `100+i hub 200+i` that gives
+        /// one hub transit degree ≥ 10 by construction.
+        fn raw_paths() -> impl Strategy<Value = Vec<Vec<u32>>> {
+            let hop = (0u32..3, 1u32..60).prop_map(|(k, a)| if k == 0 { 1 + a % 4 } else { a });
+            (
+                proptest::collection::vec(proptest::collection::vec(hop, 2..7), 10..60),
+                1u32..5,
+                5u32..15,
+            )
+                .prop_map(|(mut paths, hub, n)| {
+                    paths.extend((0..n).map(|i| vec![100 + i, hub, 200 + i]));
+                    paths
+                })
+        }
+
+        proptest! {
+            #[test]
+            fn arena_forms_match_path_forms(
+                raw in raw_paths(),
+                candidates in 1usize..30,
+                require_seed in 0u8..2,
+            ) {
+                let ps: PathSet = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| PathSample {
+                        vp: Asn(p[0]),
+                        prefix: Ipv4Prefix::new((i as u32) << 8, 24).unwrap(),
+                        path: AsPath::from_u32s(p.iter().copied()),
+                    })
+                    .collect();
+                let sanitized = sanitize(&ps, &SanitizeConfig::default());
+                let degrees = DegreeTable::compute(&sanitized);
+                let top = degrees.ranked().first().map_or(0, |&a| degrees.transit_degree(a));
+                prop_assert!(top >= 10, "generator missed the high-degree regime: {}", top);
+                let cfg = CliqueConfig { candidates, require_seed: require_seed == 1 };
+                let clique = infer_clique(&sanitized, &degrees, &cfg);
+                for par in [Parallelism::sequential(), Parallelism::threads(4)] {
+                    let arena = PathArena::build(&sanitized, par);
+                    let arena_degrees = DegreeTable::from_arena(&arena);
+                    prop_assert_eq!(&arena_degrees, &degrees);
+                    prop_assert_eq!(infer_clique_from_arena(&arena, &arena_degrees, &cfg), clique.clone());
+                }
+            }
+        }
     }
 }

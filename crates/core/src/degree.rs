@@ -7,7 +7,14 @@
 //! position in the hierarchy than plain node degree, because a stub with
 //! many peers still has transit degree zero. Ties break by node degree,
 //! then by lower ASN (the paper's ordering).
+//!
+//! Both degrees are defined over the *set* of observed paths, so the
+//! engine computes them from the path arena's distinct paths
+//! ([`DegreeTable::from_arena`]); [`DegreeTable::compute`] is the
+//! path-slice definition the monolithic pipeline runs and the
+//! equivalence tests pin the arena form against.
 
+use crate::patharena::PathArena;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -67,14 +74,69 @@ impl DegreeTable {
         }
     }
 
+    /// [`DegreeTable::compute`] over the arena's distinct paths — the S2
+    /// stage body. For each dense id the inverted index yields every
+    /// `(path, position)` occurrence; the hops at `position ± 1` are its
+    /// node neighbours, and both count as transit neighbours when the id
+    /// sits mid-path. Two stamp arrays count distinct neighbours without
+    /// hashing.
+    ///
+    /// The AS set is the same as the path-slice form's: sanitized paths
+    /// have at least two hops, so every interned hop has a nonzero node
+    /// degree. The bulk interner assigns ids in ascending ASN order, so
+    /// ranking ids by (transit desc, node desc, id asc) is the paper's
+    /// order.
+    pub fn from_arena(arena: &PathArena) -> Self {
+        let n = arena.num_ases();
+        let mut transit = vec![0usize; n];
+        let mut node = vec![0usize; n];
+        // `*_seen[b] == a + 1` once neighbour `b` has been counted for `a`.
+        let mut node_seen = vec![0u32; n];
+        let mut transit_seen = vec![0u32; n];
+        for a in 0..n {
+            let stamp = dense_id(a + 1);
+            for (p, pos) in arena.occurrences(dense_id(a)) {
+                let hops = arena.path(p as usize);
+                let pos = pos as usize;
+                let mid = pos > 0 && pos + 1 < hops.len();
+                let before = pos.checked_sub(1);
+                let after = Some(pos + 1).filter(|&j| j < hops.len());
+                for j in before.into_iter().chain(after) {
+                    let b = hops[j] as usize;
+                    if node_seen[b] != stamp {
+                        node_seen[b] = stamp;
+                        node[a] += 1;
+                    }
+                    if mid && transit_seen[b] != stamp {
+                        transit_seen[b] = stamp;
+                        transit[a] += 1;
+                    }
+                }
+            }
+        }
+        let mut ranked: Vec<usize> = (0..n).collect();
+        ranked.sort_unstable_by(|&a, &b| {
+            transit[b]
+                .cmp(&transit[a])
+                .then_with(|| node[b].cmp(&node[a]))
+                .then_with(|| a.cmp(&b))
+        });
+        let interner = arena.interner();
+        Self::from_ranked_entries(
+            ranked
+                .into_iter()
+                .map(|a| (interner.resolve(dense_id(a)), transit[a], node[a])),
+        )
+    }
+
     /// Rebuild a table from its canonical serialized form: one
     /// `(asn, transit degree, node degree)` entry per observed AS, in
     /// `ranked` order. The three internal collections share one key set
     /// by construction, so this is a lossless inverse of walking
     /// [`DegreeTable::ranked`] with the degree accessors — the persistent
     /// artifact codec's decode path. The caller owns the ordering
-    /// invariant; only [`DegreeTable::compute`] establishes it from
-    /// scratch.
+    /// invariant; only [`DegreeTable::compute`] and
+    /// [`DegreeTable::from_arena`] establish it from scratch.
     pub fn from_ranked_entries<I>(entries: I) -> Self
     where
         I: IntoIterator<Item = (Asn, usize, usize)>,

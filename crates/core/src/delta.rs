@@ -12,10 +12,11 @@
 //!   re-emitting a bit-identical arena on demand;
 //! * maintained `(vp, first hop)` distinct-prefix counters, so S6 —
 //!   the only relationship step that reads raw samples — classifies
-//!   from counters instead of re-scanning every sample;
-//! * a refcounted neighbor-link ledger, so S2 assembles its degree
-//!   table in `O(V log V)` from live counters instead of re-walking
-//!   every hop of every sanitized path.
+//!   from counters instead of re-scanning every sample.
+//!
+//! S2 and S3 need no evidence of their own: both read the distinct
+//! paths of the arena the walk canonicalizes anyway, so a delta run
+//! reruns their bodies over it.
 //!
 //! Everything else is dirty-set propagation inside the engine
 //! (`Snapshot::delta_run`): a stage whose input aspects are all clean is
@@ -95,6 +96,8 @@ pub struct DeltaSession {
     /// One sanitize fate per master sample, positionally aligned.
     fates: Vec<SampleFate>,
     cfg: InferenceConfig,
+    /// The configured IXP list, sorted once for [`sample_fate`].
+    ixps: Vec<Asn>,
     /// In-place distinct-path table over the clean fates.
     slots: MutablePathArena,
     /// Clean samples per `(vp, first hop)` — S6's distinct-prefix
@@ -102,10 +105,6 @@ pub struct DeltaSession {
     via: FxHashMap<(Asn, Asn), u32>,
     /// Clean samples per vantage point (the S6 share denominators).
     totals: FxHashMap<Asn, u32>,
-    /// Refcounted neighbor links over the clean paths — S2's evidence,
-    /// so the delta walk assembles the degree table from counters
-    /// instead of re-scanning every sanitized path.
-    degrees: DegreeLedger,
     /// `(vp, prefix)` → position in `master`/`fates`, maintained across
     /// batches so apply touches only the samples a batch names.
     index: FxHashMap<(Asn, Ipv4Prefix), u32>,
@@ -159,11 +158,11 @@ impl DeltaSession {
         let mut session = DeltaSession {
             fates: Vec::with_capacity(paths.len()),
             master: paths,
+            ixps: cfg.sanitize.sorted_ixps(),
             cfg,
             slots,
             via: FxHashMap::default(),
             totals: FxHashMap::default(),
-            degrees: DegreeLedger::default(),
             index,
             counters: SanitizeReport::default(),
             clean: 0,
@@ -172,11 +171,10 @@ impl DeltaSession {
             dirt: 0,
         };
         for s in session.master.iter() {
-            let fate = sample_fate(&s.path, &session.cfg.sanitize);
+            let fate = sample_fate(&s.path, &session.ixps);
             add_report(&mut session.counters, &fate.delta);
             if let Some(path) = &fate.clean {
                 session.clean += 1;
-                session.degrees.add(path);
                 if let Some(key) = vp_key(s.vp, path) {
                     *session.via.entry(key).or_default() += 1;
                     *session.totals.entry(s.vp).or_default() += 1;
@@ -228,7 +226,7 @@ impl DeltaSession {
                     if self.master.samples_mut()[i].path == *path {
                         continue;
                     }
-                    let fate = sample_fate(path, &self.cfg.sanitize);
+                    let fate = sample_fate(path, &self.ixps);
                     self.admit(vp, &fate);
                     let old = std::mem::replace(&mut self.fates[i], fate);
                     self.retire(vp, &old)?;
@@ -236,7 +234,7 @@ impl DeltaSession {
                     self.master.samples_mut()[i].path = path.clone();
                 }
                 (None, PathDelta::Announce(path)) => {
-                    let fate = sample_fate(path, &self.cfg.sanitize);
+                    let fate = sample_fate(path, &self.ixps);
                     self.admit(vp, &fate);
                     self.dirt |= dirt::SAMPLES;
                     self.index
@@ -295,7 +293,6 @@ impl DeltaSession {
                 slots: &mut self.slots,
                 via: &self.via,
                 totals: &self.totals,
-                ledger: &self.degrees,
                 cfg: &self.cfg,
             };
             snap.delta_run(&self.prev, self.dirt, &mut provider)?;
@@ -405,7 +402,6 @@ impl DeltaSession {
                 }
             }
             self.clean -= 1;
-            self.degrees.remove(path);
             if let Some(key) = vp_key(vp, path) {
                 decrement(&mut self.via, key);
                 decrement(&mut self.totals, vp);
@@ -422,7 +418,6 @@ impl DeltaSession {
             let ev = self.slots.add_one(&hops);
             self.note(ev);
             self.clean += 1;
-            self.degrees.add(path);
             if let Some(key) = vp_key(vp, path) {
                 *self.via.entry(key).or_default() += 1;
                 *self.totals.entry(vp).or_default() += 1;
@@ -436,113 +431,6 @@ impl DeltaSession {
         if matches!(ev, PathEvent::AddedDistinct | PathEvent::RemovedDistinct) {
             self.dirt |= dirt::STRUCTURE;
         }
-    }
-}
-
-/// Refcounted degree evidence: one counter per *directed* neighbor link
-/// `(as, neighbor)` across clean sample paths, split into the two
-/// adjacency flavors S2 distinguishes (any position vs. mid-path), plus
-/// the per-AS distinct-neighbor tallies those links induce. Clean paths
-/// are loop-free and prepending-compressed, so an AS occupies at most
-/// one position per path and each directed link key contributes at most
-/// once per sample — making the counters exact refcounts.
-///
-/// [`DegreeLedger::emit`] reassembles a [`DegreeTable`] content-equal
-/// to [`DegreeTable::compute`] over the same clean paths: the observed
-/// AS set is exactly "node degree > 0" (a length-1 path contributes no
-/// links, matching the stage body), and the ranked order re-applies the
-/// stage's comparator to that set.
-#[derive(Clone, Default)]
-struct DegreeLedger {
-    node_links: FxHashMap<(Asn, Asn), u32>,
-    transit_links: FxHashMap<(Asn, Asn), u32>,
-    node_deg: FxHashMap<Asn, u32>,
-    transit_deg: FxHashMap<Asn, u32>,
-}
-
-impl DegreeLedger {
-    fn add(&mut self, clean: &AsPath) {
-        let hops = &clean.0;
-        for (i, &asn) in hops.iter().enumerate() {
-            let mid = i > 0 && i + 1 < hops.len();
-            if i > 0 {
-                Self::link_up(&mut self.node_links, &mut self.node_deg, asn, hops[i - 1]);
-                if mid {
-                    Self::link_up(&mut self.transit_links, &mut self.transit_deg, asn, hops[i - 1]);
-                }
-            }
-            if i + 1 < hops.len() {
-                Self::link_up(&mut self.node_links, &mut self.node_deg, asn, hops[i + 1]);
-                if mid {
-                    Self::link_up(&mut self.transit_links, &mut self.transit_deg, asn, hops[i + 1]);
-                }
-            }
-        }
-    }
-
-    fn remove(&mut self, clean: &AsPath) {
-        let hops = &clean.0;
-        for (i, &asn) in hops.iter().enumerate() {
-            let mid = i > 0 && i + 1 < hops.len();
-            if i > 0 {
-                Self::link_down(&mut self.node_links, &mut self.node_deg, asn, hops[i - 1]);
-                if mid {
-                    Self::link_down(&mut self.transit_links, &mut self.transit_deg, asn, hops[i - 1]);
-                }
-            }
-            if i + 1 < hops.len() {
-                Self::link_down(&mut self.node_links, &mut self.node_deg, asn, hops[i + 1]);
-                if mid {
-                    Self::link_down(&mut self.transit_links, &mut self.transit_deg, asn, hops[i + 1]);
-                }
-            }
-        }
-    }
-
-    fn link_up(
-        links: &mut FxHashMap<(Asn, Asn), u32>,
-        deg: &mut FxHashMap<Asn, u32>,
-        asn: Asn,
-        neighbor: Asn,
-    ) {
-        let c = links.entry((asn, neighbor)).or_insert(0);
-        *c += 1;
-        if *c == 1 {
-            *deg.entry(asn).or_insert(0) += 1;
-        }
-    }
-
-    fn link_down(
-        links: &mut FxHashMap<(Asn, Asn), u32>,
-        deg: &mut FxHashMap<Asn, u32>,
-        asn: Asn,
-        neighbor: Asn,
-    ) {
-        if let Some(c) = links.get_mut(&(asn, neighbor)) {
-            *c -= 1;
-            if *c == 0 {
-                links.remove(&(asn, neighbor));
-                decrement(deg, asn);
-            }
-        }
-    }
-
-    /// Assemble the degree table from the live counters — the S2
-    /// provider body. Cost is `O(V log V)` in observed ASes, not
-    /// `O(total hops)` like the stage body's re-scan.
-    fn emit(&self) -> DegreeTable {
-        let mut ranked: Vec<Asn> = self.node_deg.keys().copied().collect();
-        let transit = |a: Asn| self.transit_deg.get(&a).copied().unwrap_or(0) as usize;
-        let node = |a: Asn| self.node_deg.get(&a).copied().unwrap_or(0) as usize;
-        // The stage's comparator verbatim: transit degree desc, node
-        // degree desc, ASN asc.
-        ranked.sort_by(|&a, &b| {
-            transit(b)
-                .cmp(&transit(a))
-                .then_with(|| node(b).cmp(&node(a)))
-                .then_with(|| a.cmp(&b))
-        });
-        DegreeTable::from_ranked_entries(ranked.into_iter().map(|a| (a, transit(a), node(a))))
     }
 }
 
@@ -595,7 +483,6 @@ struct SessionProvider<'s> {
     slots: &'s mut MutablePathArena,
     via: &'s FxHashMap<(Asn, Asn), u32>,
     totals: &'s FxHashMap<Asn, u32>,
-    ledger: &'s DegreeLedger,
     cfg: &'s InferenceConfig,
 }
 
@@ -621,10 +508,6 @@ impl DeltaProvider for SessionProvider<'_> {
 
     fn arena(&mut self) -> Arc<PathArena> {
         self.slots.canonicalize()
-    }
-
-    fn degrees(&mut self) -> Arc<DegreeTable> {
-        Arc::new(self.ledger.emit())
     }
 
     fn vp_providers(

@@ -38,7 +38,7 @@
 //! Failures surface as [`EngineError`] values naming the stage — the
 //! engine path never panics on malformed input.
 
-use crate::clique::infer_clique;
+use crate::clique::infer_clique_from_arena;
 use crate::cone::CustomerCones;
 use crate::degree::DegreeTable;
 use crate::patharena::PathArena;
@@ -216,6 +216,10 @@ pub struct StageStats {
     pub disk_hits: u64,
     /// Stage outputs spilled to the persistent cache.
     pub disk_stores: u64,
+    /// Spills to the persistent cache that failed (the directory could
+    /// not be created or the frame not written). The stage output is
+    /// still kept in memory; only the next process loses the reuse.
+    pub disk_store_failures: u64,
     /// Delta runs that reused the previous emission's artifact because
     /// no input aspect of this stage was dirty.
     pub delta_skipped: u64,
@@ -293,9 +297,9 @@ pub(crate) mod dirt {
 // Stage indices. Order is topological; `STAGES[i].inputs` only contains
 // indices < i.
 pub(crate) const S1_SANITIZE: usize = 0;
-pub(crate) const S2_DEGREES: usize = 1;
-pub(crate) const S3_CLIQUE: usize = 2;
-pub(crate) const PATH_ARENA: usize = 3;
+pub(crate) const PATH_ARENA: usize = 1;
+pub(crate) const S2_DEGREES: usize = 2;
+pub(crate) const S3_CLIQUE: usize = 3;
 pub(crate) const S4_POISON: usize = 4;
 pub(crate) const OBSERVED_LINKS: usize = 5;
 pub(crate) const S5_TOPDOWN: usize = 6;
@@ -319,25 +323,25 @@ static STAGES: &[StageSpec] = &[
         run: run_sanitize,
     },
     StageSpec {
-        name: "s2_degrees",
+        name: "path_arena",
         inputs: &[S1_SANITIZE],
+        reads: dirt::STRUCTURE | dirt::MULT,
+        cfg_fp: fp_none,
+        run: run_arena,
+    },
+    StageSpec {
+        name: "s2_degrees",
+        inputs: &[PATH_ARENA],
         reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
         run: run_degrees,
     },
     StageSpec {
         name: "s3_clique",
-        inputs: &[S1_SANITIZE, S2_DEGREES],
+        inputs: &[PATH_ARENA, S2_DEGREES],
         reads: dirt::STRUCTURE,
         cfg_fp: fp_clique,
         run: run_clique,
-    },
-    StageSpec {
-        name: "path_arena",
-        inputs: &[S1_SANITIZE],
-        reads: dirt::STRUCTURE | dirt::MULT,
-        cfg_fp: fp_none,
-        run: run_arena,
     },
     StageSpec {
         name: "s4_poison",
@@ -582,26 +586,26 @@ fn run_sanitize(env: &Env, _inputs: &Inputs) -> Result<Artifact, EngineError> {
     ))))
 }
 
-fn run_degrees(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
-    let sanitized = inputs.get::<SanitizedPaths>(0)?;
-    Ok(Artifact::Degrees(Arc::new(DegreeTable::compute(sanitized))))
-}
-
-fn run_clique(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
-    let sanitized = inputs.get::<SanitizedPaths>(0)?;
-    let degrees = inputs.get::<DegreeTable>(1)?;
-    Ok(Artifact::Clique(Arc::new(infer_clique(
-        sanitized,
-        degrees,
-        &env.cfg.clique,
-    ))))
-}
-
 fn run_arena(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let sanitized = inputs.get::<SanitizedPaths>(0)?;
     Ok(Artifact::Arena(Arc::new(PathArena::build(
         sanitized,
         env.cfg.parallelism,
+    ))))
+}
+
+fn run_degrees(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let arena = inputs.get::<PathArena>(0)?;
+    Ok(Artifact::Degrees(Arc::new(DegreeTable::from_arena(arena))))
+}
+
+fn run_clique(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+    let arena = inputs.get::<PathArena>(0)?;
+    let degrees = inputs.get::<DegreeTable>(1)?;
+    Ok(Artifact::Clique(Arc::new(infer_clique_from_arena(
+        arena,
+        degrees,
+        &env.cfg.clique,
     ))))
 }
 
@@ -1032,9 +1036,12 @@ impl<'a> Snapshot<'a> {
     fn keep(&mut self, idx: usize, fp: u64, artifact: &Artifact, source: Source) {
         self.store.record(idx, fp, artifact, source);
         let Some(cache) = &self.cache else { return };
-        if cache.store(STAGES[idx].name, self.disk_key(fp), artifact) {
-            if let Some(stat) = self.store.stats.get_mut(idx) {
+        let stored = cache.store(STAGES[idx].name, self.disk_key(fp), artifact);
+        if let Some(stat) = self.store.stats.get_mut(idx) {
+            if stored {
                 stat.disk_stores += 1;
+            } else {
+                stat.disk_store_failures += 1;
             }
         }
     }
@@ -1110,7 +1117,7 @@ impl<'a> Snapshot<'a> {
     /// The incremental propagation pass behind [`crate::delta::DeltaSession`]:
     /// walk the DAG in topological order and either inject the previous
     /// emission's artifact (a delta skip) or re-execute the stage (body,
-    /// or an incremental provider for S1/arena/S2/S6) and compare the
+    /// or an incremental provider for S1/arena/S6) and compare the
     /// result against the previous artifact.
     ///
     /// `aspects` holds the [`dirt`] aspects the session's batches touched.
@@ -1162,7 +1169,6 @@ impl<'a> Snapshot<'a> {
             let artifact = match idx {
                 S1_SANITIZE => Artifact::Sanitized(provider.sanitized()),
                 PATH_ARENA => Artifact::Arena(provider.arena()),
-                S2_DEGREES => Artifact::Degrees(provider.degrees()),
                 S6_VP_PROVIDERS if !self.env.cfg.ablation.no_vp_step => {
                     Artifact::Steps(provider.vp_providers(inputs.get(0)?, inputs.get(2)?))
                 }
@@ -1213,6 +1219,8 @@ impl<'a> Snapshot<'a> {
 /// the full stage bodies. Implemented by [`crate::delta::DeltaSession`],
 /// which owns the per-sample evidence (sanitize fates, the mutable
 /// arena, the VP first-hop counters) these providers are cheap with.
+/// Every other recomputed stage, S2 and S3 included, reruns its body
+/// over the artifacts the run already holds.
 pub(crate) trait DeltaProvider {
     /// S1 without re-sanitizing: rebuild [`SanitizedPaths`] from cached
     /// per-sample fates.
@@ -1220,10 +1228,6 @@ pub(crate) trait DeltaProvider {
     /// The arena without re-deduplicating: canonicalize the in-place
     /// slot table.
     fn arena(&mut self) -> Arc<PathArena>;
-    /// S2 without re-scanning every sanitized path: assemble the degree
-    /// table from maintained per-link refcounts (`O(V log V)` in
-    /// observed ASes instead of `O(total hops)`).
-    fn degrees(&mut self) -> Arc<DegreeTable>;
     /// S6 without re-scanning every sample: classify over maintained
     /// `(vp, first hop)` distinct-prefix counters, starting from the
     /// current S5 state.
@@ -1294,13 +1298,14 @@ impl StageReport {
             out.push_str(&format!(
                 "    {{\"stage\": \"{name}\", \"runs\": {}, \"cache_hits\": {}, \
                  \"cache_misses\": {}, \"disk_hits\": {}, \"disk_stores\": {}, \
-                 \"wall_ns\": {}, \"items\": {}, \"bytes\": {}, \
-                 \"delta_skipped\": {}, \"delta_recomputed\": {}}}{}\n",
+                 \"disk_store_failures\": {}, \"wall_ns\": {}, \"items\": {}, \
+                 \"bytes\": {}, \"delta_skipped\": {}, \"delta_recomputed\": {}}}{}\n",
                 s.runs,
                 s.hits,
                 s.misses,
                 s.disk_hits,
                 s.disk_stores,
+                s.disk_store_failures,
                 s.wall_ns,
                 s.items,
                 s.bytes,
@@ -1315,6 +1320,7 @@ impl StageReport {
             t.misses += s.misses;
             t.disk_hits += s.disk_hits;
             t.disk_stores += s.disk_stores;
+            t.disk_store_failures += s.disk_store_failures;
             t.wall_ns += s.wall_ns;
             t.delta_skipped += s.delta_skipped;
             t.delta_recomputed += s.delta_recomputed;
@@ -1322,13 +1328,15 @@ impl StageReport {
         });
         out.push_str(&format!(
             "  ],\n  \"totals\": {{\"runs\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"disk_hits\": {}, \"disk_stores\": {}, \"wall_ns\": {}, \
-             \"delta_skipped\": {}, \"delta_recomputed\": {}, \"dirty_set_size\": {}}}\n}}\n",
+             \"disk_hits\": {}, \"disk_stores\": {}, \"disk_store_failures\": {}, \
+             \"wall_ns\": {}, \"delta_skipped\": {}, \"delta_recomputed\": {}, \
+             \"dirty_set_size\": {}}}\n}}\n",
             totals.runs,
             totals.hits,
             totals.misses,
             totals.disk_hits,
             totals.disk_stores,
+            totals.disk_store_failures,
             totals.wall_ns,
             totals.delta_skipped,
             totals.delta_recomputed,

@@ -86,18 +86,22 @@ impl PathArena {
 
         // Sort sample indices by hop content; equal runs collapse into
         // one distinct path with a multiplicity count. A packed
-        // (hop0, hop1) prefix key resolves almost every comparison in
-        // registers — sanitized paths have ≥ 2 hops, and packed-u64
-        // order equals lexicographic (hop0, hop1) order. sort_unstable
-        // is deterministic (pattern-defeating quicksort, no randomness);
+        // (hop0, hop1, hop2, hop3) prefix key resolves almost every
+        // comparison in registers: hops 0–1 are usually (VP, first hop),
+        // shared by many samples, so a two-hop key fell through to the
+        // slice compare most of the time. Missing hops read 0, and AS 0
+        // never survives sanitization, so a shorter path packs below
+        // every extension of it and packed-u128 order equals
+        // lexicographic order of the first four hops. sort_unstable is
+        // deterministic (pattern-defeating quicksort, no randomness);
         // fully equal keys reference identical hop slices, so which
         // sample represents a run cannot matter.
-        let prefix_key = |h: &[u32]| -> u64 {
-            let h0 = h.first().copied().unwrap_or(0) as u64;
-            let h1 = h.get(1).copied().unwrap_or(0) as u64;
-            h0 << 32 | h1
+        let prefix_key = |h: &[u32]| -> u128 {
+            (0..4).fold(0u128, |key, i| {
+                key << 32 | u128::from(h.get(i).copied().unwrap_or(0))
+            })
         };
-        let mut order: Vec<(u64, u32)> = (0..dense_id(samples.len()))
+        let mut order: Vec<(u128, u32)> = (0..dense_id(samples.len()))
             .map(|i| (prefix_key(hops_of(i)), i))
             .collect();
         order.sort_unstable_by(|a, b| {

@@ -119,7 +119,11 @@ fn put_samples<'a, I: Iterator<Item = &'a PathSample>>(e: &mut Encoder, count: u
         e.u32(s.vp.0);
         e.u32(s.prefix.network());
         e.u8(s.prefix.len());
-        e.seq_u32(&s.path.0.iter().map(|a| a.0).collect::<Vec<u32>>());
+        // The `seq_u32` layout, written hop by hop without a copy.
+        e.usize(s.path.len());
+        for a in s.path.iter() {
+            e.u32(a.0);
+        }
     }
 }
 

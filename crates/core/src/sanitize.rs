@@ -27,6 +27,14 @@ impl SanitizeConfig {
             ixp_asns: ixps.into_iter().collect(),
         }
     }
+
+    /// The IXP route-server list sorted ascending: the lookup table the
+    /// per-path pass binary-searches, built once per sanitize call.
+    pub(crate) fn sorted_ixps(&self) -> Vec<Asn> {
+        let mut ixps: Vec<Asn> = self.ixp_asns.iter().copied().collect();
+        ixps.sort_unstable();
+        ixps
+    }
 }
 
 /// Counters describing what sanitization did.
@@ -63,62 +71,56 @@ impl SanitizedPaths {
     pub fn paths(&self) -> impl Iterator<Item = &AsPath> {
         self.samples.iter().map(|s| &s.path)
     }
-
-    /// Distinct links observed across all cleaned paths.
-    pub fn links(&self) -> HashSet<AsLink> {
-        let mut out = HashSet::new();
-        for p in self.paths() {
-            for (a, b) in p.links() {
-                out.insert(AsLink::new(a, b));
-            }
-        }
-        out
-    }
 }
 
-/// Sanitize one path. Returns `None` (with the reason recorded in
-/// `report`) when the path must be discarded.
-fn sanitize_path(
-    path: &AsPath,
-    cfg: &SanitizeConfig,
-    report: &mut SanitizeReport,
-) -> Option<AsPath> {
-    // Reserved ASNs anywhere make the whole path suspect: poisoners use
-    // private ASNs precisely because they never appear legitimately.
-    if !path.all_routable() {
-        report.discarded_reserved += 1;
-        return None;
-    }
-
-    let compressed = path.compress_prepending();
-    if compressed.len() != path.len() {
-        report.compressed_prepending += 1;
-    }
-
-    // Strip IXP route-server hops *after* compression so the two clients
-    // become adjacent.
-    let mut hops: Vec<Asn> = compressed.0;
-    if !cfg.ixp_asns.is_empty() {
-        let before = hops.len();
-        hops.retain(|a| !cfg.ixp_asns.contains(a));
-        if hops.len() != before {
-            report.stripped_ixp += 1;
+/// Sanitize one path in a single pass. Returns `None` (with the reason
+/// recorded in `report`) when the path must be discarded. `ixps` is the
+/// IXP route-server list, sorted ascending.
+///
+/// The pass is the composition compress prepending → strip IXP hops →
+/// recompress → loop check, folded into one walk that allocates only
+/// the cleaned path:
+///
+/// 1. a hop equal to its *raw* predecessor is prepending;
+/// 2. an IXP hop is stripped, so the two route-server clients become
+///    adjacent;
+/// 3. a hop equal to the last kept hop is the duplicate stripping left
+///    behind (`A RS A` never occurs in practice, but be safe) and is
+///    dropped without counting as prepending;
+/// 4. a kept hop already present in the kept slice is a loop.
+///
+/// Reserved ASNs anywhere make the whole path suspect (poisoners use
+/// private ASNs precisely because they never appear legitimately), and
+/// that verdict takes precedence over every other counter.
+fn sanitize_path(path: &AsPath, ixps: &[Asn], report: &mut SanitizeReport) -> Option<AsPath> {
+    let raw = &path.0;
+    let mut kept: Vec<Asn> = Vec::with_capacity(raw.len());
+    let (mut prepended, mut stripped, mut looped) = (false, false, false);
+    for (i, &asn) in raw.iter().enumerate() {
+        if !asn.is_routable() {
+            report.discarded_reserved += 1;
+            return None;
+        }
+        if i > 0 && raw[i - 1] == asn {
+            prepended = true;
+        } else if ixps.binary_search(&asn).is_ok() {
+            stripped = true;
+        } else if kept.last() != Some(&asn) {
+            looped |= kept.contains(&asn);
+            kept.push(asn);
         }
     }
-
-    // Stripping can create new adjacency duplicates (A RS A never occurs
-    // in practice, but be safe) — recompress.
-    let cleaned = AsPath(hops).compress_prepending();
-
-    if cleaned.has_loop() {
+    report.compressed_prepending += usize::from(prepended);
+    report.stripped_ixp += usize::from(stripped);
+    if looped {
         report.discarded_loops += 1;
         return None;
     }
-    if cleaned.len() < 2 {
+    if kept.len() < 2 {
         report.discarded_short += 1;
         return None;
     }
-    Some(cleaned)
+    Some(AsPath(kept))
 }
 
 /// The sanitization outcome of a single sample: the cleaned path (or
@@ -137,10 +139,10 @@ pub(crate) struct SampleFate {
 
 /// Sanitize one sample in isolation — the same decision procedure
 /// [`sanitize_with`] applies per chunk, exposed per sample for the
-/// incremental path.
-pub(crate) fn sample_fate(path: &AsPath, cfg: &SanitizeConfig) -> SampleFate {
+/// incremental path. `ixps` is [`SanitizeConfig::sorted_ixps`].
+pub(crate) fn sample_fate(path: &AsPath, ixps: &[Asn]) -> SampleFate {
     let mut delta = SanitizeReport::default();
-    let clean = sanitize_path(path, cfg, &mut delta);
+    let clean = sanitize_path(path, ixps, &mut delta);
     SampleFate { clean, delta }
 }
 
@@ -155,11 +157,12 @@ pub fn sanitize(paths: &PathSet, cfg: &SanitizeConfig) -> SanitizedPaths {
 /// identical for every `par` value.
 pub fn sanitize_with(paths: &PathSet, cfg: &SanitizeConfig, par: Parallelism) -> SanitizedPaths {
     let all: Vec<&PathSample> = paths.iter().collect();
+    let ixps = cfg.sorted_ixps();
     let per_chunk = crate::par::map_chunks(par, 256, &all, |chunk| {
         let mut report = SanitizeReport::default();
         let mut samples = Vec::with_capacity(chunk.len());
         for s in chunk {
-            if let Some(clean) = sanitize_path(&s.path, cfg, &mut report) {
+            if let Some(clean) = sanitize_path(&s.path, &ixps, &mut report) {
                 samples.push(PathSample {
                     vp: s.vp,
                     prefix: s.prefix,
@@ -174,9 +177,15 @@ pub fn sanitize_with(paths: &PathSet, cfg: &SanitizeConfig, par: Parallelism) ->
         input_paths: paths.len(),
         ..Default::default()
     };
-    let mut samples = Vec::with_capacity(paths.len());
+    let mut samples: Vec<PathSample> = Vec::new();
     for (chunk_samples, r) in per_chunk {
-        samples.extend(chunk_samples);
+        // The first chunk's buffer becomes the output, so a sequential
+        // run moves no sample twice.
+        if samples.is_empty() {
+            samples = chunk_samples;
+        } else {
+            samples.extend(chunk_samples);
+        }
         report.discarded_loops += r.discarded_loops;
         report.discarded_reserved += r.discarded_reserved;
         report.discarded_short += r.discarded_short;
@@ -288,11 +297,128 @@ mod tests {
     }
 
     #[test]
-    fn links_collects_unique_adjacencies() {
+    fn kept_paths_carry_their_adjacencies() {
         let out = sanitize(&ps(&[&[1, 2, 3], &[3, 2, 1]]), &SanitizeConfig::default());
-        let links = out.links();
+        let links: HashSet<AsLink> = out
+            .paths()
+            .flat_map(|p| p.links().map(|(a, b)| AsLink::new(a, b)))
+            .collect();
         assert_eq!(links.len(), 2);
         assert!(links.contains(&AsLink::new(Asn(1), Asn(2))));
         assert!(links.contains(&AsLink::new(Asn(2), Asn(3))));
+    }
+
+    /// Differential pin of the one-pass cleaner against the composition
+    /// it folds, written out step by step. `infer_monolithic` runs the
+    /// same sanitizer as the engine, so no equivalence suite can see an
+    /// S1 bug; this is S1's own oracle.
+    mod one_pass_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// IXP route servers of the differential runs.
+        const RS: u32 = 900;
+        const RS2: u32 = 901;
+
+        /// compress prepending → drop IXP hops → compress again → loop
+        /// check → length check, each step counting what it did.
+        fn composed(
+            path: &AsPath,
+            ixps: &HashSet<Asn>,
+            report: &mut SanitizeReport,
+        ) -> Option<AsPath> {
+            if !path.all_routable() {
+                report.discarded_reserved += 1;
+                return None;
+            }
+            let compressed = path.compress_prepending();
+            if compressed.len() != path.len() {
+                report.compressed_prepending += 1;
+            }
+            let mut hops = compressed.0;
+            let before = hops.len();
+            hops.retain(|a| !ixps.contains(a));
+            if hops.len() != before {
+                report.stripped_ixp += 1;
+            }
+            let cleaned = AsPath(hops).compress_prepending();
+            if cleaned.has_loop() {
+                report.discarded_loops += 1;
+                return None;
+            }
+            if cleaned.len() < 2 {
+                report.discarded_short += 1;
+                return None;
+            }
+            Some(cleaned)
+        }
+
+        /// Both cleaners on one raw path, with and without the IXP list.
+        fn assert_agree(raw: &[u32]) {
+            let path = AsPath::from_u32s(raw.iter().copied());
+            for cfg in [
+                SanitizeConfig::default(),
+                SanitizeConfig::with_ixps([Asn(RS), Asn(RS2)]),
+            ] {
+                let (mut got, mut want) = (SanitizeReport::default(), SanitizeReport::default());
+                let clean = sanitize_path(&path, &cfg.sorted_ixps(), &mut got);
+                assert_eq!(
+                    clean,
+                    composed(&path, &cfg.ixp_asns, &mut want),
+                    "path {raw:?}"
+                );
+                assert_eq!(got, want, "counters of path {raw:?}");
+                assert_eq!(
+                    sample_fate(&path, &cfg.sorted_ixps()),
+                    SampleFate { clean, delta: got }
+                );
+            }
+        }
+
+        #[test]
+        fn route_server_edge_cases() {
+            for raw in [
+                &[1, RS, RS, 2][..],
+                &[1, RS, 1],
+                &[1, RS, 1, 2],
+                &[1, 1, RS, 1, 2],
+                &[RS, 1, 2],
+                &[1, 2, RS],
+                &[1, RS, RS2, 2],
+                &[1, RS, 2, RS, 1],
+                &[RS, RS],
+                &[],
+                &[1],
+                &[1, 2, 64512, 2],
+            ] {
+                assert_agree(raw);
+            }
+        }
+
+        /// Hops from a small universe (so loops are common), the two
+        /// route servers, and reserved ASNs. One hop in eight repeats
+        /// 2–3 times to draw prepending; the rest stay single so that
+        /// paths without a raw prepend, such as `x RS x`, are common.
+        fn raw_path() -> impl Strategy<Value = Vec<u32>> {
+            let hop = (0u32..13, 0usize..4).prop_map(|(k, r)| match k {
+                0..=7 => 1 + k % 6,
+                8..=10 => RS,
+                11 => RS2,
+                _ => [0, 23456, 64512, 4_200_000_000][r],
+            });
+            proptest::collection::vec((hop, 0usize..16), 0..7).prop_map(|runs| {
+                runs.into_iter()
+                    .flat_map(|(h, r)| std::iter::repeat_n(h, 1 + r.saturating_sub(13)))
+                    .collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            #[test]
+            fn one_pass_sanitize_matches_composition(raw in raw_path()) {
+                assert_agree(&raw);
+            }
+        }
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! * on random path sets, `Snapshot::inference()` must be bit-identical
 //!   to `infer_monolithic` — at `Parallelism::sequential()` and
-//!   `Parallelism::threads(4)`, and under every ablation switch;
+//!   `Parallelism::threads(4)`, and under every ablation switch. The
+//!   engine's S2 and S3 read the path arena while the monolithic
+//!   pipeline runs `DegreeTable::compute` / `infer_clique` over the
+//!   sanitized samples, so the degree table and clique are compared too;
 //! * changing an S7-only knob (`degree_flip_ratio`) must invalidate
 //!   exactly S7-and-downstream: S1–S6, the arena, and the observed-link
 //!   list keep their single run and are served as cache hits;
@@ -41,6 +44,7 @@ fn assert_engine_matches(ps: &PathSet, cfg: &InferenceConfig) {
     let mut snap = Snapshot::new(ps, cfg.clone());
     let inf = snap.inference().expect("engine inference");
     assert_eq!(inf.relationships, mono.relationships, "relationships differ");
+    assert_eq!(inf.degrees, mono.degrees, "degree table differs");
     assert_eq!(inf.clique, mono.clique, "clique differs");
     assert_eq!(inf.report, mono.report, "report differs");
 }
@@ -93,9 +97,9 @@ fn fixture() -> PathSet {
 /// S7-and-downstream: every direct input of a re-run stage.
 const UPSTREAM_HIT_ON_S7_CHANGE: &[&str] = &[
     "s1_sanitize",
+    "path_arena",
     "s2_degrees",
     "s3_clique",
-    "path_arena",
     "s4_poison",
     "observed_links",
     "s6_vp_providers",
