@@ -12,9 +12,10 @@
 //!
 //! [`PathArena`] performs that work exactly once:
 //!
-//! * **Dedup by sort.** Sample indices are sorted by their `Asn` hop
-//!   slices and collapsed into runs; each run becomes one distinct path
-//!   with a **multiplicity** count. Because the bulk [`AsnInterner`]
+//! * **Dedup by hash, then sort the distinct paths.** One pass over the
+//!   samples maps each `Asn` hop slice to a distinct slot in an
+//!   `FxHashMap` and counts its **multiplicity**; only the distinct paths
+//!   are then sorted by hop content. Because the bulk [`AsnInterner`]
 //!   assigns ids in ascending ASN order, lexicographic order of id
 //!   slices equals lexicographic order of ASN slices — the arena's path
 //!   order is *identical* to the old `sort_by(|a, b| a.0.cmp(&b.0))`
@@ -36,6 +37,7 @@ use crate::par;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
 use asrank_types::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Deduplicated, interned, CSR-flattened view of a sanitized path set.
@@ -70,7 +72,7 @@ impl PathArena {
         let samples = &sanitized.samples;
 
         // Flatten every sample's raw hops into one contiguous buffer so
-        // the dedup sort compares cache-local u32 slices instead of
+        // dedup hashes and compares cache-local u32 slices instead of
         // chasing pointers into per-sample `Vec<Asn>` allocations.
         let total_raw: usize = samples.iter().map(|s| s.path.len()).sum();
         let mut tmp_offsets: Vec<u32> = Vec::with_capacity(samples.len() + 1);
@@ -84,69 +86,59 @@ impl PathArena {
             &tmp_hops[tmp_offsets[i as usize] as usize..tmp_offsets[i as usize + 1] as usize]
         };
 
-        // Sort sample indices by hop content; equal runs collapse into
-        // one distinct path with a multiplicity count. A packed
+        // One hash pass collapses equal hop slices: the first sample with
+        // a given path represents it, and later ones only bump its
+        // multiplicity. Which sample represents a path cannot matter —
+        // they all hold the same hops.
+        //
+        // Then only the distinct paths are sorted. A packed
         // (hop0, hop1, hop2, hop3) prefix key resolves almost every
         // comparison in registers: hops 0–1 are usually (VP, first hop),
-        // shared by many samples, so a two-hop key fell through to the
+        // shared by many paths, so a two-hop key fell through to the
         // slice compare most of the time. Missing hops read 0, and AS 0
         // never survives sanitization, so a shorter path packs below
         // every extension of it and packed-u128 order equals
-        // lexicographic order of the first four hops. sort_unstable is
-        // deterministic (pattern-defeating quicksort, no randomness);
-        // fully equal keys reference identical hop slices, so which
-        // sample represents a run cannot matter.
+        // lexicographic order of the first four hops. Distinct paths
+        // never compare equal, so sort_unstable's order is fully
+        // determined.
         let prefix_key = |h: &[u32]| -> u128 {
             (0..4).fold(0u128, |key, i| {
                 key << 32 | u128::from(h.get(i).copied().unwrap_or(0))
             })
         };
-        let mut order: Vec<(u128, u32)> = (0..dense_id(samples.len()))
-            .map(|i| (prefix_key(hops_of(i)), i))
-            .collect();
-        order.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0).then_with(|| hops_of(a.1).cmp(hops_of(b.1)))
-        });
-
-        // Counting pre-pass: a sample starts a new run exactly when its
-        // prefix key or hop slice differs from its predecessor's (equal
-        // runs are contiguous after the sort, and the key comparison
-        // short-circuits almost every slice compare). Knowing the
-        // distinct-path and total-hop counts up front lets every buffer
-        // below be allocated once at its exact final size — the build
-        // used to grow reps/multiplicity by doubling and pay a second
-        // copy of `ids` through per-chunk Vecs + `concat`.
-        let new_run = |w: usize| -> bool {
-            w == 0
-                || order[w - 1].0 != order[w].0
-                || hops_of(order[w - 1].1) != hops_of(order[w].1)
-        };
-        let mut distinct = 0usize;
-        let mut total = 0usize;
-        for w in 0..order.len() {
-            if new_run(w) {
-                distinct += 1;
-                total += hops_of(order[w].1).len();
+        // (prefix key, representative sample, multiplicity)
+        let mut distinct: Vec<(u128, u32, u32)> = Vec::new();
+        {
+            // Sized for half the samples: a RIB repeats most paths across
+            // prefixes (the 16k benchmark RIB sanitizes to 594k samples on
+            // 269k distinct paths), and a small table keeps probes in cache.
+            // A dump with more distinct paths only pays one regrowth.
+            let mut slot_of: FxHashMap<&[u32], u32> =
+                FxHashMap::with_capacity_and_hasher(samples.len() / 2, Default::default());
+            for i in 0..dense_id(samples.len()) {
+                let hops = hops_of(i);
+                match slot_of.entry(hops) {
+                    Entry::Occupied(slot) => distinct[*slot.get() as usize].2 += 1,
+                    Entry::Vacant(slot) => {
+                        slot.insert(dense_id(distinct.len()));
+                        distinct.push((prefix_key(hops), i, 1));
+                    }
+                }
             }
         }
+        distinct
+            .sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| hops_of(a.1).cmp(hops_of(b.1))));
 
-        let mut reps: Vec<u32> = Vec::with_capacity(distinct);
-        let mut multiplicity: Vec<u32> = Vec::with_capacity(distinct);
-        let mut offsets: Vec<u32> = Vec::with_capacity(distinct + 1);
+        let reps: Vec<u32> = distinct.iter().map(|d| d.1).collect();
+        let multiplicity: Vec<u32> = distinct.iter().map(|d| d.2).collect();
+        let mut offsets: Vec<u32> = Vec::with_capacity(reps.len() + 1);
         offsets.push(0);
-        let mut hop_cursor = 0usize;
-        for w in 0..order.len() {
-            if new_run(w) {
-                reps.push(order[w].1);
-                multiplicity.push(1);
-                hop_cursor += hops_of(order[w].1).len();
-                offsets.push(dense_id(hop_cursor));
-            } else if let Some(m) = multiplicity.last_mut() {
-                *m += 1;
-            }
+        let mut total = 0usize;
+        for &rep in &reps {
+            total += hops_of(rep).len();
+            offsets.push(dense_id(total));
         }
-        debug_assert_eq!(reps.len(), distinct);
-        debug_assert_eq!(hop_cursor, total);
+        drop(distinct);
 
         // Ids ascend with ASN (bulk interner) — the property the whole
         // determinism story above rests on.
@@ -826,6 +818,12 @@ mod tests {
     /// sample per `(path, repeat)` entry of the multiset. `build`
     /// only reads `sample.path`, so dummy vp/prefix values are fine.
     fn oracle_arena(multiset: &[Vec<u32>]) -> PathArena {
+        PathArena::build(&as_sanitized(multiset), Parallelism::sequential())
+    }
+
+    /// One synthetic sample per entry of `multiset`, taken as already
+    /// sanitized.
+    fn as_sanitized(multiset: &[Vec<u32>]) -> SanitizedPaths {
         let samples: Vec<PathSample> = multiset
             .iter()
             .enumerate()
@@ -835,11 +833,10 @@ mod tests {
                 path: AsPath::from_u32s(hops.iter().copied()),
             })
             .collect();
-        let clean = SanitizedPaths {
+        SanitizedPaths {
             samples,
             report: Default::default(),
-        };
-        PathArena::build(&clean, Parallelism::sequential())
+        }
     }
 
     #[test]
@@ -919,6 +916,90 @@ mod tests {
         assert_eq!(m.remove_one(&[9, 1, 5]), Some(PathEvent::RemovedDistinct));
         multiset.retain(|h| h != &[9, 1, 5]);
         assert_eq!(*m.canonicalize(), oracle_arena(&multiset));
+    }
+
+    mod sort_dedup_oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// `(offsets, ids, multiplicity, (id, ASN) pairs in id order)`.
+        type Layout = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<(u32, Asn)>);
+
+        /// The arena as the sort-based dedup defined it: sort every
+        /// sample's hops, collapse equal runs into one path with their
+        /// count, and number the ASNs in ascending order.
+        fn sort_dedup(multiset: &[Vec<u32>]) -> Layout {
+            let mut sorted: Vec<&Vec<u32>> = multiset.iter().collect();
+            sorted.sort();
+            let mut runs: Vec<(&Vec<u32>, u32)> = Vec::new();
+            for path in sorted {
+                match runs.last_mut() {
+                    Some((last, count)) if *last == path => *count += 1,
+                    _ => runs.push((path, 1)),
+                }
+            }
+            let asns: Vec<u32> = multiset
+                .iter()
+                .flatten()
+                .copied()
+                .collect::<BTreeSet<u32>>()
+                .into_iter()
+                .collect();
+            let mut offsets = vec![0];
+            let mut ids = Vec::new();
+            for (path, _) in &runs {
+                ids.extend(path.iter().map(|v| asns.binary_search(v).unwrap() as u32));
+                offsets.push(ids.len() as u32);
+            }
+            let multiplicity = runs.iter().map(|&(_, count)| count).collect();
+            let interned = (0..).zip(asns.into_iter().map(Asn)).collect();
+            (offsets, ids, multiplicity, interned)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// Hash-then-sort dedup builds exactly the sort-based arena,
+            /// at every thread count. Samples draw from a small pool, so
+            /// most repeat; pool paths extend one of at most three
+            /// four-hop heads over a four-AS alphabet, so many distinct
+            /// paths share their packed prefix key and only the slice
+            /// tie-break orders them. One pool path in eight is a two- or
+            /// three-hop head, which packs missing hops as 0.
+            #[test]
+            fn hash_dedup_matches_sort_dedup(
+                heads in proptest::collection::vec(proptest::collection::vec(1u32..5, 4), 1..4),
+                pool in proptest::collection::vec(
+                    (0usize..3, proptest::collection::vec(1u32..7, 0..4), 0u8..8),
+                    1..40,
+                ),
+                draws in proptest::collection::vec(0usize..64, 1..200),
+            ) {
+                let pool: Vec<Vec<u32>> = pool
+                    .into_iter()
+                    .map(|(h, tail, short)| {
+                        let head = &heads[h % heads.len()];
+                        if short == 0 {
+                            head[..2 + tail.len() % 2].to_vec()
+                        } else {
+                            [head.as_slice(), &tail].concat()
+                        }
+                    })
+                    .collect();
+                let multiset: Vec<Vec<u32>> =
+                    draws.iter().map(|&i| pool[i % pool.len()].clone()).collect();
+                let (offsets, ids, multiplicity, interned) = sort_dedup(&multiset);
+                let clean = as_sanitized(&multiset);
+                for par in [Parallelism::sequential(), Parallelism::threads(4)] {
+                    let arena = PathArena::build(&clean, par);
+                    prop_assert_eq!(arena.offsets(), offsets.as_slice());
+                    prop_assert_eq!(arena.ids(), ids.as_slice());
+                    prop_assert_eq!(&arena.multiplicity, &multiplicity);
+                    prop_assert_eq!(arena.interner().iter().collect::<Vec<_>>(), interned.clone());
+                    prop_assert!(arena.validate().is_empty());
+                }
+            }
+        }
     }
 
     mod mutable_oracle {

@@ -20,6 +20,9 @@ const TYPE_AS_PATH: u8 = 2;
 const TYPE_NEXT_HOP: u8 = 3;
 const TYPE_MED: u8 = 4;
 
+const SEGMENT_SET: u8 = 1;
+const SEGMENT_SEQUENCE: u8 = 2;
+
 /// One segment of an `AS_PATH` attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AsPathSegment {
@@ -99,8 +102,8 @@ impl PathAttribute {
                 let mut v = Vec::new();
                 for seg in segs {
                     let (code, asns) = match seg {
-                        AsPathSegment::Set(a) => (1u8, a),
-                        AsPathSegment::Sequence(a) => (2u8, a),
+                        AsPathSegment::Set(a) => (SEGMENT_SET, a),
+                        AsPathSegment::Sequence(a) => (SEGMENT_SEQUENCE, a),
                     };
                     v.push(code);
                     v.push(asns.len().min(255) as u8);
@@ -151,60 +154,7 @@ impl PathAttribute {
 
     /// Decode with explicit ASN width (see [`Self::encode_sized`]).
     pub fn decode_sized(c: &mut Cursor<'_>, as4: bool) -> Result<PathAttribute, MrtError> {
-        let flags = c.u8("attr flags")?;
-        let type_code = c.u8("attr type")?;
-        let len = if flags & FLAG_EXTENDED != 0 {
-            c.u16("attr ext length")? as usize
-        } else {
-            c.u8("attr length")? as usize
-        };
-        let mut body = c.sub(len, "attr value")?;
-        match type_code {
-            TYPE_ORIGIN => {
-                let v = body.u8("origin value")?;
-                if v > 2 {
-                    return Err(MrtError::BadValue {
-                        context: "origin value",
-                        value: v as u64,
-                    });
-                }
-                Ok(PathAttribute::Origin(v))
-            }
-            TYPE_AS_PATH => {
-                let mut segs = Vec::new();
-                while !body.is_empty() {
-                    let seg_type = body.u8("as_path segment type")?;
-                    let count = body.u8("as_path segment count")? as usize;
-                    let mut asns = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let v = if as4 {
-                            body.u32("as_path asn")?
-                        } else {
-                            body.u16("as_path asn16")? as u32
-                        };
-                        asns.push(Asn(v));
-                    }
-                    segs.push(match seg_type {
-                        1 => AsPathSegment::Set(asns),
-                        2 => AsPathSegment::Sequence(asns),
-                        other => {
-                            return Err(MrtError::BadValue {
-                                context: "as_path segment type",
-                                value: other as u64,
-                            })
-                        }
-                    });
-                }
-                Ok(PathAttribute::AsPath(segs))
-            }
-            TYPE_NEXT_HOP => Ok(PathAttribute::NextHop(body.u32("next_hop")?)),
-            TYPE_MED => Ok(PathAttribute::Med(body.u32("med")?)),
-            _ => Ok(PathAttribute::Unknown {
-                flags,
-                type_code,
-                value: body.take(body.remaining(), "unknown attr")?.to_vec(),
-            }),
-        }
+        RawAttribute::read(c, as4).map(RawAttribute::into_owned)
     }
 
     /// Decode a whole attribute block of `len` bytes (4-byte ASNs).
@@ -233,6 +183,170 @@ impl PathAttribute {
             a.encode(&mut out);
         }
         out
+    }
+}
+
+/// One attribute read off the wire with every field checked and its
+/// value still borrowed — the one statement of attribute validation.
+/// [`PathAttribute::decode_sized`] turns it into the owned form; the RIB
+/// sample decoder ([`crate::table`]) inspects it in place and copies out
+/// only the `AS_PATH` it keeps.
+#[derive(Debug)]
+pub(crate) enum RawAttribute<'a> {
+    Origin(u8),
+    AsPath(RawAsPath<'a>),
+    NextHop(u32),
+    Med(u32),
+    Unknown {
+        flags: u8,
+        type_code: u8,
+        value: &'a [u8],
+    },
+}
+
+impl<'a> RawAttribute<'a> {
+    /// Read one attribute: flags, type, (extended) length, then the value
+    /// checked against its type — `ORIGIN` at most 2, `NEXT_HOP` and `MED`
+    /// at least four bytes, every `AS_PATH` segment in bounds and of a
+    /// known type.
+    pub(crate) fn read(c: &mut Cursor<'a>, as4: bool) -> Result<Self, MrtError> {
+        let flags = c.u8("attr flags")?;
+        let type_code = c.u8("attr type")?;
+        let len = if flags & FLAG_EXTENDED != 0 {
+            c.u16("attr ext length")? as usize
+        } else {
+            c.u8("attr length")? as usize
+        };
+        let mut body = c.sub(len, "attr value")?;
+        Ok(match type_code {
+            TYPE_ORIGIN => {
+                let v = body.u8("origin value")?;
+                if v > 2 {
+                    return Err(MrtError::BadValue {
+                        context: "origin value",
+                        value: v as u64,
+                    });
+                }
+                RawAttribute::Origin(v)
+            }
+            TYPE_AS_PATH => RawAttribute::AsPath(RawAsPath::check(body, as4)?),
+            TYPE_NEXT_HOP => RawAttribute::NextHop(body.u32("next_hop")?),
+            TYPE_MED => RawAttribute::Med(body.u32("med")?),
+            _ => RawAttribute::Unknown {
+                flags,
+                type_code,
+                value: body.take(body.remaining(), "unknown attr")?,
+            },
+        })
+    }
+
+    fn into_owned(self) -> PathAttribute {
+        match self {
+            RawAttribute::Origin(v) => PathAttribute::Origin(v),
+            RawAttribute::AsPath(path) => {
+                let mut segs = Vec::new();
+                path.for_each_segment(|seg_type, hops| {
+                    let asns = hops.collect();
+                    segs.push(if seg_type == SEGMENT_SET {
+                        AsPathSegment::Set(asns)
+                    } else {
+                        AsPathSegment::Sequence(asns)
+                    });
+                });
+                PathAttribute::AsPath(segs)
+            }
+            RawAttribute::NextHop(ip) => PathAttribute::NextHop(ip),
+            RawAttribute::Med(v) => PathAttribute::Med(v),
+            RawAttribute::Unknown {
+                flags,
+                type_code,
+                value,
+            } => PathAttribute::Unknown {
+                flags,
+                type_code,
+                value: value.to_vec(),
+            },
+        }
+    }
+}
+
+/// A checked `AS_PATH` value, still in wire form: every segment has a
+/// known type and its hops lie inside the value.
+#[derive(Debug)]
+pub(crate) struct RawAsPath<'a> {
+    value: Cursor<'a>,
+    as4: bool,
+}
+
+impl<'a> RawAsPath<'a> {
+    fn check(value: Cursor<'a>, as4: bool) -> Result<Self, MrtError> {
+        Self::walk(value.clone(), as4, |_, _| {})?;
+        Ok(RawAsPath { value, as4 })
+    }
+
+    /// Walk the segments in stored order, handing each one's type and
+    /// hops to `visit`. A segment's hops are bounds-checked before its
+    /// type, the order the owned decoder always reported them in.
+    fn walk(
+        mut value: Cursor<'a>,
+        as4: bool,
+        mut visit: impl FnMut(u8, WireAsns<'a>),
+    ) -> Result<(), MrtError> {
+        let (width, context) = if as4 {
+            (4, "as_path asn")
+        } else {
+            (2, "as_path asn16")
+        };
+        while !value.is_empty() {
+            let seg_type = value.u8("as_path segment type")?;
+            let count = value.u8("as_path segment count")? as usize;
+            let hops = value.take(count * width, context)?;
+            if seg_type != SEGMENT_SET && seg_type != SEGMENT_SEQUENCE {
+                return Err(MrtError::BadValue {
+                    context: "as_path segment type",
+                    value: seg_type as u64,
+                });
+            }
+            visit(seg_type, WireAsns(hops.chunks_exact(width)));
+        }
+        Ok(())
+    }
+
+    /// Visit each segment in stored order with its type and hops.
+    fn for_each_segment(&self, visit: impl FnMut(u8, WireAsns<'a>)) {
+        // `check` walked this value without error, so this walk cannot
+        // fail either.
+        let _ = Self::walk(self.value.clone(), self.as4, visit);
+    }
+
+    /// Every segment's hops concatenated in stored order — AS_SET members
+    /// included, as [`PathAttribute::flatten_as_path`] does for the owned
+    /// form — in one allocation sized from the value length.
+    pub(crate) fn flatten(&self) -> AsPath {
+        let width = if self.as4 { 4 } else { 2 };
+        let mut hops = Vec::with_capacity(self.value.remaining() / width);
+        self.for_each_segment(|_, asns| hops.extend(asns));
+        AsPath(hops)
+    }
+}
+
+/// The hops of one `AS_PATH` segment, decoded from their 2- or 4-byte
+/// big-endian wire form as they are iterated.
+struct WireAsns<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for WireAsns<'_> {
+    type Item = Asn;
+
+    fn next(&mut self) -> Option<Asn> {
+        Some(Asn(match *self.0.next()? {
+            [a, b, c, d] => u32::from_be_bytes([a, b, c, d]),
+            [a, b] => u32::from(u16::from_be_bytes([a, b])),
+            _ => return None,
+        }))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
     }
 }
 
@@ -268,6 +382,29 @@ mod tests {
         assert!(matches!(
             PathAttribute::decode(&mut Cursor::new(&buf)),
             Err(MrtError::BadValue { .. })
+        ));
+    }
+
+    #[test]
+    fn as_path_rejects_unknown_segment_type_after_its_hops() {
+        // flags, type AS_PATH, length 6: segment type 3, one 4-byte hop.
+        let bad = [FLAG_TRANSITIVE, TYPE_AS_PATH, 6, 3, 1, 0, 0, 0, 9];
+        assert!(matches!(
+            PathAttribute::decode(&mut Cursor::new(&bad)),
+            Err(MrtError::BadValue {
+                context: "as_path segment type",
+                value: 3
+            })
+        ));
+        // Declaring two hops where one fits is reported as truncation,
+        // before the bad type is looked at.
+        let mut short = bad;
+        short[4] = 2;
+        assert!(matches!(
+            PathAttribute::decode(&mut Cursor::new(&short)),
+            Err(MrtError::Truncated {
+                context: "as_path asn"
+            })
         ));
     }
 

@@ -38,14 +38,27 @@ impl<R: Read> MrtReader<R> {
 
     /// Read the next record, or `Ok(None)` at clean end-of-stream.
     pub fn next_record(&mut self) -> Result<Option<(u32, MrtRecord)>, MrtError> {
-        let mut header = [0u8; 12];
+        let mut frame = Vec::new();
+        if !self.next_frame(&mut frame)? {
+            return Ok(None);
+        }
+        MrtRecord::decode(&mut Cursor::new(&frame)).map(Some)
+    }
+
+    /// Read the next record's raw frame (12-byte header + body) into
+    /// `frame`, reusing its allocation, without decoding the body.
+    /// Returns `Ok(false)` at clean end-of-stream.
+    pub fn next_frame(&mut self, frame: &mut Vec<u8>) -> Result<bool, MrtError> {
+        frame.clear();
+        frame.resize(12, 0);
         // Distinguish clean EOF (zero bytes) from mid-header truncation.
         let mut got = 0usize;
-        while got < header.len() {
-            let n = self.inner.read(&mut header[got..])?;
+        while got < 12 {
+            let n = self.inner.read(&mut frame[got..])?;
             if n == 0 {
                 if got == 0 {
-                    return Ok(None);
+                    frame.clear();
+                    return Ok(false);
                 }
                 return Err(MrtError::Truncated {
                     context: "mrt header (eof mid-record)",
@@ -53,7 +66,7 @@ impl<R: Read> MrtReader<R> {
             }
             got += n;
         }
-        let len = u32::from_be_bytes([header[8], header[9], header[10], header[11]]);
+        let len = u32::from_be_bytes([frame[8], frame[9], frame[10], frame[11]]);
         if len > self.max_record_len {
             return Err(MrtError::BadLength {
                 context: "mrt record length",
@@ -70,9 +83,8 @@ impl<R: Read> MrtReader<R> {
                 context: "mrt record length (overflows record extent)",
                 value: len as usize,
             })?;
-        let mut buf = vec![0u8; total];
-        buf[..12].copy_from_slice(&header);
-        self.inner.read_exact(&mut buf[12..]).map_err(|e| {
+        frame.resize(total, 0);
+        self.inner.read_exact(&mut frame[12..]).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 MrtError::Truncated {
                     context: "mrt body (eof mid-record)",
@@ -81,8 +93,7 @@ impl<R: Read> MrtReader<R> {
                 MrtError::Io(e)
             }
         })?;
-        let mut c = Cursor::new(&buf);
-        MrtRecord::decode(&mut c).map(Some)
+        Ok(true)
     }
 }
 

@@ -8,14 +8,18 @@
 //!
 //! 1. [`scan_record_frames`] walks the headers once (cheap: 12 bytes per
 //!    record, no body decode) and emits the byte range of every record;
-//! 2. [`decode_frames`] fans the ranges out over `std::thread::scope`
-//!    workers in contiguous chunks and reassembles results **in chunk
-//!    order**, so the record sequence — and therefore every downstream
-//!    fold — is identical to the sequential reader's;
-//! 3. [`read_rib_dump_parallel`] / [`read_update_stream_parallel`] apply
-//!    the exact same per-record fold the sequential readers use (shared
-//!    functions, not copies), which is what makes the output byte-
-//!    identical by construction.
+//! 2. the frames are cut into one contiguous chunk per worker (workers
+//!    capped at the available cores), every chunk runs on its own
+//!    `std::thread::scope` thread, and results are taken **in chunk
+//!    order**, so every downstream fold sees stream order;
+//! 3. [`read_rib_dump_parallel`] runs the streaming reader's per-frame
+//!    decoder ([`crate::table::ingest_rib_frame`]) on the workers, which
+//!    return finished path samples — no record tree is built — and the
+//!    caller only concatenates them. [`read_update_stream_parallel`]
+//!    (and [`crate::batch::read_update_batch`]) decode update captures
+//!    to records on the workers and fold them on the caller with the
+//!    sequential reader's fold. Shared functions, not copies, make the
+//!    output byte-identical by construction.
 //!
 //! All offset arithmetic in the scanner is checked: a hostile declared
 //! length can neither overflow the record extent nor run past the end of
@@ -24,10 +28,11 @@
 
 use crate::error::MrtError;
 use crate::reader::DEFAULT_MAX_RECORD_LEN;
-use crate::record::MrtRecord;
+use crate::record::{MrtRecord, MRT_TABLE_DUMP_V2, SUBTYPE_PEER_INDEX_TABLE};
+use crate::table::ingest_rib_frame;
 use crate::wire::Cursor;
 use asrank_types::update::UpdateMessage;
-use asrank_types::{Parallelism, PathSet};
+use asrank_types::{Parallelism, PathSample, PathSet};
 use std::ops::Range;
 
 /// Walk the record framing of a complete in-memory dump and return the
@@ -85,18 +90,59 @@ fn decode_one(frame: &[u8]) -> Result<(u32, MrtRecord), MrtError> {
     MrtRecord::decode(&mut c)
 }
 
-/// Decode scanned frames on a capped worker fan-out and feed each record
-/// to `sink` **in stream order** — the chunk-order merge that makes the
-/// parallel readers byte-identical to their sequential counterparts.
-///
-/// Chunks are folded the moment they arrive (buffering only the
-/// out-of-order ones), so decoded records are consumed and freed while
-/// later chunks are still decoding — the whole dump is never resident in
-/// decoded form. Workers are capped at the cores actually available:
-/// oversubscribing a CPU-bound decode only adds scheduling overhead, and
-/// the ordered merge means the output cannot differ. On error, the
+/// Chunk length for fanning `n` frames out over `par`, or `None` when the
+/// work should run inline on the caller. Workers are capped at the cores
+/// actually available: oversubscribing a CPU-bound decode only adds
+/// scheduling overhead, and the in-order merge means the output cannot
+/// differ.
+fn chunk_len(n: usize, par: Parallelism) -> Option<usize> {
+    let workers = par.effective().min(
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    );
+    let chunk = n.div_ceil(workers.max(1)).max(8);
+    (workers > 1 && chunk < n).then_some(chunk)
+}
+
+/// Run `work` over contiguous `chunk`-frame slices of `frames`, one
+/// scoped thread per slice (`work` also gets the index of the slice's
+/// first frame), and hand the results to `take` **in slice order** — the
+/// merge that makes every parallel reader byte-identical to its
+/// sequential counterpart. All slices are spawned at once, so every
+/// result not yet taken is resident. When `take` fails, the remaining
+/// workers still run to completion and their results are dropped.
+fn fan_out<T: Send>(
+    frames: &[Range<usize>],
+    chunk: usize,
+    work: impl Fn(usize, &[Range<usize>]) -> T + Sync,
+    mut take: impl FnMut(T) -> Result<(), MrtError>,
+) -> Result<(), MrtError> {
+    std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = frames
+            .chunks(chunk)
+            .enumerate()
+            .map(|(i, slice)| s.spawn(move || work(i * chunk, slice)))
+            .collect();
+        for handle in handles {
+            take(
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            )?;
+        }
+        Ok(())
+    })
+}
+
+/// Decode scanned update-capture frames on the capped worker fan-out and
+/// feed each record to `sink` **in stream order**; on error, the
 /// earliest failure in stream order wins, matching the sequential
-/// reader.
+/// reader. Every chunk is spawned at once and decodes in full before the
+/// fold sees it, so each chunk not yet folded is resident in decoded
+/// form — at worst nearly the whole capture. Only with one worker do
+/// records decode and fold one at a time.
 pub(crate) fn for_each_decoded<F>(
     data: &[u8],
     frames: &[Range<usize>],
@@ -106,48 +152,28 @@ pub(crate) fn for_each_decoded<F>(
 where
     F: FnMut((u32, MrtRecord)) -> Result<(), MrtError>,
 {
-    let workers = par.effective().min(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    );
-    let chunk = frames.len().div_ceil(workers.max(1)).max(8);
-    if workers <= 1 || chunk >= frames.len() {
+    let Some(chunk) = chunk_len(frames.len(), par) else {
         for r in frames {
             sink(decode_one(&data[r.clone()])?)?;
         }
         return Ok(());
-    }
-    let n_chunks = frames.len().div_ceil(chunk);
-    std::thread::scope(|s| {
-        let (tx, rx) = std::sync::mpsc::channel();
-        for (i, ranges) in frames.chunks(chunk).enumerate() {
-            let tx = tx.clone();
-            s.spawn(move || {
-                let decoded: Vec<Result<(u32, MrtRecord), MrtError>> =
-                    ranges.iter().map(|r| decode_one(&data[r.clone()])).collect();
-                // A send only fails when the fold already bailed on an
-                // earlier chunk's error and dropped the receiver.
-                let _ = tx.send((i, decoded));
-            });
-        }
-        drop(tx);
-        let mut pending = std::collections::BTreeMap::new();
-        for next in 0..n_chunks {
-            let decoded = loop {
-                if let Some(d) = pending.remove(&next) {
-                    break d;
-                }
-                // lint: allow(panics, every worker sends exactly once and panics are impossible: the decoder is total over untrusted bytes)
-                let (i, d) = rx.recv().expect("mrt decode worker disconnected");
-                pending.insert(i, d);
-            };
+    };
+    fan_out(
+        frames,
+        chunk,
+        |_, slice| {
+            slice
+                .iter()
+                .map(|r| decode_one(&data[r.clone()]))
+                .collect::<Vec<_>>()
+        },
+        |decoded| {
             for result in decoded {
                 sink(result?)?;
             }
-        }
-        Ok(())
-    })
+            Ok(())
+        },
+    )
 }
 
 /// Decode scanned record frames, fanning bodies out over the
@@ -156,10 +182,8 @@ where
 /// count; on error, the error of the *earliest* undecodable record in
 /// stream order is reported, again matching the sequential reader.
 ///
-/// This materializes every record at once; the bulk readers
-/// ([`read_rib_dump_parallel`], [`read_update_stream_parallel`]) instead
-/// fold records as chunks complete, which keeps peak memory at one chunk
-/// of decoded records.
+/// This materializes every record at once, and parallel workers hold
+/// their decoded chunks until they are merged.
 pub fn decode_frames(
     data: &[u8],
     frames: &[Range<usize>],
@@ -173,18 +197,52 @@ pub fn decode_frames(
     Ok(out)
 }
 
-/// [`crate::table::read_rib_dump`] over an in-memory dump with parallel
-/// record decode. Output is byte-identical to the sequential reader —
-/// same samples, same order, same errors — because the per-record fold
-/// is the same function; only body decode is fanned out.
+/// True when `frame`'s header names a `PEER_INDEX_TABLE` record.
+fn is_peer_table(frame: &[u8]) -> bool {
+    let field = |at: usize| {
+        frame
+            .get(at..at + 2)
+            .map(|b| u16::from_be_bytes([b[0], b[1]]))
+    };
+    field(4) == Some(MRT_TABLE_DUMP_V2) && field(6) == Some(SUBTYPE_PEER_INDEX_TABLE)
+}
+
+/// [`crate::table::read_rib_dump`] over an in-memory dump, with record
+/// frames decoded on the capped worker fan-out. Each worker runs the
+/// streaming reader's per-frame decoder
+/// ([`crate::table::ingest_rib_frame`]) over its contiguous chunk and
+/// returns finished samples; the caller only concatenates them in chunk
+/// order. A chunk resolves VPs against the latest `PEER_INDEX_TABLE`
+/// before it, found by its header type field and decoded again by the
+/// worker, so output is byte-identical to the sequential reader — same
+/// samples, same order, and the earliest error in stream order.
 pub fn read_rib_dump_parallel(data: &[u8], par: Parallelism) -> Result<PathSet, MrtError> {
     let frames = scan_record_frames(data, DEFAULT_MAX_RECORD_LEN)?;
-    let mut peers = Vec::new();
-    let mut paths = PathSet::new();
-    for_each_decoded(data, &frames, par, |(_ts, record)| {
-        crate::table::ingest_rib_record(record, &mut peers, &mut paths)
+    let ingest = |first: usize, slice: &[Range<usize>]| -> Result<Vec<PathSample>, MrtError> {
+        let mut peers = Vec::new();
+        let mut samples = Vec::new();
+        // A peer table contributes no samples, only the VP directory.
+        if let Some(table) = frames[..first]
+            .iter()
+            .rev()
+            .find(|r| is_peer_table(&data[(*r).clone()]))
+        {
+            ingest_rib_frame(&data[table.clone()], &mut peers, &mut samples)?;
+        }
+        for r in slice {
+            ingest_rib_frame(&data[r.clone()], &mut peers, &mut samples)?;
+        }
+        Ok(samples)
+    };
+    let Some(chunk) = chunk_len(frames.len(), par) else {
+        return ingest(0, &frames).map(PathSet::from_samples);
+    };
+    let mut samples = Vec::new();
+    fan_out(&frames, chunk, ingest, |part| {
+        samples.append(&mut part?);
+        Ok(())
     })?;
-    Ok(paths)
+    Ok(PathSet::from_samples(samples))
 }
 
 /// [`crate::stream::read_update_stream`] over an in-memory capture with

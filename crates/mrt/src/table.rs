@@ -5,11 +5,21 @@
 //! `RIB_IPV4_UNICAST` record per prefix, each carrying one entry per
 //! contributing vantage point. [`read_rib_dump`] inverts it, so the
 //! inference pipeline can be driven from `.mrt` files.
+//!
+//! Reading has one per-frame decoder, [`ingest_rib_frame`], which turns
+//! a record frame straight into [`PathSample`]s without building a
+//! record tree. The streaming [`read_rib_dump`] and the parallel
+//! [`crate::scan::read_rib_dump_parallel`] both run it, so they agree by
+//! construction.
 
-use crate::attrs::PathAttribute;
+use crate::attrs::{PathAttribute, RawAttribute};
 use crate::error::MrtError;
 use crate::reader::MrtReader;
-use crate::record::{MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast};
+use crate::record::{
+    decode_nlri, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast, MRT_TABLE_DUMP_V2,
+    SUBTYPE_RIB_IPV4_UNICAST,
+};
+use crate::wire::Cursor;
 use crate::writer::MrtWriter;
 use asrank_types::{Asn, Ipv4Prefix, PathSample, PathSet};
 use std::collections::BTreeMap;
@@ -123,76 +133,116 @@ pub fn write_rib_dump_v1<W: Write>(
 ///
 /// Tolerates interleaved unknown records (skipped) and uses the most
 /// recent `PEER_INDEX_TABLE` for index resolution, as collectors do when
-/// concatenating dumps.
+/// concatenating dumps. Frames stream through one reused buffer into
+/// [`ingest_rib_frame`], the decoder the parallel reader
+/// ([`crate::scan::read_rib_dump_parallel`]) runs on its workers.
 pub fn read_rib_dump<R: Read>(input: R) -> Result<PathSet, MrtError> {
     let mut reader = MrtReader::new(input);
-    let mut peers: Vec<Asn> = Vec::new();
-    let mut paths = PathSet::new();
-
-    while let Some((_ts, record)) = reader.next_record()? {
-        ingest_rib_record(record, &mut peers, &mut paths)?;
+    let mut frame = Vec::new();
+    let mut peers = Vec::new();
+    let mut samples = Vec::new();
+    while reader.next_frame(&mut frame)? {
+        ingest_rib_frame(&frame, &mut peers, &mut samples)?;
     }
-    Ok(paths)
+    Ok(PathSet::from_samples(samples))
 }
 
-/// Fold one decoded record into the accumulating path set — the single
-/// semantic definition of RIB ingest, shared verbatim by the sequential
-/// stream reader above and the parallel byte-range reader
-/// ([`crate::scan::read_rib_dump_parallel`]), which is what guarantees
-/// the two produce identical output.
-pub(crate) fn ingest_rib_record(
-    record: MrtRecord,
+/// Decode one record frame (12-byte header + body) straight into path
+/// samples — the one definition of RIB ingest, shared by the streaming
+/// and the parallel reader.
+///
+/// `RIB_IPV4_UNICAST` bodies are walked in place: every attribute is
+/// validated, but no record tree is built, and the only allocation per
+/// entry is the flattened path of its *first* `AS_PATH`. Entries resolve
+/// their VP against `peers`, the latest `PEER_INDEX_TABLE`, which this
+/// function replaces when it meets one. Every other record goes through
+/// [`MrtRecord::decode`]: a legacy TABLE_DUMP (v1) record carries its
+/// peer ASN inline and contributes its path; v6 RIBs, updates and
+/// unknown records are legal in mixed dumps, so they are validated and
+/// skipped. On error, samples already pushed for the frame are left in
+/// `out`; callers discard it.
+pub(crate) fn ingest_rib_frame(
+    frame: &[u8],
     peers: &mut Vec<Asn>,
-    paths: &mut PathSet,
+    out: &mut Vec<PathSample>,
 ) -> Result<(), MrtError> {
-    match record {
-        MrtRecord::PeerIndexTable(t) => {
-            *peers = t.peers.iter().map(|p| p.asn).collect();
-        }
-        MrtRecord::RibIpv4Unicast(rib) => {
-            for entry in &rib.entries {
-                let Some(&vp) = peers.get(entry.peer_index as usize) else {
-                    return Err(MrtError::BadValue {
-                        context: "rib peer index (no matching peer table entry)",
-                        value: entry.peer_index as u64,
-                    });
-                };
-                let Some(path) = entry
-                    .attributes
-                    .iter()
-                    .find_map(PathAttribute::flatten_as_path)
-                else {
-                    continue; // entry without AS_PATH carries no evidence
-                };
-                paths.push(PathSample {
-                    vp,
-                    prefix: rib.prefix,
-                    path,
-                });
-            }
-        }
-        // Legacy v1 records carry the peer ASN inline — no peer
-        // table needed.
+    let mut c = Cursor::new(frame);
+    c.u32("mrt timestamp")?;
+    let mrt_type = c.u16("mrt type")?;
+    let subtype = c.u16("mrt subtype")?;
+    let len = c.u32("mrt length")? as usize;
+    let mut body = c.sub(len, "mrt body")?;
+    if (mrt_type, subtype) == (MRT_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST) {
+        return ingest_rib_ipv4(&mut body, peers, out);
+    }
+    match MrtRecord::decode(&mut Cursor::new(frame))?.1 {
+        MrtRecord::PeerIndexTable(t) => *peers = t.peers.iter().map(|p| p.asn).collect(),
         MrtRecord::TableDumpV1(td) => {
             if let Some(path) = td
                 .attributes
                 .iter()
                 .find_map(PathAttribute::flatten_as_path)
             {
-                paths.push(PathSample {
+                out.push(PathSample {
                     vp: td.peer_asn,
                     prefix: td.prefix,
                     path,
                 });
             }
         }
-        // v6 RIBs, updates, and unknown records are legal in mixed
-        // dumps but do not contribute to the IPv4 path set.
-        MrtRecord::RibIpv6Unicast(_)
-        | MrtRecord::Bgp4mpMessageAs4(_)
-        | MrtRecord::Unknown { .. } => {}
+        _ => {}
     }
     Ok(())
+}
+
+/// The `RIB_IPV4_UNICAST` body walk of [`ingest_rib_frame`]: the reads
+/// and error contexts of the record-level decoder, in its order.
+fn ingest_rib_ipv4(
+    c: &mut Cursor<'_>,
+    peers: &[Asn],
+    out: &mut Vec<PathSample>,
+) -> Result<(), MrtError> {
+    c.u32("rib sequence")?;
+    let prefix = decode_nlri(c)?;
+    let count = c.u16("rib entry count")?;
+    // The whole record decodes before any entry resolves its peer, so a
+    // malformed later entry outranks an unknown peer index.
+    let mut unknown_peer = None;
+    for _ in 0..count {
+        let peer_index = c.u16("rib peer index")?;
+        c.u32("rib originated time")?;
+        let attr_len = c.u16("rib attr length")? as usize;
+        let mut block = c.sub(attr_len, "attribute block")?;
+        let mut as_path = None;
+        while !block.is_empty() {
+            if let RawAttribute::AsPath(path) = RawAttribute::read(&mut block, true)? {
+                as_path.get_or_insert(path);
+            }
+        }
+        match peers.get(usize::from(peer_index)) {
+            // An entry without an AS_PATH carries no evidence, but its
+            // peer index must still resolve.
+            None => {
+                unknown_peer.get_or_insert(peer_index);
+            }
+            Some(&vp) => {
+                if let Some(path) = as_path {
+                    out.push(PathSample {
+                        vp,
+                        prefix,
+                        path: path.flatten(),
+                    });
+                }
+            }
+        }
+    }
+    match unknown_peer {
+        Some(index) => Err(MrtError::BadValue {
+            context: "rib peer index (no matching peer table entry)",
+            value: u64::from(index),
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
