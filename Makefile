@@ -23,9 +23,11 @@ test:
 # HashSet recursive closure and the definitional observed cones), the
 # blocked pair merge to sort + dedup at every block width, the arena
 # forms of S2/S3 to their path-slice definitions, the one-pass S1
-# cleaner to the composition it folds (the monolithic oracle shares
-# S1, so only this test sees it), the hash-then-sort arena dedup to
-# the sort + run-length dedup it replaced, the RIB readers' per-frame
+# cleaner and its flat output and frame to the composition it folds,
+# and S6's one-sort evidence to the two tuple sorts it replaced (the
+# monolithic oracle shares S1 and S6, so only these tests see them),
+# the sharded hash-then-sort arena to the sort + run-length dedup it
+# replaced, the RIB readers' per-frame
 # decoder to the record-tree decode (both readers share the decoder, so
 # only this oracle sees it), plus the cache invalidation/reuse counters.
 test-engine:
@@ -33,7 +35,7 @@ test-engine:
 	$(CARGO) test -p asrank-core --test delta_equivalence
 	$(CARGO) test -p asrank-core --test cone_equivalence
 	$(CARGO) test -p asrank-core --test blocked_sweep_equivalence
-	$(CARGO) test -p asrank-core --lib -- arena_oracle one_pass_oracle sort_dedup_oracle
+	$(CARGO) test -p asrank-core --lib -- arena_oracle one_pass_oracle sort_dedup_oracle vp_providers_oracle
 	$(CARGO) test -p mrt-codec --test parallel_ingest
 	$(CARGO) test -p asrank-core engine::
 

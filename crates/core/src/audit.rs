@@ -244,14 +244,14 @@ pub fn audit_stage(
                         r.discarded_short
                     ),
                 );
-            } else if r.output_paths != s.samples.len() {
+            } else if r.output_paths != s.len() {
                 report.push(
                     Severity::Error,
                     "sanitize-conservation",
                     format!(
                         "report says {} output paths but {} samples survive",
                         r.output_paths,
-                        s.samples.len()
+                        s.len()
                     ),
                 );
             } else {
@@ -264,7 +264,7 @@ pub fn audit_stage(
                     ),
                 );
             }
-            let short = s.samples.iter().filter(|p| p.path.len() < 2).count();
+            let short = s.paths().filter(|p| p.len() < 2).count();
             if short > 0 {
                 report.push(
                     Severity::Error,

@@ -58,11 +58,10 @@ impl Centrality {
 /// paper's cones this is an *observable* measure, shaped by where the
 /// collectors sit.
 pub fn transit_centrality(paths: &SanitizedPaths) -> Centrality {
-    let distinct: HashSet<&AsPath> = paths.paths().collect();
+    let distinct: HashSet<&[Asn]> = paths.paths().collect();
     let total = distinct.len();
     let mut counts: HashMap<Asn, usize> = HashMap::new();
-    for p in &distinct {
-        let hops = &p.0;
+    for hops in &distinct {
         // Interior hops only — each AS at most once per path.
         let mut seen: HashSet<Asn> = HashSet::new();
         for &a in &hops[1..hops.len().saturating_sub(1)] {

@@ -54,7 +54,8 @@ pub fn infer_clique(paths: &SanitizedPaths, degrees: &DegreeTable, cfg: &CliqueC
     // Observed adjacency restricted to the candidates.
     let mut adj: Vec<HashSet<usize>> = vec![HashSet::new(); candidates.len()];
     for path in paths.paths() {
-        for (a, b) in path.links() {
+        for w in path.windows(2) {
+            let (a, b) = (w[0], w[1]);
             if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) {
                 adj[ia].insert(ib);
                 adj[ib].insert(ia);
@@ -282,7 +283,7 @@ mod tests {
         let clique = infer_clique(&paths, &degrees, &CliqueConfig::default());
         let links: HashSet<AsLink> = paths
             .paths()
-            .flat_map(|p| p.links().map(|(a, b)| AsLink::new(a, b)))
+            .flat_map(|p| p.windows(2).map(|w| AsLink::new(w[0], w[1])))
             .collect();
         for (i, &a) in clique.iter().enumerate() {
             for &b in &clique[i + 1..] {

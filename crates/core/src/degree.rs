@@ -35,8 +35,7 @@ impl DegreeTable {
         let mut transit_sets: HashMap<Asn, HashSet<Asn>> = HashMap::new();
         let mut node_sets: HashMap<Asn, HashSet<Asn>> = HashMap::new();
 
-        for path in paths.paths() {
-            let hops = &path.0;
+        for hops in paths.paths() {
             for (i, &asn) in hops.iter().enumerate() {
                 if i > 0 {
                     node_sets.entry(asn).or_default().insert(hops[i - 1]);

@@ -6,8 +6,8 @@
 //! evidence that makes small updates cheap —
 //!
 //! * one cached sanitize **fate** per sample (S1 re-derives only the
-//!   samples a batch touched, then reassembles [`SanitizedPaths`] from
-//!   the cache);
+//!   samples a batch touched, then copies the clean fates into the flat
+//!   [`SanitizedPaths`] buffers);
 //! * a [`MutablePathArena`] absorbing path add/remove deltas in place,
 //!   re-emitting a bit-identical arena on demand;
 //! * maintained `(vp, first hop)` distinct-prefix counters, so S6 —
@@ -488,22 +488,24 @@ struct SessionProvider<'s> {
 
 impl DeltaProvider for SessionProvider<'_> {
     fn sanitized(&mut self) -> Arc<SanitizedPaths> {
-        let mut samples = Vec::with_capacity(self.clean);
+        let hops: usize = self
+            .fates
+            .iter()
+            .filter_map(|f| f.clean.as_ref())
+            .map(AsPath::len)
+            .sum();
+        let mut out = SanitizedPaths::with_capacity(self.clean, hops);
         for (s, f) in self.master.iter().zip(self.fates) {
             if let Some(path) = &f.clean {
-                samples.push(PathSample {
-                    vp: s.vp,
-                    prefix: s.prefix,
-                    path: path.clone(),
-                });
+                out.push(s.vp, s.prefix, &path.0);
             }
         }
-        let report = SanitizeReport {
+        out.report = SanitizeReport {
             input_paths: self.master.len(),
-            output_paths: samples.len(),
+            output_paths: out.len(),
             ..*self.counters
         };
-        Arc::new(SanitizedPaths { samples, report })
+        Arc::new(out)
     }
 
     fn arena(&mut self) -> Arc<PathArena> {

@@ -160,7 +160,7 @@ impl Artifact {
     /// the unit the stage report counts.
     pub fn items(&self) -> u64 {
         match self {
-            Artifact::Sanitized(s) => s.samples.len() as u64,
+            Artifact::Sanitized(s) => s.len() as u64,
             Artifact::Degrees(d) => d.len() as u64,
             Artifact::Clique(c) => c.len() as u64,
             Artifact::Arena(a) => a.len() as u64,
@@ -178,8 +178,8 @@ impl Artifact {
     pub fn approx_bytes(&self) -> u64 {
         match self {
             Artifact::Sanitized(s) => {
-                let hops: usize = s.samples.iter().map(|p| p.path.len()).sum();
-                (hops * 4 + s.samples.len() * 24) as u64
+                let words = s.vp.len() + s.offsets.len() + s.hops.len();
+                (words * 4 + s.prefix.len() * std::mem::size_of::<Ipv4Prefix>()) as u64
             }
             Artifact::Degrees(d) => (d.len() * 40) as u64,
             Artifact::Clique(c) => (c.len() * 4) as u64,

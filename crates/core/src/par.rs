@@ -10,42 +10,8 @@
 use asrank_types::Parallelism;
 use std::ops::Range;
 
-/// Map `f` over contiguous chunks of `items` (each at least `min_chunk`
-/// long), returning per-chunk results in chunk order.
-pub fn map_chunks<T, R, F>(par: Parallelism, min_chunk: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let chunk = par.chunk_size(items.len(), min_chunk);
-    if chunk >= items.len() {
-        return vec![f(items)];
-    }
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                let f = &f;
-                scope.spawn(move |_| f(c))
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint: allow(panics, re-raises a child panic on the caller thread; swallowing it would return truncated results)
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    })
-    // lint: allow(panics, scope only errs when a worker panicked; the join above already re-raised it)
-    .expect("crossbeam scope failed")
-}
-
-/// Map `f` over contiguous index ranges covering `0..n`, returning
-/// per-range results in range order. For stages whose work is indexed
-/// rather than sliced (e.g. per-component materialization).
+/// Map `f` over contiguous index ranges covering `0..n` (each at least
+/// `min_chunk` long), returning per-range results in range order.
 pub fn map_ranges<R, F>(par: Parallelism, min_chunk: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -80,81 +46,21 @@ where
     .expect("crossbeam scope failed")
 }
 
-/// Fill a pre-sized output buffer in parallel, in place: the contiguous
-/// index ranges of [`map_ranges`] each own the output span whose length
-/// `span_len` reports, and `f(range, span)` writes that span directly.
-/// Spans are carved off the front of `out` in range order, so they
-/// partition it exactly when the caller's offset table is consistent —
-/// no per-chunk buffers and no reassembly copy, which is the allocation
-/// the arena build used to pay twice (`Vec` per chunk + `concat`).
-///
-/// Determinism is inherited from the range split: each span's content
-/// depends only on its range, never on scheduling.
-pub fn fill_ranges<T, S, F>(
-    par: Parallelism,
-    min_chunk: usize,
-    n: usize,
-    out: &mut [T],
-    span_len: S,
-    f: F,
-) where
-    T: Send,
-    S: Fn(&Range<usize>) -> usize,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let chunk = par.chunk_size(n, min_chunk);
-    if chunk >= n {
-        f(0..n, out);
-        return;
-    }
-    let ranges: Vec<Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(n))
-        .collect();
-    let mut rest = out;
-    let mut jobs: Vec<(Range<usize>, &mut [T])> = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        let len = span_len(&r);
-        let (span, tail) = rest.split_at_mut(len);
-        jobs.push((r, span));
-        rest = tail;
-    }
-    debug_assert!(rest.is_empty(), "spans must partition the output buffer");
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(r, span)| {
-                let f = &f;
-                scope.spawn(move |_| f(r, span))
-            })
-            .collect();
-        for h in handles {
-            // lint: allow(panics, re-raises a child panic on the caller thread; swallowing it would leave the output span half-written)
-            h.join().expect("parallel worker panicked");
-        }
-    })
-    // lint: allow(panics, scope only errs when a worker panicked; the join above already re-raised it)
-    .expect("crossbeam scope failed");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn chunk_results_preserve_order() {
+    fn range_results_preserve_order() {
         let items: Vec<u64> = (0..1000).collect();
         for par in [
             Parallelism::sequential(),
             Parallelism::threads(3),
             Parallelism::auto(),
         ] {
-            let sums = map_chunks(par, 1, &items, |c| c.iter().sum::<u64>());
+            let sums = map_ranges(par, 1, items.len(), |r| items[r].iter().sum::<u64>());
             assert_eq!(sums.iter().sum::<u64>(), 499_500);
-            // First chunk must be the lowest items: order is positional.
+            // First range must be the lowest items: order is positional.
             let first_len = items.len().div_ceil(par.effective()).max(1);
             let expected_first: u64 = items[..first_len.min(items.len())].iter().sum();
             assert_eq!(sums[0], expected_first);
@@ -171,9 +77,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_inputs_yield_no_chunks() {
-        let out: Vec<u32> = map_chunks(Parallelism::auto(), 1, &[] as &[u8], |_| 1u32);
-        assert!(out.is_empty());
+    fn empty_inputs_yield_no_ranges() {
         let out: Vec<u32> = map_ranges(Parallelism::auto(), 1, 0, |_| 1u32);
         assert!(out.is_empty());
     }
@@ -182,8 +86,11 @@ mod tests {
     fn identical_results_across_thread_counts() {
         let items: Vec<u32> = (0..777).map(|i| i * 7 % 253).collect();
         let run = |par| {
-            map_chunks(par, 5, &items, |c| {
-                c.iter().map(|&x| x as u64 * x as u64).collect::<Vec<u64>>()
+            map_ranges(par, 5, items.len(), |r| {
+                items[r]
+                    .iter()
+                    .map(|&x| x as u64 * x as u64)
+                    .collect::<Vec<u64>>()
             })
             .concat()
         };

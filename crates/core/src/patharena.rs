@@ -12,15 +12,23 @@
 //!
 //! [`PathArena`] performs that work exactly once:
 //!
-//! * **Dedup by hash, then sort the distinct paths.** One pass over the
-//!   samples maps each `Asn` hop slice to a distinct slot in an
-//!   `FxHashMap` and counts its **multiplicity**; only the distinct paths
-//!   are then sorted by hop content. Because the bulk [`AsnInterner`]
-//!   assigns ids in ascending ASN order, lexicographic order of id
-//!   slices equals lexicographic order of ASN slices — the arena's path
-//!   order is *identical* to the old `sort_by(|a, b| a.0.cmp(&b.0))`
-//!   over cloned `AsPath`s, so downstream traversal order (and hence
-//!   every inference) is bit-for-bit unchanged.
+//! * **Dedup and intern in one hash pass, then sort the distinct
+//!   paths.** One pass over S1's flat hop buffer maps each `Asn` hop
+//!   slice to a distinct slot in an `FxHashMap` and counts its
+//!   **multiplicity**. A path seen for the first time gets provisional
+//!   ids from a small ASN map, in first-seen order, copied into a compact
+//!   distinct-hop buffer; no sample's hops are copied. The few distinct
+//!   ASNs are then sorted and the provisional ids remapped, so dense ids
+//!   ascend with ASN (the [`AsnInterner`] numbering) and lexicographic
+//!   order of id slices equals lexicographic order of ASN slices. Only
+//!   the distinct paths are sorted, so the arena's path order is
+//!   *identical* to the old `sort_by(|a, b| a.0.cmp(&b.0))` over cloned
+//!   `AsPath`s, and downstream traversal order (and hence every
+//!   inference) is bit-for-bit unchanged.
+//! * **Sharded by hash.** Each worker owns the distinct paths of one
+//!   hash shard: it reads every sample but dedups, interns and sorts only
+//!   its own paths. The sorted shards are merged under the same total
+//!   order, so the arena is bit-identical for every thread count.
 //! * **CSR flattening.** Distinct paths live in one `offsets`/`ids`
 //!   arena of dense `u32` ids: path `p` is `ids[offsets[p]..offsets[p+1]]`.
 //!   No per-path heap allocation survives the build.
@@ -28,10 +36,6 @@
 //!   for every dense id, the `(path, position)` occurrences packed into
 //!   one `u64` each — ascending by path then position, matching the
 //!   insertion order of the hash-map index it replaces.
-//!
-//! The id-mapping pass fans out over worker threads ([`crate::par`]) in
-//! contiguous path ranges reassembled in range order, so the arena is
-//! bit-identical for every thread count.
 
 use crate::par;
 use crate::sanitize::SanitizedPaths;
@@ -68,105 +72,58 @@ pub struct PathArena {
 impl PathArena {
     /// Build the arena from sanitized paths. The result is
     /// bit-identical for every `par` value.
+    ///
+    /// The distinct paths are split into one shard per worker by a hash
+    /// of their hops. Each worker dedups and interns its own shard in
+    /// one hash pass over the samples, then sorts it; the shards are
+    /// merged in sorted order. Which shard holds a path changes nothing
+    /// but the work split, since the merged order is a total order.
     pub fn build(sanitized: &SanitizedPaths, par: Parallelism) -> Self {
-        let samples = &sanitized.samples;
+        let shards = par.effective().clamp(1, MAX_SHARDS);
+        let parts: Vec<Shard> = par::map_ranges(par, 1, shards, |range| {
+            range
+                .map(|s| Shard::collect(sanitized, s, shards))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
-        // Flatten every sample's raw hops into one contiguous buffer so
-        // dedup hashes and compares cache-local u32 slices instead of
-        // chasing pointers into per-sample `Vec<Asn>` allocations.
-        let total_raw: usize = samples.iter().map(|s| s.path.len()).sum();
-        let mut tmp_offsets: Vec<u32> = Vec::with_capacity(samples.len() + 1);
-        tmp_offsets.push(0);
-        let mut tmp_hops: Vec<u32> = Vec::with_capacity(total_raw);
-        for s in samples {
-            tmp_hops.extend(s.path.iter().map(|a| a.0));
-            tmp_offsets.push(dense_id(tmp_hops.len()));
-        }
-        let hops_of = |i: u32| {
-            &tmp_hops[tmp_offsets[i as usize] as usize..tmp_offsets[i as usize + 1] as usize]
-        };
-
-        // One hash pass collapses equal hop slices: the first sample with
-        // a given path represents it, and later ones only bump its
-        // multiplicity. Which sample represents a path cannot matter —
-        // they all hold the same hops.
-        //
-        // Then only the distinct paths are sorted. A packed
-        // (hop0, hop1, hop2, hop3) prefix key resolves almost every
-        // comparison in registers: hops 0–1 are usually (VP, first hop),
-        // shared by many paths, so a two-hop key fell through to the
-        // slice compare most of the time. Missing hops read 0, and AS 0
-        // never survives sanitization, so a shorter path packs below
-        // every extension of it and packed-u128 order equals
-        // lexicographic order of the first four hops. Distinct paths
-        // never compare equal, so sort_unstable's order is fully
-        // determined.
-        let prefix_key = |h: &[u32]| -> u128 {
-            (0..4).fold(0u128, |key, i| {
-                key << 32 | u128::from(h.get(i).copied().unwrap_or(0))
+        // Ids ascend with ASN — the property the whole determinism story
+        // rests on: number the few distinct ASNs of all shards in
+        // ascending order, and give each shard a provisional → final id
+        // table. Id slices then order exactly like ASN slices.
+        let interner = AsnInterner::from_ases(parts.iter().flat_map(|p| p.asns.iter().copied()));
+        let finals: Vec<Vec<u32>> = parts
+            .iter()
+            .map(|p| {
+                p.asns
+                    .iter()
+                    // lint: allow(panics, the interner was built from these same shard ASNs)
+                    .map(|&a| interner.get(a).expect("interned"))
+                    .collect()
             })
+            .collect();
+
+        // Sort each shard's distinct paths and lay them out in that order.
+        let width = (32 - dense_id(interner.len()).leading_zeros()).max(1);
+        let mut sorted: Vec<Sorted> = par::map_ranges(par, 1, shards, |range| {
+            range
+                .map(|s| parts[s].sorted(&finals[s], width))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        drop(parts);
+
+        // Merge the sorted shards; one shard is the arena as it stands.
+        let (offsets, ids, multiplicity) = if sorted.len() == 1 {
+            let only = sorted.pop().unwrap_or_default();
+            (only.offsets, only.ids, only.mult)
+        } else {
+            Sorted::merge(&sorted)
         };
-        // (prefix key, representative sample, multiplicity)
-        let mut distinct: Vec<(u128, u32, u32)> = Vec::new();
-        {
-            // Sized for half the samples: a RIB repeats most paths across
-            // prefixes (the 16k benchmark RIB sanitizes to 594k samples on
-            // 269k distinct paths), and a small table keeps probes in cache.
-            // A dump with more distinct paths only pays one regrowth.
-            let mut slot_of: FxHashMap<&[u32], u32> =
-                FxHashMap::with_capacity_and_hasher(samples.len() / 2, Default::default());
-            for i in 0..dense_id(samples.len()) {
-                let hops = hops_of(i);
-                match slot_of.entry(hops) {
-                    Entry::Occupied(slot) => distinct[*slot.get() as usize].2 += 1,
-                    Entry::Vacant(slot) => {
-                        slot.insert(dense_id(distinct.len()));
-                        distinct.push((prefix_key(hops), i, 1));
-                    }
-                }
-            }
-        }
-        distinct
-            .sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| hops_of(a.1).cmp(hops_of(b.1))));
-
-        let reps: Vec<u32> = distinct.iter().map(|d| d.1).collect();
-        let multiplicity: Vec<u32> = distinct.iter().map(|d| d.2).collect();
-        let mut offsets: Vec<u32> = Vec::with_capacity(reps.len() + 1);
-        offsets.push(0);
-        let mut total = 0usize;
-        for &rep in &reps {
-            total += hops_of(rep).len();
-            offsets.push(dense_id(total));
-        }
-        drop(distinct);
-
-        // Ids ascend with ASN (bulk interner) — the property the whole
-        // determinism story above rests on.
-        let interner = AsnInterner::from_ases(
-            reps.iter()
-                .flat_map(|&si| hops_of(si).iter().map(|&v| Asn(v))),
-        );
-
-        // Map hops to dense ids over contiguous path ranges in parallel,
-        // each range writing its offset-table span of `ids` in place.
-        let mut ids: Vec<u32> = vec![0; total];
-        par::fill_ranges(
-            par,
-            256,
-            reps.len(),
-            &mut ids,
-            |range| (offsets[range.end] - offsets[range.start]) as usize,
-            |range, span| {
-                let mut w = 0usize;
-                for d in range {
-                    for &v in hops_of(reps[d]) {
-                        // lint: allow(panics, interner seeded from these same distinct paths covers every hop)
-                        span[w] = interner.get(Asn(v)).expect("interned");
-                        w += 1;
-                    }
-                }
-            },
-        );
 
         let (inv_offsets, inv_entries) = invert(&offsets, &ids, interner.len());
         PathArena {
@@ -385,6 +342,180 @@ impl PathArena {
         }
         problems
     }
+}
+
+/// Upper bound on the arena's hash shards. Every shard's worker reads
+/// every sample, so past a few workers the shared scan, not the probes,
+/// dominates; and the merge compares one head per shard for every path.
+const MAX_SHARDS: usize = 8;
+
+/// The distinct paths of one hash shard, interned in the shard's own
+/// first-seen order.
+struct Shard {
+    /// Samples collapsed into each distinct path, in first-seen order.
+    mult: Vec<u32>,
+    /// Distinct path `d` is `ids[offsets[d]..offsets[d + 1]]`.
+    offsets: Vec<u32>,
+    /// Hops of the distinct paths, as provisional ids.
+    ids: Vec<u32>,
+    /// Provisional id → ASN.
+    asns: Vec<Asn>,
+}
+
+impl Shard {
+    /// One hash pass over every sample, keeping the paths of shard
+    /// `shard` of `shards`: the first sample with a given path makes it
+    /// distinct, and later ones only bump its multiplicity. The same
+    /// pass interns — each new distinct path's hops get provisional ids
+    /// and are copied, as ids, into one compact buffer — so only
+    /// distinct paths pay for interning, and no sample's hops are copied.
+    fn collect(sanitized: &SanitizedPaths, shard: usize, shards: usize) -> Shard {
+        let mut out = Shard {
+            mult: Vec::new(),
+            offsets: vec![0],
+            ids: Vec::new(),
+            asns: Vec::new(),
+        };
+        // Sized for half the shard's samples: a RIB repeats most paths
+        // across prefixes (the 16k benchmark RIB sanitizes to 594k
+        // samples on 269k distinct paths), and a small table keeps probes
+        // in cache. A dump with more distinct paths only pays one
+        // regrowth.
+        let mut slot_of: FxHashMap<&[Asn], u32> =
+            FxHashMap::with_capacity_and_hasher(sanitized.len() / 2 / shards, Default::default());
+        let mut provisional: FxHashMap<Asn, u32> = FxHashMap::default();
+        for hops in sanitized.paths() {
+            if shards > 1 && shard_of(hops, shards) != shard {
+                continue;
+            }
+            match slot_of.entry(hops) {
+                Entry::Occupied(slot) => out.mult[*slot.get() as usize] += 1,
+                Entry::Vacant(slot) => {
+                    slot.insert(dense_id(out.mult.len()));
+                    out.mult.push(1);
+                    for &a in hops {
+                        let id = *provisional.entry(a).or_insert_with(|| {
+                            out.asns.push(a);
+                            dense_id(out.asns.len() - 1)
+                        });
+                        out.ids.push(id);
+                    }
+                    out.offsets.push(dense_id(out.ids.len()));
+                }
+            }
+        }
+        out
+    }
+
+    /// Hops of distinct path `d` as final ids.
+    fn final_path<'a>(&'a self, d: u32, finals: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+        let span =
+            &self.ids[self.offsets[d as usize] as usize..self.offsets[d as usize + 1] as usize];
+        span.iter().map(move |&p| finals[p as usize])
+    }
+
+    /// The shard's distinct paths in arena order, laid out as final
+    /// ids. Each path's sort key packs final id + 1 of its leading hops,
+    /// `width` bits each (`width` fits every id + 1), and 0 for a missing
+    /// hop: a shorter path packs below every extension of it, so key
+    /// order is lexicographic order of the leading hops and resolves
+    /// almost every comparison in registers. Equal keys fall back to the
+    /// whole slice. Distinct paths never compare equal, so the order is
+    /// fully determined.
+    fn sorted(&self, finals: &[u32], width: u32) -> Sorted {
+        let lead = (128 / width) as usize;
+        let mut order: Vec<(u128, u32)> = (0..dense_id(self.mult.len()))
+            .map(|d| {
+                let key = self
+                    .final_path(d, finals)
+                    .map(|id| id + 1)
+                    .chain(std::iter::repeat(0))
+                    .take(lead)
+                    .fold(0u128, |key, v| key << width | u128::from(v));
+                (key, d)
+            })
+            .collect();
+        order.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0).then_with(|| {
+                self.final_path(a.1, finals)
+                    .cmp(self.final_path(b.1, finals))
+            })
+        });
+        let mut out = Sorted {
+            keys: Vec::with_capacity(order.len()),
+            offsets: Vec::with_capacity(order.len() + 1),
+            ids: Vec::with_capacity(self.ids.len()),
+            mult: Vec::with_capacity(order.len()),
+        };
+        out.offsets.push(0);
+        for (key, d) in order {
+            out.keys.push(key);
+            out.ids.extend(self.final_path(d, finals));
+            out.offsets.push(dense_id(out.ids.len()));
+            out.mult.push(self.mult[d as usize]);
+        }
+        out
+    }
+}
+
+/// One shard's distinct paths in arena order: the arena's own layout
+/// plus each path's sort key.
+#[derive(Default)]
+struct Sorted {
+    keys: Vec<u128>,
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+    mult: Vec<u32>,
+}
+
+impl Sorted {
+    /// Path `i` as final ids.
+    fn path(&self, i: usize) -> &[u32] {
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Merge sorted shards into the arena's `(offsets, ids,
+    /// multiplicity)`, taking the least `(key, path)` head each step.
+    fn merge(shards: &[Sorted]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let distinct: usize = shards.iter().map(|s| s.keys.len()).sum();
+        let mut offsets: Vec<u32> = Vec::with_capacity(distinct + 1);
+        offsets.push(0);
+        let mut ids: Vec<u32> = Vec::with_capacity(shards.iter().map(|s| s.ids.len()).sum());
+        let mut mult: Vec<u32> = Vec::with_capacity(distinct);
+        let mut heads = vec![0usize; shards.len()];
+        loop {
+            let mut next: Option<usize> = None;
+            for (s, shard) in shards.iter().enumerate() {
+                let i = heads[s];
+                if i == shard.keys.len() {
+                    continue;
+                }
+                let better = next.is_none_or(|t| {
+                    let j = heads[t];
+                    (shard.keys[i], shard.path(i)) < (shards[t].keys[j], shards[t].path(j))
+                });
+                if better {
+                    next = Some(s);
+                }
+            }
+            let Some(s) = next else { break };
+            let i = heads[s];
+            heads[s] += 1;
+            ids.extend_from_slice(shards[s].path(i));
+            offsets.push(dense_id(ids.len()));
+            mult.push(shards[s].mult[i]);
+        }
+        (offsets, ids, mult)
+    }
+}
+
+/// The shard of a hop slice: a multiplicative hash of its hops, mapped
+/// onto `0..shards` by its high bits.
+fn shard_of(hops: &[Asn], shards: usize) -> usize {
+    let h = hops
+        .iter()
+        .fold(0u32, |h, a| (h ^ a.0).wrapping_mul(0x9E37_79B1));
+    ((u64::from(h) * shards as u64) >> 32) as usize
 }
 
 impl PartialEq for PathArena {
@@ -716,15 +847,15 @@ mod tests {
         let arena = PathArena::build(&clean, Parallelism::auto());
 
         let mut old: Vec<AsPath> = {
-            let set: HashSet<&AsPath> = clean.paths().collect();
-            set.into_iter().cloned().collect()
+            let set: HashSet<&[Asn]> = clean.paths().collect();
+            set.into_iter().map(|h| AsPath(h.to_vec())).collect()
         };
         old.sort_by(|a, b| a.0.cmp(&b.0));
 
         assert_eq!(arena.distinct_aspaths(), old);
         assert_eq!(arena.len(), 4);
         let mults: Vec<u32> = (0..arena.len()).map(|p| arena.multiplicity(p)).collect();
-        assert_eq!(mults.iter().sum::<u32>() as usize, clean.samples.len());
+        assert_eq!(mults.iter().sum::<u32>() as usize, clean.len());
         assert!(mults.iter().filter(|&&m| m == 2).count() == 2);
     }
 
@@ -816,7 +947,7 @@ mod tests {
 
     /// The rebuilt-from-scratch oracle: an arena built over one synthetic
     /// sample per `(path, repeat)` entry of the multiset. `build`
-    /// only reads `sample.path`, so dummy vp/prefix values are fine.
+    /// only reads the hops, so dummy vp/prefix values are fine.
     fn oracle_arena(multiset: &[Vec<u32>]) -> PathArena {
         PathArena::build(&as_sanitized(multiset), Parallelism::sequential())
     }
@@ -824,19 +955,16 @@ mod tests {
     /// One synthetic sample per entry of `multiset`, taken as already
     /// sanitized.
     fn as_sanitized(multiset: &[Vec<u32>]) -> SanitizedPaths {
-        let samples: Vec<PathSample> = multiset
-            .iter()
-            .enumerate()
-            .map(|(i, hops)| PathSample {
-                vp: Asn(hops[0]),
-                prefix: Ipv4Prefix::new((i as u32) << 8, 24).unwrap(),
-                path: AsPath::from_u32s(hops.iter().copied()),
-            })
-            .collect();
-        SanitizedPaths {
-            samples,
-            report: Default::default(),
+        let mut out = SanitizedPaths::default();
+        for (i, hops) in multiset.iter().enumerate() {
+            let hops: Vec<Asn> = hops.iter().copied().map(Asn).collect();
+            out.push(
+                hops[0],
+                Ipv4Prefix::new((i as u32) << 8, 24).unwrap(),
+                &hops,
+            );
         }
+        out
     }
 
     #[test]
@@ -957,33 +1085,60 @@ mod tests {
             (offsets, ids, multiplicity, interned)
         }
 
+        /// The hop alphabet, listed out of ASN order so that first-seen
+        /// order almost never matches it, with 4-byte ASNs at and above
+        /// 2^31.
+        const ALPHABET: [u32; 8] = [
+            4_200_000_123,
+            7,
+            2_147_483_648,
+            1,
+            65_536,
+            u32::MAX,
+            3,
+            3_000_000_000,
+        ];
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
-            /// Hash-then-sort dedup builds exactly the sort-based arena,
-            /// at every thread count. Samples draw from a small pool, so
-            /// most repeat; pool paths extend one of at most three
-            /// four-hop heads over a four-AS alphabet, so many distinct
-            /// paths share their packed prefix key and only the slice
-            /// tie-break orders them. One pool path in eight is a two- or
-            /// three-hop head, which packs missing hops as 0.
+            /// Hash-then-sort dedup, interned in first-seen order and
+            /// remapped to ascending ids, builds exactly the sort-based
+            /// arena, at every thread count. Samples draw from a small
+            /// pool, so most repeat; pool paths extend one of at most
+            /// three heads over the alphabet, so many distinct paths share
+            /// their leading hops and only the slice tie-break orders
+            /// them. A head is four hops, or 130 — longer than any packed
+            /// sort key. One pool path in eight is a two- or three-hop
+            /// head, which packs its missing hops as 0.
             #[test]
             fn hash_dedup_matches_sort_dedup(
-                heads in proptest::collection::vec(proptest::collection::vec(1u32..5, 4), 1..4),
+                heads in proptest::collection::vec(
+                    (proptest::collection::vec(0usize..8, 4), 0u8..4),
+                    1..4,
+                ),
                 pool in proptest::collection::vec(
-                    (0usize..3, proptest::collection::vec(1u32..7, 0..4), 0u8..8),
+                    (0usize..3, proptest::collection::vec(0usize..8, 0..4), 0u8..8),
                     1..40,
                 ),
                 draws in proptest::collection::vec(0usize..64, 1..200),
             ) {
+                let heads: Vec<Vec<usize>> = heads
+                    .into_iter()
+                    .map(|(head, long)| {
+                        let len = if long == 0 { 130 } else { 4 };
+                        head.into_iter().cycle().take(len).collect()
+                    })
+                    .collect();
                 let pool: Vec<Vec<u32>> = pool
                     .into_iter()
                     .map(|(h, tail, short)| {
                         let head = &heads[h % heads.len()];
-                        if short == 0 {
+                        let hops = if short == 0 {
                             head[..2 + tail.len() % 2].to_vec()
                         } else {
                             [head.as_slice(), &tail].concat()
-                        }
+                        };
+                        hops.into_iter().map(|i| ALPHABET[i]).collect()
                     })
                     .collect();
                 let multiset: Vec<Vec<u32>> =

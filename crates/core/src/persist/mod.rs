@@ -38,7 +38,7 @@ use crate::engine::{Artifact, KeptPaths, StepState};
 use crate::patharena::PathArena;
 use crate::pipeline::{Inference, InferenceReport};
 use crate::sanitize::{SanitizeReport, SanitizedPaths};
-use asrank_types::codec::{CodecError, Decoder, Encoder};
+use asrank_types::codec::{CodecError, Decoder, Encoder, U32View};
 use asrank_types::prelude::*;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
@@ -113,40 +113,56 @@ pub fn pathset_fingerprint(paths: &PathSet) -> u64 {
 // Shared field encoders
 // ---------------------------------------------------------------------
 
-fn put_samples<'a, I: Iterator<Item = &'a PathSample>>(e: &mut Encoder, count: usize, samples: I) {
-    e.usize(count);
-    for s in samples {
-        e.u32(s.vp.0);
-        e.u32(s.prefix.network());
-        e.u8(s.prefix.len());
-        // The `seq_u32` layout, written hop by hop without a copy.
-        e.usize(s.path.len());
-        for a in s.path.iter() {
-            e.u32(a.0);
-        }
+/// One sample in the `seq_u32` path layout, hop by hop without a copy.
+fn put_sample(e: &mut Encoder, vp: Asn, prefix: Ipv4Prefix, hops: &[Asn]) {
+    e.u32(vp.0);
+    e.u32(prefix.network());
+    e.u8(prefix.len());
+    e.usize(hops.len());
+    for a in hops {
+        e.u32(a.0);
     }
 }
 
-fn get_samples(d: &mut Decoder<'_>) -> Result<Vec<PathSample>, CodecError> {
-    // Lower-bound each sample at 9 bytes (vp + network + len) to bound
-    // the pre-sized allocation by the remaining payload.
-    let count = d.seq_len(9, "sample count")?;
-    let mut out = Vec::with_capacity(count);
+/// The sample count of a sample section. Each sample is lower-bounded at
+/// 9 bytes (vp + network + len), which bounds pre-sized allocations by
+/// the remaining payload.
+fn get_sample_count(d: &mut Decoder<'_>) -> Result<usize, CodecError> {
+    d.seq_len(9, "sample count")
+}
+
+/// One sample of a sample section, its hops left in the frame.
+fn get_sample<'a>(d: &mut Decoder<'a>) -> Result<(Asn, Ipv4Prefix, U32View<'a>), CodecError> {
+    let vp = Asn(d.u32("sample vp")?);
+    let network = d.u32("sample prefix network")?;
+    let plen = d.u8("sample prefix length")?;
+    let prefix = Ipv4Prefix::new(network, plen).map_err(|_| CodecError::BadValue {
+        context: "sample prefix length",
+        value: u64::from(plen),
+    })?;
+    Ok((vp, prefix, d.seq_u32_view("sample path")?))
+}
+
+/// Decode an S1 sample section straight into the flat layout: no
+/// allocation per sample.
+fn get_sanitized(
+    d: &mut Decoder<'_>,
+    report: SanitizeReport,
+) -> Result<SanitizedPaths, CodecError> {
+    let count = get_sample_count(d)?;
+    let mut out = SanitizedPaths::with_capacity(count, 0);
     for _ in 0..count {
-        let vp = Asn(d.u32("sample vp")?);
-        let network = d.u32("sample prefix network")?;
-        let plen = d.u8("sample prefix length")?;
-        let prefix = Ipv4Prefix::new(network, plen).map_err(|_| CodecError::BadValue {
-            context: "sample prefix length",
-            value: u64::from(plen),
-        })?;
-        let hops = d.seq_u32("sample path")?;
-        out.push(PathSample {
-            vp,
-            prefix,
-            path: AsPath(hops.into_iter().map(Asn).collect()),
-        });
+        let (vp, prefix, hops) = get_sample(d)?;
+        out.hops.extend(hops.iter().map(Asn));
+        if u32::try_from(out.hops.len()).is_err() {
+            return Err(CodecError::BadValue {
+                context: "sanitized hop total",
+                value: out.hops.len() as u64,
+            });
+        }
+        out.seal(vp, prefix);
     }
+    out.report = report;
     Ok(out)
 }
 
@@ -303,7 +319,10 @@ pub fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
         Artifact::Sanitized(s) => {
             let mut e = Encoder::new(kind::SANITIZED);
             put_sanitize_report(&mut e, &s.report);
-            put_samples(&mut e, s.samples.len(), s.samples.iter());
+            e.usize(s.len());
+            for (vp, prefix, hops) in s.iter() {
+                put_sample(&mut e, vp, prefix, hops);
+            }
             e.finish()
         }
         Artifact::Degrees(t) => {
@@ -388,8 +407,7 @@ pub fn decode_artifact(bytes: &[u8], expected: u16) -> Result<Artifact, CodecErr
     let artifact = match expected {
         kind::SANITIZED => {
             let report = get_sanitize_report(&mut d)?;
-            let samples = get_samples(&mut d)?;
-            Artifact::Sanitized(Arc::new(SanitizedPaths { samples, report }))
+            Artifact::Sanitized(Arc::new(get_sanitized(&mut d, report)?))
         }
         kind::DEGREES => Artifact::Degrees(Arc::new(get_degrees(&mut d)?)),
         kind::CLIQUE => Artifact::Clique(Arc::new(get_asns(&mut d, "clique asns")?)),
@@ -486,16 +504,28 @@ pub fn decode_artifact(bytes: &[u8], expected: u16) -> Result<Artifact, CodecErr
 /// Serialize a raw path set (the CLI's decoded-RIB cache entry).
 pub fn encode_pathset(paths: &PathSet) -> Vec<u8> {
     let mut e = Encoder::new(kind::PATHSET);
-    put_samples(&mut e, paths.len(), paths.iter());
+    e.usize(paths.len());
+    for s in paths.iter() {
+        put_sample(&mut e, s.vp, s.prefix, &s.path.0);
+    }
     e.finish()
 }
 
 /// Decode a raw path set frame.
 pub fn decode_pathset(bytes: &[u8]) -> Result<PathSet, CodecError> {
     let mut d = Decoder::open(bytes, kind::PATHSET)?;
-    let samples = get_samples(&mut d)?;
+    let count = get_sample_count(&mut d)?;
+    let mut samples = Vec::with_capacity(count);
+    for _ in 0..count {
+        let (vp, prefix, hops) = get_sample(&mut d)?;
+        samples.push(PathSample {
+            vp,
+            prefix,
+            path: AsPath(hops.iter().map(Asn).collect()),
+        });
+    }
     d.finish()?;
-    Ok(samples.into_iter().collect())
+    Ok(PathSet::from_samples(samples))
 }
 
 // ---------------------------------------------------------------------

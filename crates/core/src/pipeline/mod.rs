@@ -187,7 +187,7 @@ pub fn infer_monolithic(paths: &PathSet, cfg: &InferenceConfig) -> Inference {
     // Distinct paths in ASN-lexicographic order: multiplicity (one
     // sample per prefix) adds no relationship evidence, and S5's walk
     // order follows path order.
-    let mut distinct: Vec<AsPath> = sanitized.paths().cloned().collect();
+    let mut distinct: Vec<AsPath> = sanitized.paths().map(|h| AsPath(h.to_vec())).collect();
     distinct.sort_by(|a, b| a.0.cmp(&b.0));
     distinct.dedup();
 

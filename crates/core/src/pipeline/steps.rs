@@ -16,7 +16,6 @@ use crate::degree::DegreeTable;
 use crate::patharena::PathArena;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
-use asrank_types::FxHashMap;
 use std::collections::{HashMap, HashSet};
 
 /// S4 — a path is poisoned when a non-clique AS appears between two
@@ -213,64 +212,55 @@ pub fn infer_vp_providers(
     rels: &mut RelationshipMap,
     report: &mut InferenceReport,
 ) {
-    // Distinct-prefix evidence, flattened: instead of one prefix set
-    // per `(vp, first hop)` key (millions of hashed inserts at scale),
-    // gather a flat `(vp, first hop, prefix)` triple per qualifying
-    // sample — a cheap per-chunk append on worker threads — then sort
-    // and run-length count. The triple sort also yields the candidate
-    // walk order directly, so the classification consumes exactly the
-    // sequence the per-set construction sorted into.
-    let per_chunk = crate::par::map_chunks(cfg.parallelism, 512, &sanitized.samples, |chunk| {
-        let mut triples: Vec<(Asn, Asn, Ipv4Prefix)> = Vec::with_capacity(chunk.len());
-        for s in chunk {
-            let hops = &s.path.0;
-            if hops.len() < 2 || hops[0] != s.vp {
-                continue;
-            }
-            triples.push((s.vp, hops[1], s.prefix));
+    // Distinct-prefix evidence from one integer sort: pack each
+    // qualifying sample as `vp | network | prefix len | first hop`, high
+    // to low, so u128 order is `(vp, prefix, first hop)` order
+    // (`Ipv4Prefix` orders by network, then length). After the dedup,
+    // each key is one distinct `(vp, prefix, first hop)` triple and each
+    // run of equal high 96 bits one distinct `(vp, prefix)`.
+    let mut keys: Vec<u128> = Vec::with_capacity(sanitized.len());
+    for (vp, prefix, hops) in sanitized.iter() {
+        if hops.len() < 2 || hops[0] != vp {
+            continue;
         }
-        triples
-    });
-    let mut triples: Vec<(Asn, Asn, Ipv4Prefix)> =
-        Vec::with_capacity(per_chunk.iter().map(Vec::len).sum());
-    for chunk in per_chunk {
-        triples.extend_from_slice(&chunk);
+        keys.push(
+            u128::from(vp.0) << 96
+                | u128::from(prefix.network()) << 64
+                | u128::from(prefix.len()) << 32
+                | u128::from(hops[1].0),
+        );
     }
-    triples.sort_unstable();
-    triples.dedup();
+    keys.sort_unstable();
+    keys.dedup();
 
-    // `via[(vp, w)]` = run length over the sorted triples; candidates
-    // come out in sorted `(vp, w)` order for free.
+    // One pass over each VP's run: `totals[vp]` counts its distinct
+    // prefixes; `via[(vp, w)]` counts its distinct triples through first
+    // hop `w`, from the run's first hops sorted. VP runs ascend, so the
+    // candidates come out in sorted `(vp, w)` order.
     let mut candidates: Vec<(Asn, Asn)> = Vec::new();
-    let mut via: FxHashMap<(Asn, Asn), usize> = FxHashMap::default();
-    let mut i = 0usize;
-    while i < triples.len() {
-        let (vp, w, _) = triples[i];
-        let mut j = i + 1;
-        while j < triples.len() && triples[j].0 == vp && triples[j].1 == w {
-            j += 1;
+    let mut via: Vec<usize> = Vec::new();
+    let mut totals: Vec<(Asn, usize)> = Vec::new();
+    let mut firsts: Vec<u32> = Vec::new();
+    for run in keys.chunk_by(|a, b| a >> 96 == b >> 96) {
+        let vp = Asn((run[0] >> 96) as u32);
+        totals.push((vp, run.chunk_by(|a, b| a >> 32 == b >> 32).count()));
+        firsts.clear();
+        firsts.extend(run.iter().map(|&k| k as u32));
+        firsts.sort_unstable();
+        for same in firsts.chunk_by(|a, b| a == b) {
+            candidates.push((vp, Asn(same[0])));
+            via.push(same.len());
         }
-        candidates.push((vp, w));
-        via.insert((vp, w), j - i);
-        i = j;
-    }
-
-    // `totals[vp]` = distinct prefixes per VP. A `(vp, prefix)` key can
-    // recur under different first hops when the input holds duplicate
-    // samples for it, so the per-VP count needs its own dedup pass.
-    let mut vp_prefixes: Vec<(Asn, Ipv4Prefix)> =
-        triples.iter().map(|&(vp, _, p)| (vp, p)).collect();
-    vp_prefixes.sort_unstable();
-    vp_prefixes.dedup();
-    let mut totals: FxHashMap<Asn, usize> = FxHashMap::default();
-    for &(vp, _) in &vp_prefixes {
-        *totals.entry(vp).or_default() += 1;
     }
 
     classify_vp_providers(
         &candidates,
-        |vp, w| via[&(vp, w)],
-        |vp| totals.get(&vp).copied().unwrap_or(0),
+        |vp, w| candidates.binary_search(&(vp, w)).map_or(0, |k| via[k]),
+        |vp| {
+            totals
+                .binary_search_by_key(&vp, |t| t.0)
+                .map_or(0, |k| totals[k].1)
+        },
         degrees,
         cfg,
         rels,
@@ -868,8 +858,8 @@ mod tests {
         // Reference: the pre-arena sequence — hash-dedup distinct paths,
         // sort, poison-filter, then the path-slice step functions.
         let distinct: Vec<AsPath> = {
-            let set: HashSet<&AsPath> = sanitized.paths().collect();
-            let mut v: Vec<AsPath> = set.into_iter().cloned().collect();
+            let set: HashSet<&[Asn]> = sanitized.paths().collect();
+            let mut v: Vec<AsPath> = set.into_iter().map(|h| AsPath(h.to_vec())).collect();
             v.sort_by(|a, b| a.0.cmp(&b.0));
             v
         };
@@ -914,5 +904,172 @@ mod tests {
         assert_eq!(report_old.p2p_assigned, report_new.p2p_assigned);
         assert_eq!(rels_old, rels_new);
         assert!(!rels_new.is_empty(), "fixture must actually infer links");
+    }
+
+    /// S6's one-sort evidence against the two-sort tuple form it
+    /// replaced, written out here. The engine and `infer_monolithic`
+    /// both call [`infer_vp_providers`], so no equivalence suite can see
+    /// an S6 bug; this is S6's own oracle.
+    mod vp_providers_oracle {
+        use super::*;
+        use std::collections::HashMap;
+
+        /// The tuple form: one `(vp, first hop, prefix)` triple per
+        /// qualifying sample, sorted and deduped; `via` is each `(vp, w)`
+        /// run's length, and `totals` counts the distinct `(vp, prefix)`
+        /// pairs after a second sort and dedup. Also tallies, into
+        /// `sides`, the candidate shares below and at or above the
+        /// threshold.
+        fn two_sorts(
+            sanitized: &SanitizedPaths,
+            degrees: &DegreeTable,
+            cfg: &InferenceConfig,
+            rels: &mut RelationshipMap,
+            report: &mut InferenceReport,
+            sides: &mut [usize; 2],
+        ) {
+            let mut triples: Vec<(Asn, Asn, Ipv4Prefix)> = sanitized
+                .iter()
+                .filter(|(vp, _, hops)| hops.len() >= 2 && hops[0] == *vp)
+                .map(|(vp, prefix, hops)| (vp, hops[1], prefix))
+                .collect();
+            triples.sort_unstable();
+            triples.dedup();
+            let mut candidates: Vec<(Asn, Asn)> = Vec::new();
+            let mut via: HashMap<(Asn, Asn), usize> = HashMap::new();
+            for &(vp, w, _) in &triples {
+                if candidates.last() != Some(&(vp, w)) {
+                    candidates.push((vp, w));
+                }
+                *via.entry((vp, w)).or_default() += 1;
+            }
+            let mut vp_prefixes: Vec<(Asn, Ipv4Prefix)> =
+                triples.iter().map(|&(vp, _, p)| (vp, p)).collect();
+            vp_prefixes.sort_unstable();
+            vp_prefixes.dedup();
+            let mut totals: HashMap<Asn, usize> = HashMap::new();
+            for &(vp, _) in &vp_prefixes {
+                *totals.entry(vp).or_default() += 1;
+            }
+            for (vp, w) in &candidates {
+                let share = via[&(*vp, *w)] as f64 / totals[vp] as f64;
+                sides[usize::from(share >= cfg.vp_provider_threshold)] += 1;
+            }
+            classify_vp_providers(
+                &candidates,
+                |vp, w| via[&(vp, w)],
+                |vp| totals.get(&vp).copied().unwrap_or(0),
+                degrees,
+                cfg,
+                rels,
+                report,
+            );
+        }
+
+        /// xorshift64: a fixed, dependency-free stream of test draws.
+        struct Draws(u64);
+
+        impl Draws {
+            fn below(&mut self, n: u64) -> u64 {
+                self.0 ^= self.0 << 13;
+                self.0 ^= self.0 >> 7;
+                self.0 ^= self.0 << 17;
+                self.0 % n
+            }
+        }
+
+        /// Samples from three VPs over eight prefixes and six first hops.
+        /// Draws repeat the previous sample exactly, or keep its
+        /// `(vp, prefix)` under a different first hop, or start the path
+        /// at an AS that is not the VP.
+        fn draw_samples(d: &mut Draws) -> (SanitizedPaths, [usize; 3]) {
+            let mut out = SanitizedPaths::default();
+            // (exact duplicates, re-routed (vp, prefix) keys, foreign heads)
+            let mut kinds = [0usize; 3];
+            let n = 5 + d.below(60);
+            let mut prev: Option<(Asn, Ipv4Prefix, Vec<Asn>)> = None;
+            for _ in 0..n {
+                let sample = match (d.below(6), &prev) {
+                    (0, Some(p)) => {
+                        kinds[0] += 1;
+                        p.clone()
+                    }
+                    (1, Some((vp, prefix, hops))) => {
+                        kinds[1] += 1;
+                        let w = Asn(1 + (hops[1].0 + d.below(5) as u32) % 6);
+                        (*vp, *prefix, vec![*vp, w, Asn(50 + d.below(4) as u32)])
+                    }
+                    _ => {
+                        let vp = Asn(100 * (1 + d.below(3) as u32));
+                        let prefix = Ipv4Prefix::new((d.below(8) as u32) << 8, 24).unwrap();
+                        let head = if d.below(8) == 0 {
+                            kinds[2] += 1;
+                            Asn(vp.0 + 1)
+                        } else {
+                            vp
+                        };
+                        let mut hops = vec![head, Asn(1 + d.below(6) as u32)];
+                        for _ in 0..d.below(3) {
+                            hops.push(Asn(50 + d.below(4) as u32));
+                        }
+                        (vp, prefix, hops)
+                    }
+                };
+                out.push(sample.0, sample.1, &sample.2);
+                prev = Some(sample);
+            }
+            (out, kinds)
+        }
+
+        #[test]
+        fn one_sort_matches_two_sorts() {
+            let mut d = Draws(0x5EED_0F56);
+            let mut sides = [0usize; 2];
+            let mut kinds = [0usize; 3];
+            let mut inferred = 0usize;
+            for case in 0..400 {
+                let (sanitized, k) = draw_samples(&mut d);
+                for (total, n) in kinds.iter_mut().zip(k) {
+                    *total += n;
+                }
+                let degrees = DegreeTable::compute(&sanitized);
+                // Some cases hold a relationship on a VP link already, so
+                // the classifier's skip is exercised too.
+                let mut seeded = RelationshipMap::new();
+                if case % 4 == 0 {
+                    seeded.insert_p2p(Asn(100), Asn(1 + d.below(6) as u32));
+                }
+                let (mut rels_want, mut report_want) = (seeded.clone(), InferenceReport::default());
+                let base = InferenceConfig::default();
+                two_sorts(
+                    &sanitized,
+                    &degrees,
+                    &base,
+                    &mut rels_want,
+                    &mut report_want,
+                    &mut sides,
+                );
+                inferred += report_want.c2p_from_vps;
+                for par in [Parallelism::sequential(), Parallelism::threads(4)] {
+                    let cfg = InferenceConfig {
+                        parallelism: par,
+                        ..base.clone()
+                    };
+                    let (mut rels, mut report) = (seeded.clone(), InferenceReport::default());
+                    infer_vp_providers(&sanitized, &degrees, &cfg, &mut rels, &mut report);
+                    assert_eq!(rels, rels_want, "case {case} at {par}");
+                    assert_eq!(report, report_want, "case {case} at {par}");
+                }
+            }
+            assert!(
+                sides[0] > 0 && sides[1] > 0,
+                "shares on both sides: {sides:?}"
+            );
+            assert!(
+                kinds.iter().all(|&k| k > 0),
+                "every draw kind occurs: {kinds:?}"
+            );
+            assert!(inferred > 0, "some VP provider is inferred");
+        }
     }
 }

@@ -56,30 +56,110 @@ pub struct SanitizeReport {
     pub stripped_ixp: usize,
 }
 
-/// Sanitized dataset: cleaned samples plus the report.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Sanitized dataset: the cleaned samples as struct-of-arrays, plus the
+/// report.
+///
+/// Sample `i` is the path `hops[offsets[i]..offsets[i + 1]]` observed at
+/// vantage point `vp[i]` for `prefix[i]`, in input order. Every cleaned
+/// path is loop-free, prepending-free, made of routable ASNs with IXP
+/// hops removed, and ≥ 2 hops long. All hops live in the one flat buffer
+/// (no heap allocation per sample), which the path arena hashes and the
+/// cache frame writes in place. Read it through [`SanitizedPaths::iter`]
+/// or [`SanitizedPaths::paths`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SanitizedPaths {
-    /// Cleaned observations (loop-free, prepending-free, routable ASNs,
-    /// IXP hops removed; ≥ 2 hops each).
-    pub samples: Vec<PathSample>,
+    /// Vantage point of each sample.
+    pub(crate) vp: Vec<Asn>,
+    /// Prefix of each sample.
+    pub(crate) prefix: Vec<Ipv4Prefix>,
+    /// `len() + 1` monotone offsets into `hops`, starting at 0.
+    pub(crate) offsets: Vec<u32>,
+    /// Cleaned hops of every sample, concatenated in sample order.
+    pub(crate) hops: Vec<Asn>,
     /// What happened during cleaning.
     pub report: SanitizeReport,
 }
 
-impl SanitizedPaths {
-    /// Iterate over the cleaned AS paths.
-    pub fn paths(&self) -> impl Iterator<Item = &AsPath> {
-        self.samples.iter().map(|s| &s.path)
+impl Default for SanitizedPaths {
+    fn default() -> Self {
+        SanitizedPaths::with_capacity(0, 0)
     }
 }
 
-/// Sanitize one path in a single pass. Returns `None` (with the reason
-/// recorded in `report`) when the path must be discarded. `ixps` is the
-/// IXP route-server list, sorted ascending.
+impl SanitizedPaths {
+    /// An empty set with room for `samples` samples of `hops` hops in
+    /// total.
+    pub(crate) fn with_capacity(samples: usize, hops: usize) -> Self {
+        let mut offsets = Vec::with_capacity(samples + 1);
+        offsets.push(0);
+        SanitizedPaths {
+            vp: Vec::with_capacity(samples),
+            prefix: Vec::with_capacity(samples),
+            offsets,
+            hops: Vec::with_capacity(hops),
+            report: SanitizeReport::default(),
+        }
+    }
+
+    /// Append one cleaned sample.
+    pub(crate) fn push(&mut self, vp: Asn, prefix: Ipv4Prefix, hops: &[Asn]) {
+        self.hops.extend_from_slice(hops);
+        self.seal(vp, prefix);
+    }
+
+    /// Close the sample whose hops were just appended to `hops`.
+    pub(crate) fn seal(&mut self, vp: Asn, prefix: Ipv4Prefix) {
+        self.vp.push(vp);
+        self.prefix.push(prefix);
+        self.offsets.push(dense_id(self.hops.len()));
+    }
+
+    /// Append every sample of `other`, shifting its offsets. The report
+    /// is left alone.
+    fn append(&mut self, other: &SanitizedPaths) {
+        let base = dense_id(self.hops.len());
+        self.vp.extend_from_slice(&other.vp);
+        self.prefix.extend_from_slice(&other.prefix);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&o| base + o));
+        self.hops.extend_from_slice(&other.hops);
+    }
+
+    /// Number of cleaned samples.
+    pub fn len(&self) -> usize {
+        self.vp.len()
+    }
+
+    /// True when no sample survived.
+    pub fn is_empty(&self) -> bool {
+        self.vp.is_empty()
+    }
+
+    /// Cleaned hops of sample `i`, VP first.
+    pub fn path(&self, i: usize) -> &[Asn] {
+        &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Iterate over the samples as `(vp, prefix, cleaned hops)`, in input
+    /// order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Asn, Ipv4Prefix, &[Asn])> + '_ {
+        (0..self.len()).map(|i| (self.vp[i], self.prefix[i], self.path(i)))
+    }
+
+    /// Iterate over the cleaned AS paths.
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = &[Asn]> + '_ {
+        (0..self.len()).map(|i| self.path(i))
+    }
+}
+
+/// Sanitize one path in a single pass, appending the cleaned hops to
+/// `out`. Returns `false` (with the reason recorded in `report`, and
+/// `out` truncated back to its length on entry) when the path must be
+/// discarded. `ixps` is the IXP route-server list, sorted ascending.
 ///
 /// The pass is the composition compress prepending → strip IXP hops →
-/// recompress → loop check, folded into one walk that allocates only
-/// the cleaned path:
+/// recompress → loop check, folded into one walk that writes only the
+/// cleaned path:
 ///
 /// 1. a hop equal to its *raw* predecessor is prepending;
 /// 2. an IXP hop is stripped, so the two route-server clients become
@@ -92,35 +172,45 @@ impl SanitizedPaths {
 /// Reserved ASNs anywhere make the whole path suspect (poisoners use
 /// private ASNs precisely because they never appear legitimately), and
 /// that verdict takes precedence over every other counter.
-fn sanitize_path(path: &AsPath, ixps: &[Asn], report: &mut SanitizeReport) -> Option<AsPath> {
-    let raw = &path.0;
-    let mut kept: Vec<Asn> = Vec::with_capacity(raw.len());
+fn sanitize_path(
+    raw: &[Asn],
+    ixps: &[Asn],
+    report: &mut SanitizeReport,
+    out: &mut Vec<Asn>,
+) -> bool {
+    let start = out.len();
     let (mut prepended, mut stripped, mut looped) = (false, false, false);
     for (i, &asn) in raw.iter().enumerate() {
         if !asn.is_routable() {
             report.discarded_reserved += 1;
-            return None;
+            out.truncate(start);
+            return false;
         }
         if i > 0 && raw[i - 1] == asn {
             prepended = true;
         } else if ixps.binary_search(&asn).is_ok() {
             stripped = true;
-        } else if kept.last() != Some(&asn) {
-            looped |= kept.contains(&asn);
-            kept.push(asn);
+        } else {
+            let kept = &out[start..];
+            if kept.last() != Some(&asn) {
+                looped |= kept.contains(&asn);
+                out.push(asn);
+            }
         }
     }
     report.compressed_prepending += usize::from(prepended);
     report.stripped_ixp += usize::from(stripped);
     if looped {
         report.discarded_loops += 1;
-        return None;
+        out.truncate(start);
+        return false;
     }
-    if kept.len() < 2 {
+    if out.len() - start < 2 {
         report.discarded_short += 1;
-        return None;
+        out.truncate(start);
+        return false;
     }
-    Some(AsPath(kept))
+    true
 }
 
 /// The sanitization outcome of a single sample: the cleaned path (or
@@ -142,7 +232,8 @@ pub(crate) struct SampleFate {
 /// incremental path. `ixps` is [`SanitizeConfig::sorted_ixps`].
 pub(crate) fn sample_fate(path: &AsPath, ixps: &[Asn]) -> SampleFate {
     let mut delta = SanitizeReport::default();
-    let clean = sanitize_path(path, ixps, &mut delta);
+    let mut hops = Vec::with_capacity(path.len());
+    let clean = sanitize_path(&path.0, ixps, &mut delta, &mut hops).then_some(AsPath(hops));
     SampleFate { clean, delta }
 }
 
@@ -152,48 +243,41 @@ pub fn sanitize(paths: &PathSet, cfg: &SanitizeConfig) -> SanitizedPaths {
 }
 
 /// [`sanitize`] with an explicit thread budget. Paths are independent, so
-/// chunks are cleaned on worker threads and reassembled in input order;
-/// report counters are sums of per-chunk counters. The output is
-/// identical for every `par` value.
+/// contiguous sample ranges are cleaned on worker threads, each into its
+/// own flat buffers, and concatenated in input order; report counters
+/// are sums of per-range counters. The output is identical for every
+/// `par` value.
 pub fn sanitize_with(paths: &PathSet, cfg: &SanitizeConfig, par: Parallelism) -> SanitizedPaths {
-    let all: Vec<&PathSample> = paths.iter().collect();
     let ixps = cfg.sorted_ixps();
-    let per_chunk = crate::par::map_chunks(par, 256, &all, |chunk| {
-        let mut report = SanitizeReport::default();
-        let mut samples = Vec::with_capacity(chunk.len());
-        for s in chunk {
-            if let Some(clean) = sanitize_path(&s.path, &ixps, &mut report) {
-                samples.push(PathSample {
-                    vp: s.vp,
-                    prefix: s.prefix,
-                    path: clean,
-                });
+    let per_range = crate::par::map_ranges(par, 256, paths.len(), |range| {
+        // Cleaned paths average about five hops; reserving six per sample
+        // spares the hop buffer its regrowth copies, and the pages a
+        // range never writes are never touched.
+        let mut out = SanitizedPaths::with_capacity(range.len(), range.len() * 6);
+        for s in paths.iter().skip(range.start).take(range.len()) {
+            if sanitize_path(&s.path.0, &ixps, &mut out.report, &mut out.hops) {
+                out.seal(s.vp, s.prefix);
             }
         }
-        (samples, report)
+        out
     });
 
-    let mut report = SanitizeReport {
-        input_paths: paths.len(),
-        ..Default::default()
-    };
-    let mut samples: Vec<PathSample> = Vec::new();
-    for (chunk_samples, r) in per_chunk {
-        // The first chunk's buffer becomes the output, so a sequential
-        // run moves no sample twice.
-        if samples.is_empty() {
-            samples = chunk_samples;
-        } else {
-            samples.extend(chunk_samples);
-        }
-        report.discarded_loops += r.discarded_loops;
-        report.discarded_reserved += r.discarded_reserved;
-        report.discarded_short += r.discarded_short;
-        report.compressed_prepending += r.compressed_prepending;
-        report.stripped_ixp += r.stripped_ixp;
+    let mut chunks = per_range.into_iter();
+    // The first range's buffers become the output, so a sequential run
+    // copies nothing.
+    let mut out = chunks.next().unwrap_or_default();
+    for chunk in chunks {
+        out.append(&chunk);
+        let (r, c) = (&mut out.report, &chunk.report);
+        r.discarded_loops += c.discarded_loops;
+        r.discarded_reserved += c.discarded_reserved;
+        r.discarded_short += c.discarded_short;
+        r.compressed_prepending += c.compressed_prepending;
+        r.stripped_ixp += c.stripped_ixp;
     }
-    report.output_paths = samples.len();
-    SanitizedPaths { samples, report }
+    out.report.input_paths = paths.len();
+    out.report.output_paths = out.len();
+    out
 }
 
 #[cfg(test)]
@@ -212,13 +296,17 @@ mod tests {
             .collect()
     }
 
+    fn hops(raw: &[u32]) -> Vec<Asn> {
+        raw.iter().copied().map(Asn).collect()
+    }
+
     #[test]
     fn clean_paths_pass_through() {
         let out = sanitize(
             &ps(&[&[1, 2, 3], &[4, 5, 6, 7]]),
             &SanitizeConfig::default(),
         );
-        assert_eq!(out.samples.len(), 2);
+        assert_eq!(out.len(), 2);
         assert_eq!(out.report.output_paths, 2);
         assert_eq!(out.report.discarded_loops, 0);
     }
@@ -226,7 +314,7 @@ mod tests {
     #[test]
     fn loops_discarded() {
         let out = sanitize(&ps(&[&[1, 2, 1], &[1, 2, 3]]), &SanitizeConfig::default());
-        assert_eq!(out.samples.len(), 1);
+        assert_eq!(out.len(), 1);
         assert_eq!(out.report.discarded_loops, 1);
     }
 
@@ -236,14 +324,14 @@ mod tests {
             &ps(&[&[1, 64512, 3], &[1, 0, 3], &[1, 23456, 3]]),
             &SanitizeConfig::default(),
         );
-        assert!(out.samples.is_empty());
+        assert!(out.is_empty());
         assert_eq!(out.report.discarded_reserved, 3);
     }
 
     #[test]
     fn prepending_compressed_and_counted() {
         let out = sanitize(&ps(&[&[1, 2, 2, 2, 3]]), &SanitizeConfig::default());
-        assert_eq!(out.samples[0].path, AsPath::from_u32s([1, 2, 3]));
+        assert_eq!(out.path(0), hops(&[1, 2, 3]));
         assert_eq!(out.report.compressed_prepending, 1);
     }
 
@@ -251,7 +339,7 @@ mod tests {
     fn ixp_asns_stripped() {
         let cfg = SanitizeConfig::with_ixps([Asn(900)]);
         let out = sanitize(&ps(&[&[1, 900, 2, 3]]), &cfg);
-        assert_eq!(out.samples[0].path, AsPath::from_u32s([1, 2, 3]));
+        assert_eq!(out.path(0), hops(&[1, 2, 3]));
         assert_eq!(out.report.stripped_ixp, 1);
     }
 
@@ -260,15 +348,15 @@ mod tests {
         // 1 900 1 2: after stripping 900, "1 1 2" compresses to "1 2".
         let cfg = SanitizeConfig::with_ixps([Asn(900)]);
         let out = sanitize(&ps(&[&[1, 900, 1, 2]]), &cfg);
-        assert_eq!(out.samples.len(), 1);
-        assert_eq!(out.samples[0].path, AsPath::from_u32s([1, 2]));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.path(0), hops(&[1, 2]));
     }
 
     #[test]
     fn short_paths_discarded() {
         let cfg = SanitizeConfig::with_ixps([Asn(900)]);
         let out = sanitize(&ps(&[&[1, 900], &[5, 5, 5]]), &cfg);
-        assert!(out.samples.is_empty());
+        assert!(out.is_empty());
         assert_eq!(out.report.discarded_short, 2);
     }
 
@@ -287,13 +375,7 @@ mod tests {
         let cfg = SanitizeConfig::default();
         let seq = sanitize_with(&set, &cfg, Parallelism::sequential());
         let par = sanitize_with(&set, &cfg, Parallelism::threads(4));
-        assert_eq!(seq.report, par.report);
-        assert_eq!(seq.samples.len(), par.samples.len());
-        for (a, b) in seq.samples.iter().zip(&par.samples) {
-            assert_eq!(a.path, b.path);
-            assert_eq!(a.vp, b.vp);
-            assert_eq!(a.prefix, b.prefix);
-        }
+        assert_eq!(seq, par);
     }
 
     #[test]
@@ -301,7 +383,7 @@ mod tests {
         let out = sanitize(&ps(&[&[1, 2, 3], &[3, 2, 1]]), &SanitizeConfig::default());
         let links: HashSet<AsLink> = out
             .paths()
-            .flat_map(|p| p.links().map(|(a, b)| AsLink::new(a, b)))
+            .flat_map(|p| p.windows(2).map(|w| AsLink::new(w[0], w[1])))
             .collect();
         assert_eq!(links.len(), 2);
         assert!(links.contains(&AsLink::new(Asn(1), Asn(2))));
@@ -354,6 +436,9 @@ mod tests {
         }
 
         /// Both cleaners on one raw path, with and without the IXP list.
+        /// The one-pass cleaner appends behind a hop already in its
+        /// buffer: it must leave that hop alone, and truncate back to it
+        /// when it discards the path.
         fn assert_agree(raw: &[u32]) {
             let path = AsPath::from_u32s(raw.iter().copied());
             for cfg in [
@@ -361,7 +446,11 @@ mod tests {
                 SanitizeConfig::with_ixps([Asn(RS), Asn(RS2)]),
             ] {
                 let (mut got, mut want) = (SanitizeReport::default(), SanitizeReport::default());
-                let clean = sanitize_path(&path, &cfg.sorted_ixps(), &mut got);
+                let mut out = vec![Asn(7)];
+                let kept = sanitize_path(&path.0, &cfg.sorted_ixps(), &mut got, &mut out);
+                assert_eq!(out[0], Asn(7), "path {raw:?} overwrote the buffer");
+                assert_eq!(kept, out.len() > 1, "path {raw:?}");
+                let clean = kept.then(|| AsPath(out[1..].to_vec()));
                 assert_eq!(
                     clean,
                     composed(&path, &cfg.ixp_asns, &mut want),
@@ -418,6 +507,141 @@ mod tests {
             #[test]
             fn one_pass_sanitize_matches_composition(raw in raw_path()) {
                 assert_agree(&raw);
+            }
+
+            /// The flat output of a whole set is the per-path composition
+            /// laid end to end, at every thread count.
+            #[test]
+            fn flat_set_matches_per_path_composition(
+                raws in proptest::collection::vec(raw_path(), 1024..1100),
+            ) {
+                assert_flat_agrees(&raws);
+            }
+        }
+
+        /// Samples over `raws`: the VP is the first raw hop (or AS 1), and
+        /// every prefix is distinct.
+        fn samples_of(raws: &[Vec<u32>]) -> PathSet {
+            raws.iter()
+                .enumerate()
+                .map(|(i, raw)| PathSample {
+                    vp: Asn(raw.first().copied().unwrap_or(1)),
+                    prefix: Ipv4Prefix::new((i as u32) << 8, 24).unwrap(),
+                    path: AsPath::from_u32s(raw.iter().copied()),
+                })
+                .collect()
+        }
+
+        /// `sanitize_with` over `raws`, sequentially and on four threads
+        /// (256-sample ranges once there are ≥ 1024 samples), against the
+        /// composition applied path by path. Samples 256..512 all carry
+        /// a reserved ASN, so one whole range is discarded.
+        fn assert_flat_agrees(raws: &[Vec<u32>]) {
+            let mut raws = raws.to_vec();
+            for raw in raws.iter_mut().take(512).skip(256) {
+                raw.push(64512);
+            }
+            let set = samples_of(&raws);
+            for cfg in [
+                SanitizeConfig::default(),
+                SanitizeConfig::with_ixps([Asn(RS), Asn(RS2)]),
+            ] {
+                let mut report = SanitizeReport {
+                    input_paths: set.len(),
+                    ..Default::default()
+                };
+                let (mut vp, mut prefix, mut offsets, mut hops) = (vec![], vec![], vec![0], vec![]);
+                for s in set.iter() {
+                    if let Some(clean) = composed(&s.path, &cfg.ixp_asns, &mut report) {
+                        vp.push(s.vp);
+                        prefix.push(s.prefix);
+                        hops.extend(clean.iter());
+                        offsets.push(hops.len() as u32);
+                    }
+                }
+                report.output_paths = vp.len();
+                for par in [Parallelism::sequential(), Parallelism::threads(4)] {
+                    let out = sanitize_with(&set, &cfg, par);
+                    assert_eq!(out.vp, vp);
+                    assert_eq!(out.prefix, prefix);
+                    assert_eq!(out.offsets, offsets);
+                    assert_eq!(out.hops, hops);
+                    assert_eq!(out.report, report);
+                }
+            }
+        }
+
+        #[test]
+        fn flat_set_with_a_discarded_range() {
+            let raws: Vec<Vec<u32>> = (0..1030u32)
+                .map(|i| match i % 5 {
+                    0 => vec![1 + i % 6, RS, 2 + i % 4, 9],
+                    1 => vec![3, 3, 4, 5],
+                    2 => vec![1, 2, 1],
+                    3 => vec![6],
+                    _ => vec![i + 10, i + 11, i + 12, i + 13],
+                })
+                .collect();
+            assert_flat_agrees(&raws);
+        }
+
+        /// The S1 cache frame, written out field by field the way the
+        /// per-sample encoder wrote it: the report's seven counters, the
+        /// sample count, then per sample the VP, the prefix network and
+        /// length, and the length-prefixed hops. The flat layout must
+        /// encode to exactly these bytes, so a cache written before it
+        /// stays valid.
+        #[test]
+        fn flat_frame_matches_per_sample_encoding() {
+            use crate::engine::Artifact;
+            use crate::persist::{decode_artifact, encode_artifact, kind};
+            use asrank_types::codec::Encoder;
+            use std::sync::Arc;
+
+            let raws: Vec<Vec<u32>> = vec![
+                vec![1, 2, 2, 3],
+                vec![4, 0, 5],
+                vec![6, RS, 7],
+                vec![4_200_000_001, 8, 9],
+                vec![10, 11, 10],
+                vec![12, 13],
+            ];
+            let cfg = SanitizeConfig::with_ixps([Asn(RS)]);
+            let out = sanitize_with(&samples_of(&raws), &cfg, Parallelism::sequential());
+
+            let mut e = Encoder::new(kind::SANITIZED);
+            let r = &out.report;
+            for v in [
+                r.input_paths,
+                r.output_paths,
+                r.discarded_loops,
+                r.discarded_reserved,
+                r.discarded_short,
+                r.compressed_prepending,
+                r.stripped_ixp,
+            ] {
+                e.usize(v);
+            }
+            let kept: Vec<(usize, Vec<u32>)> =
+                vec![(0, vec![1, 2, 3]), (2, vec![6, 7]), (5, vec![12, 13])];
+            e.usize(kept.len());
+            for (i, hops) in &kept {
+                let prefix = Ipv4Prefix::new((*i as u32) << 8, 24).unwrap();
+                e.u32(raws[*i][0]);
+                e.u32(prefix.network());
+                e.u8(prefix.len());
+                e.usize(hops.len());
+                for &h in hops {
+                    e.u32(h);
+                }
+            }
+            let want = e.finish();
+
+            let artifact = Artifact::Sanitized(Arc::new(out.clone()));
+            assert_eq!(encode_artifact(&artifact), want);
+            match decode_artifact(&want, kind::SANITIZED) {
+                Ok(Artifact::Sanitized(back)) => assert_eq!(*back, out),
+                other => panic!("decode failed: {other:?}"),
             }
         }
     }

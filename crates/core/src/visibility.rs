@@ -35,13 +35,13 @@ impl VisibilityTable {
     /// Compute visibility over a sanitized dataset.
     pub fn compute(sanitized: &SanitizedPaths) -> Self {
         let mut vps: HashMap<AsLink, HashSet<Asn>> = HashMap::new();
-        let mut paths: HashMap<AsLink, HashSet<&AsPath>> = HashMap::new();
+        let mut paths: HashMap<AsLink, HashSet<&[Asn]>> = HashMap::new();
         let mut vp_adjacent: HashSet<AsLink> = HashSet::new();
-        for s in &sanitized.samples {
-            for (i, (a, b)) in s.path.links().enumerate() {
-                let link = AsLink::new(a, b);
-                vps.entry(link).or_default().insert(s.vp);
-                paths.entry(link).or_default().insert(&s.path);
+        for (vp, _, hops) in sanitized.iter() {
+            for (i, w) in hops.windows(2).enumerate() {
+                let link = AsLink::new(w[0], w[1]);
+                vps.entry(link).or_default().insert(vp);
+                paths.entry(link).or_default().insert(hops);
                 if i == 0 {
                     vp_adjacent.insert(link);
                 }

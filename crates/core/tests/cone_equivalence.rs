@@ -82,7 +82,7 @@ fn sanitized_from(paths: &[Vec<u32>]) -> SanitizedPaths {
 fn rels_on_links(sanitized: &SanitizedPaths, labels: &[u8]) -> RelationshipMap {
     let links: BTreeSet<(Asn, Asn)> = sanitized
         .paths()
-        .flat_map(|p| p.links())
+        .flat_map(|p| p.windows(2).map(|w| (w[0], w[1])))
         .map(|(a, b)| (a.min(b), a.max(b)))
         .collect();
     let mut rels = RelationshipMap::new();
@@ -111,7 +111,7 @@ type Cones = BTreeMap<Asn, BTreeSet<Asn>>;
 fn observed_oracle(sanitized: &SanitizedPaths, rels: &RelationshipMap) -> (Cones, Cones) {
     let (mut bgp, mut pp) = (Cones::new(), Cones::new());
     for path in sanitized.paths() {
-        let hops: Vec<Asn> = path.iter().collect();
+        let hops: Vec<Asn> = path.to_vec();
         for &a in &hops {
             bgp.entry(a).or_default().insert(a);
             pp.entry(a).or_default().insert(a);

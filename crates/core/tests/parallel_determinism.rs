@@ -92,10 +92,5 @@ fn sanitization_identical_across_thread_counts() {
     let seq = sanitize_with(&paths, &cfg, Parallelism::sequential());
     let par = sanitize_with(&paths, &cfg, Parallelism::threads(5));
     assert_eq!(seq.report, par.report);
-    assert_eq!(seq.samples.len(), par.samples.len());
-    for (a, b) in seq.samples.iter().zip(&par.samples) {
-        assert_eq!(a.vp, b.vp);
-        assert_eq!(a.prefix, b.prefix);
-        assert_eq!(a.path, b.path);
-    }
+    assert_eq!(seq, par);
 }

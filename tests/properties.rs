@@ -36,11 +36,12 @@ proptest! {
     #[test]
     fn sanitizer_postconditions(ps in arb_pathset()) {
         let out = sanitize(&ps, &SanitizeConfig::default());
-        for s in &out.samples {
-            prop_assert!(!s.path.has_loop());
-            prop_assert!(s.path.all_routable());
-            prop_assert!(s.path.len() >= 2);
-            prop_assert_eq!(s.path.compress_prepending().clone(), s.path.clone());
+        for hops in out.paths() {
+            let path = AsPath(hops.to_vec());
+            prop_assert!(!path.has_loop());
+            prop_assert!(path.all_routable());
+            prop_assert!(path.len() >= 2);
+            prop_assert_eq!(path.compress_prepending(), path.clone());
         }
         // Accounting adds up: every input is kept or counted discarded.
         let r = out.report;
@@ -63,8 +64,8 @@ proptest! {
             // Skip poisoned paths (clique sandwich), as S4 does.
             let mut seen = false;
             let mut gap = false;
-            for a in p.iter() {
-                if clique.contains(&a) {
+            for a in p {
+                if clique.contains(a) {
                     if seen && gap { continue 'path; }
                     seen = true;
                     gap = false;
@@ -72,7 +73,8 @@ proptest! {
                     gap = true;
                 }
             }
-            for (a, b) in p.links() {
+            for w in p.windows(2) {
+                let (a, b) = (w[0], w[1]);
                 prop_assert!(
                     inference.relationships.get(a, b).is_some(),
                     "unclassified link {}-{}", a, b
@@ -248,9 +250,12 @@ proptest! {
     #[test]
     fn sanitize_idempotent(ps in arb_pathset()) {
         let once = sanitize(&ps, &SanitizeConfig::default());
-        let as_set: PathSet = once.samples.iter().cloned().collect();
+        let as_set: PathSet = once
+            .iter()
+            .map(|(vp, prefix, hops)| PathSample { vp, prefix, path: AsPath(hops.to_vec()) })
+            .collect();
         let twice = sanitize(&as_set, &SanitizeConfig::default());
-        prop_assert_eq!(&twice.samples, &once.samples);
+        prop_assert!(twice.iter().eq(once.iter()));
         prop_assert_eq!(twice.report.discarded_loops, 0);
         prop_assert_eq!(twice.report.discarded_reserved, 0);
         prop_assert_eq!(twice.report.discarded_short, 0);
