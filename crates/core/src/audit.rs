@@ -27,8 +27,8 @@
 //!    violations are warnings below a fraction threshold, errors above.
 //! 7. **Path-arena well-formedness** — the interned [`PathArena`] built
 //!    from the sanitized paths must satisfy its layout invariants
-//!    (offsets monotone, ids in range, multiplicities ≥ 1, paths sorted
-//!    and actually distinct, inverted index consistent); the valley
+//!    (offsets non-empty and monotone, ids in range, paths sorted and
+//!    actually distinct, inverted index consistent); the valley
 //!    grading reads from the same arena.
 //!
 //! Exposed on the CLI as `asrank audit`; `AuditReport::passed` is the
@@ -725,7 +725,7 @@ pub fn check_arena(arena: &PathArena, out: &mut AuditReport) {
             Severity::Info,
             "path-arena",
             format!(
-                "{} distinct path(s), {} hop(s) over {} AS(es): offsets monotone, ids in range, multiplicities ≥ 1, paths sorted+distinct, inverted index consistent",
+                "{} distinct path(s), {} hop(s) over {} AS(es): offsets monotone, ids in range, paths sorted+distinct, inverted index consistent",
                 arena.len(),
                 arena.total_hops(),
                 arena.num_ases()

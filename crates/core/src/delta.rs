@@ -8,15 +8,18 @@
 //! * one cached sanitize **fate** per sample (S1 re-derives only the
 //!   samples a batch touched, then copies the clean fates into the flat
 //!   [`SanitizedPaths`] buffers);
-//! * a [`MutablePathArena`] absorbing path add/remove deltas in place,
-//!   re-emitting a bit-identical arena on demand;
+//! * a count of clean samples per distinct clean path, so a batch
+//!   knows whether it changed the distinct path set or only moved
+//!   samples between paths already held. Only the former rebuilds the
+//!   arena, with the same [`PathArena::build`] a cold run calls, over
+//!   the S1 artifact the same run just reassembled;
 //! * maintained `(vp, first hop)` distinct-prefix counters, so S6 —
 //!   the only relationship step that reads raw samples — classifies
 //!   from counters instead of re-scanning every sample.
 //!
 //! S2 and S3 need no evidence of their own: both read the distinct
-//! paths of the arena the walk canonicalizes anyway, so a delta run
-//! reruns their bodies over it.
+//! paths of the arena the walk rebuilds anyway, so a delta run reruns
+//! their bodies over it.
 //!
 //! Everything else is dirty-set propagation inside the engine
 //! (`Snapshot::delta_run`): a stage whose input aspects are all clean is
@@ -43,7 +46,7 @@ use crate::engine::{
     CONE_PROVIDER_PEER, CONE_RECURSIVE, PATH_ARENA, S11_INFERENCE, S1_SANITIZE, S2_DEGREES,
     S3_CLIQUE,
 };
-use crate::patharena::{MutablePathArena, PathArena, PathEvent};
+use crate::patharena::PathArena;
 use crate::pipeline::{steps, Inference, InferenceConfig};
 use crate::sanitize::{sample_fate, SampleFate, SanitizeReport, SanitizedPaths};
 use asrank_types::prelude::*;
@@ -98,8 +101,9 @@ pub struct DeltaSession {
     cfg: InferenceConfig,
     /// The configured IXP list, sorted once for [`sample_fate`].
     ixps: Vec<Asn>,
-    /// In-place distinct-path table over the clean fates.
-    slots: MutablePathArena,
+    /// Clean samples per distinct clean path; a path leaves the map
+    /// when its count reaches 0, so the key set is the arena's path set.
+    live: FxHashMap<Box<[Asn]>, u32>,
     /// Clean samples per `(vp, first hop)` — S6's distinct-prefix
     /// evidence (exact because `(vp, prefix)` is unique per sample).
     via: FxHashMap<(Asn, Asn), u32>,
@@ -153,14 +157,12 @@ impl DeltaSession {
         let last_report = snap.stage_report();
         drop(snap);
 
-        let slots = MutablePathArena::from_arena(prev[PATH_ARENA].payload("delta_session")?);
-
         let mut session = DeltaSession {
             fates: Vec::with_capacity(paths.len()),
             master: paths,
             ixps: cfg.sanitize.sorted_ixps(),
             cfg,
-            slots,
+            live: FxHashMap::default(),
             via: FxHashMap::default(),
             totals: FxHashMap::default(),
             index,
@@ -175,6 +177,7 @@ impl DeltaSession {
             add_report(&mut session.counters, &fate.delta);
             if let Some(path) = &fate.clean {
                 session.clean += 1;
+                count_in(&mut session.live, &path.0);
                 if let Some(key) = vp_key(s.vp, path) {
                     *session.via.entry(key).or_default() += 1;
                     *session.totals.entry(s.vp).or_default() += 1;
@@ -186,8 +189,8 @@ impl DeltaSession {
     }
 
     /// Fold one update batch into the sample set. Evidence (fates, the
-    /// slot table, the S6 counters) is adjusted per touched sample; the
-    /// engine runs nothing until [`DeltaSession::refresh`].
+    /// live path counts, the S6 counters) is adjusted per touched
+    /// sample; the engine runs nothing until [`DeltaSession::refresh`].
     ///
     /// Withdraws of unknown `(vp, prefix)` keys are no-ops, matching
     /// [`UpdateBatch::apply`]. A failure (an internal accounting
@@ -290,7 +293,6 @@ impl DeltaSession {
                 fates: &self.fates,
                 clean: self.clean,
                 counters: &self.counters,
-                slots: &mut self.slots,
                 via: &self.via,
                 totals: &self.totals,
                 cfg: &self.cfg,
@@ -388,18 +390,21 @@ impl DeltaSession {
         ))
     }
 
-    /// Remove one sample's contributions from the evidence.
+    /// Remove one sample's contributions from the evidence. The last
+    /// sample of a path takes the path out of the distinct set.
     fn retire(&mut self, vp: Asn, fate: &SampleFate) -> Result<(), EngineError> {
         if let Some(path) = &fate.clean {
-            let hops: Vec<u32> = path.0.iter().map(|a| a.0).collect();
-            match self.slots.remove_one(&hops) {
-                Some(ev) => self.note(ev),
-                None => {
-                    return Err(EngineError::stage_failed(
-                        "delta_session",
-                        format!("retiring a clean path absent from the slot table: {path:?}"),
-                    ))
-                }
+            let hops = path.0.as_slice();
+            let Some(n) = self.live.get_mut(hops) else {
+                return Err(EngineError::stage_failed(
+                    "delta_session",
+                    format!("retiring a clean path absent from the live paths: {path:?}"),
+                ));
+            };
+            *n -= 1;
+            if *n == 0 {
+                self.live.remove(hops);
+                self.dirt |= dirt::STRUCTURE;
             }
             self.clean -= 1;
             if let Some(key) = vp_key(vp, path) {
@@ -411,12 +416,13 @@ impl DeltaSession {
         Ok(())
     }
 
-    /// Add one sample's contributions to the evidence.
+    /// Add one sample's contributions to the evidence. A path no live
+    /// sample held enters the distinct set.
     fn admit(&mut self, vp: Asn, fate: &SampleFate) {
         if let Some(path) = &fate.clean {
-            let hops: Vec<u32> = path.0.iter().map(|a| a.0).collect();
-            let ev = self.slots.add_one(&hops);
-            self.note(ev);
+            if count_in(&mut self.live, &path.0) {
+                self.dirt |= dirt::STRUCTURE;
+            }
             self.clean += 1;
             if let Some(key) = vp_key(vp, path) {
                 *self.via.entry(key).or_default() += 1;
@@ -425,12 +431,17 @@ impl DeltaSession {
         }
         add_report(&mut self.counters, &fate.delta);
     }
+}
 
-    fn note(&mut self, ev: PathEvent) {
-        self.dirt |= dirt::MULT;
-        if matches!(ev, PathEvent::AddedDistinct | PathEvent::RemovedDistinct) {
-            self.dirt |= dirt::STRUCTURE;
-        }
+/// Count one more sample of `hops`; true when the path is new. Looking
+/// up before inserting allocates a key only for a new path.
+fn count_in(live: &mut FxHashMap<Box<[Asn]>, u32>, hops: &[Asn]) -> bool {
+    if let Some(n) = live.get_mut(hops) {
+        *n += 1;
+        false
+    } else {
+        live.insert(hops.into(), 1);
+        true
     }
 }
 
@@ -472,15 +483,14 @@ fn sub_report(dst: &mut SanitizeReport, d: &SanitizeReport) {
     dst.stripped_ixp -= d.stripped_ixp;
 }
 
-/// The session's view handed to `Snapshot::delta_run` — disjoint field
-/// borrows so the snapshot can hold the sample set while the providers
-/// mutate the slot table.
+/// The session's view handed to `Snapshot::delta_run` — field borrows,
+/// so the snapshot can hold the sample set while the providers read the
+/// evidence.
 struct SessionProvider<'s> {
     master: &'s PathSet,
     fates: &'s [SampleFate],
     clean: usize,
     counters: &'s SanitizeReport,
-    slots: &'s mut MutablePathArena,
     via: &'s FxHashMap<(Asn, Asn), u32>,
     totals: &'s FxHashMap<Asn, u32>,
     cfg: &'s InferenceConfig,
@@ -506,10 +516,6 @@ impl DeltaProvider for SessionProvider<'_> {
             ..*self.counters
         };
         Arc::new(out)
-    }
-
-    fn arena(&mut self) -> Arc<PathArena> {
-        self.slots.canonicalize()
     }
 
     fn vp_providers(

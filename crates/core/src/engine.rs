@@ -183,7 +183,7 @@ impl Artifact {
             }
             Artifact::Degrees(d) => (d.len() * 40) as u64,
             Artifact::Clique(c) => (c.len() * 4) as u64,
-            Artifact::Arena(a) => (a.total_hops() * 8 + a.len() * 8) as u64,
+            Artifact::Arena(a) => a.approx_bytes() as u64,
             Artifact::Kept(k) => k.kept.len() as u64,
             Artifact::Links(l) => (l.len() * 8) as u64,
             Artifact::Steps(s) => (s.rels.len() * 16) as u64,
@@ -277,21 +277,20 @@ struct StageSpec {
 
 /// Dirt aspects: the bits of a delta run's dirt mask and of
 /// [`StageSpec::reads`]. They are finer than whole-artifact changes,
-/// which is why a multiplicity-only batch leaves almost the whole DAG
-/// untouched. S1, the arena and S11 never mark their artifact changed;
-/// their consumers read them through these aspects instead.
+/// which is why a batch that only moves samples between known paths
+/// leaves almost the whole DAG untouched. S1, the arena and S11 never
+/// mark their artifact changed; their consumers read them through
+/// these aspects instead.
 pub(crate) mod dirt {
     /// Some sanitized sample changed (content, addition, or removal).
     pub(crate) const SAMPLES: u8 = 1;
     /// The distinct clean path set changed.
     pub(crate) const STRUCTURE: u8 = 1 << 1;
-    /// Path multiplicities changed.
-    pub(crate) const MULT: u8 = 1 << 2;
     /// S1's sanitize counters changed (S11 embeds them).
-    pub(crate) const REPORT: u8 = 1 << 3;
+    pub(crate) const REPORT: u8 = 1 << 2;
     /// S11's relationship map changed (the cones read nothing else
     /// from it).
-    pub(crate) const RELS: u8 = 1 << 4;
+    pub(crate) const RELS: u8 = 1 << 3;
 }
 
 // Stage indices. Order is topological; `STAGES[i].inputs` only contains
@@ -325,7 +324,7 @@ static STAGES: &[StageSpec] = &[
     StageSpec {
         name: "path_arena",
         inputs: &[S1_SANITIZE],
-        reads: dirt::STRUCTURE | dirt::MULT,
+        reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
         run: run_arena,
     },
@@ -1117,7 +1116,7 @@ impl<'a> Snapshot<'a> {
     /// The incremental propagation pass behind [`crate::delta::DeltaSession`]:
     /// walk the DAG in topological order and either inject the previous
     /// emission's artifact (a delta skip) or re-execute the stage (body,
-    /// or an incremental provider for S1/arena/S6) and compare the
+    /// or an incremental provider for S1/S6) and compare the
     /// result against the previous artifact.
     ///
     /// `aspects` holds the [`dirt`] aspects the session's batches touched.
@@ -1125,7 +1124,7 @@ impl<'a> Snapshot<'a> {
     /// when an aspect it `reads` is dirty or an artifact it `inputs`
     /// changed. S1 and S11 add the aspects they publish (`REPORT`,
     /// `RELS`) to the mask instead of marking their artifact changed;
-    /// the arena's changes are already `STRUCTURE`/`MULT`.
+    /// the arena's changes are already `STRUCTURE`.
     ///
     /// Every other recomputed stage is content-compared against its
     /// previous artifact, so a dirty input whose recomputation lands on
@@ -1168,7 +1167,6 @@ impl<'a> Snapshot<'a> {
             };
             let artifact = match idx {
                 S1_SANITIZE => Artifact::Sanitized(provider.sanitized()),
-                PATH_ARENA => Artifact::Arena(provider.arena()),
                 S6_VP_PROVIDERS if !self.env.cfg.ablation.no_vp_step => {
                     Artifact::Steps(provider.vp_providers(inputs.get(0)?, inputs.get(2)?))
                 }
@@ -1217,17 +1215,14 @@ impl<'a> Snapshot<'a> {
 
 /// The incremental recomputation hooks a delta run may call instead of
 /// the full stage bodies. Implemented by [`crate::delta::DeltaSession`],
-/// which owns the per-sample evidence (sanitize fates, the mutable
-/// arena, the VP first-hop counters) these providers are cheap with.
-/// Every other recomputed stage, S2 and S3 included, reruns its body
-/// over the artifacts the run already holds.
+/// which owns the per-sample evidence (sanitize fates, the VP first-hop
+/// counters) these providers are cheap with. Every other recomputed
+/// stage, the arena, S2 and S3 included, reruns its body over the
+/// artifacts the run already holds.
 pub(crate) trait DeltaProvider {
     /// S1 without re-sanitizing: rebuild [`SanitizedPaths`] from cached
     /// per-sample fates.
     fn sanitized(&mut self) -> Arc<SanitizedPaths>;
-    /// The arena without re-deduplicating: canonicalize the in-place
-    /// slot table.
-    fn arena(&mut self) -> Arc<PathArena>;
     /// S6 without re-scanning every sample: classify over maintained
     /// `(vp, first hop)` distinct-prefix counters, starting from the
     /// current S5 state.

@@ -13,14 +13,15 @@
 //! [`PathArena`] performs that work exactly once:
 //!
 //! * **Dedup and intern in one hash pass, then sort the distinct
-//!   paths.** One pass over S1's flat hop buffer maps each `Asn` hop
-//!   slice to a distinct slot in an `FxHashMap` and counts its
-//!   **multiplicity**. A path seen for the first time gets provisional
-//!   ids from a small ASN map, in first-seen order, copied into a compact
-//!   distinct-hop buffer; no sample's hops are copied. The few distinct
-//!   ASNs are then sorted and the provisional ids remapped, so dense ids
-//!   ascend with ASN (the [`AsnInterner`] numbering) and lexicographic
-//!   order of id slices equals lexicographic order of ASN slices. Only
+//!   paths.** One pass over S1's flat hop buffer inserts each `Asn` hop
+//!   slice into an `FxHashSet`; how often a path repeats is not kept, as
+//!   repeats add no relationship evidence. A path seen for the first time
+//!   gets provisional ids from a small ASN map, in first-seen order,
+//!   copied into a compact distinct-hop buffer; no sample's hops are
+//!   copied. The few distinct ASNs are then sorted and the provisional
+//!   ids remapped, so dense ids ascend with ASN (the [`AsnInterner`]
+//!   numbering) and lexicographic order of id slices equals
+//!   lexicographic order of ASN slices. Only
 //!   the distinct paths are sorted, so the arena's path order is
 //!   *identical* to the old `sort_by(|a, b| a.0.cmp(&b.0))` over cloned
 //!   `AsPath`s, and downstream traversal order (and hence every
@@ -40,15 +41,13 @@
 use crate::par;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
-use asrank_types::FxHashMap;
-use std::collections::hash_map::Entry;
-use std::sync::Arc;
+use asrank_types::{FxHashMap, FxHashSet};
 
 /// Deduplicated, interned, CSR-flattened view of a sanitized path set.
 ///
 /// See the [module docs](self) for the layout. Construct with
-/// [`PathArena::build`] (or
-/// [`PathArena::from_raw`] for audit fixtures), then hand shared
+/// [`PathArena::build`], the one builder for cold and delta runs alike
+/// (or [`PathArena::from_raw`] for audit fixtures), then hand shared
 /// references to every consumer — the arena is immutable.
 #[derive(Debug, Clone, Default)]
 pub struct PathArena {
@@ -59,9 +58,6 @@ pub struct PathArena {
     offsets: Vec<u32>,
     /// Hop ids of all distinct paths, concatenated in sorted path order.
     ids: Vec<u32>,
-    /// Number of sanitized samples collapsed into each distinct path
-    /// (≥ 1): the evidence weight dedup would otherwise discard.
-    multiplicity: Vec<u32>,
     /// Occurrences of id `a` span
     /// `inv_entries[inv_offsets[a]..inv_offsets[a + 1]]`.
     inv_offsets: Vec<u32>,
@@ -118,9 +114,9 @@ impl PathArena {
         drop(parts);
 
         // Merge the sorted shards; one shard is the arena as it stands.
-        let (offsets, ids, multiplicity) = if sorted.len() == 1 {
+        let (offsets, ids) = if sorted.len() == 1 {
             let only = sorted.pop().unwrap_or_default();
-            (only.offsets, only.ids, only.mult)
+            (only.offsets, only.ids)
         } else {
             Sorted::merge(&sorted)
         };
@@ -130,7 +126,6 @@ impl PathArena {
             interner,
             offsets,
             ids,
-            multiplicity,
             inv_offsets,
             inv_entries,
         }
@@ -141,17 +136,11 @@ impl PathArena {
     /// tests. The inverted index is built only when the base invariants
     /// hold (a corrupt arena keeps an empty index so [`PathArena::validate`]
     /// can report the underlying problems instead of panicking).
-    pub fn from_raw(
-        interner: AsnInterner,
-        offsets: Vec<u32>,
-        ids: Vec<u32>,
-        multiplicity: Vec<u32>,
-    ) -> Self {
+    pub fn from_raw(interner: AsnInterner, offsets: Vec<u32>, ids: Vec<u32>) -> Self {
         let mut arena = PathArena {
             interner,
             offsets,
             ids,
-            multiplicity,
             inv_offsets: Vec::new(),
             inv_entries: Vec::new(),
         };
@@ -163,35 +152,27 @@ impl PathArena {
         arena
     }
 
-    /// Clone the arena's immutable structure with new multiplicities —
-    /// the [`MutablePathArena`] fast path for batches that only shifted
-    /// evidence weight between already-known paths. `multiplicity` must
-    /// be in arena order with one entry per path.
-    pub(crate) fn with_multiplicity(&self, multiplicity: Vec<u32>) -> PathArena {
-        debug_assert_eq!(multiplicity.len(), self.multiplicity.len());
-        PathArena {
-            interner: self.interner.clone(),
-            offsets: self.offsets.clone(),
-            ids: self.ids.clone(),
-            multiplicity,
-            inv_offsets: self.inv_offsets.clone(),
-            inv_entries: self.inv_entries.clone(),
-        }
-    }
-
     /// Number of distinct paths.
     pub fn len(&self) -> usize {
-        self.multiplicity.len()
+        self.offsets.len().saturating_sub(1)
     }
 
     /// True when the arena holds no paths.
     pub fn is_empty(&self) -> bool {
-        self.multiplicity.is_empty()
+        self.len() == 0
     }
 
     /// Total hops across all distinct paths.
     pub fn total_hops(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Bytes held by the arena's buffers: the CSR layout, the inverted
+    /// index, and the interner's id → ASN vector plus its ASN → id
+    /// entries (hash-table overhead not counted).
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let words = self.offsets.len() + self.ids.len() + self.inv_offsets.len();
+        words * 4 + self.inv_entries.len() * 8 + self.interner.len() * (4 + 8)
     }
 
     /// Number of distinct ASes appearing in the paths.
@@ -207,11 +188,6 @@ impl PathArena {
     /// Hop ids of distinct path `p` (VP first, origin last).
     pub fn path(&self, p: usize) -> &[u32] {
         &self.ids[self.offsets[p] as usize..self.offsets[p + 1] as usize]
-    }
-
-    /// How many sanitized samples collapsed into distinct path `p`.
-    pub fn multiplicity(&self, p: usize) -> u32 {
-        self.multiplicity[p]
     }
 
     /// The raw CSR offsets (`len() + 1` entries, monotone).
@@ -246,20 +222,16 @@ impl PathArena {
         (0..self.len()).map(|p| self.resolve_path(p)).collect()
     }
 
-    /// Violations of the base layout invariants: offsets monotone and
-    /// terminated by `ids.len()`, every id in range, every multiplicity
-    /// ≥ 1, and paths strictly ascending (sorted + actually distinct).
+    /// Violations of the base layout invariants: offsets non-empty,
+    /// monotone and terminated by `ids.len()`, every id in range, and
+    /// paths strictly ascending (sorted + actually distinct).
     fn base_problems(&self) -> Vec<String> {
         let mut problems: Vec<String> = Vec::new();
-        let np = self.multiplicity.len();
-        if self.offsets.len() != np + 1 {
-            problems.push(format!(
-                "offsets has {} entries for {np} path(s); expected {}",
-                self.offsets.len(),
-                np + 1
-            ));
+        if self.offsets.is_empty() {
+            problems.push("offsets is empty; even an empty arena has the leading 0".to_string());
             return problems; // layout unusable; nothing below is safe
         }
+        let np = self.len();
         if self.offsets.first() != Some(&0) {
             problems.push("offsets does not start at 0".to_string());
         }
@@ -289,9 +261,6 @@ impl PathArena {
                 problems.push(format!("ids[{i}] = {id} out of range for {n} interned AS(es)"));
                 break;
             }
-        }
-        if let Some(p) = self.multiplicity.iter().position(|&m| m == 0) {
-            problems.push(format!("multiplicity[{p}] = 0; every distinct path collapses ≥ 1 sample"));
         }
         for p in 1..np {
             if self.path(p - 1) >= self.path(p) {
@@ -352,9 +321,7 @@ const MAX_SHARDS: usize = 8;
 /// The distinct paths of one hash shard, interned in the shard's own
 /// first-seen order.
 struct Shard {
-    /// Samples collapsed into each distinct path, in first-seen order.
-    mult: Vec<u32>,
-    /// Distinct path `d` is `ids[offsets[d]..offsets[d + 1]]`.
+    /// Distinct path `d` (first-seen order) is `ids[offsets[d]..offsets[d + 1]]`.
     offsets: Vec<u32>,
     /// Hops of the distinct paths, as provisional ids.
     ids: Vec<u32>,
@@ -365,13 +332,12 @@ struct Shard {
 impl Shard {
     /// One hash pass over every sample, keeping the paths of shard
     /// `shard` of `shards`: the first sample with a given path makes it
-    /// distinct, and later ones only bump its multiplicity. The same
-    /// pass interns — each new distinct path's hops get provisional ids
-    /// and are copied, as ids, into one compact buffer — so only
-    /// distinct paths pay for interning, and no sample's hops are copied.
+    /// distinct, and later ones are skipped. The same pass interns —
+    /// each new distinct path's hops get provisional ids and are copied,
+    /// as ids, into one compact buffer — so only distinct paths pay for
+    /// interning, and no sample's hops are copied.
     fn collect(sanitized: &SanitizedPaths, shard: usize, shards: usize) -> Shard {
         let mut out = Shard {
-            mult: Vec::new(),
             offsets: vec![0],
             ids: Vec::new(),
             asns: Vec::new(),
@@ -381,30 +347,31 @@ impl Shard {
         // samples on 269k distinct paths), and a small table keeps probes
         // in cache. A dump with more distinct paths only pays one
         // regrowth.
-        let mut slot_of: FxHashMap<&[Asn], u32> =
-            FxHashMap::with_capacity_and_hasher(sanitized.len() / 2 / shards, Default::default());
+        let mut seen: FxHashSet<&[Asn]> =
+            FxHashSet::with_capacity_and_hasher(sanitized.len() / 2 / shards, Default::default());
         let mut provisional: FxHashMap<Asn, u32> = FxHashMap::default();
         for hops in sanitized.paths() {
             if shards > 1 && shard_of(hops, shards) != shard {
                 continue;
             }
-            match slot_of.entry(hops) {
-                Entry::Occupied(slot) => out.mult[*slot.get() as usize] += 1,
-                Entry::Vacant(slot) => {
-                    slot.insert(dense_id(out.mult.len()));
-                    out.mult.push(1);
-                    for &a in hops {
-                        let id = *provisional.entry(a).or_insert_with(|| {
-                            out.asns.push(a);
-                            dense_id(out.asns.len() - 1)
-                        });
-                        out.ids.push(id);
-                    }
-                    out.offsets.push(dense_id(out.ids.len()));
-                }
+            if !seen.insert(hops) {
+                continue;
             }
+            for &a in hops {
+                let id = *provisional.entry(a).or_insert_with(|| {
+                    out.asns.push(a);
+                    dense_id(out.asns.len() - 1)
+                });
+                out.ids.push(id);
+            }
+            out.offsets.push(dense_id(out.ids.len()));
         }
         out
+    }
+
+    /// Number of distinct paths in the shard.
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     /// Hops of distinct path `d` as final ids.
@@ -424,7 +391,7 @@ impl Shard {
     /// fully determined.
     fn sorted(&self, finals: &[u32], width: u32) -> Sorted {
         let lead = (128 / width) as usize;
-        let mut order: Vec<(u128, u32)> = (0..dense_id(self.mult.len()))
+        let mut order: Vec<(u128, u32)> = (0..dense_id(self.len()))
             .map(|d| {
                 let key = self
                     .final_path(d, finals)
@@ -445,14 +412,12 @@ impl Shard {
             keys: Vec::with_capacity(order.len()),
             offsets: Vec::with_capacity(order.len() + 1),
             ids: Vec::with_capacity(self.ids.len()),
-            mult: Vec::with_capacity(order.len()),
         };
         out.offsets.push(0);
         for (key, d) in order {
             out.keys.push(key);
             out.ids.extend(self.final_path(d, finals));
             out.offsets.push(dense_id(out.ids.len()));
-            out.mult.push(self.mult[d as usize]);
         }
         out
     }
@@ -465,7 +430,6 @@ struct Sorted {
     keys: Vec<u128>,
     offsets: Vec<u32>,
     ids: Vec<u32>,
-    mult: Vec<u32>,
 }
 
 impl Sorted {
@@ -474,14 +438,13 @@ impl Sorted {
         &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Merge sorted shards into the arena's `(offsets, ids,
-    /// multiplicity)`, taking the least `(key, path)` head each step.
-    fn merge(shards: &[Sorted]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    /// Merge sorted shards into the arena's `(offsets, ids)`, taking the
+    /// least `(key, path)` head each step.
+    fn merge(shards: &[Sorted]) -> (Vec<u32>, Vec<u32>) {
         let distinct: usize = shards.iter().map(|s| s.keys.len()).sum();
         let mut offsets: Vec<u32> = Vec::with_capacity(distinct + 1);
         offsets.push(0);
         let mut ids: Vec<u32> = Vec::with_capacity(shards.iter().map(|s| s.ids.len()).sum());
-        let mut mult: Vec<u32> = Vec::with_capacity(distinct);
         let mut heads = vec![0usize; shards.len()];
         loop {
             let mut next: Option<usize> = None;
@@ -503,9 +466,8 @@ impl Sorted {
             heads[s] += 1;
             ids.extend_from_slice(shards[s].path(i));
             offsets.push(dense_id(ids.len()));
-            mult.push(shards[s].mult[i]);
         }
-        (offsets, ids, mult)
+        (offsets, ids)
     }
 }
 
@@ -525,269 +487,12 @@ impl PartialEq for PathArena {
     fn eq(&self, other: &Self) -> bool {
         self.offsets == other.offsets
             && self.ids == other.ids
-            && self.multiplicity == other.multiplicity
             && self.interner.len() == other.interner.len()
             && self.interner.iter().eq(other.interner.iter())
     }
 }
 
 impl Eq for PathArena {}
-
-/// What one add/remove did to the distinct-path set — the event stream
-/// the incremental engine's degree/clique evidence feeds on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathEvent {
-    /// The path entered the distinct set (first sample, or a tombstone
-    /// revived).
-    AddedDistinct,
-    /// The path left the distinct set (last sample gone).
-    RemovedDistinct,
-    /// Only the multiplicity moved; the distinct set is unchanged.
-    MultChanged,
-}
-
-/// The in-place counterpart of [`PathArena`]: a canonical slot table
-/// that absorbs per-sample path add/remove deltas and periodically
-/// re-emits a bit-identical [`PathArena`].
-///
-/// Layout invariants (pinned by the build oracle proptest):
-///
-/// * **Slots are stable between compactions.** Base slots `0..base_n`
-///   hold the distinct paths of some fully-built arena in arena
-///   (ASN-lexicographic) order; appended paths occupy tail slots
-///   `base_n + i` in arrival order. `index` maps hop content to its
-///   slot, covering base and tail.
-/// * **Multiplicity 0 is a tombstone.** Removing the last sample of a
-///   path keeps its slot (and index entry) so a re-announce revives it
-///   in place; tombstoned paths are excluded from canonicalization.
-/// * **Canonicalize merges, never re-sorts the base.** Live base slots
-///   are already in arena order; live tail paths are sorted and merged
-///   in, then interned/flattened through the same `from_raw` path the
-///   cold build uses — so the emitted arena is byte-identical to
-///   rebuilding from scratch over the surviving sample multiset.
-/// * **Compaction is threshold-driven.** When tombstones + tail exceed
-///   ~1/8 of the live set, the merged result is adopted as the new base
-///   and the index rebuilt; otherwise the (cheap) merge is recomputed
-///   per canonicalize and the index keeps amortizing.
-#[derive(Debug, Clone, Default)]
-pub struct MutablePathArena {
-    /// Flat ASN (not dense-id) hops of the base slots.
-    base_hops: Vec<u32>,
-    /// Base slot `b` spans `base_hops[off[b]..off[b+1]]`.
-    base_offsets: Vec<u32>,
-    /// Per-slot sample count, base slots then tail slots; 0 = tombstone.
-    slot_mult: Vec<u32>,
-    /// ASN hops of appended paths; tail slot `base_n + i`.
-    tail: Vec<Box<[u32]>>,
-    /// Hop content → slot, covering base and tail.
-    index: FxHashMap<Box<[u32]>, u32>,
-    /// Slot → position in the last canonicalized arena (`u32::MAX` when
-    /// the slot was tombstoned or not yet emitted).
-    canon_pos: Vec<u32>,
-    /// Distinct set changed since the last canonicalize.
-    structure_dirty: bool,
-    /// Tombstoned slots (mult 0).
-    dead: usize,
-    /// The last canonicalized arena, reused wholesale when nothing (or
-    /// only multiplicity) changed.
-    prev: Option<Arc<PathArena>>,
-}
-
-impl MutablePathArena {
-    /// Seed the mutable view from a fully-built arena (the cold run's).
-    pub fn from_arena(arena: &Arc<PathArena>) -> Self {
-        let base_hops: Vec<u32> = arena
-            .ids
-            .iter()
-            .map(|&id| arena.interner.resolve(id).0)
-            .collect();
-        let base_offsets = arena.offsets.clone();
-        let slot_mult = arena.multiplicity.clone();
-        let mut index = FxHashMap::default();
-        for p in 0..arena.len() {
-            let span = &base_hops[base_offsets[p] as usize..base_offsets[p + 1] as usize];
-            index.insert(span.to_vec().into_boxed_slice(), dense_id(p));
-        }
-        MutablePathArena {
-            base_hops,
-            base_offsets,
-            slot_mult,
-            tail: Vec::new(),
-            index,
-            canon_pos: (0..dense_id(arena.len())).collect(),
-            structure_dirty: false,
-            dead: 0,
-            prev: Some(Arc::clone(arena)),
-        }
-    }
-
-    /// Distinct live paths.
-    pub fn live_len(&self) -> usize {
-        self.slot_mult.len() - self.dead
-    }
-
-    /// Record one more sample observing `hops` (ASN values, ≥ 2 hops).
-    pub fn add_one(&mut self, hops: &[u32]) -> PathEvent {
-        if let Some(&slot) = self.index.get(hops) {
-            let m = &mut self.slot_mult[slot as usize];
-            *m += 1;
-            if *m == 1 {
-                // Tombstone revived: the distinct set regains the path.
-                self.dead -= 1;
-                self.structure_dirty = true;
-                PathEvent::AddedDistinct
-            } else {
-                PathEvent::MultChanged
-            }
-        } else {
-            let slot = dense_id(self.slot_mult.len());
-            self.index.insert(hops.to_vec().into_boxed_slice(), slot);
-            self.tail.push(hops.to_vec().into_boxed_slice());
-            self.slot_mult.push(1);
-            self.canon_pos.push(u32::MAX);
-            self.structure_dirty = true;
-            PathEvent::AddedDistinct
-        }
-    }
-
-    /// Record the removal of one sample observing `hops`. Returns `None`
-    /// when the path was not live — an upstream accounting bug the
-    /// caller must surface as a typed error.
-    pub fn remove_one(&mut self, hops: &[u32]) -> Option<PathEvent> {
-        let &slot = self.index.get(hops)?;
-        let m = &mut self.slot_mult[slot as usize];
-        if *m == 0 {
-            return None;
-        }
-        *m -= 1;
-        Some(if *m == 0 {
-            self.dead += 1;
-            self.structure_dirty = true;
-            PathEvent::RemovedDistinct
-        } else {
-            PathEvent::MultChanged
-        })
-    }
-
-    /// Emit the canonical arena for the current state — bit-identical to
-    /// [`PathArena::build`] over the equivalent sample multiset.
-    ///
-    /// Returns the previous `Arc` untouched when nothing changed, a
-    /// structure-sharing multiplicity patch when only evidence weight
-    /// moved, and a full merge + re-intern otherwise (compacting the
-    /// slot table when the tombstone + tail overhead crosses the
-    /// threshold).
-    pub fn canonicalize(&mut self) -> Arc<PathArena> {
-        let base_n = self.base_offsets.len() - 1;
-        if !self.structure_dirty {
-            if let Some(prev) = &self.prev {
-                // Same distinct set as the last emission: project slot
-                // multiplicities into canonical order and patch.
-                let mut mult = vec![0u32; prev.len()];
-                for (slot, &m) in self.slot_mult.iter().enumerate() {
-                    if m > 0 {
-                        mult[self.canon_pos[slot] as usize] = m;
-                    }
-                }
-                if mult == prev.multiplicity {
-                    return Arc::clone(prev);
-                }
-                let patched = Arc::new(prev.with_multiplicity(mult));
-                self.prev = Some(Arc::clone(&patched));
-                return patched;
-            }
-        }
-
-        // Slow path: merge live base slots (already in arena order) with
-        // the sorted live tail, then intern + flatten through from_raw —
-        // the same constructors the cold build uses.
-        let mut tail_live: Vec<u32> = (0..self.tail.len())
-            .filter(|&i| self.slot_mult[base_n + i] > 0)
-            .map(|i| dense_id(base_n + i))
-            .collect();
-        tail_live.sort_unstable_by(|&a, &b| self.slot_hops(a).cmp(self.slot_hops(b)));
-
-        let live = self.live_len();
-        let mut merged_slots: Vec<u32> = Vec::with_capacity(live);
-        let mut ti = 0usize;
-        for b in 0..base_n {
-            if self.slot_mult[b] == 0 {
-                continue;
-            }
-            let bh = self.slot_hops(dense_id(b));
-            while ti < tail_live.len() && self.slot_hops(tail_live[ti]) < bh {
-                merged_slots.push(tail_live[ti]);
-                ti += 1;
-            }
-            merged_slots.push(dense_id(b));
-        }
-        merged_slots.extend_from_slice(&tail_live[ti..]);
-        debug_assert_eq!(merged_slots.len(), live);
-
-        for pos in self.canon_pos.iter_mut() {
-            *pos = u32::MAX;
-        }
-        let mut offsets: Vec<u32> = Vec::with_capacity(live + 1);
-        offsets.push(0);
-        let mut total = 0usize;
-        let mut multiplicity: Vec<u32> = Vec::with_capacity(live);
-        for (pos, &slot) in merged_slots.iter().enumerate() {
-            self.canon_pos[slot as usize] = dense_id(pos);
-            total += self.slot_hops(slot).len();
-            offsets.push(dense_id(total));
-            multiplicity.push(self.slot_mult[slot as usize]);
-        }
-        let interner = AsnInterner::from_ases(
-            merged_slots
-                .iter()
-                .flat_map(|&slot| self.slot_hops(slot).iter().map(|&v| Asn(v))),
-        );
-        let mut ids: Vec<u32> = Vec::with_capacity(total);
-        for &slot in &merged_slots {
-            for &v in self.slot_hops(slot) {
-                // lint: allow(panics, interner seeded from these same live slots covers every hop)
-                ids.push(interner.get(Asn(v)).expect("interned"));
-            }
-        }
-        let arena = Arc::new(PathArena::from_raw(interner, offsets, ids, multiplicity));
-        debug_assert!(arena.validate().is_empty());
-
-        // Threshold compaction: adopt the merged order as the new base
-        // once tombstones + tail cost more than ~1/8 of the live set.
-        if self.dead + self.tail.len() > live / 8 + 64 {
-            let mut base_hops: Vec<u32> = Vec::with_capacity(arena.total_hops());
-            for &slot in &merged_slots {
-                base_hops.extend_from_slice(self.slot_hops(slot));
-            }
-            self.base_hops = base_hops;
-            self.base_offsets = arena.offsets.clone();
-            self.slot_mult = arena.multiplicity.clone();
-            self.tail.clear();
-            self.dead = 0;
-            self.canon_pos = (0..dense_id(live)).collect();
-            self.index.clear();
-            for p in 0..live {
-                let span =
-                    &self.base_hops[self.base_offsets[p] as usize..self.base_offsets[p + 1] as usize];
-                self.index.insert(span.to_vec().into_boxed_slice(), dense_id(p));
-            }
-        }
-        self.structure_dirty = false;
-        self.prev = Some(Arc::clone(&arena));
-        arena
-    }
-
-    /// ASN hops of `slot` (base or tail).
-    fn slot_hops(&self, slot: u32) -> &[u32] {
-        let base_n = self.base_offsets.len() - 1;
-        let s = slot as usize;
-        if s < base_n {
-            &self.base_hops[self.base_offsets[s] as usize..self.base_offsets[s + 1] as usize]
-        } else {
-            &self.tail[s - base_n]
-        }
-    }
-}
 
 /// Counting-sort inversion of the flat hop array: for every dense id,
 /// the packed `(path << 32) | position` occurrences, ascending.
@@ -833,8 +538,8 @@ mod tests {
 
     #[test]
     fn dedup_matches_hashset_distinct_sort() {
-        // Satellite 1 pin: arena dedup order == old HashSet + clone +
-        // sort_by(path.0) order, multiplicities counted.
+        // Arena dedup order == the HashSet + clone + sort_by(path.0)
+        // order it replaced.
         let raw: Vec<&[u32]> = vec![
             &[9, 1, 5, 7],
             &[9, 1, 5, 7], // duplicate
@@ -854,9 +559,6 @@ mod tests {
 
         assert_eq!(arena.distinct_aspaths(), old);
         assert_eq!(arena.len(), 4);
-        let mults: Vec<u32> = (0..arena.len()).map(|p| arena.multiplicity(p)).collect();
-        assert_eq!(mults.iter().sum::<u32>() as usize, clean.len());
-        assert!(mults.iter().filter(|&&m| m == 2).count() == 2);
     }
 
     #[test]
@@ -888,7 +590,6 @@ mod tests {
         let par = PathArena::build(&clean, Parallelism::threads(4));
         assert_eq!(seq.offsets, par.offsets);
         assert_eq!(seq.ids, par.ids);
-        assert_eq!(seq.multiplicity, par.multiplicity);
         assert_eq!(seq.inv_offsets, par.inv_offsets);
         assert_eq!(seq.inv_entries, par.inv_entries);
     }
@@ -900,38 +601,26 @@ mod tests {
         assert!(good.validate().is_empty());
 
         // Non-monotone offsets.
-        let bad = PathArena::from_raw(
-            good.interner.clone(),
-            vec![0, 3, 2],
-            good.ids.clone(),
-            good.multiplicity.clone(),
-        );
+        let bad = PathArena::from_raw(good.interner.clone(), vec![0, 3, 2], good.ids.clone());
         assert!(bad.validate().iter().any(|p| p.contains("strictly increasing")));
 
         // Out-of-range id.
         let mut ids = good.ids.clone();
         ids[0] = 999;
-        let bad = PathArena::from_raw(
-            good.interner.clone(),
-            good.offsets.clone(),
-            ids,
-            good.multiplicity.clone(),
-        );
+        let bad = PathArena::from_raw(good.interner.clone(), good.offsets.clone(), ids);
         assert!(bad.validate().iter().any(|p| p.contains("out of range")));
 
-        // Zero multiplicity.
-        let bad = PathArena::from_raw(
-            good.interner.clone(),
-            good.offsets.clone(),
-            good.ids.clone(),
-            vec![1, 0],
-        );
-        assert!(bad.validate().iter().any(|p| p.contains("multiplicity")));
+        // Empty offsets: not even the leading 0.
+        let bad = PathArena::from_raw(good.interner.clone(), Vec::new(), good.ids.clone());
+        assert!(bad
+            .validate()
+            .iter()
+            .any(|p| p.contains("offsets is empty")));
 
         // Duplicate (non-distinct) paths.
         let dup_ids: Vec<u32> = [good.path(0), good.path(0)].concat();
         let dup_off = vec![0, dense_id(good.path(0).len()), dense_id(dup_ids.len())];
-        let bad = PathArena::from_raw(good.interner.clone(), dup_off, dup_ids, vec![1, 1]);
+        let bad = PathArena::from_raw(good.interner.clone(), dup_off, dup_ids);
         assert!(bad.validate().iter().any(|p| p.contains("ascending")));
     }
 
@@ -943,13 +632,6 @@ mod tests {
         assert_eq!(arena.offsets(), &[0]);
         assert!(arena.validate().is_empty());
         assert!(arena.distinct_aspaths().is_empty());
-    }
-
-    /// The rebuilt-from-scratch oracle: an arena built over one synthetic
-    /// sample per `(path, repeat)` entry of the multiset. `build`
-    /// only reads the hops, so dummy vp/prefix values are fine.
-    fn oracle_arena(multiset: &[Vec<u32>]) -> PathArena {
-        PathArena::build(&as_sanitized(multiset), Parallelism::sequential())
     }
 
     /// One synthetic sample per entry of `multiset`, taken as already
@@ -967,106 +649,21 @@ mod tests {
         out
     }
 
-    #[test]
-    fn mutable_arena_no_change_returns_same_arc() {
-        let base = Arc::new(oracle_arena(&[vec![9, 1, 5], vec![8, 1, 5]]));
-        let mut m = MutablePathArena::from_arena(&base);
-        let out = m.canonicalize();
-        assert!(Arc::ptr_eq(&base, &out), "unchanged state must reuse the Arc");
-    }
-
-    #[test]
-    fn mutable_arena_mult_only_patch_matches_oracle() {
-        let base = Arc::new(oracle_arena(&[vec![9, 1, 5], vec![8, 1, 5]]));
-        let mut m = MutablePathArena::from_arena(&base);
-        assert_eq!(m.add_one(&[9, 1, 5]), PathEvent::MultChanged);
-        let out = m.canonicalize();
-        assert!(!Arc::ptr_eq(&base, &out));
-        assert_eq!(
-            *out,
-            oracle_arena(&[vec![9, 1, 5], vec![9, 1, 5], vec![8, 1, 5]])
-        );
-        // Structure (offsets/ids) shared with the previous emission.
-        assert_eq!(out.offsets(), base.offsets());
-        assert_eq!(out.ids(), base.ids());
-    }
-
-    #[test]
-    fn mutable_arena_add_remove_revive_matches_oracle() {
-        let base = Arc::new(oracle_arena(&[vec![9, 1, 5], vec![8, 1, 5]]));
-        let mut m = MutablePathArena::from_arena(&base);
-
-        // New distinct path with an unseen AS → full re-intern.
-        assert_eq!(m.add_one(&[7, 3, 5]), PathEvent::AddedDistinct);
-        let out = m.canonicalize();
-        assert_eq!(
-            *out,
-            oracle_arena(&[vec![9, 1, 5], vec![8, 1, 5], vec![7, 3, 5]])
-        );
-        assert!(out.validate().is_empty());
-
-        // Tombstone the tail path again; the distinct set shrinks back.
-        assert_eq!(m.remove_one(&[7, 3, 5]), Some(PathEvent::RemovedDistinct));
-        assert_eq!(*m.canonicalize(), *base);
-
-        // Revive it in place.
-        assert_eq!(m.add_one(&[7, 3, 5]), PathEvent::AddedDistinct);
-        assert_eq!(
-            *m.canonicalize(),
-            oracle_arena(&[vec![9, 1, 5], vec![8, 1, 5], vec![7, 3, 5]])
-        );
-
-        // Removing a path that is not live is an upstream bug, not a panic.
-        assert_eq!(m.remove_one(&[1, 2, 3, 4]), None);
-        assert_eq!(m.remove_one(&[7, 3, 5]), Some(PathEvent::RemovedDistinct));
-        assert_eq!(m.remove_one(&[7, 3, 5]), None);
-    }
-
-    #[test]
-    fn mutable_arena_compaction_stays_canonical() {
-        let base = Arc::new(oracle_arena(&[vec![9, 1, 5], vec![8, 1, 5]]));
-        let mut m = MutablePathArena::from_arena(&base);
-        // Push far past the tail threshold (live/8 + 64) to force the
-        // compaction branch, canonicalizing along the way.
-        let mut multiset = vec![vec![9, 1, 5], vec![8, 1, 5]];
-        for i in 0..90u32 {
-            let hops = vec![1000 + i, 500 + (i % 13), 1 + (i % 7)];
-            assert_eq!(m.add_one(&hops), PathEvent::AddedDistinct);
-            multiset.push(hops);
-            if i % 17 == 0 {
-                assert_eq!(*m.canonicalize(), oracle_arena(&multiset));
-            }
-        }
-        let out = m.canonicalize();
-        assert_eq!(*out, oracle_arena(&multiset));
-        assert!(out.validate().is_empty());
-        // Post-compaction the slot table keeps behaving canonically.
-        assert_eq!(m.remove_one(&[9, 1, 5]), Some(PathEvent::RemovedDistinct));
-        multiset.retain(|h| h != &[9, 1, 5]);
-        assert_eq!(*m.canonicalize(), oracle_arena(&multiset));
-    }
-
     mod sort_dedup_oracle {
         use super::*;
         use proptest::prelude::*;
         use std::collections::BTreeSet;
 
-        /// `(offsets, ids, multiplicity, (id, ASN) pairs in id order)`.
-        type Layout = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<(u32, Asn)>);
+        /// `(offsets, ids, (id, ASN) pairs in id order)`.
+        type Layout = (Vec<u32>, Vec<u32>, Vec<(u32, Asn)>);
 
         /// The arena as the sort-based dedup defined it: sort every
-        /// sample's hops, collapse equal runs into one path with their
-        /// count, and number the ASNs in ascending order.
+        /// sample's hops, collapse equal runs into one path, and number
+        /// the ASNs in ascending order.
         fn sort_dedup(multiset: &[Vec<u32>]) -> Layout {
-            let mut sorted: Vec<&Vec<u32>> = multiset.iter().collect();
-            sorted.sort();
-            let mut runs: Vec<(&Vec<u32>, u32)> = Vec::new();
-            for path in sorted {
-                match runs.last_mut() {
-                    Some((last, count)) if *last == path => *count += 1,
-                    _ => runs.push((path, 1)),
-                }
-            }
+            let mut runs: Vec<&Vec<u32>> = multiset.iter().collect();
+            runs.sort();
+            runs.dedup();
             let asns: Vec<u32> = multiset
                 .iter()
                 .flatten()
@@ -1076,13 +673,12 @@ mod tests {
                 .collect();
             let mut offsets = vec![0];
             let mut ids = Vec::new();
-            for (path, _) in &runs {
+            for path in &runs {
                 ids.extend(path.iter().map(|v| asns.binary_search(v).unwrap() as u32));
                 offsets.push(ids.len() as u32);
             }
-            let multiplicity = runs.iter().map(|&(_, count)| count).collect();
             let interned = (0..).zip(asns.into_iter().map(Asn)).collect();
-            (offsets, ids, multiplicity, interned)
+            (offsets, ids, interned)
         }
 
         /// The hop alphabet, listed out of ASN order so that first-seen
@@ -1143,108 +739,15 @@ mod tests {
                     .collect();
                 let multiset: Vec<Vec<u32>> =
                     draws.iter().map(|&i| pool[i % pool.len()].clone()).collect();
-                let (offsets, ids, multiplicity, interned) = sort_dedup(&multiset);
+                let (offsets, ids, interned) = sort_dedup(&multiset);
                 let clean = as_sanitized(&multiset);
                 for par in [Parallelism::sequential(), Parallelism::threads(4)] {
                     let arena = PathArena::build(&clean, par);
                     prop_assert_eq!(arena.offsets(), offsets.as_slice());
                     prop_assert_eq!(arena.ids(), ids.as_slice());
-                    prop_assert_eq!(&arena.multiplicity, &multiplicity);
                     prop_assert_eq!(arena.interner().iter().collect::<Vec<_>>(), interned.clone());
                     prop_assert!(arena.validate().is_empty());
                 }
-            }
-        }
-    }
-
-    mod mutable_oracle {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// One scripted mutation: add or remove the `i % pool`-th pool
-        /// path, with a canonicalize sprinkled in every few ops.
-        #[derive(Debug, Clone)]
-        enum Op {
-            Add(usize),
-            Remove(usize),
-            Canon,
-        }
-
-        fn op_strategy(pool: usize) -> impl Strategy<Value = Op> {
-            (0u8..7, 0..pool).prop_map(|(kind, i)| match kind {
-                0..=2 => Op::Add(i),
-                3..=5 => Op::Remove(i),
-                _ => Op::Canon,
-            })
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-            /// Tentpole pin: any interleaving of adds, removes, and
-            /// canonicalizations over a fixed path pool emits arenas
-            /// bit-identical to rebuilding from scratch over the
-            /// surviving sample multiset.
-            #[test]
-            fn mutation_matches_rebuild_oracle(
-                pool in proptest::collection::vec(
-                    proptest::collection::vec(1u32..40, 2..5),
-                    1..12,
-                ),
-                init in proptest::collection::vec(any::<usize>(), 0..10),
-                ops in proptest::collection::vec(op_strategy(64), 0..40),
-            ) {
-                let mut multiset: Vec<Vec<u32>> = init
-                    .iter()
-                    .map(|&ix| pool[ix % pool.len()].clone())
-                    .collect();
-                let base = Arc::new(oracle_arena(&multiset));
-                let mut m = MutablePathArena::from_arena(&base);
-
-                for op in ops {
-                    match op {
-                        Op::Add(i) => {
-                            let hops = &pool[i % pool.len()];
-                            let before_live = m.live_len();
-                            let ev = m.add_one(hops);
-                            multiset.push(hops.clone());
-                            let was_new = !multiset[..multiset.len() - 1].contains(hops);
-                            prop_assert_eq!(
-                                ev,
-                                if was_new { PathEvent::AddedDistinct } else { PathEvent::MultChanged }
-                            );
-                            prop_assert_eq!(m.live_len(), before_live + usize::from(was_new));
-                        }
-                        Op::Remove(i) => {
-                            let hops = &pool[i % pool.len()];
-                            let ev = m.remove_one(hops);
-                            if let Some(pos) = multiset.iter().position(|h| h == hops) {
-                                multiset.remove(pos);
-                                let still_there = multiset.contains(hops);
-                                prop_assert_eq!(
-                                    ev,
-                                    Some(if still_there {
-                                        PathEvent::MultChanged
-                                    } else {
-                                        PathEvent::RemovedDistinct
-                                    })
-                                );
-                            } else {
-                                prop_assert_eq!(ev, None);
-                            }
-                        }
-                        Op::Canon => {
-                            let out = m.canonicalize();
-                            prop_assert!(out.validate().is_empty());
-                            prop_assert_eq!(&*out, &oracle_arena(&multiset));
-                        }
-                    }
-                }
-                let out = m.canonicalize();
-                prop_assert!(out.validate().is_empty());
-                prop_assert_eq!(&*out, &oracle_arena(&multiset));
-                // Canonicalizing again without mutations reuses the Arc.
-                let again = m.canonicalize();
-                prop_assert!(Arc::ptr_eq(&out, &again));
             }
         }
     }

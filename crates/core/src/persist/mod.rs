@@ -340,7 +340,6 @@ pub fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
             put_interner(&mut e, a.interner());
             e.seq_u32(a.offsets());
             e.seq_u32(a.ids());
-            e.seq_u32(&(0..a.len()).map(|p| a.multiplicity(p)).collect::<Vec<u32>>());
             e.finish()
         }
         Artifact::Kept(k) => {
@@ -415,8 +414,7 @@ pub fn decode_artifact(bytes: &[u8], expected: u16) -> Result<Artifact, CodecErr
             let interner = get_interner(&mut d)?;
             let offsets = d.seq_u32("arena offsets")?;
             let ids = d.seq_u32("arena ids")?;
-            let multiplicity = d.seq_u32("arena multiplicity")?;
-            let arena = PathArena::from_raw(interner, offsets, ids, multiplicity);
+            let arena = PathArena::from_raw(interner, offsets, ids);
             // `from_raw` tolerates inconsistent parts (it is also the
             // corruption-fixture entry point); a cache load must not.
             if !arena.validate().is_empty() {

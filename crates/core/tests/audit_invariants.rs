@@ -125,7 +125,7 @@ fn corrupted_path_arena_fails_loudly() {
     let interner = || AsnInterner::from_ases([Asn(1), Asn(2), Asn(3)]);
 
     // A well-formed raw arena passes: two distinct ascending paths.
-    let clean = PathArena::from_raw(interner(), vec![0, 2, 4], vec![0, 1, 1, 2], vec![1, 3]);
+    let clean = PathArena::from_raw(interner(), vec![0, 2, 4], vec![0, 1, 1, 2]);
     let mut report = AuditReport::default();
     check_arena(&clean, &mut report);
     assert!(report.passed(), "{}", report.render());
@@ -138,13 +138,13 @@ fn corrupted_path_arena_fails_loudly() {
     // Each corruption shape must raise a path-arena Error.
     let corrupted = [
         // Offsets not monotone.
-        PathArena::from_raw(interner(), vec![0, 3, 2], vec![0, 1, 1, 2], vec![1, 1]),
+        PathArena::from_raw(interner(), vec![0, 3, 2], vec![0, 1, 1, 2]),
         // Id out of interner range.
-        PathArena::from_raw(interner(), vec![0, 2, 4], vec![0, 1, 1, 9], vec![1, 1]),
-        // Zero multiplicity.
-        PathArena::from_raw(interner(), vec![0, 2, 4], vec![0, 1, 1, 2], vec![1, 0]),
+        PathArena::from_raw(interner(), vec![0, 2, 4], vec![0, 1, 1, 9]),
+        // Empty offsets: not even the leading 0.
+        PathArena::from_raw(interner(), Vec::new(), vec![0, 1, 1, 2]),
         // Duplicate path: dedup was not actually performed.
-        PathArena::from_raw(interner(), vec![0, 2, 4], vec![0, 1, 0, 1], vec![1, 1]),
+        PathArena::from_raw(interner(), vec![0, 2, 4], vec![0, 1, 0, 1]),
     ];
     for (i, arena) in corrupted.iter().enumerate() {
         let mut report = AuditReport::default();

@@ -5,8 +5,10 @@
 //! trusted and never fatal.
 
 use asrank_core::engine::{Snapshot, StageReport, StageStats};
+use asrank_core::persist::kind;
 use asrank_core::pipeline::InferenceConfig;
-use asrank_core::{encode_artifact, pathset_fingerprint};
+use asrank_core::{decode_artifact, encode_artifact, pathset_fingerprint};
+use asrank_types::codec::Encoder;
 use asrank_types::{Asn, AsPath, Parallelism, PathSample, PathSet};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -230,6 +232,77 @@ fn different_configs_do_not_share_entries() {
     let t = totals(&b.stage_report());
     assert_eq!(t.disk_hits, 0, "config change must invalidate keys");
     assert!(t.disk_stores > 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An arena frame in the older layout, which stored one multiplicity
+/// per distinct path after the ids, is rejected on its trailing bytes.
+/// Through a cache directory that makes it a one-time miss: the arena
+/// is recomputed and its frame rewritten, while every other stage still
+/// hits.
+#[test]
+fn arena_frame_with_multiplicity_sequence_is_a_one_time_miss() {
+    let ps = fixture();
+    let dir = tmp_cache("old_arena");
+    let cfg = InferenceConfig::default();
+
+    let mut cold = Snapshot::new(&ps, cfg.clone()).with_cache_dir(&dir);
+    for name in Snapshot::stage_names() {
+        cold.materialize(name).unwrap();
+    }
+    let arena = cold.arena().unwrap();
+    // Every fixture path is distinct, so each multiplicity is 1.
+    assert_eq!(cold.sanitized().unwrap().len(), arena.len());
+    let mut e = Encoder::new(kind::ARENA);
+    e.seq_u32(
+        &arena
+            .interner()
+            .iter()
+            .map(|(_, a)| a.0)
+            .collect::<Vec<u32>>(),
+    );
+    e.seq_u32(arena.offsets());
+    e.seq_u32(arena.ids());
+    e.seq_u32(&vec![1; arena.len()]);
+    let old = e.finish();
+    assert!(decode_artifact(&old, kind::ARENA).is_err());
+
+    let file = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("path_arena-")
+        })
+        .expect("arena frame on disk");
+    let current = std::fs::read(&file).unwrap();
+    assert_eq!(
+        current,
+        encode_artifact(&cold.materialize("path_arena").unwrap())
+    );
+    std::fs::write(&file, &old).unwrap();
+
+    let mut warm = Snapshot::new(&ps, cfg).with_cache_dir(&dir);
+    for name in Snapshot::stage_names() {
+        warm.materialize(name).unwrap();
+    }
+    let report = warm.stage_report();
+    for name in Snapshot::stage_names() {
+        let stats = report.get(name).unwrap();
+        if name == "path_arena" {
+            assert_eq!((stats.disk_hits, stats.runs, stats.disk_stores), (0, 1, 1));
+        } else {
+            assert_eq!((stats.disk_hits, stats.runs), (1, 0), "stage {name} missed");
+        }
+    }
+    assert_eq!(
+        std::fs::read(&file).unwrap(),
+        current,
+        "arena frame not rewritten"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,11 @@
 //!   refresh walks each stage incrementally, whatever the churn;
 //! * an empty update batch is a byte-identical no-op: zero recomputes,
 //!   every stage a delta skip, every held `Arc` reused, every encoded
-//!   frame unchanged — pinned via the engine's cache counters.
+//!   frame unchanged — pinned via the engine's cache counters; so is a
+//!   batch of unknown withdrawals and a same-path re-announce;
+//! * adversarial streams — withdraw everything then announce it all
+//!   again, a path that leaves and returns before one refresh — match
+//!   the cold run too.
 //!
 //! The rebuild-from-scratch semantics of [`UpdateBatch::apply`] is the
 //! oracle throughout.
@@ -162,20 +166,32 @@ proptest! {
         }
     }
 
+    /// The empty batch, and a batch of withdrawals of keys the session
+    /// never held plus a re-announce of the exact path a sample already
+    /// holds, both change nothing.
     #[test]
     fn empty_batch_is_byte_identical_noop(paths in paths_strategy()) {
-        for par in [Parallelism::sequential(), Parallelism::threads(4)] {
+        let ps = path_set(&paths);
+        let first = ps.iter().next().expect("at least one sample");
+        let noop = UpdateBatch::from_deltas(vec![
+            (Asn(1), Ipv4Prefix::new(0xC000_0000, 24).unwrap(), PathDelta::Withdraw),
+            (first.vp, Ipv4Prefix::new(0xC000_0100, 24).unwrap(), PathDelta::Withdraw),
+            (first.vp, first.prefix, PathDelta::Announce(first.path.clone())),
+        ]);
+        for (par, batch) in [Parallelism::sequential(), Parallelism::threads(4)]
+            .into_iter()
+            .flat_map(|par| [(par, UpdateBatch::default()), (par, noop.clone())])
+        {
             let mut cfg = InferenceConfig::default();
             cfg.parallelism = par;
-            let ps = path_set(&paths);
-            let mut session = DeltaSession::new(ps, cfg).expect("session");
+            let mut session = DeltaSession::new(ps.clone(), cfg).expect("session");
             let frames_before: Vec<Vec<u8>> =
                 session.artifacts().iter().map(encode_artifact).collect();
             let inference_before = session.inference().expect("inference");
             let arena_before = session.arena().expect("arena");
 
-            session.apply(&UpdateBatch::default()).expect("apply");
-            prop_assert!(!session.pending(), "empty batch must not dirty the session");
+            session.apply(&batch).expect("apply");
+            prop_assert!(!session.pending(), "a no-op batch must not dirty the session");
             let outcome = session.refresh().expect("refresh");
 
             // Zero recomputes, every stage a skip — via the engine's
@@ -195,11 +211,12 @@ proptest! {
                 &session.inference().expect("inference")
             ));
             prop_assert!(Arc::ptr_eq(&arena_before, &session.arena().expect("arena")));
+            prop_assert_eq!(session.len(), ps.len());
             for (idx, before) in frames_before.iter().enumerate() {
                 let after = encode_artifact(&session.artifacts()[idx]);
                 prop_assert_eq!(
                     before, &after,
-                    "stage {} frame changed across an empty-batch refresh",
+                    "stage {} frame changed across a no-op refresh",
                     Snapshot::stage_names()[idx]
                 );
             }
@@ -246,11 +263,12 @@ fn degree_only_change_reruns_anomaly_repair() {
     }
 }
 
-/// A batch that only moves multiplicity — a live sample re-announced
-/// with another live sample's path, sharing its first two hops, while a
-/// third sample still holds its old path — leaves the distinct path set
-/// and every `(vp, first hop)` count alone. Only S1, the arena and S6
-/// may rerun; the structural stages must stay delta skips.
+/// A batch that only moves samples between known paths — a live
+/// sample re-announced with another live sample's path, sharing its
+/// first two hops, while a third sample still holds its old path —
+/// leaves the distinct path set and every `(vp, first hop)` count
+/// alone. Only S1 and S6 may rerun; the arena and the structural stages
+/// must stay delta skips, the arena the very allocation held before.
 #[test]
 fn multiplicity_only_batch_skips_structural_stages() {
     let base: Vec<Vec<u32>> = vec![
@@ -271,21 +289,118 @@ fn multiplicity_only_batch_skips_structural_stages() {
     let paths = path_set(&base);
     let cfg = InferenceConfig::default();
     let mut session = DeltaSession::new(paths.clone(), cfg.clone()).expect("session");
+    let arena_before = session.arena().expect("arena");
     session.apply(&batch).expect("apply");
     session.refresh().expect("refresh");
     let report = session.stage_report();
-    let stats = |name: &str| report.get(name).expect("stage stats");
-    for name in [
-        "s2_degrees",
-        "s3_clique",
-        "s4_poison",
-        "observed_links",
-        "s5_topdown",
-    ] {
-        assert_eq!(stats(name).delta_skipped, 1, "{name} must be a delta skip");
-    }
-    for name in ["s1_sanitize", "path_arena", "s6_vp_providers"] {
-        assert_eq!(stats(name).delta_recomputed, 1, "{name} must recompute");
-    }
+    let recomputed: Vec<&str> = report
+        .stages
+        .iter()
+        .filter(|(_, s)| s.delta_recomputed == 1)
+        .map(|&(name, _)| name)
+        .collect();
+    assert_eq!(recomputed, ["s1_sanitize", "s6_vp_providers"]);
+    assert_eq!(
+        report.get("path_arena").expect("arena stats").delta_skipped,
+        1,
+        "path_arena must be a delta skip"
+    );
+    assert!(Arc::ptr_eq(&arena_before, &session.arena().expect("arena")));
     assert_matches_cold(&session, &batch.apply(paths), &cfg);
+}
+
+/// The hierarchy the adversarial streams below run over: every sample
+/// is clean, and several distinct paths share hops.
+fn adversarial_base() -> Vec<Vec<u32>> {
+    vec![
+        vec![100, 10, 1, 2, 20, 200],
+        vec![100, 10, 1, 3, 30, 300],
+        vec![200, 20, 2, 1, 10, 100],
+        vec![200, 20, 2, 3, 30, 300],
+        vec![300, 30, 3, 1, 10, 100],
+        vec![300, 30, 3, 2, 20, 200],
+        vec![100, 10, 1, 2, 20, 200],
+        vec![110, 10, 1, 2, 21, 210],
+    ]
+}
+
+/// Every configuration the adversarial cases run at.
+fn configs() -> [InferenceConfig; 2] {
+    [Parallelism::sequential(), Parallelism::threads(4)].map(|parallelism| InferenceConfig {
+        parallelism,
+        ..InferenceConfig::default()
+    })
+}
+
+/// Withdrawing every sample leaves an empty arena; announcing the base
+/// table again afterwards restores every path, each refresh equal to a
+/// cold run.
+#[test]
+fn withdraw_everything_then_reannounce_matches_cold_run() {
+    let base = adversarial_base();
+    for cfg in configs() {
+        let paths = path_set(&base);
+        let mut session = DeltaSession::new(paths.clone(), cfg.clone()).expect("session");
+
+        let withdraw_all =
+            UpdateBatch::from_deltas(paths.iter().map(|s| (s.vp, s.prefix, PathDelta::Withdraw)));
+        session.apply(&withdraw_all).expect("apply");
+        let emptied = withdraw_all.apply(paths.clone());
+        assert!(emptied.is_empty());
+        session.refresh().expect("refresh");
+        assert!(session.is_empty());
+        assert!(session.arena().expect("arena").is_empty());
+        assert_matches_cold(&session, &emptied, &cfg);
+
+        let reannounce = UpdateBatch::from_deltas(
+            paths
+                .iter()
+                .map(|s| (s.vp, s.prefix, PathDelta::Announce(s.path.clone()))),
+        );
+        session.apply(&reannounce).expect("apply");
+        let restored = reannounce.apply(emptied);
+        session.refresh().expect("refresh");
+        assert_eq!(session.len(), base.len());
+        assert_matches_cold(&session, &restored, &cfg);
+    }
+}
+
+/// A path held by one sample leaves the distinct set and comes back in
+/// the next batch, both folded into one refresh. The structure is
+/// dirty, so the arena is rebuilt, but its content is the arena held
+/// before.
+#[test]
+fn path_that_leaves_and_returns_before_one_refresh_matches_cold_run() {
+    let base = adversarial_base();
+    // Sample 7 holds the only copy of its path.
+    let (vp, prefix) = (Asn(110), Ipv4Prefix::new(7 << 8, 24).unwrap());
+    let away = UpdateBatch::from_deltas(vec![(
+        vp,
+        prefix,
+        PathDelta::Announce(AsPath::from_u32s([110, 10, 1, 3, 30, 300])),
+    )]);
+    let back = UpdateBatch::from_deltas(vec![(
+        vp,
+        prefix,
+        PathDelta::Announce(AsPath::from_u32s(base[7].iter().copied())),
+    )]);
+    for cfg in configs() {
+        let paths = path_set(&base);
+        let mut session = DeltaSession::new(paths.clone(), cfg.clone()).expect("session");
+        let arena_before = session.arena().expect("arena");
+        session.apply(&away).expect("apply");
+        session.apply(&back).expect("apply");
+        assert!(session.pending());
+        session.refresh().expect("refresh");
+        let arena_stats = session
+            .stage_report()
+            .get("path_arena")
+            .expect("arena stats");
+        assert_eq!(
+            arena_stats.delta_recomputed, 1,
+            "a dirty structure rebuilds the arena"
+        );
+        assert_eq!(*session.arena().expect("arena"), *arena_before);
+        assert_matches_cold(&session, &back.apply(away.apply(paths)), &cfg);
+    }
 }
