@@ -29,7 +29,10 @@ test:
 # the sharded hash-then-sort arena to the sort + run-length dedup it
 # replaced, the RIB readers' per-frame
 # decoder to the record-tree decode (both readers share the decoder, so
-# only this oracle sees it), plus the cache invalidation/reuse counters.
+# only this oracle sees it), the sort-and-stream RIB encoder to the
+# record-tree encode it replaced, bgpsim's unsorted frontier and bucket
+# drains to the sorted drain and to the (hash, id) argmin of each
+# route's parent, plus the cache invalidation/reuse counters.
 test-engine:
 	$(CARGO) test -p asrank-core --test engine_equivalence
 	$(CARGO) test -p asrank-core --test delta_equivalence
@@ -37,6 +40,8 @@ test-engine:
 	$(CARGO) test -p asrank-core --test blocked_sweep_equivalence
 	$(CARGO) test -p asrank-core --lib -- arena_oracle one_pass_oracle sort_dedup_oracle vp_providers_oracle
 	$(CARGO) test -p mrt-codec --test parallel_ingest
+	$(CARGO) test -p mrt-codec --test encode_oracle
+	$(CARGO) test -p bgp-sim --test reference_propagation
 	$(CARGO) test -p asrank-core engine::
 
 # Source-level determinism/robustness checks: the file-local rules

@@ -9,19 +9,19 @@ use std::collections::HashMap;
 
 /// A compiled AS graph with relationship-typed adjacency lists.
 ///
-/// All adjacency lists are sorted by neighbor ASN so iteration order (and
-/// therefore deterministic tie-breaking) is stable.
+/// All adjacency lists are sorted by neighbor ASN so iteration order is
+/// stable. They live in one flat array, each node's neighbours in four
+/// consecutive groups — customers, siblings, providers, peers — so the
+/// neighbours each propagation stage exports to are one contiguous slice.
 #[derive(Debug, Clone)]
 pub struct PolicyGraph {
     interner: AsnInterner,
-    /// Per node: dense ids of providers (edges this node's routes climb).
-    providers: Vec<Vec<u32>>,
-    /// Per node: dense ids of customers.
-    customers: Vec<Vec<u32>>,
-    /// Per node: dense ids of peers.
-    peers: Vec<Vec<u32>>,
-    /// Per node: dense ids of siblings.
-    siblings: Vec<Vec<u32>>,
+    /// Dense ids of every node's neighbours, grouped per node.
+    adj: Vec<u32>,
+    /// `offsets[4 * id + k]` starts group `k` (customers, siblings,
+    /// providers, peers) of node `id` in `adj`; one final entry closes
+    /// the last node.
+    offsets: Vec<u32>,
     /// Map of p2p links that ride an IXP fabric → route-server ASN.
     ixp_links: HashMap<(u32, u32), Asn>,
 }
@@ -106,12 +106,22 @@ impl PolicyGraph {
             }
         }
 
+        let mut adj = Vec::with_capacity(2 * gt.relationships.len());
+        let mut offsets = Vec::with_capacity(4 * n + 1);
+        let end =
+            |adj: &[u32]| u32::try_from(adj.len()).expect("fewer than 2^32 adjacency entries");
+        for v in 0..n {
+            for group in [&customers[v], &siblings[v], &providers[v], &peers[v]] {
+                offsets.push(end(&adj));
+                adj.extend_from_slice(group);
+            }
+        }
+        offsets.push(end(&adj));
+
         PolicyGraph {
             interner,
-            providers,
-            customers,
-            peers,
-            siblings,
+            adj,
+            offsets,
             ixp_links,
         }
     }
@@ -136,24 +146,48 @@ impl PolicyGraph {
         self.interner.resolve(id)
     }
 
+    /// Groups `from..to` of node `id`'s neighbours (0 customers,
+    /// 1 siblings, 2 providers, 3 peers), as one slice.
+    fn groups(&self, id: u32, from: usize, to: usize) -> &[u32] {
+        let base = 4 * id as usize;
+        &self.adj[self.offsets[base + from] as usize..self.offsets[base + to] as usize]
+    }
+
     /// Providers of node `id`.
     pub fn providers(&self, id: u32) -> &[u32] {
-        &self.providers[id as usize]
+        self.groups(id, 2, 3)
     }
 
     /// Customers of node `id`.
     pub fn customers(&self, id: u32) -> &[u32] {
-        &self.customers[id as usize]
+        self.groups(id, 0, 1)
     }
 
     /// Peers of node `id`.
     pub fn peers(&self, id: u32) -> &[u32] {
-        &self.peers[id as usize]
+        self.groups(id, 3, 4)
     }
 
     /// Siblings of node `id`.
     pub fn siblings(&self, id: u32) -> &[u32] {
-        &self.siblings[id as usize]
+        self.groups(id, 1, 2)
+    }
+
+    /// Where `id` exports a customer route: its siblings, then its
+    /// providers.
+    pub fn up_neighbors(&self, id: u32) -> &[u32] {
+        self.groups(id, 1, 3)
+    }
+
+    /// Where `id` exports any route: its customers, then its siblings.
+    pub fn down_neighbors(&self, id: u32) -> &[u32] {
+        self.groups(id, 0, 2)
+    }
+
+    /// Where a route leaker re-exports a peer or provider route: its
+    /// providers, then its peers.
+    pub fn leak_neighbors(&self, id: u32) -> &[u32] {
+        self.groups(id, 2, 4)
     }
 
     /// The route server whose fabric carries the `x`–`y` peering, if any.

@@ -19,7 +19,13 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// Mix an arbitrary tuple of words into one 64-bit value.
 #[inline]
 pub fn mix(seed: u64, parts: &[u64]) -> u64 {
-    let mut h = splitmix64(seed);
+    absorb(splitmix64(seed), parts)
+}
+
+/// Continue a mix with more words: `absorb(mix(seed, a), b)` equals
+/// `mix(seed, a ++ b)`, so a prefix many draws share is mixed once.
+#[inline]
+pub fn absorb(mut h: u64, parts: &[u64]) -> u64 {
     for &p in parts {
         h = splitmix64(h ^ p);
     }
@@ -35,8 +41,15 @@ pub fn chance(seed: u64, parts: &[u64], p: f64) -> bool {
     if p >= 1.0 {
         return true;
     }
+    below(mix(seed, parts), p)
+}
+
+/// The Bernoulli draw of [`chance`] from an already mixed value `h`:
+/// `chance(seed, parts, p) == below(mix(seed, parts), p)` for every `p`.
+#[inline]
+pub fn below(h: u64, p: f64) -> bool {
     // Map the top 53 bits to [0, 1).
-    let u = (mix(seed, parts) >> 11) as f64 / (1u64 << 53) as f64;
+    let u = (h >> 11) as f64 / (1u64 << 53) as f64;
     u < p
 }
 
@@ -56,6 +69,16 @@ mod tests {
         assert_eq!(mix(1, &[2, 3]), mix(1, &[2, 3]));
         assert_ne!(mix(1, &[2, 3]), mix(1, &[3, 2]));
         assert_ne!(mix(1, &[2, 3]), mix(2, &[2, 3]));
+    }
+
+    #[test]
+    fn absorb_continues_mix_and_below_matches_chance() {
+        for i in 0..1000u64 {
+            assert_eq!(absorb(mix(5, &[i]), &[7, 0x1ea4]), mix(5, &[i, 7, 0x1ea4]));
+            for p in [-1.0, 0.0, 0.001, 0.3, 0.999, 1.0, 2.0] {
+                assert_eq!(below(mix(5, &[i, 7]), p), chance(5, &[i, 7], p));
+            }
+        }
     }
 
     #[test]

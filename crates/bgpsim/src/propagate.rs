@@ -16,15 +16,24 @@
 //!
 //! Ties are broken deterministically but *diversely*: shorter AS path
 //! first, then a per-(chooser, destination) hash over the candidate
-//! next hops. A global tie-break (e.g. lowest ASN) would synchronize
-//! every AS onto the same entry point into a multihomed customer, hiding
-//! backup provider links from every vantage point — real BGP tie-breaks
-//! (IGP distance, router ids) vary per router, and that diversity is
-//! what lets collectors observe both links of a multihomed pair. Route
+//! next hops, then the candidate's dense id. A global tie-break (e.g.
+//! lowest ASN) would synchronize every AS onto the same entry point into
+//! a multihomed customer, hiding backup provider links from every
+//! vantage point — real BGP tie-breaks (IGP distance, router ids) vary
+//! per router, and that diversity is what lets collectors observe both
+//! links of a multihomed pair. Route
 //! leaks are modeled in stage 3: a *leaker* also re-exports its
 //! provider-learned route to its providers and peers (one level of leak,
 //! enough to create the valley paths the paper's sanitization
 //! confronts).
+//!
+//! Each stage picks, for every AS, the contender minimizing
+//! `(hash, id)` among those offering the same class at the same length.
+//! That minimum does not depend on the order in which contenders arrive,
+//! so BFS frontiers and Dial buckets are drained in arrival order, with
+//! no sort. (The hash is a bijection of the candidate's ASN for a fixed
+//! chooser and destination, so the id decides nothing today; it keeps
+//! the order-independence from resting on that property of the mixer.)
 
 use crate::graph::PolicyGraph;
 use crate::hash;
@@ -183,18 +192,23 @@ pub fn compute_route_tree_with(
         parent: dest,
     });
 
-    // Per-(chooser, dest) tie-break key: diverse but deterministic.
+    // Per-(chooser, dest) tie-break: diverse but deterministic, and a
+    // total order over candidates, so the winner among same-length
+    // contenders is independent of the order they are compared in.
     let dest_asn = g.asn(dest).0 as u64;
-    let tiekey = |chooser: u32, candidate: u32| -> u64 {
-        hash::mix(
+    let tiekey = |chooser: u32, candidate: u32| -> (u64, u32) {
+        let h = hash::mix(
             0x7135_b4ea,
             &[g.asn(chooser).0 as u64, g.asn(candidate).0 as u64, dest_asn],
-        )
+        );
+        (h, candidate)
     };
 
     // --- Stage 1: customer routes climb provider / sibling edges. ---
     // Level-synchronous BFS; candidates reached at the same level pick
-    // the parent minimizing their tie-break key.
+    // the parent minimizing their tie-break key. A node joins `next`
+    // only when it first gets a route, so each frontier holds distinct
+    // nodes, drained in arrival order.
     let mut frontier = std::mem::take(&mut ws.frontier);
     let mut next = std::mem::take(&mut ws.next);
     frontier.push(dest);
@@ -203,7 +217,7 @@ pub fn compute_route_tree_with(
         hops += 1;
         next.clear();
         for &u in &frontier {
-            for &v in g.providers(u).iter().chain(g.siblings(u)) {
+            for &v in g.up_neighbors(u) {
                 match routes[v as usize] {
                     None => {
                         routes[v as usize] = Some(Route {
@@ -227,8 +241,6 @@ pub fn compute_route_tree_with(
                 }
             }
         }
-        next.sort_unstable();
-        next.dedup();
         std::mem::swap(&mut frontier, &mut next);
     }
     ws.frontier = frontier;
@@ -273,7 +285,10 @@ pub fn compute_route_tree_with(
 
     // --- Stage 3: provider routes descend customer / sibling edges. ---
     // Multi-source shortest-path with unit weights (Dial buckets): every
-    // current route holder is a source at its own hop count.
+    // current route holder is a source at its own hop count. A node is
+    // pushed once, when it first holds a route, and its hop count never
+    // changes after, so a bucket holds distinct, current entries; it is
+    // drained in arrival order.
     let PropagationWorkspace {
         buckets,
         scratch,
@@ -296,8 +311,6 @@ pub fn compute_route_tree_with(
         // bucket, but both capacities survive for the next destination).
         scratch.clear();
         scratch.append(&mut buckets[h]);
-        scratch.sort_unstable();
-        scratch.dedup();
         hi = hi.max((h + 1).min(max_bucket - 1));
         for i in 0..scratch.len() {
             let u = scratch[i];
@@ -305,7 +318,7 @@ pub fn compute_route_tree_with(
                 continue;
             };
             if (r.hops as usize) != h {
-                continue; // stale entry; the node was reached earlier
+                continue; // only past the clamped last bucket
             }
             let nh = (h + 1).min(max_bucket - 1);
             let announce =
@@ -335,7 +348,7 @@ pub fn compute_route_tree_with(
                         Some(_) => {}
                     }
                 };
-            for &v in g.customers(u).iter().chain(g.siblings(u)) {
+            for &v in g.down_neighbors(u) {
                 announce(v, &mut routes, buckets);
             }
             // Route leak: this AS also re-exports upward/sideways. The
@@ -344,7 +357,7 @@ pub fn compute_route_tree_with(
             let leaking =
                 leakers.map(|l| l[u as usize]).unwrap_or(false) && r.pref >= PrefClass::Peer;
             if leaking {
-                for &v in g.providers(u).iter().chain(g.peers(u)) {
+                for &v in g.leak_neighbors(u) {
                     announce(v, &mut routes, buckets);
                 }
             }

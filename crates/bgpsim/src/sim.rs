@@ -186,6 +186,16 @@ fn run_chunk(
     let mut stats = SimStats::default();
     let leak_on = config.anomalies.leak_prob > 0.0;
     let mut leakers: Vec<bool> = vec![false; g.len()];
+    // The leak draw of AS `a` toward destination `d` mixes `[a, d, tag]`;
+    // the `[a]` prefix is the same for every destination, so it is mixed
+    // once per AS.
+    let leak_prefix: Vec<u64> = if leak_on {
+        g.ids()
+            .map(|id| hash::mix(config.seed, &[g.asn(id).0 as u64]))
+            .collect()
+    } else {
+        Vec::new()
+    };
     let mut ws = PropagationWorkspace::new();
 
     for &dest_asn in dests {
@@ -194,14 +204,10 @@ fn run_chunk(
 
         let leak_slice = if leak_on {
             let mut any = false;
-            for id in g.ids() {
-                let l = hash::chance(
-                    config.seed,
-                    &[g.asn(id).0 as u64, dest_asn.0 as u64, 0x1ea4],
-                    config.anomalies.leak_prob,
-                );
-                leakers[id as usize] = l;
-                any |= l;
+            for (leaks, &prefix) in leakers.iter_mut().zip(&leak_prefix) {
+                let h = hash::absorb(prefix, &[dest_asn.0 as u64, 0x1ea4]);
+                *leaks = hash::below(h, config.anomalies.leak_prob);
+                any |= *leaks;
             }
             if any {
                 stats.anomalies.leak_destinations += 1;

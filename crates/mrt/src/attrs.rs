@@ -5,7 +5,7 @@
 //! information is lost when re-encoding a file.
 
 use crate::error::MrtError;
-use crate::wire::{put_u16, put_u32, Cursor};
+use crate::wire::{fit_u16, put_u16, put_u32, Cursor};
 use asrank_types::{AsPath, Asn};
 
 /// Attribute flag bit: optional.
@@ -20,8 +20,11 @@ const TYPE_AS_PATH: u8 = 2;
 const TYPE_NEXT_HOP: u8 = 3;
 const TYPE_MED: u8 = 4;
 
+/// RFC 6793's `AS_TRANS`, written for an ASN a 2-byte field cannot hold.
+const AS_TRANS: u16 = 23456;
+
 const SEGMENT_SET: u8 = 1;
-const SEGMENT_SEQUENCE: u8 = 2;
+pub(crate) const SEGMENT_SEQUENCE: u8 = 2;
 
 /// One segment of an `AS_PATH` attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +42,85 @@ impl AsPathSegment {
             AsPathSegment::Sequence(v) | AsPathSegment::Set(v) => v,
         }
     }
+
+    /// The segment's wire type code and its hops.
+    fn wire(&self) -> (u8, &[Asn]) {
+        match self {
+            AsPathSegment::Set(a) => (SEGMENT_SET, a),
+            AsPathSegment::Sequence(a) => (SEGMENT_SEQUENCE, a),
+        }
+    }
+}
+
+/// Hops one `AS_PATH` segment holds: its count is a single octet.
+const MAX_SEGMENT_HOPS: usize = 255;
+
+/// Append an attribute header — the one writer of flags, type and
+/// length. The extended-length bit is set when `len` needs two octets or
+/// `flags` already carries it, and cleared otherwise. A `len` over
+/// 65,535 is [`MrtError::Overflow`], and then nothing is appended.
+pub(crate) fn put_attr_header(
+    out: &mut Vec<u8>,
+    flags: u8,
+    type_code: u8,
+    len: usize,
+) -> Result<(), MrtError> {
+    match u8::try_from(len) {
+        Ok(short) if flags & FLAG_EXTENDED == 0 => {
+            out.extend_from_slice(&[flags, type_code, short]);
+        }
+        _ => {
+            let long = fit_u16(len, "attr ext length")?;
+            out.extend_from_slice(&[flags | FLAG_EXTENDED, type_code]);
+            put_u16(out, long);
+        }
+    }
+    Ok(())
+}
+
+/// Append an `AS_PATH` attribute holding `segments` (type code and hops)
+/// in order, with 4-byte ASNs or, for `as4 = false`, 2-byte ones with
+/// `AS_TRANS` standing in for wider ASNs. A sequence over 255 hops is
+/// written as consecutive `AS_SEQUENCE` segments of at most 255 (RFC 4271
+/// §4.3), which every reader joins back; an empty segment stays one
+/// segment with no hops. An `AS_SET` over 255 members, or a value over
+/// 65,535 bytes, is [`MrtError::Overflow`], and then nothing is appended.
+pub(crate) fn put_as_path<'a>(
+    out: &mut Vec<u8>,
+    segments: impl Iterator<Item = (u8, &'a [Asn])> + Clone,
+    as4: bool,
+) -> Result<(), MrtError> {
+    let width = if as4 { 4 } else { 2 };
+    let mut len = 0;
+    for (seg_type, hops) in segments.clone() {
+        if seg_type == SEGMENT_SET && hops.len() > MAX_SEGMENT_HOPS {
+            return Err(MrtError::Overflow {
+                context: "as_set members",
+                value: hops.len(),
+                max: MAX_SEGMENT_HOPS,
+            });
+        }
+        len += 2 * hops.len().div_ceil(MAX_SEGMENT_HOPS).max(1) + width * hops.len();
+    }
+    put_attr_header(out, FLAG_TRANSITIVE, TYPE_AS_PATH, len)?;
+    out.reserve(len);
+    for (seg_type, hops) in segments {
+        let mut pieces = hops.chunks(MAX_SEGMENT_HOPS);
+        // `chunks` yields nothing for no hops; the segment is still written.
+        let first = pieces.next().unwrap_or_default();
+        for piece in std::iter::once(first).chain(pieces) {
+            // At most MAX_SEGMENT_HOPS, so the count fits its octet.
+            out.extend_from_slice(&[seg_type, piece.len() as u8]);
+            for asn in piece {
+                if as4 {
+                    put_u32(out, asn.0);
+                } else {
+                    put_u16(out, u16::try_from(asn.0).unwrap_or(AS_TRANS));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A decoded BGP path attribute.
@@ -87,64 +169,44 @@ impl PathAttribute {
     }
 
     /// Encode this attribute, appending to `out` (4-byte ASNs).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         self.encode_sized(out, true)
     }
 
     /// Encode with explicit ASN width: `as4 = false` produces the legacy
     /// 2-byte `AS_PATH` encoding used by `TABLE_DUMP` (v1) records; ASNs
     /// above 65535 are replaced by `AS_TRANS` (23456), as RFC 6793
-    /// speakers do.
-    pub fn encode_sized(&self, out: &mut Vec<u8>, as4: bool) {
-        let (flags, type_code, value): (u8, u8, Vec<u8>) = match self {
-            PathAttribute::Origin(v) => (FLAG_TRANSITIVE, TYPE_ORIGIN, vec![*v]),
+    /// speakers do. An `AS_PATH` sequence over 255 hops is written as
+    /// consecutive `AS_SEQUENCE` segments of at most 255; an `AS_SET`
+    /// over 255 members, or a value that does not fit its length field,
+    /// is [`MrtError::Overflow`], and then nothing is appended.
+    pub fn encode_sized(&self, out: &mut Vec<u8>, as4: bool) -> Result<(), MrtError> {
+        match self {
+            PathAttribute::Origin(v) => {
+                put_attr_header(out, FLAG_TRANSITIVE, TYPE_ORIGIN, 1)?;
+                out.push(*v);
+            }
             PathAttribute::AsPath(segs) => {
-                let mut v = Vec::new();
-                for seg in segs {
-                    let (code, asns) = match seg {
-                        AsPathSegment::Set(a) => (SEGMENT_SET, a),
-                        AsPathSegment::Sequence(a) => (SEGMENT_SEQUENCE, a),
-                    };
-                    v.push(code);
-                    v.push(asns.len().min(255) as u8);
-                    for asn in asns.iter().take(255) {
-                        if as4 {
-                            put_u32(&mut v, asn.0);
-                        } else {
-                            let short = if asn.0 > u16::MAX as u32 {
-                                23456 // AS_TRANS
-                            } else {
-                                asn.0 as u16
-                            };
-                            put_u16(&mut v, short);
-                        }
-                    }
-                }
-                (FLAG_TRANSITIVE, TYPE_AS_PATH, v)
+                put_as_path(out, segs.iter().map(AsPathSegment::wire), as4)?
             }
             PathAttribute::NextHop(ip) => {
-                (FLAG_TRANSITIVE, TYPE_NEXT_HOP, ip.to_be_bytes().to_vec())
+                put_attr_header(out, FLAG_TRANSITIVE, TYPE_NEXT_HOP, 4)?;
+                put_u32(out, *ip);
             }
-            PathAttribute::Med(v) => (FLAG_OPTIONAL, TYPE_MED, v.to_be_bytes().to_vec()),
+            PathAttribute::Med(v) => {
+                put_attr_header(out, FLAG_OPTIONAL, TYPE_MED, 4)?;
+                put_u32(out, *v);
+            }
             PathAttribute::Unknown {
                 flags,
                 type_code,
                 value,
-            } => (*flags, *type_code, value.clone()),
-        };
-        let extended = value.len() > 255 || flags & FLAG_EXTENDED != 0;
-        out.push(if extended {
-            flags | FLAG_EXTENDED
-        } else {
-            flags & !FLAG_EXTENDED
-        });
-        out.push(type_code);
-        if extended {
-            put_u16(out, value.len() as u16);
-        } else {
-            out.push(value.len() as u8);
+            } => {
+                put_attr_header(out, *flags, *type_code, value.len())?;
+                out.extend_from_slice(value);
+            }
         }
-        out.extend_from_slice(&value);
+        Ok(())
     }
 
     /// Decode one attribute from the cursor (4-byte ASNs).
@@ -174,15 +236,6 @@ impl PathAttribute {
             attrs.push(PathAttribute::decode_sized(&mut block, as4)?);
         }
         Ok(attrs)
-    }
-
-    /// Encode a list of attributes, returning the block.
-    pub fn encode_block(attrs: &[PathAttribute]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for a in attrs {
-            a.encode(&mut out);
-        }
-        out
     }
 }
 
@@ -356,7 +409,7 @@ mod tests {
 
     fn roundtrip(attr: PathAttribute) -> PathAttribute {
         let mut buf = Vec::new();
-        attr.encode(&mut buf);
+        attr.encode(&mut buf).unwrap();
         let mut c = Cursor::new(&buf);
         let out = PathAttribute::decode(&mut c).unwrap();
         assert!(c.is_empty(), "decode must consume the whole encoding");
@@ -376,7 +429,7 @@ mod tests {
     #[test]
     fn origin_rejects_bad_value() {
         let mut buf = Vec::new();
-        PathAttribute::Origin(0).encode(&mut buf);
+        PathAttribute::Origin(0).encode(&mut buf).unwrap();
         let n = buf.len();
         buf[n - 1] = 7; // corrupt the value
         assert!(matches!(
@@ -460,7 +513,7 @@ mod tests {
             value: vec![0xab; 300],
         };
         let mut buf = Vec::new();
-        attr.encode(&mut buf);
+        attr.encode(&mut buf).unwrap();
         assert!(buf[0] & FLAG_EXTENDED != 0);
         let decoded = PathAttribute::decode(&mut Cursor::new(&buf)).unwrap();
         match decoded {
@@ -473,7 +526,7 @@ mod tests {
     fn truncated_as_path_is_error() {
         let attr = PathAttribute::as_path_sequence(&AsPath::from_u32s([1, 2, 3]));
         let mut buf = Vec::new();
-        attr.encode(&mut buf);
+        attr.encode(&mut buf).unwrap();
         buf.truncate(buf.len() - 2);
         // The attribute's *declared* length now exceeds the buffer.
         assert!(PathAttribute::decode(&mut Cursor::new(&buf)).is_err());
@@ -486,7 +539,7 @@ mod tests {
             Asn(400_000), // needs AS_TRANS in 2-byte encoding
         ])]);
         let mut buf = Vec::new();
-        attr.encode_sized(&mut buf, false);
+        attr.encode_sized(&mut buf, false).unwrap();
         let got = PathAttribute::decode_sized(&mut Cursor::new(&buf), false).unwrap();
         assert_eq!(
             got.flatten_as_path().unwrap(),
@@ -501,9 +554,92 @@ mod tests {
             PathAttribute::as_path_sequence(&AsPath::from_u32s([9, 8])),
             PathAttribute::NextHop(1),
         ];
-        let block = PathAttribute::encode_block(&attrs);
+        let mut block = Vec::new();
+        for a in &attrs {
+            a.encode(&mut block).unwrap();
+        }
         let mut c = Cursor::new(&block);
         let parsed = PathAttribute::decode_block(&mut c, block.len()).unwrap();
         assert_eq!(parsed, attrs);
+    }
+
+    #[test]
+    fn long_sequence_splits_into_segments_and_round_trips() {
+        let hops: Vec<u32> = (1..=300).map(|i| 4_200_000_000 + i).collect();
+        let path = AsPath::from_u32s(hops.iter().copied());
+        let mut buf = Vec::new();
+        PathAttribute::as_path_sequence(&path)
+            .encode(&mut buf)
+            .unwrap();
+        // Extended header, then a 255-hop and a 45-hop AS_SEQUENCE.
+        let value_len = 2 + 4 * 255 + 2 + 4 * 45;
+        assert_eq!(buf.len(), 4 + value_len);
+        assert_eq!(
+            buf[..4],
+            [
+                FLAG_TRANSITIVE | FLAG_EXTENDED,
+                TYPE_AS_PATH,
+                (value_len >> 8) as u8,
+                value_len as u8
+            ]
+        );
+        assert_eq!(buf[4..6], [SEGMENT_SEQUENCE, 255]);
+        assert_eq!(buf[6 + 4 * 255..8 + 4 * 255], [SEGMENT_SEQUENCE, 45]);
+        let back = PathAttribute::decode(&mut Cursor::new(&buf)).unwrap();
+        assert_eq!(back.flatten_as_path().unwrap(), path);
+    }
+
+    #[test]
+    fn empty_and_boundary_paths_keep_one_segment() {
+        for (hops, extended) in [(0usize, false), (63, false), (64, true), (255, true)] {
+            let path = AsPath::from_u32s((0..hops as u32).map(|i| i + 1));
+            let mut buf = Vec::new();
+            PathAttribute::as_path_sequence(&path)
+                .encode(&mut buf)
+                .unwrap();
+            let header = if extended { 4 } else { 3 };
+            assert_eq!(buf[0] & FLAG_EXTENDED != 0, extended, "{hops} hops");
+            assert_eq!(buf.len(), header + 2 + 4 * hops, "{hops} hops");
+            assert_eq!(buf[header..header + 2], [SEGMENT_SEQUENCE, hops as u8]);
+            let back = PathAttribute::decode(&mut Cursor::new(&buf)).unwrap();
+            assert_eq!(back.flatten_as_path().unwrap(), path);
+        }
+    }
+
+    #[test]
+    fn oversize_values_are_typed_errors_and_append_nothing() {
+        let cases = [
+            (
+                PathAttribute::AsPath(vec![AsPathSegment::Set((0..256).map(Asn).collect())]),
+                "as_set members",
+            ),
+            (
+                // 16,400 hops take 65,730 bytes: over the extended length.
+                PathAttribute::as_path_sequence(&AsPath::from_u32s(0..16_400)),
+                "attr ext length",
+            ),
+            (
+                PathAttribute::Unknown {
+                    flags: FLAG_OPTIONAL,
+                    type_code: 99,
+                    value: vec![0; 65_536],
+                },
+                "attr ext length",
+            ),
+        ];
+        for (attr, context) in cases {
+            let mut buf = vec![7u8];
+            let err = attr.encode(&mut buf).unwrap_err();
+            assert!(
+                matches!(err, MrtError::Overflow { context: c, .. } if c == context),
+                "{err}"
+            );
+            assert_eq!(buf, [7], "a failed encode must append nothing");
+        }
+        // The largest sequence that fits still encodes.
+        let mut buf = Vec::new();
+        PathAttribute::as_path_sequence(&AsPath::from_u32s(0..16_320))
+            .encode(&mut buf)
+            .unwrap();
     }
 }

@@ -29,6 +29,15 @@ pub enum MrtError {
     },
     /// The BGP message marker was not all-ones.
     BadMarker,
+    /// A value to encode does not fit the wire field that carries it.
+    Overflow {
+        /// The field being written.
+        context: &'static str,
+        /// The value that does not fit.
+        value: usize,
+        /// The largest value the field holds.
+        max: usize,
+    },
     /// Underlying I/O failure (streaming reader/writer).
     Io(std::io::Error),
 }
@@ -44,6 +53,11 @@ impl fmt::Display for MrtError {
                 write!(f, "invalid value {value} while parsing {context}")
             }
             MrtError::BadMarker => write!(f, "BGP message marker is not all-ones"),
+            MrtError::Overflow {
+                context,
+                value,
+                max,
+            } => write!(f, "{context} of {value} exceeds the field's maximum {max}"),
             MrtError::Io(e) => write!(f, "I/O error: {e}"),
         }
     }
@@ -83,6 +97,12 @@ mod tests {
         };
         assert!(e.to_string().contains("afi"));
         assert!(MrtError::BadMarker.to_string().contains("marker"));
+        let e = MrtError::Overflow {
+            context: "rib entry count",
+            value: 65_536,
+            max: 65_535,
+        };
+        assert!(e.to_string().contains("65536") && e.to_string().contains("65535"));
     }
 
     #[test]

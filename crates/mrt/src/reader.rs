@@ -128,7 +128,7 @@ mod tests {
     fn reads_multiple_records() {
         let mut bytes = Vec::new();
         for ts in [10u32, 20, 30] {
-            bytes.extend_from_slice(&sample().encode(ts));
+            bytes.extend_from_slice(&sample().encode(ts).unwrap());
         }
         let reader = MrtReader::new(&bytes[..]);
         let recs: Vec<_> = reader.map(|r| r.unwrap()).collect();
@@ -145,14 +145,14 @@ mod tests {
 
     #[test]
     fn eof_mid_header_is_truncated_error() {
-        let bytes = sample().encode(1);
+        let bytes = sample().encode(1).unwrap();
         let mut r = MrtReader::new(&bytes[..5]);
         assert!(matches!(r.next_record(), Err(MrtError::Truncated { .. })));
     }
 
     #[test]
     fn eof_mid_body_is_truncated_error() {
-        let bytes = sample().encode(1);
+        let bytes = sample().encode(1).unwrap();
         let mut r = MrtReader::new(&bytes[..bytes.len() - 3]);
         assert!(matches!(r.next_record(), Err(MrtError::Truncated { .. })));
     }

@@ -2,7 +2,7 @@
 
 use crate::attrs::PathAttribute;
 use crate::error::MrtError;
-use crate::wire::{put_u16, put_u32, Cursor};
+use crate::wire::{fit_u16, patch_len_u16, put_u16, put_u32, Cursor};
 use asrank_types::{Asn, Ipv4Prefix, Ipv6Prefix};
 
 /// MRT type: TABLE_DUMP (legacy v1).
@@ -226,16 +226,64 @@ fn decode_nlri_block(c: &mut Cursor<'_>, len: usize) -> Result<Vec<Ipv4Prefix>, 
     Ok(out)
 }
 
+// --- Record framing ---------------------------------------------------
+
+/// Append an MRT common header whose length is left zero, returning the
+/// header's offset for [`end_record`].
+pub(crate) fn begin_record(
+    out: &mut Vec<u8>,
+    timestamp: u32,
+    mrt_type: u16,
+    subtype: u16,
+) -> usize {
+    let start = out.len();
+    put_u32(out, timestamp);
+    put_u16(out, mrt_type);
+    put_u16(out, subtype);
+    put_u32(out, 0);
+    start
+}
+
+/// Patch the length of the record begun at `start` to cover every byte
+/// written after its header.
+pub(crate) fn end_record(out: &mut [u8], start: usize) -> Result<(), MrtError> {
+    let body = out.len() - start - 12;
+    let len = u32::try_from(body).map_err(|_| MrtError::Overflow {
+        context: "mrt length",
+        value: body,
+        max: u32::MAX as usize,
+    })?;
+    out[start + 8..start + 12].copy_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
+/// The entry count and entries of a RIB record, each entry's attribute
+/// block written in place with its length patched in.
+fn encode_rib_entries(out: &mut Vec<u8>, entries: &[RibEntry]) -> Result<(), MrtError> {
+    put_u16(out, fit_u16(entries.len(), "rib entry count")?);
+    for e in entries {
+        put_u16(out, e.peer_index);
+        put_u32(out, e.originated_time);
+        let len_pos = out.len();
+        put_u16(out, 0);
+        for a in &e.attributes {
+            a.encode(out)?;
+        }
+        patch_len_u16(out, len_pos, "rib attr length")?;
+    }
+    Ok(())
+}
+
 // --- Record bodies ----------------------------------------------------
 
 impl PeerIndexTable {
-    fn encode_body(&self, out: &mut Vec<u8>) {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         put_u32(out, self.collector_id);
         let name = self.view_name.as_bytes();
-        put_u16(out, name.len().min(u16::MAX as usize) as u16);
-        out.extend_from_slice(&name[..name.len().min(u16::MAX as usize)]);
-        put_u16(out, self.peers.len().min(u16::MAX as usize) as u16);
-        for p in self.peers.iter().take(u16::MAX as usize) {
+        put_u16(out, fit_u16(name.len(), "view name length")?);
+        out.extend_from_slice(name);
+        put_u16(out, fit_u16(self.peers.len(), "peer count")?);
+        for p in &self.peers {
             // Peer type: bit 0 = IPv6 address, bit 1 = 4-byte ASN.
             // The encoder always uses 4-byte ASNs and IPv4 addresses.
             out.push(0x02);
@@ -243,6 +291,7 @@ impl PeerIndexTable {
             put_u32(out, p.addr);
             put_u32(out, p.asn.0);
         }
+        Ok(())
     }
 
     fn decode_body(c: &mut Cursor<'_>) -> Result<Self, MrtError> {
@@ -283,17 +332,10 @@ impl PeerIndexTable {
 }
 
 impl RibIpv4Unicast {
-    fn encode_body(&self, out: &mut Vec<u8>) {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         put_u32(out, self.sequence);
         encode_nlri(out, &self.prefix);
-        put_u16(out, self.entries.len().min(u16::MAX as usize) as u16);
-        for e in self.entries.iter().take(u16::MAX as usize) {
-            put_u16(out, e.peer_index);
-            put_u32(out, e.originated_time);
-            let attrs = PathAttribute::encode_block(&e.attributes);
-            put_u16(out, attrs.len().min(u16::MAX as usize) as u16);
-            out.extend_from_slice(&attrs);
-        }
+        encode_rib_entries(out, &self.entries)
     }
 
     fn decode_body(c: &mut Cursor<'_>) -> Result<Self, MrtError> {
@@ -321,17 +363,10 @@ impl RibIpv4Unicast {
 }
 
 impl RibIpv6Unicast {
-    fn encode_body(&self, out: &mut Vec<u8>) {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         put_u32(out, self.sequence);
         encode_nlri6(out, &self.prefix);
-        put_u16(out, self.entries.len().min(u16::MAX as usize) as u16);
-        for e in self.entries.iter().take(u16::MAX as usize) {
-            put_u16(out, e.peer_index);
-            put_u32(out, e.originated_time);
-            let attrs = PathAttribute::encode_block(&e.attributes);
-            put_u16(out, attrs.len().min(u16::MAX as usize) as u16);
-            out.extend_from_slice(&attrs);
-        }
+        encode_rib_entries(out, &self.entries)
     }
 
     fn decode_body(c: &mut Cursor<'_>) -> Result<Self, MrtError> {
@@ -359,7 +394,7 @@ impl RibIpv6Unicast {
 }
 
 impl TableDumpV1 {
-    fn encode_body(&self, out: &mut Vec<u8>) {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         put_u16(out, self.view);
         put_u16(out, self.sequence);
         // v1 always writes the full 4-byte prefix plus a length octet.
@@ -374,12 +409,12 @@ impl TableDumpV1 {
             self.peer_asn.0 as u16
         };
         put_u16(out, short);
-        let mut attrs = Vec::new();
+        let len_pos = out.len();
+        put_u16(out, 0);
         for a in &self.attributes {
-            a.encode_sized(&mut attrs, false);
+            a.encode_sized(out, false)?;
         }
-        put_u16(out, attrs.len().min(u16::MAX as usize) as u16);
-        out.extend_from_slice(&attrs);
+        patch_len_u16(out, len_pos, "td1 attr length")
     }
 
     fn decode_body(c: &mut Cursor<'_>) -> Result<Self, MrtError> {
@@ -412,30 +447,34 @@ impl TableDumpV1 {
 
 impl BgpUpdate {
     /// Encode the UPDATE as a full BGP message (marker + header + body).
-    fn encode_message(&self, out: &mut Vec<u8>) {
+    fn encode_message(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         let start = out.len();
         out.extend_from_slice(&[0xff; 16]);
         let len_pos = out.len();
         put_u16(out, 0); // patched below
         out.push(2); // message type: UPDATE
 
-        let mut withdrawn = Vec::new();
+        let withdrawn_pos = out.len();
+        put_u16(out, 0);
         for p in &self.withdrawn {
-            encode_nlri(&mut withdrawn, p);
+            encode_nlri(out, p);
         }
-        put_u16(out, withdrawn.len() as u16);
-        out.extend_from_slice(&withdrawn);
+        patch_len_u16(out, withdrawn_pos, "withdrawn length")?;
 
-        let attrs = PathAttribute::encode_block(&self.attributes);
-        put_u16(out, attrs.len() as u16);
-        out.extend_from_slice(&attrs);
+        let attrs_pos = out.len();
+        put_u16(out, 0);
+        for a in &self.attributes {
+            a.encode(out)?;
+        }
+        patch_len_u16(out, attrs_pos, "attributes length")?;
 
         for p in &self.announced {
             encode_nlri(out, p);
         }
 
-        let total = (out.len() - start) as u16;
+        let total = fit_u16(out.len() - start, "bgp message length")?;
         out[len_pos..len_pos + 2].copy_from_slice(&total.to_be_bytes());
+        Ok(())
     }
 
     /// Decode a full BGP message, expecting an UPDATE.
@@ -474,14 +513,14 @@ impl BgpUpdate {
 }
 
 impl Bgp4mpMessageAs4 {
-    fn encode_body(&self, out: &mut Vec<u8>) {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         put_u32(out, self.peer_asn.0);
         put_u32(out, self.local_asn.0);
         put_u16(out, self.if_index);
         put_u16(out, 1); // AFI: IPv4
         put_u32(out, self.peer_ip);
         put_u32(out, self.local_ip);
-        self.update.encode_message(out);
+        self.update.encode_message(out)
     }
 
     fn decode_body(c: &mut Cursor<'_>) -> Result<Self, MrtError> {
@@ -525,24 +564,29 @@ impl MrtRecord {
     }
 
     /// Encode the record with its MRT common header.
-    pub fn encode(&self, timestamp: u32) -> Vec<u8> {
-        let mut body = Vec::new();
-        match self {
-            MrtRecord::PeerIndexTable(t) => t.encode_body(&mut body),
-            MrtRecord::RibIpv4Unicast(r) => r.encode_body(&mut body),
-            MrtRecord::RibIpv6Unicast(r) => r.encode_body(&mut body),
-            MrtRecord::TableDumpV1(r) => r.encode_body(&mut body),
-            MrtRecord::Bgp4mpMessageAs4(m) => m.encode_body(&mut body),
-            MrtRecord::Unknown { body: raw, .. } => body.extend_from_slice(raw),
-        }
+    pub fn encode(&self, timestamp: u32) -> Result<Vec<u8>, MrtError> {
+        let mut out = Vec::new();
+        self.encode_into(timestamp, &mut out)?;
+        Ok(out)
+    }
+
+    /// Append the record with its MRT common header to `out`: the body is
+    /// written in place after the header and its length patched in. A
+    /// count or length that does not fit its field is
+    /// [`MrtError::Overflow`]; `out` then holds a partial record, which
+    /// the caller discards.
+    pub fn encode_into(&self, timestamp: u32, out: &mut Vec<u8>) -> Result<(), MrtError> {
         let (t, s) = self.type_pair();
-        let mut out = Vec::with_capacity(body.len() + 12);
-        put_u32(&mut out, timestamp);
-        put_u16(&mut out, t);
-        put_u16(&mut out, s);
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
-        out
+        let start = begin_record(out, timestamp, t, s);
+        match self {
+            MrtRecord::PeerIndexTable(t) => t.encode_body(out)?,
+            MrtRecord::RibIpv4Unicast(r) => r.encode_body(out)?,
+            MrtRecord::RibIpv6Unicast(r) => r.encode_body(out)?,
+            MrtRecord::TableDumpV1(r) => r.encode_body(out)?,
+            MrtRecord::Bgp4mpMessageAs4(m) => m.encode_body(out)?,
+            MrtRecord::Unknown { body, .. } => out.extend_from_slice(body),
+        }
+        end_record(out, start)
     }
 
     /// Decode one record (header + body) from the cursor, returning the
@@ -585,7 +629,7 @@ mod tests {
     use asrank_types::AsPath;
 
     fn rt(rec: MrtRecord) -> MrtRecord {
-        let buf = rec.encode(1_700_000_000);
+        let buf = rec.encode(1_700_000_000).unwrap();
         let mut c = Cursor::new(&buf);
         let (ts, out) = MrtRecord::decode(&mut c).unwrap();
         assert_eq!(ts, 1_700_000_000);
@@ -708,7 +752,7 @@ mod tests {
             local_ip: 0,
             update: BgpUpdate::default(),
         };
-        let mut buf = MrtRecord::Bgp4mpMessageAs4(rec).encode(0);
+        let mut buf = MrtRecord::Bgp4mpMessageAs4(rec).encode(0).unwrap();
         // Marker starts after the 12-byte MRT header + 20 bytes of BGP4MP
         // head (peer/local ASN, ifindex, AFI, peer/local IPv4).
         buf[12 + 20] = 0x00;

@@ -279,6 +279,7 @@ mod tests {
             }],
         })
         .encode(ts)
+        .unwrap()
     }
 
     #[test]

@@ -21,7 +21,8 @@ const MAX_NLRI_PER_MESSAGE: usize = 600;
 
 /// Serialize update messages as a BGP4MP stream. Announcements with the
 /// same AS path share UPDATE messages (as real speakers do); withdrawals
-/// ride their own messages. Returns records written.
+/// ride their own messages. Returns records written; the stream is
+/// flushed.
 pub fn write_update_stream<W: Write>(
     updates: &[UpdateMessage],
     out: W,
@@ -69,7 +70,7 @@ pub fn write_update_stream<W: Write>(
             }
         }
     }
-    Ok(writer.records_written())
+    writer.finish()
 }
 
 /// Read a BGP4MP stream back into per-VP update messages (merged per
@@ -209,7 +210,7 @@ mod tests {
         // And every message fits in the BGP bound.
         let mut reader = MrtReader::new(&buf[..]);
         while let Some((_, rec)) = reader.next_record().unwrap() {
-            let encoded = rec.encode(0);
+            let encoded = rec.encode(0).unwrap();
             assert!(encoded.len() < 4096 + 12 + 20, "message too large");
         }
         let back = read_update_stream(&buf[..]).unwrap();

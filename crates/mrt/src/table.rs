@@ -6,41 +6,112 @@
 //! contributing vantage point. [`read_rib_dump`] inverts it, so the
 //! inference pipeline can be driven from `.mrt` files.
 //!
+//! Writing builds no record tree either. [`write_rib_dump`] sorts one
+//! packed key per sample — prefix, then peer index (the VP's rank among
+//! the sorted, distinct VPs), then sample index — so entries of one
+//! prefix follow the peer table and samples of one (VP, prefix) pair keep
+//! their input order. Each prefix's record is then written into the
+//! writer's one reused buffer: `ORIGIN`, `AS_PATH` and `NEXT_HOP` go
+//! through the attribute writers [`PathAttribute::encode_sized`] uses,
+//! and every count and length is checked and patched in place. A field
+//! the wire cannot hold is an [`MrtError::Overflow`], never a clamp.
+//!
 //! Reading has one per-frame decoder, [`ingest_rib_frame`], which turns
 //! a record frame straight into [`PathSample`]s without building a
 //! record tree. The streaming [`read_rib_dump`] and the parallel
 //! [`crate::scan::read_rib_dump_parallel`] both run it, so they agree by
 //! construction.
 
-use crate::attrs::{PathAttribute, RawAttribute};
+use crate::attrs::{put_as_path, PathAttribute, RawAttribute, SEGMENT_SEQUENCE};
 use crate::error::MrtError;
 use crate::reader::MrtReader;
 use crate::record::{
-    decode_nlri, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast, MRT_TABLE_DUMP_V2,
-    SUBTYPE_RIB_IPV4_UNICAST,
+    begin_record, decode_nlri, encode_nlri, end_record, MrtRecord, PeerEntry, PeerIndexTable,
+    MRT_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST,
 };
-use crate::wire::Cursor;
+use crate::wire::{fit_u16, patch_len_u16, put_u16, put_u32, Cursor};
 use crate::writer::MrtWriter;
-use asrank_types::{Asn, Ipv4Prefix, PathSample, PathSet};
+use asrank_types::{Asn, PathSample, PathSet};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
 /// Serialize a path set as a TABLE_DUMP_V2 RIB dump.
 ///
 /// Records are emitted deterministically: peers sorted by ASN, prefixes in
-/// ascending order, entries in peer-table order.
+/// ascending order, entries in peer-table order, and samples of one
+/// (VP, prefix) pair in input order. Entries carry `ORIGIN` IGP, the path
+/// as an `AS_SEQUENCE` (split into 255-hop segments when longer), and the
+/// peer's address as `NEXT_HOP`. More than 65,535 VPs, or entries for one
+/// prefix, is [`MrtError::Overflow`]. Returns the records written; the
+/// stream is flushed.
+///
+/// No record tree is built: one sort of packed (prefix, peer index,
+/// sample index) keys orders the entries, and each record is written
+/// straight into the writer's reused buffer, its lengths patched in.
 pub fn write_rib_dump<W: Write>(paths: &PathSet, out: W, timestamp: u32) -> Result<u64, MrtError> {
+    let samples = paths.samples();
+    let mut vps: Vec<Asn> = samples.iter().map(|s| s.vp).collect();
+    vps.sort_unstable();
+    vps.dedup();
     let mut writer = MrtWriter::new(out);
+    // Rejects more VPs than a u16 peer index reaches, before any key
+    // packs one.
+    writer.write_record(timestamp, &MrtRecord::PeerIndexTable(peer_table(&vps)))?;
 
-    // Peer table: one entry per VP, sorted by ASN for determinism.
-    let mut vps: Vec<Asn> = paths.vantage_points().into_iter().collect();
-    vps.sort();
-    let index_of: BTreeMap<Asn, u16> = vps
+    // Key: network (32 bits), length (8), peer index (16), sample index
+    // (64), so an unstable sort of distinct keys gives the stable order.
+    let mut keys: Vec<u128> = samples
         .iter()
         .enumerate()
-        .map(|(i, &a)| (a, i as u16))
+        .map(|(i, s)| {
+            let peer = match vps.binary_search(&s.vp) {
+                Ok(p) | Err(p) => p as u128,
+            };
+            u128::from(s.prefix.network()) << 88
+                | u128::from(s.prefix.len()) << 80
+                | peer << 64
+                | i as u128
+        })
         .collect();
-    let table = PeerIndexTable {
+    keys.sort_unstable();
+
+    let mut rest = &keys[..];
+    // RFC 6396 §4.3.2: the sequence number wraps back to zero on overflow.
+    let mut sequence: u32 = 0;
+    while let Some(&first) = rest.first() {
+        let group = rest.partition_point(|&k| k >> 80 == first >> 80);
+        let (entries, tail) = rest.split_at(group);
+        rest = tail;
+        let prefix = samples[first as u64 as usize].prefix;
+        writer.write_with(|out| {
+            let start = begin_record(out, timestamp, MRT_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST);
+            put_u32(out, sequence);
+            encode_nlri(out, &prefix);
+            put_u16(out, fit_u16(entries.len(), "rib entry count")?);
+            for &key in entries {
+                // The peer field holds an index below the table's u16 count.
+                let peer = (key >> 64) as u16;
+                put_u16(out, peer);
+                put_u32(out, timestamp);
+                let len_pos = out.len();
+                put_u16(out, 0);
+                PathAttribute::Origin(0).encode(out)?;
+                let path = &samples[key as u64 as usize].path;
+                put_as_path(out, std::iter::once((SEGMENT_SEQUENCE, &path.0[..])), true)?;
+                PathAttribute::NextHop(peer_addr(usize::from(peer))).encode(out)?;
+                patch_len_u16(out, len_pos, "rib attr length")?;
+            }
+            end_record(out, start)
+        })?;
+        sequence = sequence.wrapping_add(1);
+    }
+    writer.finish()
+}
+
+/// The peer table of a dump whose sorted, distinct VPs are `vps`: peer
+/// `i` has BGP id `i + 1` and address `10.0.0.0 + i + 1`.
+fn peer_table(vps: &[Asn]) -> PeerIndexTable {
+    PeerIndexTable {
         collector_id: 0xc011_u32,
         view_name: "asrank-sim".into(),
         peers: vps
@@ -48,50 +119,25 @@ pub fn write_rib_dump<W: Write>(paths: &PathSet, out: W, timestamp: u32) -> Resu
             .enumerate()
             .map(|(i, &asn)| PeerEntry {
                 bgp_id: i as u32 + 1,
-                addr: 0x0a00_0000 + i as u32 + 1,
+                addr: peer_addr(i),
                 ipv6: false,
                 asn,
             })
             .collect(),
-    };
-    writer.write_record(timestamp, &MrtRecord::PeerIndexTable(table))?;
-
-    // Group samples by prefix.
-    let mut by_prefix: BTreeMap<Ipv4Prefix, Vec<&PathSample>> = BTreeMap::new();
-    for s in paths.iter() {
-        by_prefix.entry(s.prefix).or_default().push(s);
     }
+}
 
-    for (seq, (prefix, mut samples)) in by_prefix.into_iter().enumerate() {
-        samples.sort_by_key(|s| index_of[&s.vp]);
-        let entries: Vec<RibEntry> = samples
-            .iter()
-            .map(|s| RibEntry {
-                peer_index: index_of[&s.vp],
-                originated_time: timestamp,
-                attributes: vec![
-                    PathAttribute::Origin(0),
-                    PathAttribute::as_path_sequence(&s.path),
-                    PathAttribute::NextHop(0x0a00_0000 + index_of[&s.vp] as u32 + 1),
-                ],
-            })
-            .collect();
-        writer.write_record(
-            timestamp,
-            &MrtRecord::RibIpv4Unicast(RibIpv4Unicast {
-                sequence: seq as u32,
-                prefix,
-                entries,
-            }),
-        )?;
-    }
-    Ok(writer.records_written())
+/// The address of peer `index` in [`peer_table`], and the `NEXT_HOP` of
+/// its entries.
+fn peer_addr(index: usize) -> u32 {
+    0x0a00_0000 + index as u32 + 1
 }
 
 /// Serialize a path set as a *legacy* TABLE_DUMP (v1) dump: one record
 /// per (VP, prefix) route, 2-byte ASNs on the wire (4-byte ASNs become
 /// `AS_TRANS`, as RFC 6793 prescribes). Useful for exercising consumers
-/// of pre-2008 RouteViews archives. Returns records written.
+/// of pre-2008 RouteViews archives. Returns records written; the stream
+/// is flushed.
 pub fn write_rib_dump_v1<W: Write>(
     paths: &PathSet,
     out: W,
@@ -126,7 +172,7 @@ pub fn write_rib_dump_v1<W: Write>(
             }),
         )?;
     }
-    Ok(writer.records_written())
+    writer.finish()
 }
 
 /// Read a TABLE_DUMP_V2 RIB dump back into a path set.
@@ -303,7 +349,8 @@ mod tests {
                 subtype: 1,
                 body: vec![1, 2, 3],
             }
-            .encode(5),
+            .encode(5)
+            .unwrap(),
         );
         let back = read_rib_dump(&buf[..]).unwrap();
         assert_eq!(back.len(), ps.len());
@@ -342,11 +389,33 @@ mod tests {
                     65001, 3356, 15169,
                 ]))],
             })
-            .encode(7),
+            .encode(7)
+            .unwrap(),
         );
         let back = read_rib_dump(&buf[..]).unwrap();
         assert_eq!(back.len(), sample_set().len() + 1);
         assert!(back.vantage_points().contains(&Asn(65001)));
+    }
+
+    #[test]
+    fn failed_flush_is_reported() {
+        struct FailingFlush;
+        impl Write for FailingFlush {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("disk full"))
+            }
+        }
+        assert!(matches!(
+            write_rib_dump(&sample_set(), FailingFlush, 0),
+            Err(MrtError::Io(_))
+        ));
+        assert!(matches!(
+            write_rib_dump_v1(&sample_set(), FailingFlush, 0),
+            Err(MrtError::Io(_))
+        ));
     }
 
     #[test]

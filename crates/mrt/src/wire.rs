@@ -68,6 +68,28 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// `value` as a `u16` length or count, or [`MrtError::Overflow`] naming
+/// `context` when it does not fit.
+pub(crate) fn fit_u16(value: usize, context: &'static str) -> Result<u16, MrtError> {
+    u16::try_from(value).map_err(|_| MrtError::Overflow {
+        context,
+        value,
+        max: usize::from(u16::MAX),
+    })
+}
+
+/// Fill in the `u16` length reserved at `pos` with the number of bytes
+/// written after it.
+pub(crate) fn patch_len_u16(
+    out: &mut [u8],
+    pos: usize,
+    context: &'static str,
+) -> Result<(), MrtError> {
+    let len = fit_u16(out.len() - pos - 2, context)?;
+    out[pos..pos + 2].copy_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
 /// Append a big-endian `u16`.
 pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_be_bytes());

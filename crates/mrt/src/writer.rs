@@ -5,9 +5,14 @@ use crate::record::MrtRecord;
 use std::io::Write;
 
 /// Writes MRT records to an underlying stream.
+///
+/// Every record is encoded into one buffer the writer keeps, so writing
+/// a record allocates nothing once the buffer has grown to the largest
+/// record.
 #[derive(Debug)]
 pub struct MrtWriter<W> {
     inner: W,
+    buf: Vec<u8>,
     records_written: u64,
 }
 
@@ -16,14 +21,25 @@ impl<W: Write> MrtWriter<W> {
     pub fn new(inner: W) -> Self {
         MrtWriter {
             inner,
+            buf: Vec::new(),
             records_written: 0,
         }
     }
 
     /// Write one record with the given timestamp.
     pub fn write_record(&mut self, timestamp: u32, record: &MrtRecord) -> Result<(), MrtError> {
-        let bytes = record.encode(timestamp);
-        self.inner.write_all(&bytes)?;
+        self.write_with(|out| record.encode_into(timestamp, out))
+    }
+
+    /// Write the one record `encode` appends to the (empty) reused
+    /// buffer. Nothing reaches the stream when `encode` fails.
+    pub(crate) fn write_with(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), MrtError>,
+    ) -> Result<(), MrtError> {
+        self.buf.clear();
+        encode(&mut self.buf)?;
+        self.inner.write_all(&self.buf)?;
         self.records_written += 1;
         Ok(())
     }
@@ -31,6 +47,13 @@ impl<W: Write> MrtWriter<W> {
     /// Number of records written so far.
     pub fn records_written(&self) -> u64 {
         self.records_written
+    }
+
+    /// Flush the stream and return the number of records written, so a
+    /// failed flush of a buffered stream is reported, not dropped.
+    pub(crate) fn finish(mut self) -> Result<u64, MrtError> {
+        self.inner.flush()?;
+        Ok(self.records_written)
     }
 
     /// Flush and return the underlying stream.

@@ -40,7 +40,8 @@ fn mixed_dump(paths: Vec<Vec<u32>>, v1_paths: Vec<Vec<u32>>) -> Vec<u8> {
             subtype: 7,
             body: vec![0xde, 0xad],
         }
-        .encode(3),
+        .encode(3)
+        .unwrap(),
     );
     write_rib_dump_v1(&path_set(v1_paths), &mut buf, 900_000_000).unwrap();
     buf
@@ -393,7 +394,7 @@ fn generated_dump(d: &mut Draw) -> Vec<u8> {
                 body: vec![0xcd; d.below(6) as usize],
             },
         };
-        dump.extend_from_slice(&record.encode(i as u32));
+        dump.extend_from_slice(&record.encode(i as u32).unwrap());
     }
     dump
 }

@@ -242,6 +242,11 @@ impl PathSet {
         self.samples
     }
 
+    /// The samples in insertion order.
+    pub fn samples(&self) -> &[PathSample] {
+        &self.samples
+    }
+
     /// Mutable access to the samples in place — incremental consumers
     /// (delta sessions) patch replaced paths at their positions instead
     /// of rebuilding the vec per update batch.
