@@ -32,8 +32,15 @@ test:
 # only this oracle sees it), the sort-and-stream RIB encoder to the
 # record-tree encode it replaced, bgpsim's unsorted frontier and bucket
 # drains to the sorted drain and to the (hash, id) argmin of each
-# route's parent, plus the cache invalidation/reuse counters.
+# route's parent, plus the cache invalidation/reuse counters, and the
+# thread-invariance suites of the one fork-join helper
+# (`Parallelism::map_ranges`) and its callers: the helper's own tests,
+# the engine's and cones' 1-vs-N-thread determinism, and bgpsim's
+# 1-vs-4-thread simulation.
 test-engine:
+	$(CARGO) test -p asrank-types --lib parallel::
+	$(CARGO) test -p asrank-core --test parallel_determinism
+	$(CARGO) test -p bgp-sim --lib sim::
 	$(CARGO) test -p asrank-core --test engine_equivalence
 	$(CARGO) test -p asrank-core --test delta_equivalence
 	$(CARGO) test -p asrank-core --test cone_equivalence

@@ -7,11 +7,10 @@
 //! peering, yet customers of their transit providers).
 
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Degree heuristic parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DegreeHeuristicConfig {
     /// Endpoint degrees within this factor of each other ⇒ p2p.
     pub p2p_band: f64,

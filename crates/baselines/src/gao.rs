@@ -14,11 +14,10 @@
 //! peering link, and the sibling rule misfires on multihomed pairs.
 
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Gao algorithm parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GaoConfig {
     /// Vote threshold `L`: one-sided vote counts above `L` give c2p;
     /// two-sided counts at or below `L` give siblings (Gao's refined

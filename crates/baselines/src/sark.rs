@@ -11,11 +11,10 @@
 //! comparison surfaces.
 
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// SARK parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SarkConfig {
     /// A link is p2p when at least this fraction of views rank its
     /// endpoints at equal levels.

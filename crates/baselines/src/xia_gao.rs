@@ -10,11 +10,10 @@
 
 use crate::gao::{gao_infer, GaoConfig};
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Xia-Gao parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct XiaGaoConfig {
     /// Vote majority required to classify a link from path evidence.
     pub majority: f64,

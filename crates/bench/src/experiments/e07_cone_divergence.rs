@@ -15,7 +15,7 @@ pub fn run(scale: Scale, seed: u64) -> String {
     let arena = PathArena::build(&sanitized(&wb), par);
     let rels = &wb.inference.relationships;
     let prefixes = Some(&wb.topo.ground_truth.prefixes);
-    let recursive = CustomerCones::recursive(rels, prefixes, par);
+    let recursive = CustomerCones::recursive(rels, prefixes);
     let bgp_observed = CustomerCones::bgp_observed(&arena, rels, prefixes, par);
     let provider_peer = CustomerCones::provider_peer_observed(&arena, rels, prefixes, par);
     let ranked = rank_ases(&recursive, &wb.inference.degrees);

@@ -9,13 +9,12 @@ use as_topology_gen::Scale;
 use asrank_core::centrality::transit_centrality;
 use asrank_core::cone::CustomerCones;
 use asrank_core::rank::{rank_ases, spearman};
-use asrank_types::Parallelism;
 
 /// Produce the E11 report.
 pub fn run(scale: Scale, seed: u64) -> String {
     let wb = Workbench::build(Scenario::at_scale(scale, seed));
     let clean = sanitized(&wb);
-    let cones = CustomerCones::recursive(&wb.inference.relationships, None, Parallelism::auto());
+    let cones = CustomerCones::recursive(&wb.inference.relationships, None);
     let degrees = &wb.inference.degrees;
     let centrality = transit_centrality(&clean);
 

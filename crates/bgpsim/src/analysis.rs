@@ -3,11 +3,10 @@
 //! class, table sizes per VP).
 
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Distribution summary of AS-path lengths (after prepending removal).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PathLengthStats {
     /// Shortest observed path.
     pub min: usize,
@@ -26,7 +25,7 @@ pub struct PathLengthStats {
 /// Per-relationship-class link visibility: how much of the topology's
 /// link population each class contributes, and how much of it the
 /// collected paths actually show.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClassVisibility {
     /// Links of this class in the ground truth.
     pub total: usize,
@@ -46,7 +45,7 @@ impl ClassVisibility {
 }
 
 /// Full collection analysis.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CollectionAnalysis {
     /// Path-length distribution over distinct paths.
     pub path_lengths: PathLengthStats,

@@ -11,11 +11,10 @@
 use crate::graph::PolicyGraph;
 use crate::hash;
 use asrank_types::Asn;
-use serde::{Deserialize, Serialize};
 
 /// Artifact injection probabilities. `Default` is the clean simulation
 /// (all zero).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AnomalyConfig {
     /// Probability that a given AS leaks routes for a given destination
     /// (re-exports provider/peer routes upward and sideways).
@@ -55,7 +54,7 @@ impl AnomalyConfig {
 }
 
 /// Counters of artifacts actually injected during a simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnomalyStats {
     /// Paths that traversed at least one leaked route edge.
     pub leak_destinations: u64,

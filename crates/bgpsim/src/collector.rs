@@ -17,10 +17,9 @@ use crate::graph::PolicyGraph;
 use asrank_types::Asn;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// One vantage point: an AS exporting its table to a collector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VantagePoint {
     /// The AS hosting the VP.
     pub asn: Asn,
@@ -31,7 +30,7 @@ pub struct VantagePoint {
 }
 
 /// How to choose vantage points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VpSelection {
     /// Pick this many VPs, degree-weighted (collector-peering bias).
     Count(usize),

@@ -10,11 +10,10 @@ use crate::sim::{simulate, SimConfig, SimOutput};
 use as_topology_gen::GeneratedTopology;
 use asrank_types::prelude::*;
 use asrank_types::update::UpdateMessage;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A topology-level routing event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingEvent {
     /// The link between two ASes goes down (depeering, contract end,
     /// fiber cut at the only interconnect).

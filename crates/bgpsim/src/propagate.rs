@@ -37,10 +37,9 @@
 
 use crate::graph::PolicyGraph;
 use crate::hash;
-use serde::{Deserialize, Serialize};
 
 /// Preference class of a selected route, most preferred first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PrefClass {
     /// The destination itself.
     Origin,
@@ -383,35 +382,16 @@ pub fn compute_route_trees(
     leakers: Option<&[bool]>,
     par: asrank_types::Parallelism,
 ) -> Vec<RouteTree> {
-    if dests.is_empty() {
-        return Vec::new();
-    }
-    let chunk = par.chunk_size(dests.len(), 1);
-    if chunk >= dests.len() {
+    par.map_ranges(1, dests.len(), |range| {
         let mut ws = PropagationWorkspace::new();
-        return dests
+        dests[range]
             .iter()
             .map(|&d| compute_route_tree_with(g, d, leakers, &mut ws))
-            .collect();
-    }
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = dests
-            .chunks(chunk)
-            .map(|c| {
-                scope.spawn(move |_| {
-                    let mut ws = PropagationWorkspace::new();
-                    c.iter()
-                        .map(|&d| compute_route_tree_with(g, d, leakers, &mut ws))
-                        .collect::<Vec<RouteTree>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("propagation worker panicked"))
-            .collect()
+            .collect::<Vec<RouteTree>>()
     })
-    .expect("crossbeam scope failed")
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]

@@ -9,10 +9,9 @@ use crate::hash;
 use crate::propagate::{compute_route_tree_with, PropagationWorkspace};
 use as_topology_gen::GeneratedTopology;
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Simulation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// How to choose vantage points.
     pub vp_selection: VpSelection,
@@ -30,7 +29,6 @@ pub struct SimConfig {
     /// 400k-AS tier an unbounded collection holds millions of cloned
     /// paths; the cap keeps peak RSS proportional to `vps × cap`
     /// instead of `vps × destinations × prefixes`.
-    #[serde(default)]
     pub rib_cap_per_vp: Option<usize>,
     /// Worker threads (0 = use all available cores).
     pub threads: usize,
@@ -55,7 +53,7 @@ impl SimConfig {
 }
 
 /// Aggregate simulation statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SimStats {
     /// Destinations (origin ASes) propagated.
     pub destinations: usize,
@@ -79,9 +77,9 @@ pub struct SimOutput {
 /// Simulate BGP over a generated topology and collect RIBs.
 ///
 /// Deterministic for a given `(topology, config)`: destination-level work
-/// is parallelized with `crossbeam`, but all random decisions are pure
-/// functions of the seed, and the output `PathSet` is assembled in
-/// destination order regardless of thread interleaving.
+/// fans out over [`Parallelism::map_ranges`], but all random decisions
+/// are pure functions of the seed, and the output `PathSet` is assembled
+/// in destination order regardless of thread interleaving.
 pub fn simulate(topo: &GeneratedTopology, config: &SimConfig) -> SimOutput {
     let fabrics: Vec<(Asn, Vec<Asn>)> = topo
         .ixps
@@ -121,35 +119,11 @@ pub fn simulate(topo: &GeneratedTopology, config: &SimConfig) -> SimOutput {
         .filter_map(|(i, vp)| g.id(vp.asn).map(|id| (i, id)))
         .collect();
 
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
-    let chunk = origins.len().div_ceil(threads.max(1)).max(1);
-
-    // Each worker produces (chunk_index, samples, stats); results are
-    // reassembled in order for determinism.
-    let chunks: Vec<&[Asn]> = origins.chunks(chunk).collect();
-    let mut per_chunk: Vec<(Vec<PathSample>, SimStats)> = Vec::with_capacity(chunks.len());
-
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|dests| {
-                let g = &g;
-                let vps = &vps;
-                let vp_ids = &vp_ids;
-                scope.spawn(move |_| run_chunk(g, topo, vps, vp_ids, dests, config))
-            })
-            .collect();
-        for h in handles {
-            per_chunk.push(h.join().expect("simulation worker panicked"));
-        }
-    })
-    .expect("crossbeam scope failed");
+    // Each worker returns (samples, stats) for a contiguous run of
+    // destinations; results come back in destination order.
+    let per_chunk = Parallelism::threads(config.threads).map_ranges(1, origins.len(), |range| {
+        run_chunk(&g, topo, &vps, &vp_ids, &origins[range], config)
+    });
 
     let mut paths = PathSet::new();
     let mut stats = SimStats::default();

@@ -638,7 +638,7 @@ fn subset_sorted(sub: &[Asn], sup: &[Asn]) -> bool {
 /// Checks 4 and 5: cone containment along every (sampled) c2p link, and
 /// hybrid-vs-reference agreement on a deterministic AS sample.
 fn check_cones(rels: &RelationshipMap, cfg: &AuditConfig, out: &mut AuditReport) {
-    let cones = CustomerCones::recursive(rels, None, cfg.parallelism);
+    let cones = CustomerCones::recursive(rels, None);
 
     // Containment: customer cone ⊆ provider cone for each c2p pair.
     let mut pairs: Vec<(Asn, Asn)> = rels.c2p_pairs().collect();

@@ -12,11 +12,10 @@
 
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Per-AS transit centrality.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Centrality {
     scores: HashMap<Asn, f64>,
     /// Number of distinct paths the scores are normalized by.

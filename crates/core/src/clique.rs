@@ -13,11 +13,10 @@ use crate::degree::DegreeTable;
 use crate::patharena::PathArena;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Clique inference parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CliqueConfig {
     /// How many top-transit-degree ASes to consider as clique candidates.
     pub candidates: usize,

@@ -33,9 +33,10 @@
 //! are word-parallel `|=` over packed `u64`s. Every AS of an SCC shares
 //! one materialized member list (`set_of` indirection), and
 //! prefix/address weights come from per-id lookup tables instead of hash
-//! probes per member. Materialization fans out over worker threads
-//! ([`Parallelism`]); results are identical for every thread count. The
-//! pre-optimization HashSet implementation survives as
+//! probes per member. The whole closure runs on the caller's thread: it
+//! is a few milliseconds, and a thread fan-out of its materialization
+//! measured slower, not faster. The pre-optimization HashSet
+//! implementation survives as
 //! [`CustomerCones::recursive_reference`]: the property-test oracle and
 //! the independent recomputation `asrank audit` cross-checks against.
 //!
@@ -49,14 +50,12 @@
 //! the sweep.
 
 use crate::csr::Csr;
-use crate::par;
 use crate::patharena::PathArena;
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Size of one AS's customer cone in the three units the paper reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConeSize {
     /// Number of ASes in the cone (including the AS itself).
     pub ases: usize,
@@ -258,16 +257,14 @@ impl CustomerCones {
     /// Cycles (inference errors) are collapsed first so the closure is
     /// well-defined: every member of a c2p cycle shares one cone.
     ///
-    /// The result is identical for every `par` value.
-    ///
     /// ```
     /// use asrank_core::CustomerCones;
-    /// use asrank_types::{Asn, Parallelism, RelationshipMap};
+    /// use asrank_types::{Asn, RelationshipMap};
     ///
     /// let mut rels = RelationshipMap::new();
     /// rels.insert_c2p(Asn(10), Asn(1));
     /// rels.insert_c2p(Asn(100), Asn(10));
-    /// let cones = CustomerCones::recursive(&rels, None, Parallelism::auto());
+    /// let cones = CustomerCones::recursive(&rels, None);
     /// assert_eq!(cones.size(Asn(1)).ases, 3);   // {1, 10, 100}
     /// assert!(cones.contains(Asn(1), Asn(100)));
     /// assert_eq!(cones.size(Asn(100)).ases, 1); // just itself
@@ -275,7 +272,6 @@ impl CustomerCones {
     pub fn recursive(
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
     ) -> Self {
         let interner = AsnInterner::from_ases(rels.link_endpoints());
         let n = interner.len();
@@ -322,7 +318,6 @@ impl CustomerCones {
                 &member_ids,
                 &interner,
                 prefixes,
-                par,
             );
             return CustomerCones {
                 interner,
@@ -379,7 +374,6 @@ impl CustomerCones {
             &member_ids,
             &interner,
             prefixes,
-            par,
         );
         CustomerCones {
             interner,
@@ -561,7 +555,7 @@ fn raw_sweep_pairs<F>(arena: &PathArena, witness: &Csr, par: Parallelism, scan: 
 where
     F: Fn(&[u32], &Csr, &mut dyn FnMut(u32, u32)) + Sync,
 {
-    par::map_ranges(par, 32, arena.len(), |range| {
+    par.map_ranges(32, arena.len(), |range| {
         let mut local: Vec<u64> = Vec::new();
         for p in range {
             scan(arena.path(p), witness, &mut |owner, member| {
@@ -631,7 +625,7 @@ pub fn merge_sweep_pairs_blocked(
     // id order. Each worker reuses one bitmap (and the counting-sort
     // scratch for sparse blocks) across its whole range of blocks.
     let words_per_row = n.div_ceil(64);
-    par::map_ranges(par, 1, nblocks, |range| {
+    par.map_ranges(1, nblocks, |range| {
         let mut out: Vec<u64> = Vec::new();
         let mut bits: Vec<u64> = Vec::new();
         let mut scratch: Vec<u64> = Vec::new();
@@ -801,7 +795,7 @@ fn observed_cones(
         starts[n] = pairs.len();
     }
 
-    let materialized = par::map_ranges(par, 256, n, |range| {
+    let materialized = par.map_ranges(256, n, |range| {
         let mut chunk = ChunkSets::with_capacity(range.len());
         for owner in range {
             let (lo, hi) = (starts[owner], starts[owner + 1]);
@@ -888,7 +882,7 @@ fn kahn_order(n: usize, edges: &[(u32, u32)], succ: &Csr) -> Vec<u32> {
 ///   commutative, the result is independent of customer order.
 ///
 /// Returns the flat arena layout (`members_flat`, `bounds`, `sizes`)
-/// [`CustomerCones`] stores, materialized in parallel.
+/// [`CustomerCones`] stores.
 fn closure_dp(
     comp_customers: &Csr,
     order: &[u32],
@@ -896,7 +890,6 @@ fn closure_dp(
     member_ids: &[u32],
     interner: &AsnInterner,
     prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    par: Parallelism,
 ) -> (Vec<Asn>, Vec<u32>, Vec<ConeSize>) {
     let n = interner.len();
     let ncomp = order.len();
@@ -966,25 +959,25 @@ fn closure_dp(
         }
     }
 
-    // Materialize one member list + size per component, in parallel,
-    // each worker appending into its own chunk arena. Ids ascend with
-    // ASN (bulk interner), so lists are born sorted — the bitset sweep,
-    // the small id vecs, and the leaf member lists.
+    // Materialize one member list + size per component into one arena.
+    // Ids ascend with ASN (bulk interner), so lists are born sorted —
+    // the bitset sweep, the small id vecs, and the leaf member lists.
+    // Sequential on purpose: on a 2-core host, at the medium scale, the
+    // recursive-cone stage read 5.85 ms with a two-thread fan-out of
+    // this pass and 5.47 ms on one thread (medians of 20 alternating
+    // pairs).
     let weights = PrefixWeights::build(interner, prefixes);
-    let materialized = par::map_ranges(par, 64, ncomp, |range| {
-        let mut chunk = ChunkSets::with_capacity(range.len());
-        for c in range {
-            match cones[c].as_ref() {
-                Some(Cone::Big(bits)) => chunk.append_bits(bits, interner, &weights),
-                Some(&Cone::Small(lo, hi)) => {
-                    chunk.append_ids(&small_arena[lo as usize..hi as usize], interner, &weights)
-                }
-                None => chunk.append_ids(members_of(c), interner, &weights),
+    let mut sets = ChunkSets::with_capacity(ncomp);
+    for (c, cone) in cones.iter().enumerate() {
+        match cone.as_ref() {
+            Some(Cone::Big(bits)) => sets.append_bits(bits, interner, &weights),
+            Some(&Cone::Small(lo, hi)) => {
+                sets.append_ids(&small_arena[lo as usize..hi as usize], interner, &weights)
             }
+            None => sets.append_ids(members_of(c), interner, &weights),
         }
-        chunk
-    });
-    ChunkSets::assemble(materialized)
+    }
+    ChunkSets::assemble(vec![sets])
 }
 
 /// Per-worker accumulator for materialized member sets: one arena of
@@ -1123,7 +1116,7 @@ mod tests {
 
     #[test]
     fn recursive_cone_closure() {
-        let cones = CustomerCones::recursive(&rels(), None, Parallelism::auto());
+        let cones = CustomerCones::recursive(&rels(), None);
         assert_eq!(cones.members(Asn(1)), &[Asn(1), Asn(10), Asn(100)]);
         assert_eq!(
             cones.members(Asn(2)),
@@ -1142,7 +1135,7 @@ mod tests {
         r.insert_c2p(Asn(2), Asn(3));
         r.insert_c2p(Asn(3), Asn(1)); // cycle 1→2→3→1
         r.insert_c2p(Asn(9), Asn(1)); // 9 below the cycle
-        let cones = CustomerCones::recursive(&r, None, Parallelism::auto());
+        let cones = CustomerCones::recursive(&r, None);
         // All cycle members share one cone containing the cycle + 9.
         for a in [1u32, 2, 3] {
             assert_eq!(
@@ -1164,7 +1157,7 @@ mod tests {
             r.insert_c2p(Asn(9), Asn(1));
             r
         }] {
-            let fast = CustomerCones::recursive(&r, None, Parallelism::auto());
+            let fast = CustomerCones::recursive(&r, None);
             let slow = CustomerCones::recursive_reference(&r, None);
             assert_eq!(fast.len(), slow.len());
             for asn in fast.ases() {
@@ -1185,7 +1178,7 @@ mod tests {
                 "12.0.0.0/23".parse().unwrap(),
             ],
         );
-        let cones = CustomerCones::recursive(&rels(), Some(&prefixes), Parallelism::auto());
+        let cones = CustomerCones::recursive(&rels(), Some(&prefixes));
         let s1 = cones.size(Asn(1)); // cone {1,10,100}
         assert_eq!(s1.prefixes, 3);
         assert_eq!(s1.addresses, 256 + 256 + 512);
@@ -1210,7 +1203,7 @@ mod tests {
         // descent… 2→1 is p2p so the descent run stops at 2.
         assert!(!cones.contains(Asn(2), Asn(100)));
         // Recursive ⊇ BGP-observed.
-        let rec = CustomerCones::recursive(&r, None, Parallelism::auto());
+        let rec = CustomerCones::recursive(&r, None);
         for asn in cones.ases() {
             let obs = cones.members(asn);
             for m in obs {
@@ -1248,7 +1241,7 @@ mod tests {
 
     #[test]
     fn largest_reports_biggest_cone() {
-        let cones = CustomerCones::recursive(&rels(), None, Parallelism::auto());
+        let cones = CustomerCones::recursive(&rels(), None);
         let (asn, size) = cones.largest().unwrap();
         assert_eq!(asn, Asn(2));
         assert_eq!(size.ases, 4);
@@ -1256,7 +1249,7 @@ mod tests {
 
     #[test]
     fn bulk_size_iterator_matches_point_lookups() {
-        let cones = CustomerCones::recursive(&rels(), None, Parallelism::auto());
+        let cones = CustomerCones::recursive(&rels(), None);
         let bulk: Vec<(Asn, ConeSize)> = cones.iter_sizes().collect();
         assert_eq!(bulk.len(), cones.len());
         for &(a, s) in &bulk {
@@ -1276,7 +1269,6 @@ mod tests {
         let all = |par: Parallelism| {
             let p = arena(raw, par);
             [
-                CustomerCones::recursive(&r, None, par),
                 CustomerCones::bgp_observed(&p, &r, None, par),
                 CustomerCones::provider_peer_observed(&p, &r, None, par),
             ]
@@ -1295,7 +1287,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let cones = CustomerCones::recursive(&RelationshipMap::new(), None, Parallelism::auto());
+        let cones = CustomerCones::recursive(&RelationshipMap::new(), None);
         assert!(cones.is_empty());
         assert_eq!(cones.size(Asn(7)).ases, 1, "unknown AS has trivial cone");
         assert!(cones.members(Asn(7)).is_empty());

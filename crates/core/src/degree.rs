@@ -17,11 +17,10 @@
 use crate::patharena::PathArena;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Per-AS degree information derived from sanitized paths.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DegreeTable {
     transit: HashMap<Asn, usize>,
     node: HashMap<Asn, usize>,

@@ -8,10 +8,9 @@
 //! different algorithm versions) over the same topology.
 
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One changed link: classification before and after.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChangedLink {
     /// The link.
     pub link: AsLink,
@@ -22,7 +21,7 @@ pub struct ChangedLink {
 }
 
 /// The delta between two relationship maps.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RelDiff {
     /// Links present only in the new map, sorted.
     pub added: Vec<(AsLink, LinkRel)>,

@@ -761,7 +761,6 @@ fn run_cone_recursive(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineErro
     Ok(Artifact::Cone(Arc::new(CustomerCones::recursive(
         &inf.relationships,
         env.prefixes.as_ref(),
-        env.cfg.parallelism,
     ))))
 }
 

@@ -44,7 +44,6 @@ pub mod delta;
 pub mod diff;
 pub mod engine;
 pub mod io;
-pub mod par;
 pub mod patharena;
 pub mod persist;
 pub mod pipeline;

@@ -38,7 +38,6 @@
 //!   one `u64` each — ascending by path then position, matching the
 //!   insertion order of the hash-map index it replaces.
 
-use crate::par;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
 use asrank_types::{FxHashMap, FxHashSet};
@@ -76,14 +75,15 @@ impl PathArena {
     /// but the work split, since the merged order is a total order.
     pub fn build(sanitized: &SanitizedPaths, par: Parallelism) -> Self {
         let shards = par.effective().clamp(1, MAX_SHARDS);
-        let parts: Vec<Shard> = par::map_ranges(par, 1, shards, |range| {
-            range
-                .map(|s| Shard::collect(sanitized, s, shards))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let parts: Vec<Shard> = par
+            .map_ranges(1, shards, |range| {
+                range
+                    .map(|s| Shard::collect(sanitized, s, shards))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
 
         // Ids ascend with ASN — the property the whole determinism story
         // rests on: number the few distinct ASNs of all shards in
@@ -103,14 +103,15 @@ impl PathArena {
 
         // Sort each shard's distinct paths and lay them out in that order.
         let width = (32 - dense_id(interner.len()).leading_zeros()).max(1);
-        let mut sorted: Vec<Sorted> = par::map_ranges(par, 1, shards, |range| {
-            range
-                .map(|s| parts[s].sorted(&finals[s], width))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let mut sorted: Vec<Sorted> = par
+            .map_ranges(1, shards, |range| {
+                range
+                    .map(|s| parts[s].sorted(&finals[s], width))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         drop(parts);
 
         // Merge the sorted shards; one shard is the arena as it stands.

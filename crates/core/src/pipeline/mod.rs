@@ -12,13 +12,11 @@ use crate::degree::DegreeTable;
 use crate::sanitize::{sanitize_with, SanitizeConfig, SanitizeReport};
 use asrank_types::prelude::*;
 use asrank_types::EngineError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Pipeline configuration. `Default` matches the paper's published
 /// parameters where known and conservative values elsewhere.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone)]
 pub struct InferenceConfig {
     /// S1: sanitization (IXP ASN list).
     pub sanitize: SanitizeConfig,
@@ -43,7 +41,7 @@ pub struct InferenceConfig {
 }
 
 /// Per-step ablation switches (used by the E12 ablation experiment).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Ablation {
     /// Skip S4 (poisoned-path discard).
     pub no_poison_filter: bool,
@@ -85,7 +83,7 @@ impl InferenceConfig {
 }
 
 /// Per-step accounting of the pipeline run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InferenceReport {
     /// S1 counters.
     pub sanitize: SanitizeReport,

@@ -9,10 +9,9 @@
 use crate::cone::{ConeSize, CustomerCones};
 use crate::degree::DegreeTable;
 use asrank_types::Asn;
-use serde::{Deserialize, Serialize};
 
 /// One row of the AS ranking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankedAs {
     /// 1-based rank (1 = largest cone).
     pub rank: usize,
@@ -98,14 +97,14 @@ pub fn spearman(xs: &[(Asn, f64)], ys: &[(Asn, f64)]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asrank_types::{Parallelism, RelationshipMap};
+    use asrank_types::RelationshipMap;
 
     fn setup() -> (CustomerCones, DegreeTable) {
         let mut r = RelationshipMap::new();
         r.insert_c2p(Asn(10), Asn(1));
         r.insert_c2p(Asn(11), Asn(1));
         r.insert_c2p(Asn(20), Asn(2));
-        let cones = CustomerCones::recursive(&r, None, Parallelism::auto());
+        let cones = CustomerCones::recursive(&r, None);
         (cones, DegreeTable::default())
     }
 

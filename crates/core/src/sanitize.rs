@@ -8,11 +8,10 @@
 //! discards the rest, keeping counts of everything it did.
 
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Sanitizer configuration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SanitizeConfig {
     /// ASNs of IXP route servers to strip from paths. The paper removes
     /// known IXP ASNs so that the two route-server clients appear
@@ -38,7 +37,7 @@ impl SanitizeConfig {
 }
 
 /// Counters describing what sanitization did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SanitizeReport {
     /// Paths received.
     pub input_paths: usize,
@@ -249,7 +248,7 @@ pub fn sanitize(paths: &PathSet, cfg: &SanitizeConfig) -> SanitizedPaths {
 /// `par` value.
 pub fn sanitize_with(paths: &PathSet, cfg: &SanitizeConfig, par: Parallelism) -> SanitizedPaths {
     let ixps = cfg.sorted_ixps();
-    let per_range = crate::par::map_ranges(par, 256, paths.len(), |range| {
+    let per_range = par.map_ranges(256, paths.len(), |range| {
         // Cleaned paths average about five hops; reserving six per sample
         // spares the hop buffer its regrowth copies, and the pages a
         // range never writes are never touched.

@@ -11,11 +11,10 @@
 
 use crate::pipeline::{infer, InferenceConfig};
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Stability of one link's classification across subsamples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinkStability {
     /// Subsamples in which the link was observed at all.
     pub observed: usize,

@@ -8,13 +8,11 @@
 //! by the simulator's tests, the pipeline's audit, and downstream
 //! consumers who want to grade paths against an inference.
 
-use crate::par;
 use crate::patharena::PathArena;
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// The verdict for one path against one relationship assignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValleyVerdict {
     /// The path conforms to valley-free export rules.
     ValleyFree,
@@ -118,7 +116,7 @@ pub struct ValleyStats {
 /// compresses before the arena dedups), so no recompression happens.
 pub fn grade_arena(arena: &PathArena, rels: &RelationshipMap, par_cfg: Parallelism) -> ValleyStats {
     let interner = arena.interner();
-    let chunked = par::map_ranges(par_cfg, 64, arena.len(), |range| {
+    let chunked = par_cfg.map_ranges(64, arena.len(), |range| {
         let mut s = ValleyStats::default();
         for p in range {
             s.total += 1;

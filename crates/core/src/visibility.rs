@@ -10,11 +10,10 @@
 
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Visibility statistics for one link.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkVisibility {
     /// Distinct VPs whose paths crossed the link.
     pub vps: usize,

@@ -167,7 +167,7 @@ proptest! {
     fn bitset_closure_matches_reference(edges in edges_strategy()) {
         let rels = rels_from(&edges);
         let prefixes = prefixes_for(edges.iter().flat_map(|&(c, p)| [c, p]));
-        let fast = CustomerCones::recursive(&rels, Some(&prefixes), Parallelism::auto());
+        let fast = CustomerCones::recursive(&rels, Some(&prefixes));
         let slow = CustomerCones::recursive_reference(&rels, Some(&prefixes));
 
         prop_assert_eq!(fast.len(), slow.len());
@@ -194,7 +194,7 @@ proptest! {
         let mut edges: Vec<(u32, u32)> = extra;
         edges.extend((1..=chain).map(|i| (i, if i == chain { 1 } else { i + 1 })));
         let rels = rels_from(&edges);
-        let fast = CustomerCones::recursive(&rels, None, Parallelism::auto());
+        let fast = CustomerCones::recursive(&rels, None);
         let slow = CustomerCones::recursive_reference(&rels, None);
         for asn in slow.ases() {
             prop_assert_eq!(fast.members(asn), slow.members(asn));

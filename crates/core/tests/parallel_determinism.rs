@@ -59,7 +59,7 @@ fn cone_sizes_identical_across_thread_counts() {
     let cones = |par: Parallelism| {
         let arena = PathArena::build(&clean, par);
         [
-            ("recursive", CustomerCones::recursive(rels, None, par)),
+            ("recursive", CustomerCones::recursive(rels, None)),
             (
                 "bgp_observed",
                 CustomerCones::bgp_observed(&arena, rels, None, par),

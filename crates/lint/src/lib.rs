@@ -4,7 +4,7 @@
 //! Nine rules guard the properties the test suite cannot cheaply
 //! observe. Five are file-local pattern checks: deterministic iteration
 //! in ordered-output code (L001), panic-freedom of `crates/core` (L002),
-//! confinement of relaxed atomics to the one audited module (L003), doc
+//! no unannotated relaxed atomics outside tests (L003), doc
 //! coverage of the public API (L004), and checked narrowing on dense-id
 //! arithmetic (L005). Four are cross-file semantic passes over a
 //! whole-workspace item index ([`semantic::WorkspaceIndex`]): stage

@@ -1,4 +1,4 @@
-// Fixture for L003 (relaxed-ordering). Linted under a non-par.rs label.
+// Fixture for L003 (relaxed-ordering), linted under a crates/cli label.
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn violations(c: &AtomicUsize) {

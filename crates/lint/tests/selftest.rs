@@ -85,15 +85,6 @@ fn l003_fixture_spans() {
 }
 
 #[test]
-fn l003_allowlisted_in_par() {
-    let findings = check_file("crates/core/src/par.rs", &fixture("l003.rs"));
-    assert!(
-        findings.iter().all(|f| f.rule != "L003"),
-        "findings: {findings:#?}"
-    );
-}
-
-#[test]
 fn l004_fixture_spans() {
     let findings = check_file("crates/types/src/l004_fixture.rs", &fixture("l004.rs"));
     assert_eq!(

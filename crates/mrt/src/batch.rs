@@ -11,9 +11,9 @@
 //! Two entry points share one per-record fold:
 //!
 //! * [`read_update_batch`] — whole capture → one batch, with record
-//!   bodies decoded on the [`Parallelism`] fan-out of
-//!   [`crate::scan`] (the fold itself stays in stream order, so the
-//!   result is byte-identical at every thread count);
+//!   bodies decoded on the [`Parallelism::map_ranges`] fan-out (the fold
+//!   itself stays in stream order, so the result is byte-identical at
+//!   every thread count);
 //! * [`UpdateBatchIter`] — streaming, bounded-memory iteration over a
 //!   capture in windows of `records_per_batch` records, for replaying a
 //!   long capture as a sequence of delta runs.
@@ -22,7 +22,7 @@ use crate::attrs::PathAttribute;
 use crate::error::MrtError;
 use crate::reader::DEFAULT_MAX_RECORD_LEN;
 use crate::record::MrtRecord;
-use crate::scan::{for_each_decoded, scan_record_frames};
+use crate::scan::scan_record_frames;
 use crate::wire::Cursor;
 use asrank_types::update::{PathDelta, UpdateBatch};
 use asrank_types::{Asn, Ipv4Prefix, Parallelism};
@@ -65,14 +65,25 @@ fn finish_fold(folded: BTreeMap<(Asn, Ipv4Prefix), PathDelta>) -> UpdateBatch {
 /// Record bodies decode on the `par` fan-out; the fold consumes them in
 /// stream order, so output is identical for every thread count and the
 /// earliest undecodable record's typed error is reported, matching the
-/// sequential reader.
+/// sequential reader. Each worker decodes its whole chunk before the
+/// fold sees it, so with several workers the decoded capture is
+/// resident at once; with one, records decode and fold one at a time.
 pub fn read_update_batch(data: &[u8], par: Parallelism) -> Result<UpdateBatch, MrtError> {
     let frames = scan_record_frames(data, DEFAULT_MAX_RECORD_LEN)?;
+    let decode = |frame: &Range<usize>| MrtRecord::decode(&mut Cursor::new(&data[frame.clone()]));
     let mut folded = BTreeMap::new();
-    for_each_decoded(data, &frames, par, |(_ts, record)| {
-        fold_update_record(record, &mut folded);
-        Ok(())
-    })?;
+    if par.effective() == 1 {
+        for frame in &frames {
+            fold_update_record(decode(frame)?.1, &mut folded);
+        }
+    } else {
+        let chunks = par.map_ranges(8, frames.len(), |range| {
+            frames[range].iter().map(decode).collect::<Vec<_>>()
+        });
+        for record in chunks.into_iter().flatten() {
+            fold_update_record(record?.1, &mut folded);
+        }
+    }
     Ok(finish_fold(folded))
 }
 
@@ -174,6 +185,52 @@ mod tests {
                 ]
             );
         }
+    }
+
+    #[test]
+    fn parallel_decode_preserves_record_order() {
+        // One record per message, seven keys overwritten in turn: each
+        // key's winner is its last record, so any out-of-order fold
+        // shows up in the batch.
+        let updates: Vec<UpdateMessage> = (0..100u32)
+            .map(|i| UpdateMessage {
+                vp: Asn(100),
+                withdrawn: vec![],
+                announced: vec![(
+                    Ipv4Prefix::new((i % 7) << 24, 8).unwrap(),
+                    AsPath::from_u32s([100, 1_000 + i]),
+                )],
+            })
+            .collect();
+        let bytes = capture(&updates);
+        let expected = UpdateBatch::from_messages(&updates);
+        for par in [Parallelism::sequential(), Parallelism::threads(4)] {
+            assert_eq!(read_update_batch(&bytes, par).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn parallel_decode_reports_earliest_bad_record() {
+        let updates: Vec<UpdateMessage> = (0..20u32)
+            .map(|i| UpdateMessage {
+                vp: Asn(100),
+                withdrawn: vec![],
+                announced: vec![(pfx("10.0.0.0/8"), AsPath::from_u32s([100, i]))],
+            })
+            .collect();
+        let bytes = capture(&updates);
+        let frames = scan_record_frames(&bytes, DEFAULT_MAX_RECORD_LEN).unwrap();
+        // Damage two bodies inside their declared lengths, so the scanner
+        // accepts the framing and decode must catch them: record 3's AFI
+        // (12-byte header, then peer AS, local AS, ifindex) and record
+        // 12's BGP marker, which lies in a later worker chunk.
+        let mut corrupt = bytes.clone();
+        corrupt[frames[3].start + 23] = 2;
+        corrupt[frames[12].start + 32] = 0;
+        let seq = read_update_batch(&corrupt, Parallelism::sequential()).unwrap_err();
+        let par = read_update_batch(&corrupt, Parallelism::threads(4)).unwrap_err();
+        assert!(matches!(seq, MrtError::BadValue { .. }), "{seq}");
+        assert_eq!(format!("{seq}"), format!("{par}"));
     }
 
     #[test]

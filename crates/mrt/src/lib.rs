@@ -40,9 +40,7 @@ pub mod writer;
 pub use attrs::{AsPathSegment, PathAttribute};
 pub use error::MrtError;
 pub use reader::{MrtReader, DEFAULT_MAX_RECORD_LEN};
-pub use scan::{
-    decode_frames, read_rib_dump_parallel, read_update_stream_parallel, scan_record_frames,
-};
+pub use scan::{read_rib_dump_parallel, scan_record_frames};
 pub use record::{
     Bgp4mpMessageAs4, BgpUpdate, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
     RibIpv6Unicast, TableDumpV1,

@@ -74,55 +74,37 @@ pub fn write_update_stream<W: Write>(
 }
 
 /// Read a BGP4MP stream back into per-VP update messages (merged per
-/// peer ASN, in ascending-VP order). Non-update records are skipped.
+/// peer ASN, in ascending-VP order, prefixes sorted within each
+/// message). Non-update records are skipped.
 pub fn read_update_stream<R: Read>(input: R) -> Result<Vec<UpdateMessage>, MrtError> {
     let mut reader = MrtReader::new(input);
     let mut per_vp: BTreeMap<asrank_types::Asn, UpdateMessage> = BTreeMap::new();
     while let Some((_ts, record)) = reader.next_record()? {
-        ingest_update_record(record, &mut per_vp);
-    }
-    Ok(finish_update_fold(per_vp))
-}
-
-/// Fold one decoded record into the per-VP accumulator — shared verbatim
-/// by the sequential reader above and the parallel byte-range reader
-/// ([`crate::scan::read_update_stream_parallel`]), so both produce
-/// identical output. Non-update records are skipped.
-pub(crate) fn ingest_update_record(
-    record: MrtRecord,
-    per_vp: &mut BTreeMap<asrank_types::Asn, UpdateMessage>,
-) {
-    let MrtRecord::Bgp4mpMessageAs4(msg) = record else {
-        return;
-    };
-    let entry = per_vp.entry(msg.peer_asn).or_insert_with(|| UpdateMessage {
-        vp: msg.peer_asn,
-        ..Default::default()
-    });
-    entry.withdrawn.extend(msg.update.withdrawn.iter().copied());
-    if let Some(path) = msg
-        .update
-        .attributes
-        .iter()
-        .find_map(PathAttribute::flatten_as_path)
-    {
-        for prefix in &msg.update.announced {
-            entry.announced.push((*prefix, path.clone()));
+        let MrtRecord::Bgp4mpMessageAs4(msg) = record else {
+            continue;
+        };
+        let entry = per_vp.entry(msg.peer_asn).or_insert_with(|| UpdateMessage {
+            vp: msg.peer_asn,
+            ..Default::default()
+        });
+        entry.withdrawn.extend(msg.update.withdrawn.iter().copied());
+        if let Some(path) = msg
+            .update
+            .attributes
+            .iter()
+            .find_map(PathAttribute::flatten_as_path)
+        {
+            for prefix in &msg.update.announced {
+                entry.announced.push((*prefix, path.clone()));
+            }
         }
     }
-}
-
-/// Final sort pass of the update fold (ascending-VP order via the
-/// `BTreeMap`, prefixes sorted within each message).
-pub(crate) fn finish_update_fold(
-    per_vp: BTreeMap<asrank_types::Asn, UpdateMessage>,
-) -> Vec<UpdateMessage> {
     let mut out: Vec<UpdateMessage> = per_vp.into_values().collect();
     for m in &mut out {
         m.withdrawn.sort();
         m.announced.sort_by_key(|(p, _)| *p);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

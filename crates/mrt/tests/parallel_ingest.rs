@@ -5,11 +5,11 @@
 //! oracle that does not: the record-tree decode
 //! ([`MrtRecord::decode`] + [`PathAttribute::flatten_as_path`]).
 
-use asrank_types::update::UpdateMessage;
+use asrank_types::update::{UpdateBatch, UpdateMessage};
 use asrank_types::{AsPath, Asn, Ipv4Prefix, Ipv6Prefix, Parallelism, PathSample, PathSet};
 use mrt_codec::attrs::{FLAG_EXTENDED, FLAG_OPTIONAL, FLAG_TRANSITIVE};
 use mrt_codec::{
-    read_rib_dump, read_rib_dump_parallel, read_update_stream, read_update_stream_parallel,
+    read_rib_dump, read_rib_dump_parallel, read_update_batch, read_update_stream,
     scan_record_frames, write_rib_dump, write_rib_dump_v1, write_update_stream, AsPathSegment,
     Bgp4mpMessageAs4, BgpUpdate, MrtError, MrtReader, MrtRecord, PathAttribute, PeerEntry,
     PeerIndexTable, RibEntry, RibIpv4Unicast, RibIpv6Unicast, TableDumpV1, DEFAULT_MAX_RECORD_LEN,
@@ -110,9 +110,9 @@ fn parallel_update_stream_matches_sequential() {
     ];
     let mut buf = Vec::new();
     write_update_stream(&updates, &mut buf, 77).unwrap();
-    let seq = read_update_stream(&buf[..]).unwrap();
+    let seq = UpdateBatch::from_messages(&read_update_stream(&buf[..]).unwrap());
     for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-        assert_eq!(read_update_stream_parallel(&buf, par).unwrap(), seq);
+        assert_eq!(read_update_batch(&buf, par).unwrap(), seq);
     }
 }
 

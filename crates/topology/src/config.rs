@@ -1,9 +1,7 @@
 //! Topology configuration and presets.
 
-use serde::{Deserialize, Serialize};
-
 /// How many ASes of each structural class to generate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassMix {
     /// Tier-1 clique size (the paper's inferred clique had 10–20 members
     /// across snapshots).
@@ -33,7 +31,7 @@ impl ClassMix {
 }
 
 /// Internet-exchange-point modeling parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IxpConfig {
     /// Number of IXPs (each gets a route-server ASN).
     pub count: usize,
@@ -49,7 +47,7 @@ pub struct IxpConfig {
 ///
 /// All probabilities are per-opportunity Bernoulli parameters; all counts
 /// are exact. Generation is deterministic given `(config, seed)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyConfig {
     /// Class composition.
     pub mix: ClassMix,

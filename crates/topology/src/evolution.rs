@@ -15,10 +15,9 @@ use crate::TopologyConfig;
 use asrank_types::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one evolution run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvolutionConfig {
     /// Base topology for snapshot 0.
     pub base: TopologyConfig,

@@ -10,11 +10,10 @@ use crate::sampling::WeightedSampler;
 use asrank_types::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One generated Internet exchange point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ixp {
     /// The route-server ASN (class [`AsClass::IxpRouteServer`]).
     pub route_server: Asn,
@@ -26,7 +25,7 @@ pub struct Ixp {
 
 /// A generated topology: the ground truth plus generation-side metadata
 /// that experiments need (regions, IXPs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeneratedTopology {
     /// The annotated AS graph with true relationships.
     pub ground_truth: GroundTruth,

@@ -10,10 +10,9 @@
 //! the generator that silently breaks realism fails CI.
 
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One realism check outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckOutcome {
     /// Which fact was checked.
     pub name: String,
@@ -31,7 +30,7 @@ impl CheckOutcome {
 }
 
 /// Full realism report.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RealismReport {
     /// Individual outcomes.
     pub checks: Vec<CheckOutcome>,

@@ -1,11 +1,10 @@
 //! Summary statistics over generated (or inferred) topologies.
 
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Degree summary for one population of ASes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegreeStats {
     /// Smallest degree.
     pub min: usize,
@@ -38,7 +37,7 @@ impl DegreeStats {
 }
 
 /// Topology-level summary used by reports and tests.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopologyStats {
     /// Total AS count.
     pub as_count: usize,

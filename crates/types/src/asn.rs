@@ -5,21 +5,17 @@
 //! reserved, private-use, documentation, and the `AS_TRANS` placeholder.
 //! [`AsnClass`] encodes that taxonomy; [`Asn::class`] performs the lookup.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An autonomous system number (4-byte, RFC 6793).
 ///
 /// `Asn` is a transparent newtype over `u32` ordered numerically. Display
 /// uses the canonical `ASxxxx` notation ("asplain", RFC 5396).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Asn(pub u32);
 
 /// IANA-derived classification of an ASN, used by path sanitization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsnClass {
     /// Ordinary globally-assignable ASN.
     Public,
@@ -112,7 +108,7 @@ impl From<Asn> for u32 {
 /// dense id is considerably faster (and smaller) than hashing raw ASNs at
 /// every step. The interner is append-only: indices are stable for the
 /// lifetime of the interner.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AsnInterner {
     // Fx-hashed: ASN keys are trusted in-tree data, and the SipHash
     // default is the dominant cost of bulk interning (see fxhash docs).

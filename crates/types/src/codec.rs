@@ -17,9 +17,9 @@
 //!
 //! Design constraints, in priority order:
 //!
-//! * **No dependencies, no serde.** Everything is hand-rolled over
-//!   little-endian primitives so the codec stays inside the vendored-only
-//!   build.
+//! * **No dependencies, no serialization framework.** Everything is
+//!   hand-rolled over little-endian primitives so the codec stays inside
+//!   the vendored-only build.
 //! * **Single-`read` loads.** A frame is self-describing: the caller
 //!   reads the whole file into one buffer, validates it with
 //!   [`Decoder::open`], and decodes sequences into pre-sized `Vec`s

@@ -11,7 +11,6 @@
 use crate::asn::Asn;
 use crate::prefix::Ipv4Prefix;
 use crate::relationship::{Orientation, RelationshipMap};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Structural role of an AS in the generated topology.
@@ -19,7 +18,7 @@ use std::collections::HashMap;
 /// Mirrors the strata the paper's Internet exhibits: a Tier-1 clique at the
 /// top, transit hierarchies below, and an overwhelmingly large edge of
 /// stubs, content networks, and enterprises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsClass {
     /// Member of the top clique (Tier-1): no providers, peers with every
     /// other clique member.
@@ -51,7 +50,7 @@ impl AsClass {
 
 /// A complete annotated AS-level topology with known relationships —
 /// the substrate every experiment is built on.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     /// The true business relationship of every link.
     pub relationships: RelationshipMap,

@@ -16,9 +16,9 @@
 //! * [`GroundTruth`] — a complete annotated AS-level topology, produced by
 //!   the `as-topology-gen` substrate and used by the validation framework.
 //!
-//! Everything is plain data: `serde`-serializable, hash-friendly, and free
-//! of interior mutability, so datasets can be snapshotted to disk and
-//! experiment artifacts reproduced bit-for-bit.
+//! Everything is plain data: hash-friendly and free of interior
+//! mutability, so datasets can be snapshotted to disk (the hand-rolled
+//! [`codec`] frames) and experiment artifacts reproduced bit-for-bit.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

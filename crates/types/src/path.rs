@@ -9,14 +9,12 @@
 
 use crate::asn::Asn;
 use crate::prefix::Ipv4Prefix;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A BGP AS path, ordered from the vantage point (index 0) toward the
 /// origin AS (last index), the same orientation as the wire format.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct AsPath(pub Vec<Asn>);
 
 impl AsPath {
@@ -130,7 +128,7 @@ impl From<Vec<Asn>> for AsPath {
 
 /// One observed RIB entry: an AS path for `prefix` seen at vantage point
 /// `vp` (which is also the first hop of `path`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PathSample {
     /// The AS hosting the vantage point that observed this path.
     pub vp: Asn,
@@ -143,7 +141,7 @@ pub struct PathSample {
 /// A dataset of observed AS paths — the complete input of the inference
 /// pipeline, equivalent to the union of all RouteViews/RIS RIB dumps for
 /// one snapshot in the paper.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PathSet {
     samples: Vec<PathSample>,
 }

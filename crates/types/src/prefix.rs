@@ -7,7 +7,6 @@
 //! their customer cone announces.
 
 use crate::error::TypesError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -15,9 +14,7 @@ use std::str::FromStr;
 ///
 /// The network address is stored in host byte order and is always masked to
 /// its length, so two equal prefixes always compare equal.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ipv4Prefix {
     network: u32,
     len: u8,

@@ -6,7 +6,6 @@
 //! can account for (rather than silently skip) the v6 table.
 
 use crate::error::TypesError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -14,9 +13,7 @@ use std::str::FromStr;
 ///
 /// Stored masked, like [`crate::Ipv4Prefix`], so equal prefixes compare
 /// equal.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ipv6Prefix {
     network: u128,
     len: u8,

@@ -14,12 +14,11 @@
 //! the validation framework compares like with like.
 
 use crate::asn::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// The three relationship kinds of the Gao-Rexford model, unoriented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RelationshipKind {
     /// Customer-to-provider (transit).
     C2p,
@@ -40,7 +39,7 @@ impl fmt::Display for RelationshipKind {
 }
 
 /// An unordered AS adjacency, stored canonically with `a < b`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AsLink {
     /// Lower-numbered endpoint.
     pub a: Asn,
@@ -91,7 +90,7 @@ impl fmt::Display for AsLink {
 
 /// The relationship on a canonical [`AsLink`], oriented relative to the
 /// canonical (a, b) order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkRel {
     /// `a` is a customer of `b`.
     AC2pB,
@@ -115,7 +114,7 @@ impl LinkRel {
 }
 
 /// The relationship as seen from one endpoint of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Orientation {
     /// The neighbor is my provider (I am its customer).
     Provider,
@@ -155,7 +154,7 @@ impl Orientation {
 /// twice replaces the previous classification (last writer wins), which is
 /// exactly the semantics of the multi-step pipeline, where later steps may
 /// refine earlier provisional inferences.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RelationshipMap {
     links: HashMap<AsLink, LinkRel>,
 }

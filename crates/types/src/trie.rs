@@ -8,16 +8,15 @@
 //! lookups are bounded and allocation-light.
 
 use crate::prefix::Ipv4Prefix;
-use serde::{Deserialize, Serialize};
 
 /// A binary trie mapping IPv4 prefixes to values of type `T`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PrefixTrie<T> {
     nodes: Vec<Node<T>>,
     len: usize,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Node<T> {
     children: [Option<u32>; 2],
     value: Option<T>,

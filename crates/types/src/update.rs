@@ -10,12 +10,11 @@
 use crate::asn::Asn;
 use crate::path::{AsPath, PathSample, PathSet};
 use crate::prefix::Ipv4Prefix;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One logical BGP update from a vantage point: some prefixes withdrawn,
 /// some announced with a (shared or per-prefix) path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct UpdateMessage {
     /// The vantage point emitting the update.
     pub vp: Asn,
@@ -44,7 +43,7 @@ impl UpdateMessage {
 /// pair, so however many announcements and withdrawals a stream carries
 /// for that pair, only the last one matters. Folding a stream therefore
 /// yields one `PathDelta` per touched entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PathDelta {
     /// The entry's best route is now this path (insert or replace).
     Announce(AsPath),
@@ -59,7 +58,7 @@ pub enum PathDelta {
 /// [`UpdateBatch::apply`] defines the batch's meaning on a [`PathSet`]
 /// and doubles as the from-scratch oracle the incremental engine is
 /// property-tested against.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct UpdateBatch {
     deltas: Vec<(Asn, Ipv4Prefix, PathDelta)>,
 }

@@ -2,12 +2,11 @@
 
 use crate::sources::{ValidationCorpus, ValidationSource};
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// PPV of an inference against one validation source, split by
 /// relationship kind — the layout of the paper's headline table.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SourcePpv {
     /// The corpus source.
     pub source: ValidationSource,
@@ -88,7 +87,7 @@ pub fn evaluate_against_corpus(
 }
 
 /// Full-ground-truth scoring — what the paper could not do.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GroundTruthReport {
     /// (correct, total) over inferred c2p links that exist in the truth.
     pub c2p: (usize, usize),

@@ -8,10 +8,9 @@
 //! algorithms are evaluated on identical items.
 
 use asrank_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Result of a paired comparison of two relationship inferences.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairedComparison {
     /// Links only algorithm A got right.
     pub a_only: usize,

@@ -18,10 +18,9 @@
 use asrank_types::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// The three corpus sources of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValidationSource {
     /// Operator-reported relationships.
     DirectReport,
@@ -44,7 +43,7 @@ impl ValidationSource {
 
 /// One validation assertion: "the `a`–`b` link has this relationship,
 /// according to `source`".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assertion {
     /// The link.
     pub link: AsLink,
@@ -55,7 +54,7 @@ pub struct Assertion {
 }
 
 /// Parameters of one emulated source.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SourceConfig {
     /// Fraction of eligible ASes that contribute assertions.
     pub participation: f64,
@@ -72,7 +71,7 @@ pub struct SourceConfig {
 }
 
 /// Corpus-wide configuration with per-source parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CorpusConfig {
     /// Operator reports: rare, accurate, balanced.
     pub direct: SourceConfig,
@@ -114,7 +113,7 @@ impl CorpusConfig {
 }
 
 /// The emulated validation corpus.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ValidationCorpus {
     /// All assertions, across sources. A link may be asserted by several
     /// sources (the paper deduplicates per analysis; we keep all and let

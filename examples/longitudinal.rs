@@ -12,7 +12,7 @@ use asrank::bgpsim::{simulate, SimConfig, VpSelection};
 use asrank::core::cone::CustomerCones;
 use asrank::core::pipeline::{infer, InferenceConfig};
 use asrank::topology::{evolve, EvolutionConfig};
-use asrank::types::{Asn, Parallelism};
+use asrank::types::Asn;
 
 fn main() {
     let seed = 99;
@@ -47,7 +47,7 @@ fn main() {
         );
 
         let (c2p, p2p, _) = snap.ground_truth.relationships.counts();
-        let cones = CustomerCones::recursive(&inference.relationships, None, Parallelism::auto());
+        let cones = CustomerCones::recursive(&inference.relationships, None);
         let (top, size) = cones.largest().expect("non-empty");
         println!(
             "{:<9} {:>6} {:>7} {:>9.1}% {:>8}: {:<5} {:>10.1}% {:>8.1}%",

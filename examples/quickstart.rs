@@ -9,7 +9,7 @@ use asrank::bgpsim::{simulate, SimConfig, VpSelection};
 use asrank::core::pipeline::{infer, InferenceConfig};
 use asrank::core::{rank_ases, CustomerCones};
 use asrank::topology::{generate, TopologyConfig};
-use asrank::types::{Asn, Parallelism};
+use asrank::types::Asn;
 use asrank::validation::{
     build_corpus, evaluate_against_corpus, evaluate_against_truth, CorpusConfig,
 };
@@ -51,11 +51,8 @@ fn main() {
 
     // 4. Recursive customer cones, weighted by originated prefixes, and
     //    the AS ranking.
-    let cones = CustomerCones::recursive(
-        &inference.relationships,
-        Some(&topo.ground_truth.prefixes),
-        Parallelism::auto(),
-    );
+    let cones =
+        CustomerCones::recursive(&inference.relationships, Some(&topo.ground_truth.prefixes));
     println!("\ntop 5 ASes by customer cone:");
     for row in rank_ases(&cones, &inference.degrees).iter().take(5) {
         println!(

@@ -14,7 +14,7 @@
 use asrank::core::pipeline::{infer, InferenceConfig};
 use asrank::core::{rank_ases, write_as_rel, CustomerCones};
 use asrank::mrt::read_rib_dump;
-use asrank::types::{Asn, Parallelism};
+use asrank::types::Asn;
 
 fn synthesize(path: &std::path::Path) {
     use asrank::bgpsim::{simulate, SimConfig, VpSelection};
@@ -83,7 +83,7 @@ fn main() {
     );
 
     // Rank and export, exactly like the public artifact.
-    let cones = CustomerCones::recursive(&inference.relationships, None, Parallelism::auto());
+    let cones = CustomerCones::recursive(&inference.relationships, None);
     println!("\ntop 10 by customer cone:");
     for row in rank_ases(&cones, &inference.degrees).iter().take(10) {
         println!(

@@ -93,7 +93,7 @@ fn cone_definitions_nest_on_clean_data() {
     let par = Parallelism::auto();
     let arena = PathArena::build(&sanitize(&sim.paths, &SanitizeConfig::with_ixps(ixps)), par);
     let rels = &inference.relationships;
-    let recursive = CustomerCones::recursive(rels, None, par);
+    let recursive = CustomerCones::recursive(rels, None);
     let bgp_observed = CustomerCones::bgp_observed(&arena, rels, None, par);
     let provider_peer = CustomerCones::provider_peer_observed(&arena, rels, None, par);
     // BGP-observed ⊆ recursive holds unconditionally (observed descents
@@ -132,8 +132,7 @@ fn recursive_cone_matches_ground_truth_for_correct_inference() {
     // Where the inference is perfect (use ground truth directly), the
     // recursive cone must equal the true customer cone.
     let topo = generate(&TopologyConfig::tiny(), 3);
-    let cones =
-        CustomerCones::recursive(&topo.ground_truth.relationships, None, Parallelism::auto());
+    let cones = CustomerCones::recursive(&topo.ground_truth.relationships, None);
     for &asn in topo.ground_truth.classes.keys() {
         let truth = topo.ground_truth.true_customer_cone(asn);
         let got: std::collections::HashSet<Asn> = cones.members(asn).iter().copied().collect();

@@ -153,7 +153,7 @@ proptest! {
                 rels.insert_c2p(Asn(c), Asn(p));
             }
         }
-        let cones = asrank::core::CustomerCones::recursive(&rels, None, Parallelism::auto());
+        let cones = asrank::core::CustomerCones::recursive(&rels, None);
         for (customer, provider) in rels.c2p_pairs() {
             for m in cones.members(customer) {
                 prop_assert!(
