@@ -24,8 +24,12 @@ test:
 # blocked pair merge to sort + dedup at every block width, the arena
 # forms of S2/S3 to their path-slice definitions, the one-pass S1
 # cleaner and its flat output and frame to the composition it folds,
-# and S6's one-sort evidence to the two tuple sorts it replaced (the
-# monolithic oracle shares S1 and S6, so only these tests see them),
+# S6's one-sort evidence to the two tuple sorts it replaced, in drawn,
+# shuffled and prefix-major sample order (the monolithic oracle shares
+# S1 and S6, so only these tests see them), the hash-counted S9
+# adjacency table and observed link list to the packed sort +
+# run-length form they replaced, S5's memo of agreeing path tails to
+# the path-slice walk under pre-classified, conflicting links,
 # the sharded hash-then-sort arena to the sort + run-length dedup it
 # replaced, the RIB readers' per-frame
 # decoder to the record-tree decode (both readers share the decoder, so
@@ -45,7 +49,7 @@ test-engine:
 	$(CARGO) test -p asrank-core --test delta_equivalence
 	$(CARGO) test -p asrank-core --test cone_equivalence
 	$(CARGO) test -p asrank-core --test blocked_sweep_equivalence
-	$(CARGO) test -p asrank-core --lib -- arena_oracle one_pass_oracle sort_dedup_oracle vp_providers_oracle
+	$(CARGO) test -p asrank-core --lib -- arena_oracle one_pass_oracle sort_dedup_oracle vp_providers_oracle link_counts_oracle topdown_arena_matches
 	$(CARGO) test -p mrt-codec --test parallel_ingest
 	$(CARGO) test -p mrt-codec --test encode_oracle
 	$(CARGO) test -p bgp-sim --test reference_propagation

@@ -43,7 +43,6 @@ pub use collector::{VantagePoint, VpSelection};
 pub use events::{apply_event, diff_collections, simulate_event, RoutingEvent};
 pub use graph::PolicyGraph;
 pub use propagate::{
-    compute_route_tree, compute_route_tree_with, compute_route_trees, PrefClass,
-    PropagationWorkspace, RouteTree,
+    compute_route_tree, compute_route_tree_with, PrefClass, PropagationWorkspace, RouteTree,
 };
 pub use sim::{simulate, SimConfig, SimOutput};

@@ -367,33 +367,6 @@ pub fn compute_route_tree_with(
     RouteTree { dest, routes }
 }
 
-/// Compute route trees for a batch of destinations, fanning the
-/// per-destination work out over `par` worker threads.
-///
-/// Each destination's propagation is independent, so chunks of `dests`
-/// are processed concurrently and the results reassembled in input
-/// order — the returned vector is index-aligned with `dests` and
-/// identical for every thread count. This is the API the prefix-level
-/// callers (RIB collection, reachability sweeps) should prefer over
-/// calling [`compute_route_tree`] in a loop.
-pub fn compute_route_trees(
-    g: &PolicyGraph,
-    dests: &[u32],
-    leakers: Option<&[bool]>,
-    par: asrank_types::Parallelism,
-) -> Vec<RouteTree> {
-    par.map_ranges(1, dests.len(), |range| {
-        let mut ws = PropagationWorkspace::new();
-        dests[range]
-            .iter()
-            .map(|&d| compute_route_tree_with(g, d, leakers, &mut ws))
-            .collect::<Vec<RouteTree>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,27 +500,6 @@ mod tests {
             via5 > 5 && via9 > 5,
             "no diversity: via5={via5} via9={via9}"
         );
-    }
-
-    #[test]
-    fn batch_matches_sequential_loop() {
-        let (g, id) = diamond();
-        let dests: Vec<u32> = [100u32, 200, 10, 20, 1, 2].map(id).to_vec();
-        let looped: Vec<RouteTree> = dests
-            .iter()
-            .map(|&d| compute_route_tree(&g, d, None))
-            .collect();
-        for par in [Parallelism::sequential(), Parallelism::threads(3)] {
-            let batch = compute_route_trees(&g, &dests, None, par);
-            assert_eq!(batch.len(), looped.len());
-            for (a, b) in batch.iter().zip(&looped) {
-                assert_eq!(a.dest(), b.dest());
-                for node in g.ids() {
-                    assert_eq!(a.route(node), b.route(node), "{par} dest {}", a.dest());
-                }
-            }
-        }
-        assert!(compute_route_trees(&g, &[], None, Parallelism::auto()).is_empty());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::degree::DegreeTable;
 use crate::patharena::PathArena;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
+use asrank_types::FxHashMap;
 use std::collections::{HashMap, HashSet};
 
 /// S4 — a path is poisoned when a non-clique AS appears between two
@@ -145,8 +146,14 @@ pub fn infer_topdown(
 /// occurrence list of each ranked AS comes straight from the arena
 /// (ascending by path then position — the exact order the hash-map
 /// index yielded), `kept` masks out S4-discarded paths, and the visited
-/// set is a dense bitmask instead of a hashed `Asn` set. Agreement with
-/// the path-slice definition is pinned by unit test.
+/// set is a dense bitmask instead of a hashed `Asn` set.
+///
+/// A walk never overwrites a classification, so once a walk on a path
+/// reaches the origin with no conflict, every link from its start on
+/// agrees for the rest of the stage. `agreed[p]` keeps the earliest such
+/// start; a later walk on `p` stops there, with nothing left to insert
+/// or count. Agreement with the path-slice definition is pinned by unit
+/// test.
 pub(crate) fn infer_topdown_arena(
     arena: &PathArena,
     kept: &[bool],
@@ -157,20 +164,22 @@ pub(crate) fn infer_topdown_arena(
 ) {
     let interner = arena.interner();
     let mut visited = clique_mask.to_vec();
+    let mut agreed = vec![u32::MAX; arena.len()];
 
     for &z in degrees.ranked() {
         // Every ranked AS appears in a sanitized path, hence in the
         // arena; skip defensively rather than panic (L002).
         let Some(zid) = interner.get(z) else { continue };
         for (pi, pos) in arena.occurrences(zid) {
-            if !kept[pi as usize] {
+            // Evidence requires a higher-ranked AS on the VP side of z
+            // and an unvisited (lower-ranked) AS on the origin side. A
+            // VP-side occurrence is skipped before its path is loaded.
+            if pos == 0 || !kept[pi as usize] {
                 continue;
             }
             let hops = arena.path(pi as usize);
             let i = pos as usize;
-            // Evidence requires a higher-ranked AS on the VP side of z
-            // and an unvisited (lower-ranked) AS on the origin side.
-            if i == 0 || i + 1 >= hops.len() {
+            if i + 1 >= hops.len() {
                 continue;
             }
             if !visited[hops[i - 1] as usize] || hops[i - 1] == zid {
@@ -179,8 +188,12 @@ pub(crate) fn infer_topdown_arena(
             if visited[hops[i + 1] as usize] {
                 continue;
             }
-            // Walk the customer chain toward the origin.
-            for j in i..hops.len() - 1 {
+            // Walk the customer chain toward the origin, or to where an
+            // earlier walk on this path found it agreeing.
+            let tail = &mut agreed[pi as usize];
+            let end = (*tail as usize).min(hops.len() - 1);
+            let mut complete = true;
+            for j in i..end {
                 let provider = interner.resolve(hops[j]);
                 let customer = interner.resolve(hops[j + 1]);
                 match rels.orientation(customer, provider) {
@@ -191,9 +204,13 @@ pub(crate) fn infer_topdown_arena(
                     Some(Orientation::Provider) => {} // agrees; keep walking
                     Some(_) => {
                         report.conflicts += 1;
+                        complete = false;
                         break;
                     }
                 }
+            }
+            if complete {
+                *tail = (*tail).min(pos);
             }
         }
         visited[zid as usize] = true;
@@ -213,54 +230,56 @@ pub fn infer_vp_providers(
     report: &mut InferenceReport,
 ) {
     // Distinct-prefix evidence from one integer sort: pack each
-    // qualifying sample as `vp | network | prefix len | first hop`, high
-    // to low, so u128 order is `(vp, prefix, first hop)` order
-    // (`Ipv4Prefix` orders by network, then length). After the dedup,
-    // each key is one distinct `(vp, prefix, first hop)` triple and each
-    // run of equal high 96 bits one distinct `(vp, prefix)`.
+    // qualifying sample as `network | prefix len | vp | first hop`, high
+    // to low, so u128 order is `(prefix, vp, first hop)` order
+    // (`Ipv4Prefix` orders by network, then length). That is a RIB
+    // dump's own record order (prefix-major, peers ascending by ASN), so
+    // on decoded samples the sort meets one ascending run and returns
+    // after a linear scan; any other order is still correct and pays the
+    // full sort. After the dedup, each key is one distinct `(prefix, vp,
+    // first hop)` triple and each run of equal high 96 bits one distinct
+    // `(vp, prefix)`.
     let mut keys: Vec<u128> = Vec::with_capacity(sanitized.len());
     for (vp, prefix, hops) in sanitized.iter() {
         if hops.len() < 2 || hops[0] != vp {
             continue;
         }
         keys.push(
-            u128::from(vp.0) << 96
-                | u128::from(prefix.network()) << 64
-                | u128::from(prefix.len()) << 32
+            u128::from(prefix.network()) << 96
+                | u128::from(prefix.len()) << 64
+                | u128::from(vp.0) << 32
                 | u128::from(hops[1].0),
         );
     }
     keys.sort_unstable();
     keys.dedup();
 
-    // One pass over each VP's run: `totals[vp]` counts its distinct
-    // prefixes; `via[(vp, w)]` counts its distinct triples through first
-    // hop `w`, from the run's first hops sorted. VP runs ascend, so the
-    // candidates come out in sorted `(vp, w)` order.
-    let mut candidates: Vec<(Asn, Asn)> = Vec::new();
-    let mut via: Vec<usize> = Vec::new();
-    let mut totals: Vec<(Asn, usize)> = Vec::new();
-    let mut firsts: Vec<u32> = Vec::new();
-    for run in keys.chunk_by(|a, b| a >> 96 == b >> 96) {
-        let vp = Asn((run[0] >> 96) as u32);
-        totals.push((vp, run.chunk_by(|a, b| a >> 32 == b >> 32).count()));
-        firsts.clear();
-        firsts.extend(run.iter().map(|&k| k as u32));
-        firsts.sort_unstable();
-        for same in firsts.chunk_by(|a, b| a == b) {
-            candidates.push((vp, Asn(same[0])));
-            via.push(same.len());
+    // One counting pass: `totals[vp]` counts the VP's distinct prefixes,
+    // `via[vp << 32 | w]` its distinct triples through first hop `w` (the
+    // low 64 bits of a key). Only the few thousand distinct `(vp, w)`
+    // candidates are sorted, into the order the classifier walks.
+    let mut totals: FxHashMap<u32, usize> = FxHashMap::default();
+    let mut via: FxHashMap<u64, usize> = FxHashMap::default();
+    for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+        *totals.entry((run[0] >> 32) as u32).or_default() += 1;
+        for &k in run {
+            *via.entry(k as u64).or_default() += 1;
         }
     }
+    let mut candidates: Vec<(Asn, Asn)> = via
+        .keys()
+        .map(|&c| (Asn((c >> 32) as u32), Asn(c as u32)))
+        .collect();
+    candidates.sort_unstable();
 
     classify_vp_providers(
         &candidates,
-        |vp, w| candidates.binary_search(&(vp, w)).map_or(0, |k| via[k]),
-        |vp| {
-            totals
-                .binary_search_by_key(&vp, |t| t.0)
-                .map_or(0, |k| totals[k].1)
+        |vp, w| {
+            via.get(&(u64::from(vp.0) << 32 | u64::from(w.0)))
+                .copied()
+                .unwrap_or(0)
         },
+        |vp| totals.get(&vp.0).copied().unwrap_or(0),
         degrees,
         cfg,
         rels,
@@ -415,12 +434,12 @@ pub fn infer_providerless(
 }
 
 /// [`infer_providerless`] over the arena: the nested
-/// `HashMap<Asn, HashMap<Asn, usize>>` frequency table becomes one
-/// sorted packed-pair list run-length-encoded into per-source
-/// `(neighbor, count)` runs. Neighbors iterate in ascending id (==
-/// ascending ASN) order, so keeping the strictly-greatest count
-/// reproduces the old "max count, ties to lowest ASN" sort exactly.
-/// Agreement with the path-slice definition is pinned by unit test.
+/// `HashMap<Asn, HashMap<Asn, usize>>` frequency table becomes
+/// [`directed_link_counts`], read as per-source `(neighbor, count)` runs.
+/// Neighbors iterate in ascending id (== ascending ASN) order, so keeping
+/// the strictly-greatest count reproduces the old "max count, ties to
+/// lowest ASN" sort exactly. Agreement with the path-slice definition is
+/// pinned by unit test.
 pub(crate) fn infer_providerless_arena(
     arena: &PathArena,
     kept: &[bool],
@@ -432,35 +451,10 @@ pub(crate) fn infer_providerless_arena(
     let interner = arena.interner();
     let n = interner.len();
 
-    // Directed adjacency occurrences of kept paths, both directions:
-    // (source << 32) | neighbor, one entry per adjacency per path.
-    let mut packed: Vec<u64> = Vec::with_capacity(2 * arena.total_hops());
-    for p in 0..arena.len() {
-        if !kept[p] {
-            continue;
-        }
-        for w in arena.path(p).windows(2) {
-            packed.push((w[0] as u64) << 32 | w[1] as u64);
-            packed.push((w[1] as u64) << 32 | w[0] as u64);
-        }
-    }
-    packed.sort_unstable();
-
-    // Run-length encode into per-source neighbor/count runs.
-    let mut nbrs: Vec<u32> = Vec::new();
-    let mut cnts: Vec<u32> = Vec::new();
-    let mut run_offsets = vec![0u32; n + 1];
-    let mut i = 0usize;
-    while i < packed.len() {
-        let v = packed[i];
-        let mut j = i + 1;
-        while j < packed.len() && packed[j] == v {
-            j += 1;
-        }
-        nbrs.push(v as u32);
-        cnts.push(dense_id(j - i));
-        run_offsets[(v >> 32) as usize + 1] += 1;
-        i = j;
+    let table = directed_link_counts(arena, kept);
+    let mut run_offsets = vec![0usize; n + 1];
+    for &(pair, _) in &table {
+        run_offsets[(pair >> 32) as usize + 1] += 1;
     }
     for s in 1..=n {
         run_offsets[s] += run_offsets[s - 1];
@@ -473,31 +467,27 @@ pub(crate) fn infer_providerless_arena(
             continue;
         }
         let Some(zid) = interner.get(z) else { continue };
-        let (lo, hi) = (
-            run_offsets[zid as usize] as usize,
-            run_offsets[zid as usize + 1] as usize,
-        );
-        if lo == hi {
+        let run = &table[run_offsets[zid as usize]..run_offsets[zid as usize + 1]];
+        if run.is_empty() {
             continue;
         }
-        if nbrs[lo..hi]
-            .iter()
-            .any(|&w| rels.orientation(z, interner.resolve(w)) == Some(Orientation::Provider))
-        {
+        if run.iter().any(|&(pair, _)| {
+            rels.orientation(z, interner.resolve(pair as u32)) == Some(Orientation::Provider)
+        }) {
             continue;
         }
         // Most frequent higher-ranked neighbor with an unclassified link.
         let tz = degrees.transit_degree(z);
         let mut best: Option<(Asn, u32)> = None;
-        for k in lo..hi {
-            let w = interner.resolve(nbrs[k]);
+        for &(pair, count) in run {
+            let w = interner.resolve(pair as u32);
             if rels.get(z, w).is_none() && degrees.transit_degree(w) > tz {
                 let better = match best {
                     None => true,
-                    Some((_, c)) => cnts[k] > c,
+                    Some((_, c)) => count > c,
                 };
                 if better {
-                    best = Some((w, cnts[k]));
+                    best = Some((w, count));
                 }
             }
         }
@@ -577,28 +567,56 @@ fn observed_links(paths: &[AsPath]) -> Vec<AsLink> {
     v
 }
 
-/// [`observed_links`] over the arena's kept paths: canonical packed
-/// (min, max) id pairs, sort + dedup. Ids ascend with ASN, so the
-/// resolved list comes out in the same `AsLink` order the hashed
-/// version sorted into.
+/// [`observed_links`] over the arena's kept paths: the pairs of
+/// [`link_counts`], resolved. Ids ascend with ASN, so the list comes out
+/// in the same `AsLink` order the hashed version sorted into.
 pub(crate) fn observed_links_arena(arena: &PathArena, kept: &[bool]) -> Vec<AsLink> {
     let interner = arena.interner();
-    let mut packed: Vec<u64> = Vec::with_capacity(arena.total_hops());
-    for p in 0..arena.len() {
-        if !kept[p] {
-            continue;
-        }
+    link_counts(arena, kept)
+        .iter()
+        .map(|&(e, _)| {
+            AsLink::new(
+                interner.resolve((e >> 32) as u32),
+                interner.resolve(e as u32),
+            )
+        })
+        .collect()
+}
+
+/// Adjacency counts of the arena's kept paths: each canonical dense-id
+/// pair, packed `lo << 32 | hi`, with the number of path windows that
+/// cross it, ascending by pair. A hash count, not a sort: the kept paths
+/// hold well over a hundred windows per distinct link (≈3.4M windows
+/// over ≈18.6k links on a medium RIB), so only the distinct pairs are
+/// sorted.
+fn link_counts(arena: &PathArena, kept: &[bool]) -> Vec<(u64, u32)> {
+    let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
+    for p in (0..arena.len()).filter(|&p| kept[p]) {
         for w in arena.path(p).windows(2) {
-            let (lo, hi) = if w[0] < w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
-            packed.push((lo as u64) << 32 | hi as u64);
+            let (lo, hi) = (w[0].min(w[1]), w[0].max(w[1]));
+            *counts
+                .entry(u64::from(lo) << 32 | u64::from(hi))
+                .or_default() += 1;
         }
     }
-    packed.sort_unstable();
-    packed.dedup();
-    packed
-        .iter()
-        .map(|&e| AsLink::new(interner.resolve((e >> 32) as u32), interner.resolve(e as u32)))
-        .collect()
+    let mut pairs: Vec<(u64, u32)> = counts.into_iter().collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+/// S9's frequency table: each [`link_counts`] entry in both directions,
+/// packed `source << 32 | neighbor`, ascending. A path window crosses a
+/// link in one direction, so a directed count equals its canonical one
+/// (S1 leaves no window of one AS with itself).
+fn directed_link_counts(arena: &PathArena, kept: &[bool]) -> Vec<(u64, u32)> {
+    let counts = link_counts(arena, kept);
+    let mut table: Vec<(u64, u32)> = Vec::with_capacity(2 * counts.len());
+    for (pair, count) in counts {
+        table.push((pair, count));
+        table.push((pair.rotate_left(32), count));
+    }
+    table.sort_unstable();
+    table
 }
 
 #[cfg(test)]
@@ -906,6 +924,102 @@ mod tests {
         assert!(!rels_new.is_empty(), "fixture must actually infer links");
     }
 
+    /// xorshift64: a fixed, dependency-free stream of test draws.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// S5 from the arena, with its per-path memo of agreeing tails,
+    /// against the path-slice definition on random paths whose links are
+    /// partly classified beforehand, so walks conflict and later walks
+    /// on the same path meet those conflicts again.
+    #[test]
+    fn topdown_arena_matches_path_slice_under_conflicts() {
+        let mut d = Draws(0x7D0_3A11);
+        let (mut conflicts, mut inferred) = (0usize, 0usize);
+        for case in 0..300 {
+            let mut ps = PathSet::new();
+            for i in 0..4 + d.below(40) as u32 {
+                let mut hops: Vec<u32> = Vec::new();
+                for _ in 0..2 + d.below(6) {
+                    let a = 1 + d.below(12) as u32;
+                    if !hops.contains(&a) {
+                        hops.push(a);
+                    }
+                }
+                ps.push(PathSample {
+                    vp: Asn(hops[0]),
+                    prefix: Ipv4Prefix::new(i << 8, 24).unwrap(),
+                    path: AsPath::from_u32s(hops),
+                });
+            }
+            let sanitized = crate::sanitize::sanitize(&ps, &Default::default());
+            let degrees = DegreeTable::compute(&sanitized);
+            let arena = PathArena::build(&sanitized, Parallelism::sequential());
+            let clique: HashSet<Asn> = degrees
+                .ranked()
+                .iter()
+                .take(d.below(3) as usize)
+                .copied()
+                .collect();
+            let interner = arena.interner();
+            let mut clique_mask = vec![false; interner.len()];
+            for &a in &clique {
+                clique_mask[interner.get(a).unwrap() as usize] = true;
+            }
+            let kept: Vec<bool> = (0..arena.len())
+                .map(|p| !is_poisoned_ids(arena.path(p), &clique_mask))
+                .collect();
+            let kept_paths: Vec<AsPath> = (0..arena.len())
+                .filter(|&p| kept[p])
+                .map(|p| arena.resolve_path(p))
+                .collect();
+            let mut seeded = RelationshipMap::new();
+            for path in &kept_paths {
+                for (a, b) in path.links() {
+                    match d.below(8) {
+                        0 => seeded.insert_c2p(a, b),
+                        1 => seeded.insert_c2p(b, a),
+                        2 => seeded.insert_p2p(a, b),
+                        _ => {}
+                    }
+                }
+            }
+            let (mut rels_want, mut report_want) = (seeded.clone(), InferenceReport::default());
+            infer_topdown(
+                &kept_paths,
+                &degrees,
+                &clique,
+                &mut rels_want,
+                &mut report_want,
+            );
+            let (mut rels, mut report) = (seeded, InferenceReport::default());
+            infer_topdown_arena(
+                &arena,
+                &kept,
+                &degrees,
+                &clique_mask,
+                &mut rels,
+                &mut report,
+            );
+            assert_eq!(rels, rels_want, "case {case}");
+            assert_eq!(report, report_want, "case {case}");
+            conflicts += report.conflicts;
+            inferred += report.c2p_from_topdown;
+        }
+        assert!(
+            conflicts > 100 && inferred > 100,
+            "conflicts {conflicts}, inferred {inferred}"
+        );
+    }
+
     /// S6's one-sort evidence against the two-sort tuple form it
     /// replaced, written out here. The engine and `infer_monolithic`
     /// both call [`infer_vp_providers`], so no equivalence suite can see
@@ -966,24 +1080,14 @@ mod tests {
             );
         }
 
-        /// xorshift64: a fixed, dependency-free stream of test draws.
-        struct Draws(u64);
-
-        impl Draws {
-            fn below(&mut self, n: u64) -> u64 {
-                self.0 ^= self.0 << 13;
-                self.0 ^= self.0 >> 7;
-                self.0 ^= self.0 << 17;
-                self.0 % n
-            }
-        }
+        type Sample = (Asn, Ipv4Prefix, Vec<Asn>);
 
         /// Samples from three VPs over eight prefixes and six first hops.
         /// Draws repeat the previous sample exactly, or keep its
         /// `(vp, prefix)` under a different first hop, or start the path
         /// at an AS that is not the VP.
-        fn draw_samples(d: &mut Draws) -> (SanitizedPaths, [usize; 3]) {
-            let mut out = SanitizedPaths::default();
+        fn draw_samples(d: &mut Draws) -> (Vec<Sample>, [usize; 3]) {
+            let mut out = Vec::new();
             // (exact duplicates, re-routed (vp, prefix) keys, foreign heads)
             let mut kinds = [0usize; 3];
             let n = 5 + d.below(60);
@@ -1015,10 +1119,37 @@ mod tests {
                         (vp, prefix, hops)
                     }
                 };
-                out.push(sample.0, sample.1, &sample.2);
+                out.push(sample.clone());
                 prev = Some(sample);
             }
             (out, kinds)
+        }
+
+        fn sanitized_of(samples: &[Sample]) -> SanitizedPaths {
+            let mut out = SanitizedPaths::default();
+            for (vp, prefix, hops) in samples {
+                out.push(*vp, *prefix, hops);
+            }
+            out
+        }
+
+        /// The sample orders S6 must agree on: the drawn order with one
+        /// VP-headed `(vp, prefix)` repeated at the end under another
+        /// first hop, far from its first sample; that list shuffled; and
+        /// that list in prefix-major order, `(prefix, vp, hops)`, the
+        /// order in which S6's key sort meets one ascending run.
+        fn orders(d: &mut Draws, mut drawn: Vec<Sample>) -> [Vec<Sample>; 3] {
+            if let Some((vp, prefix, hops)) = drawn.iter().find(|s| s.2[0] == s.0).cloned() {
+                let w = Asn(1 + hops[1].0 % 6);
+                drawn.push((vp, prefix, vec![vp, w, Asn(60)]));
+            }
+            let mut shuffled = drawn.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, d.below(i as u64 + 1) as usize);
+            }
+            let mut prefix_major = drawn.clone();
+            prefix_major.sort_by(|a, b| (a.1, a.0, &a.2).cmp(&(b.1, b.0, &b.2)));
+            [drawn, shuffled, prefix_major]
         }
 
         #[test]
@@ -1027,11 +1158,23 @@ mod tests {
             let mut sides = [0usize; 2];
             let mut kinds = [0usize; 3];
             let mut inferred = 0usize;
+            // (non-adjacent repeats of a (vp, prefix), shuffles that are
+            // not prefix-major)
+            let mut shapes = [0usize; 2];
             for case in 0..400 {
-                let (sanitized, k) = draw_samples(&mut d);
+                let (drawn, k) = draw_samples(&mut d);
                 for (total, n) in kinds.iter_mut().zip(k) {
                     *total += n;
                 }
+                let orders = orders(&mut d, drawn);
+                let [drawn, shuffled, prefix_major] = &orders;
+                let key = |s: &Sample| (s.1, s.0);
+                let first = drawn
+                    .iter()
+                    .position(|s| key(s) == key(&drawn[drawn.len() - 1]));
+                shapes[0] += usize::from(first.is_some_and(|i| i + 1 < drawn.len() - 1));
+                shapes[1] += usize::from(shuffled != prefix_major);
+                let sanitized = sanitized_of(drawn);
                 let degrees = DegreeTable::compute(&sanitized);
                 // Some cases hold a relationship on a VP link already, so
                 // the classifier's skip is exercised too.
@@ -1050,15 +1193,18 @@ mod tests {
                     &mut sides,
                 );
                 inferred += report_want.c2p_from_vps;
-                for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-                    let cfg = InferenceConfig {
-                        parallelism: par,
-                        ..base.clone()
-                    };
-                    let (mut rels, mut report) = (seeded.clone(), InferenceReport::default());
-                    infer_vp_providers(&sanitized, &degrees, &cfg, &mut rels, &mut report);
-                    assert_eq!(rels, rels_want, "case {case} at {par}");
-                    assert_eq!(report, report_want, "case {case} at {par}");
+                for (order, samples) in ["drawn", "shuffled", "prefix-major"].iter().zip(&orders) {
+                    let sanitized = sanitized_of(samples);
+                    for par in [Parallelism::sequential(), Parallelism::threads(4)] {
+                        let cfg = InferenceConfig {
+                            parallelism: par,
+                            ..base.clone()
+                        };
+                        let (mut rels, mut report) = (seeded.clone(), InferenceReport::default());
+                        infer_vp_providers(&sanitized, &degrees, &cfg, &mut rels, &mut report);
+                        assert_eq!(rels, rels_want, "case {case}, {order} order, at {par}");
+                        assert_eq!(report, report_want, "case {case}, {order} order, at {par}");
+                    }
                 }
             }
             assert!(
@@ -1069,7 +1215,106 @@ mod tests {
                 kinds.iter().all(|&k| k > 0),
                 "every draw kind occurs: {kinds:?}"
             );
+            assert!(
+                shapes.iter().all(|&k| k > 300),
+                "repeats and shuffles occur: {shapes:?}"
+            );
             assert!(inferred > 0, "some VP provider is inferred");
+        }
+    }
+
+    /// S9's frequency table and the observed link list against the
+    /// packed sort + run-length form they replaced, written out here,
+    /// over random arenas and `kept` masks. Paths may revisit an AS, so a
+    /// link can be crossed twice in one path and must count twice.
+    mod link_counts_oracle {
+        use super::*;
+
+        /// The replaced form: every kept window once per direction for
+        /// S9 (sorted, run-length encoded into `(pair, count)`), and once
+        /// canonically for the links (sorted, deduped, resolved).
+        fn packed_sort(arena: &PathArena, kept: &[bool]) -> (Vec<(u64, u32)>, Vec<AsLink>) {
+            let mut directed: Vec<u64> = Vec::new();
+            let mut canonical: Vec<u64> = Vec::new();
+            for p in (0..arena.len()).filter(|&p| kept[p]) {
+                for w in arena.path(p).windows(2) {
+                    directed.push((w[0] as u64) << 32 | w[1] as u64);
+                    directed.push((w[1] as u64) << 32 | w[0] as u64);
+                    let (lo, hi) = (w[0].min(w[1]), w[0].max(w[1]));
+                    canonical.push((lo as u64) << 32 | hi as u64);
+                }
+            }
+            directed.sort_unstable();
+            let table = directed
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u32))
+                .collect();
+            canonical.sort_unstable();
+            canonical.dedup();
+            let interner = arena.interner();
+            let links = canonical
+                .iter()
+                .map(|&e| {
+                    AsLink::new(
+                        interner.resolve((e >> 32) as u32),
+                        interner.resolve(e as u32),
+                    )
+                })
+                .collect();
+            (table, links)
+        }
+
+        /// Up to 30 paths of 1–7 hops over up to 12 ASes (ASNs ascending
+        /// with id, as the arena's interner assigns them), no hop
+        /// repeated back to back, as S1 guarantees, and a random mask.
+        fn draw_arena(d: &mut Draws) -> (PathArena, Vec<bool>) {
+            let n = 2 + d.below(11) as u32;
+            let interner = AsnInterner::from_ases((0..n).map(|i| Asn(64_500 + 7 * i)));
+            let (mut offsets, mut ids) = (vec![0u32], Vec::new());
+            let paths = d.below(31) as usize;
+            for _ in 0..paths {
+                let mut prev = None;
+                for _ in 0..1 + d.below(7) {
+                    let mut id = d.below(u64::from(n)) as u32;
+                    if prev == Some(id) {
+                        id = (id + 1) % n;
+                    }
+                    ids.push(id);
+                    prev = Some(id);
+                }
+                offsets.push(ids.len() as u32);
+            }
+            let kept = (0..paths).map(|_| d.below(5) != 0).collect();
+            (PathArena::from_raw(interner, offsets, ids), kept)
+        }
+
+        #[test]
+        fn counted_table_and_links_match_packed_sort() {
+            let mut d = Draws(0x11AC_C0DE);
+            // (links crossed twice by one kept path, paths masked out)
+            let mut shapes = [0usize; 2];
+            for case in 0..500 {
+                let (arena, kept) = draw_arena(&mut d);
+                let (table, links) = packed_sort(&arena, &kept);
+                assert_eq!(directed_link_counts(&arena, &kept), table, "case {case}");
+                assert_eq!(observed_links_arena(&arena, &kept), links, "case {case}");
+                for p in (0..arena.len()).filter(|&p| kept[p]) {
+                    let mut seen: Vec<(u32, u32)> = arena
+                        .path(p)
+                        .windows(2)
+                        .map(|w| (w[0].min(w[1]), w[0].max(w[1])))
+                        .collect();
+                    let windows = seen.len();
+                    seen.sort_unstable();
+                    seen.dedup();
+                    shapes[0] += usize::from(seen.len() < windows);
+                }
+                shapes[1] += kept.iter().filter(|&&k| !k).count();
+            }
+            assert!(
+                shapes.iter().all(|&k| k > 100),
+                "loops and masks occur: {shapes:?}"
+            );
         }
     }
 }

@@ -1,7 +1,9 @@
 //! A fast, deterministic hasher for small fixed-width keys.
 //!
-//! The dense-id machinery ([`crate::AsnInterner`], hot pipeline maps)
-//! hashes millions of 4-byte ASNs; `std`'s default SipHash is
+//! The dense-id machinery ([`crate::AsnInterner`]), the link map of
+//! [`crate::RelationshipMap`] (probed once per hop the inference stages
+//! walk) and the hot pipeline maps hash millions of 4-byte ASNs and
+//! dense ids; `std`'s default SipHash is
 //! DoS-resistant but pays ~10× the cost of a multiplicative mix for such
 //! keys. This is the Firefox/rustc "Fx" scheme: rotate, xor, multiply by
 //! a constant with good bit dispersion. It is *not* collision-resistant

@@ -14,6 +14,7 @@
 //! the validation framework compares like with like.
 
 use crate::asn::Asn;
+use crate::fxhash::FxHashMap;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -154,9 +155,13 @@ impl Orientation {
 /// twice replaces the previous classification (last writer wins), which is
 /// exactly the semantics of the multi-step pipeline, where later steps may
 /// refine earlier provisional inferences.
+///
+/// Links are hashed with [`FxHashMap`]: the keys are ASN pairs, trusted
+/// data under the `fxhash` module's trust model, and the inference
+/// stages probe the map once per hop they walk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RelationshipMap {
-    links: HashMap<AsLink, LinkRel>,
+    links: FxHashMap<AsLink, LinkRel>,
 }
 
 impl RelationshipMap {
