@@ -17,8 +17,9 @@ test:
 
 # Staged-engine acceptance: property tests pinning the memoized stage
 # graph to the arena-free monolithic oracle, which runs the path-slice
-# step definitions (bit-identical inference at both parallelism levels
-# and under every ablation), the delta session's frames to a cold run
+# step definitions (bit-identical inference at both parallelism levels;
+# each step the oracle skips counts zero while the steps before it count
+# as in the full run), the delta session's frames to a cold run
 # over the same samples, the three cone stages to their oracles (the
 # HashSet recursive closure and the definitional observed cones), the
 # blocked pair merge to sort + dedup at every block width, the arena
@@ -36,7 +37,9 @@ test:
 # only this oracle sees it), the sort-and-stream RIB encoder to the
 # record-tree encode it replaced, bgpsim's unsorted frontier and bucket
 # drains to the sorted drain and to the (hash, id) argmin of each
-# route's parent, plus the cache invalidation/reuse counters, and the
+# route's parent, plus the cache invalidation/reuse counters (the disk
+# cache's cold/warm identity, damaged-frame fallback and a new prefix
+# table rerunning only the cones), and the
 # thread-invariance suites of the one fork-join helper
 # (`Parallelism::map_ranges`) and its callers: the helper's own tests,
 # the engine's and cones' 1-vs-N-thread determinism, and bgpsim's
@@ -47,6 +50,7 @@ test-engine:
 	$(CARGO) test -p bgp-sim --lib sim::
 	$(CARGO) test -p asrank-core --test engine_equivalence
 	$(CARGO) test -p asrank-core --test delta_equivalence
+	$(CARGO) test -p asrank-core --test cache_persist
 	$(CARGO) test -p asrank-core --test cone_equivalence
 	$(CARGO) test -p asrank-core --test blocked_sweep_equivalence
 	$(CARGO) test -p asrank-core --lib -- arena_oracle one_pass_oracle sort_dedup_oracle vp_providers_oracle link_counts_oracle topdown_arena_matches

@@ -1,12 +1,13 @@
 //! E12 — step ablation: the contribution of each pipeline step to final
-//! accuracy (the design-choice analysis DESIGN.md calls out). Run under
-//! realistic artifact injection so the defensive steps (S4, S7) have
-//! something to defend against.
+//! accuracy (the design-choice analysis DESIGN.md calls out). Each row is
+//! the reference pipeline (`infer_monolithic`) with one step left out.
+//! Run under realistic artifact injection so the defensive steps (S4,
+//! S7) have something to defend against.
 
 use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
 use as_topology_gen::Scale;
-use asrank_core::pipeline::{infer, Ablation, InferenceConfig};
+use asrank_core::pipeline::{infer_monolithic, InferenceConfig, Step};
 use asrank_types::Asn;
 use asrank_validation::evaluate_against_truth;
 use bgp_sim::AnomalyConfig;
@@ -28,43 +29,13 @@ pub fn run(scale: Scale, seed: u64) -> String {
     let truth = &wb.topo.ground_truth.relationships;
     let ixps: Vec<Asn> = wb.topo.ixps.iter().map(|i| i.route_server).collect();
 
-    let variants: Vec<(&str, Ablation)> = vec![
-        ("full pipeline", Ablation::default()),
-        (
-            "w/o S4 poison filter",
-            Ablation {
-                no_poison_filter: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "w/o S6 VP providers",
-            Ablation {
-                no_vp_step: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "w/o S7 anomaly repair",
-            Ablation {
-                no_anomaly_repair: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "w/o S8 stub-clique",
-            Ablation {
-                no_stub_clique: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "w/o S9 provider-less",
-            Ablation {
-                no_providerless: true,
-                ..Default::default()
-            },
-        ),
+    let variants: [(&str, Option<Step>); 6] = [
+        ("full pipeline", None),
+        ("w/o S4 poison filter", Some(Step::PoisonFilter)),
+        ("w/o S6 VP providers", Some(Step::VpProviders)),
+        ("w/o S7 anomaly repair", Some(Step::AnomalyRepair)),
+        ("w/o S8 stub-clique", Some(Step::StubClique)),
+        ("w/o S9 provider-less", Some(Step::Providerless)),
     ];
 
     let mut t = Table::new([
@@ -75,10 +46,9 @@ pub fn run(scale: Scale, seed: u64) -> String {
         "phantom",
         "discarded",
     ]);
-    for (name, ablation) in variants {
-        let mut cfg = InferenceConfig::with_ixps(ixps.clone());
-        cfg.ablation = ablation;
-        let inf = infer(&wb.sim.paths, &cfg);
+    let cfg = InferenceConfig::with_ixps(ixps);
+    for (name, skip) in variants {
+        let inf = infer_monolithic(&wb.sim.paths, &cfg, skip);
         let r = evaluate_against_truth(&inf.relationships, truth);
         t.row([
             name.to_string(),

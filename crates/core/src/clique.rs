@@ -15,32 +15,19 @@ use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-/// Clique inference parameters.
-#[derive(Debug, Clone)]
-pub struct CliqueConfig {
-    /// How many top-transit-degree ASes to consider as clique candidates.
-    pub candidates: usize,
-    /// Require the seed (largest transit degree AS) to be in the clique.
-    pub require_seed: bool,
-}
-
-impl Default for CliqueConfig {
-    fn default() -> Self {
-        CliqueConfig {
-            candidates: 25,
-            require_seed: true,
-        }
-    }
-}
+/// The paper's candidate count: the clique is searched among this many
+/// ASes with the highest transit degree, and it must contain the first.
+pub const CLIQUE_CANDIDATES: usize = 25;
 
 /// Infer the Tier-1 clique. Returns members sorted by ASN.
 ///
 /// Among all maximal cliques of the candidate adjacency graph (restricted
-/// to links actually observed in paths), the one with the largest total
-/// transit degree wins — size alone would favor accidental dense pockets
-/// of mid-size ASes over the true top of the hierarchy.
-pub fn infer_clique(paths: &SanitizedPaths, degrees: &DegreeTable, cfg: &CliqueConfig) -> Vec<Asn> {
-    let candidates = clique_candidates(degrees, cfg);
+/// to links actually observed in paths) that contain the seed, the one
+/// with the largest total transit degree wins — size alone would favor
+/// accidental dense pockets of mid-size ASes over the true top of the
+/// hierarchy.
+pub fn infer_clique(paths: &SanitizedPaths, degrees: &DegreeTable) -> Vec<Asn> {
+    let candidates = clique_candidates(degrees);
     if candidates.is_empty() {
         return Vec::new();
     }
@@ -62,7 +49,7 @@ pub fn infer_clique(paths: &SanitizedPaths, degrees: &DegreeTable, cfg: &CliqueC
         }
     }
 
-    clique_from_adjacency(&candidates, &adj, degrees, cfg)
+    clique_from_adjacency(&candidates, &adj, degrees)
 }
 
 /// [`infer_clique`] over the arena's distinct paths — the S3 stage body.
@@ -70,12 +57,8 @@ pub fn infer_clique(paths: &SanitizedPaths, degrees: &DegreeTable, cfg: &CliqueC
 /// another on some distinct path, so walking each candidate's own
 /// occurrences and looking its next hop up in a dense slot table
 /// recovers the observed adjacency without scanning any other path.
-pub(crate) fn infer_clique_from_arena(
-    arena: &PathArena,
-    degrees: &DegreeTable,
-    cfg: &CliqueConfig,
-) -> Vec<Asn> {
-    let candidates = clique_candidates(degrees, cfg);
+pub(crate) fn infer_clique_from_arena(arena: &PathArena, degrees: &DegreeTable) -> Vec<Asn> {
+    let candidates = clique_candidates(degrees);
     let interner = arena.interner();
     // Candidates as `(candidate index, dense id)`; `slot[id]` is the
     // candidate index + 1, 0 when the id is not a candidate.
@@ -98,31 +81,32 @@ pub(crate) fn infer_clique_from_arena(
             }
         }
     }
-    clique_from_adjacency(&candidates, &adj, degrees, cfg)
+    clique_from_adjacency(&candidates, &adj, degrees)
 }
 
 /// Candidate list shared by [`infer_clique`] and the arena form:
-/// the `cfg.candidates` highest-ranked ASes with nonzero transit degree.
-pub(crate) fn clique_candidates(degrees: &DegreeTable, cfg: &CliqueConfig) -> Vec<Asn> {
+/// the [`CLIQUE_CANDIDATES`] highest-ranked ASes with nonzero transit
+/// degree; the first is the seed.
+pub(crate) fn clique_candidates(degrees: &DegreeTable) -> Vec<Asn> {
     degrees
         .ranked()
         .iter()
         .copied()
         .filter(|&a| degrees.transit_degree(a) > 0)
-        .take(cfg.candidates)
+        .take(CLIQUE_CANDIDATES)
         .collect()
 }
 
 /// The adjacency-independent core of [`infer_clique`]: given the
 /// candidate list and their observed adjacency (however it was built —
 /// a full path scan, or the arena's inverted index), run the
-/// deterministic Bron-Kerbosch search and tie-breaks.
+/// deterministic Bron-Kerbosch search and tie-breaks over the maximal
+/// cliques that contain the seed (candidate 0).
 /// Splitting here keeps both callers byte-identical by construction.
 pub(crate) fn clique_from_adjacency(
     candidates: &[Asn],
     adj: &[HashSet<usize>],
     degrees: &DegreeTable,
-    cfg: &CliqueConfig,
 ) -> Vec<Asn> {
     if candidates.is_empty() {
         return Vec::new();
@@ -144,7 +128,7 @@ pub(crate) fn clique_from_adjacency(
     let p: HashSet<usize> = (0..candidates.len()).collect();
     let x: HashSet<usize> = HashSet::new();
     bron_kerbosch(adj, &mut r, p, x, &mut |clique: &[usize]| {
-        if cfg.require_seed && !clique.contains(&0) {
+        if !clique.contains(&0) {
             return;
         }
         let s = score(clique);
@@ -161,7 +145,7 @@ pub(crate) fn clique_from_adjacency(
 
     // Fall back to the seed alone if nothing qualified (e.g. the seed is
     // isolated among candidates — degenerate but must not return empty).
-    if best.is_empty() && cfg.require_seed {
+    if best.is_empty() {
         best.push(0);
     }
 
@@ -252,34 +236,57 @@ mod tests {
     fn finds_planted_clique() {
         let paths = clique_paths();
         let degrees = DegreeTable::compute(&paths);
-        let clique = infer_clique(&paths, &degrees, &CliqueConfig::default());
+        let clique = infer_clique(&paths, &degrees);
         assert_eq!(clique, vec![Asn(1), Asn(2), Asn(3)]);
     }
 
     #[test]
     fn candidate_cap_respected() {
-        let paths = clique_paths();
+        // A full mesh of 30 transit ASes: every pair (a, b) is adjacent
+        // on a path `x a b y` with fresh endpoints, so each mesh AS has
+        // 58 transit neighbours and the ASN breaks the rank tie. Without
+        // the cap the whole mesh would be one clique.
+        let mesh = 1u32..=30;
+        let mut raw: Vec<Vec<u32>> = Vec::new();
+        for a in mesh.clone() {
+            for b in a + 1..=30 {
+                let k = raw.len() as u32;
+                raw.push(vec![1000 + k, a, b, 2000 + k]);
+            }
+        }
+        let ps: PathSet = raw
+            .iter()
+            .enumerate()
+            .map(|(i, p)| PathSample {
+                vp: Asn(p[0]),
+                prefix: Ipv4Prefix::new((i as u32) << 8, 24).unwrap(),
+                path: AsPath::from_u32s(p.iter().copied()),
+            })
+            .collect();
+        let paths = sanitize(&ps, &SanitizeConfig::default());
         let degrees = DegreeTable::compute(&paths);
-        let cfg = CliqueConfig {
-            candidates: 1,
-            require_seed: true,
-        };
-        let clique = infer_clique(&paths, &degrees, &cfg);
-        assert_eq!(clique.len(), 1, "only the seed fits in one candidate");
+        assert!(mesh.clone().all(|a| degrees.transit_degree(Asn(a)) == 58));
+        assert!(mesh.count() > CLIQUE_CANDIDATES);
+        let clique = infer_clique(&paths, &degrees);
+        let top: Vec<Asn> = (1..=CLIQUE_CANDIDATES as u32).map(Asn).collect();
+        assert_eq!(
+            clique, top,
+            "only the top {CLIQUE_CANDIDATES} are candidates"
+        );
     }
 
     #[test]
     fn empty_input_gives_empty_clique() {
         let paths = SanitizedPaths::default();
         let degrees = DegreeTable::compute(&paths);
-        assert!(infer_clique(&paths, &degrees, &CliqueConfig::default()).is_empty());
+        assert!(infer_clique(&paths, &degrees).is_empty());
     }
 
     #[test]
     fn clique_members_are_pairwise_adjacent_in_paths() {
         let paths = clique_paths();
         let degrees = DegreeTable::compute(&paths);
-        let clique = infer_clique(&paths, &degrees, &CliqueConfig::default());
+        let clique = infer_clique(&paths, &degrees);
         let links: HashSet<AsLink> = paths
             .paths()
             .flat_map(|p| p.windows(2).map(|w| AsLink::new(w[0], w[1])))
@@ -308,7 +315,7 @@ mod tests {
         .collect();
         let paths = sanitize(&ps, &SanitizeConfig::default());
         let degrees = DegreeTable::compute(&paths);
-        let clique = infer_clique(&paths, &degrees, &CliqueConfig::default());
+        let clique = infer_clique(&paths, &degrees);
         assert_eq!(clique, vec![Asn(2)]);
     }
 
@@ -338,11 +345,7 @@ mod tests {
 
         proptest! {
             #[test]
-            fn arena_forms_match_path_forms(
-                raw in raw_paths(),
-                candidates in 1usize..30,
-                require_seed in 0u8..2,
-            ) {
+            fn arena_forms_match_path_forms(raw in raw_paths()) {
                 let ps: PathSet = raw
                     .iter()
                     .enumerate()
@@ -356,13 +359,12 @@ mod tests {
                 let degrees = DegreeTable::compute(&sanitized);
                 let top = degrees.ranked().first().map_or(0, |&a| degrees.transit_degree(a));
                 prop_assert!(top >= 10, "generator missed the high-degree regime: {}", top);
-                let cfg = CliqueConfig { candidates, require_seed: require_seed == 1 };
-                let clique = infer_clique(&sanitized, &degrees, &cfg);
+                let clique = infer_clique(&sanitized, &degrees);
                 for par in [Parallelism::sequential(), Parallelism::threads(4)] {
                     let arena = PathArena::build(&sanitized, par);
                     let arena_degrees = DegreeTable::from_arena(&arena);
                     prop_assert_eq!(&arena_degrees, &degrees);
-                    prop_assert_eq!(infer_clique_from_arena(&arena, &arena_degrees, &cfg), clique.clone());
+                    prop_assert_eq!(infer_clique_from_arena(&arena, &arena_degrees), clique.clone());
                 }
             }
         }

@@ -295,7 +295,6 @@ impl DeltaSession {
                 counters: &self.counters,
                 via: &self.via,
                 totals: &self.totals,
-                cfg: &self.cfg,
             };
             snap.delta_run(&self.prev, self.dirt, &mut provider)?;
         }
@@ -493,7 +492,6 @@ struct SessionProvider<'s> {
     counters: &'s SanitizeReport,
     via: &'s FxHashMap<(Asn, Asn), u32>,
     totals: &'s FxHashMap<Asn, u32>,
-    cfg: &'s InferenceConfig,
 }
 
 impl DeltaProvider for SessionProvider<'_> {
@@ -533,7 +531,6 @@ impl DeltaProvider for SessionProvider<'_> {
             |vp, w| self.via.get(&(vp, w)).copied().unwrap_or(0) as usize,
             |vp| self.totals.get(&vp).copied().unwrap_or(0) as usize,
             degrees,
-            self.cfg,
             &mut state.rels,
             &mut state.report,
         );

@@ -6,30 +6,30 @@
 //! original `pipeline::infer` ran it as one monolithic batch call that
 //! every consumer repeated from scratch. This module splits the pipeline
 //! into declared [`StageSpec`] nodes executed by a [`Snapshot`]: one
-//! dataset, one [`ArtifactStore`] memoizing every stage output under a
-//! config fingerprint, so a second query over the same snapshot pulls
-//! artifacts instead of recomputing them.
+//! dataset and one fixed configuration, with one [`ArtifactStore`] slot
+//! per stage memoizing its output, so a second query over the same
+//! snapshot pulls artifacts instead of recomputing them.
 //!
-//! **Fingerprint rules.** Each stage's cache key is
-//! `fp(stage) = mix(stage name, own config subset, fp(inputs)...)`:
+//! **Fingerprint rules.** The paper's parameters are constants beside
+//! the steps that read them, so a snapshot's configuration is only the
+//! IXP list, the thread budget and the optional per-AS prefix table.
+//! Each stage's fingerprint is
+//! `fp(stage) = mix(stage name, own config subset, fp(inputs)...)`,
+//! computed once per snapshot for the keys of a persistent cache:
 //!
-//! * only the config fields a stage actually reads enter its subset hash
-//!   (S1 hashes the IXP list, S3 the clique parameters, S6 the VP
-//!   threshold + its ablation flag, S7 the flip ratio + its flag, …);
-//! * input fingerprints chain, so editing the S7 ratio invalidates S7
-//!   and everything downstream while S1–S6 artifacts keep their keys —
-//!   incremental recomputation falls out of the keying, with no
-//!   explicit invalidation walk;
+//! * only S1 (the sorted IXP list) and the three cone stages (the
+//!   prefix table, hashed once in sorted order) hash any configuration;
+//!   every other stage's subset hash is 0;
+//! * input fingerprints chain, so a new IXP list moves every key, while
+//!   a new prefix table moves only the cones' keys and every frame
+//!   upstream of them is reused;
 //! * [`Parallelism`] is deliberately **excluded** from every subset:
 //!   results are identical for every thread budget, so a thread-count
-//!   change must (and does) hit the cache;
-//! * the optional per-AS prefix table is snapshot-level environment,
-//!   hashed once (sorted) into the cone stages only.
+//!   change must (and does) hit the cache.
 //!
-//! Ablation switches are stage-level skips: an ablated stage returns its
-//! input relationship state unchanged, and because the flag is part of
-//! the stage's subset hash, toggling it invalidates exactly that stage
-//! and its downstream.
+//! Step variants (leaving S4, S6, S7, S8 or S9 out) are not engine
+//! configuration: the reference pipeline
+//! [`crate::pipeline::infer_monolithic`] takes the step to skip.
 //!
 //! Every stage run is instrumented (wall time, cache hits/misses, item
 //! count, approximate artifact bytes) and exposed as a [`StageReport`]
@@ -45,7 +45,7 @@ use crate::patharena::PathArena;
 use crate::pipeline::{steps, Inference, InferenceConfig, InferenceReport};
 use crate::sanitize::{sanitize_with, SanitizedPaths};
 use asrank_types::prelude::*;
-use asrank_types::{EngineError, FxHashMap, FxHasher};
+use asrank_types::{EngineError, FxHasher};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -339,14 +339,14 @@ static STAGES: &[StageSpec] = &[
         name: "s3_clique",
         inputs: &[PATH_ARENA, S2_DEGREES],
         reads: dirt::STRUCTURE,
-        cfg_fp: fp_clique,
+        cfg_fp: fp_none,
         run: run_clique,
     },
     StageSpec {
         name: "s4_poison",
         inputs: &[PATH_ARENA, S3_CLIQUE],
         reads: dirt::STRUCTURE,
-        cfg_fp: fp_poison,
+        cfg_fp: fp_none,
         run: run_poison,
     },
     StageSpec {
@@ -367,28 +367,28 @@ static STAGES: &[StageSpec] = &[
         name: "s6_vp_providers",
         inputs: &[S5_TOPDOWN, S1_SANITIZE, S2_DEGREES],
         reads: dirt::SAMPLES,
-        cfg_fp: fp_vp,
+        cfg_fp: fp_none,
         run: run_vp_providers,
     },
     StageSpec {
         name: "s7_anomaly_repair",
         inputs: &[S6_VP_PROVIDERS, S2_DEGREES],
         reads: 0,
-        cfg_fp: fp_anomaly,
+        cfg_fp: fp_none,
         run: run_anomaly_repair,
     },
     StageSpec {
         name: "s8_stub_clique",
         inputs: &[S7_ANOMALY_REPAIR, OBSERVED_LINKS, S2_DEGREES, S3_CLIQUE],
         reads: 0,
-        cfg_fp: fp_stub,
+        cfg_fp: fp_none,
         run: run_stub_clique,
     },
     StageSpec {
         name: "s9_providerless",
         inputs: &[S8_STUB_CLIQUE, PATH_ARENA, S4_POISON, S2_DEGREES, S3_CLIQUE],
         reads: dirt::STRUCTURE,
-        cfg_fp: fp_providerless,
+        cfg_fp: fp_none,
         run: run_providerless,
     },
     StageSpec {
@@ -446,57 +446,27 @@ fn fp_sanitize(ctx: &FpCtx) -> u64 {
     h.finish()
 }
 
-fn fp_clique(ctx: &FpCtx) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(ctx.cfg.clique.candidates as u64);
-    h.write_u8(u8::from(ctx.cfg.clique.require_seed));
-    h.finish()
-}
-
-fn fp_poison(ctx: &FpCtx) -> u64 {
-    u64::from(ctx.cfg.ablation.no_poison_filter)
-}
-
-fn fp_vp(ctx: &FpCtx) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(ctx.cfg.vp_provider_threshold.to_bits());
-    h.write_u8(u8::from(ctx.cfg.ablation.no_vp_step));
-    h.finish()
-}
-
-fn fp_anomaly(ctx: &FpCtx) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(ctx.cfg.degree_flip_ratio.to_bits());
-    h.write_u8(u8::from(ctx.cfg.ablation.no_anomaly_repair));
-    h.finish()
-}
-
-fn fp_stub(ctx: &FpCtx) -> u64 {
-    u64::from(ctx.cfg.ablation.no_stub_clique)
-}
-
-fn fp_providerless(ctx: &FpCtx) -> u64 {
-    u64::from(ctx.cfg.ablation.no_providerless)
-}
-
 fn fp_prefixes(ctx: &FpCtx) -> u64 {
     ctx.prefix_fp
 }
 
-/// Chained fingerprint of stage `idx` under a fingerprint context:
-/// `mix(stage name, own config subset, fp(inputs)...)`. This is the one
-/// definition both [`Snapshot`] and [`stage_disk_key`] use, so a key
-/// computed without a dataset is bit-identical to the key the engine
-/// writes under.
-fn fingerprint_with(ctx: &FpCtx, idx: usize) -> u64 {
-    let Some(spec) = STAGES.get(idx) else { return 0 };
-    let mut h = FxHasher::default();
-    h.write(spec.name.as_bytes());
-    h.write_u64((spec.cfg_fp)(ctx));
-    for &j in spec.inputs {
-        h.write_u64(fingerprint_with(ctx, j));
+/// Chained fingerprint of every stage under a fingerprint context, in
+/// [`STAGES`] order: `mix(stage name, own config subset, fp(inputs)...)`.
+/// This is the one definition both [`Snapshot`] and [`stage_disk_key`]
+/// use, so a key computed without a dataset is bit-identical to the key
+/// the engine writes under.
+fn fingerprints(ctx: &FpCtx) -> Vec<u64> {
+    let mut fps: Vec<u64> = Vec::with_capacity(STAGES.len());
+    for spec in STAGES {
+        let mut h = FxHasher::default();
+        h.write(spec.name.as_bytes());
+        h.write_u64((spec.cfg_fp)(ctx));
+        for &j in spec.inputs {
+            h.write_u64(fps[j]);
+        }
+        fps.push(h.finish());
     }
-    h.finish()
+    fps
 }
 
 fn mix_disk_key(content_fp: u64, fp: u64) -> u64 {
@@ -527,7 +497,7 @@ pub fn stage_disk_key(
         cfg,
         prefix_fp: hash_prefixes(prefixes),
     };
-    Some(mix_disk_key(content_fp, fingerprint_with(&ctx, idx)))
+    Some(mix_disk_key(content_fp, fingerprints(&ctx)[idx]))
 }
 
 /// Hash the optional per-AS prefix table in sorted (deterministic) order.
@@ -598,13 +568,11 @@ fn run_degrees(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     Ok(Artifact::Degrees(Arc::new(DegreeTable::from_arena(arena))))
 }
 
-fn run_clique(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+fn run_clique(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let arena = inputs.get::<PathArena>(0)?;
     let degrees = inputs.get::<DegreeTable>(1)?;
     Ok(Artifact::Clique(Arc::new(infer_clique_from_arena(
-        arena,
-        degrees,
-        &env.cfg.clique,
+        arena, degrees,
     ))))
 }
 
@@ -622,18 +590,16 @@ fn clique_mask_for(arena: &PathArena, clique: &[Asn]) -> Vec<bool> {
     mask
 }
 
-fn run_poison(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+fn run_poison(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let arena = inputs.get::<PathArena>(0)?;
     let clique = inputs.get::<Vec<Asn>>(1)?;
     let mut kept = vec![true; arena.len()];
     let mut discarded = 0usize;
-    if !env.cfg.ablation.no_poison_filter {
-        let clique_mask = clique_mask_for(arena, clique);
-        for (p, keep) in kept.iter_mut().enumerate() {
-            if steps::is_poisoned_ids(arena.path(p), &clique_mask) {
-                *keep = false;
-                discarded += 1;
-            }
+    let clique_mask = clique_mask_for(arena, clique);
+    for (p, keep) in kept.iter_mut().enumerate() {
+        if steps::is_poisoned_ids(arena.path(p), &clique_mask) {
+            *keep = false;
+            discarded += 1;
         }
     }
     Ok(Artifact::Kept(Arc::new(KeptPaths { kept, discarded })))
@@ -669,35 +635,25 @@ fn run_topdown(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     Ok(Artifact::Steps(Arc::new(StepState { rels, report })))
 }
 
-fn run_vp_providers(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+fn run_vp_providers(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let prev = inputs.get::<StepState>(0)?;
-    if env.cfg.ablation.no_vp_step {
-        // Stage-level skip: pass the relationship state through.
-        return Ok(Artifact::Steps(Arc::clone(prev)));
-    }
     let sanitized = inputs.get::<SanitizedPaths>(1)?;
     let degrees = inputs.get::<DegreeTable>(2)?;
     let mut state = StepState::clone(prev);
-    steps::infer_vp_providers(sanitized, degrees, &env.cfg, &mut state.rels, &mut state.report);
+    steps::infer_vp_providers(sanitized, degrees, &mut state.rels, &mut state.report);
     Ok(Artifact::Steps(Arc::new(state)))
 }
 
-fn run_anomaly_repair(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+fn run_anomaly_repair(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let prev = inputs.get::<StepState>(0)?;
-    if env.cfg.ablation.no_anomaly_repair {
-        return Ok(Artifact::Steps(Arc::clone(prev)));
-    }
     let degrees = inputs.get::<DegreeTable>(1)?;
     let mut state = StepState::clone(prev);
-    steps::repair_anomalies(degrees, &env.cfg, &mut state.rels, &mut state.report);
+    steps::repair_anomalies(degrees, &mut state.rels, &mut state.report);
     Ok(Artifact::Steps(Arc::new(state)))
 }
 
-fn run_stub_clique(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+fn run_stub_clique(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let prev = inputs.get::<StepState>(0)?;
-    if env.cfg.ablation.no_stub_clique {
-        return Ok(Artifact::Steps(Arc::clone(prev)));
-    }
     let links = inputs.get::<Vec<AsLink>>(1)?;
     let degrees = inputs.get::<DegreeTable>(2)?;
     let clique = inputs.get::<Vec<Asn>>(3)?;
@@ -707,11 +663,8 @@ fn run_stub_clique(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> 
     Ok(Artifact::Steps(Arc::new(state)))
 }
 
-fn run_providerless(env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
+fn run_providerless(_env: &Env, inputs: &Inputs) -> Result<Artifact, EngineError> {
     let prev = inputs.get::<StepState>(0)?;
-    if env.cfg.ablation.no_providerless {
-        return Ok(Artifact::Steps(Arc::clone(prev)));
-    }
     let arena = inputs.get::<PathArena>(1)?;
     let kept = inputs.get::<KeptPaths>(2)?;
     let degrees = inputs.get::<DegreeTable>(3)?;
@@ -789,24 +742,24 @@ fn run_cone_provider_peer(env: &Env, inputs: &Inputs) -> Result<Artifact, Engine
 // ---------------------------------------------------------------------
 // The store.
 
-/// Typed artifact store: stage outputs keyed by `(stage, fingerprint)`,
-/// plus per-stage instrumentation.
-#[derive(Default)]
+/// Typed artifact store: one output slot per stage (a snapshot's
+/// configuration is fixed, so the stage index is the whole key), plus
+/// per-stage instrumentation.
 struct ArtifactStore {
-    slots: FxHashMap<(usize, u64), Artifact>,
+    slots: Vec<Option<Artifact>>,
     stats: Vec<StageStats>,
 }
 
 impl ArtifactStore {
     fn new() -> Self {
         ArtifactStore {
-            slots: FxHashMap::default(),
+            slots: vec![None; STAGES.len()],
             stats: vec![StageStats::default(); STAGES.len()],
         }
     }
 
-    fn lookup(&mut self, idx: usize, fp: u64) -> Option<Artifact> {
-        let found = self.slots.get(&(idx, fp)).cloned();
+    fn lookup(&mut self, idx: usize) -> Option<Artifact> {
+        let found = self.peek(idx);
         if let Some(stat) = self.stats.get_mut(idx) {
             match found {
                 Some(_) => stat.hits += 1,
@@ -819,14 +772,14 @@ impl ArtifactStore {
     /// Fetch without touching the hit/miss counters — the delta loop's
     /// input resolution, which must not distort the cache statistics the
     /// tests and bench reports pin.
-    fn peek(&self, idx: usize, fp: u64) -> Option<Artifact> {
-        self.slots.get(&(idx, fp)).cloned()
+    fn peek(&self, idx: usize) -> Option<Artifact> {
+        self.slots.get(idx).cloned().flatten()
     }
 
-    /// Enter `artifact` as stage `idx`'s output under `fp`, counting how
-    /// it was obtained. Only a run counts as a stage run: a disk hit or
-    /// a delta skip makes the next request an ordinary hit without one.
-    fn record(&mut self, idx: usize, fp: u64, artifact: &Artifact, source: Source) {
+    /// Enter `artifact` as stage `idx`'s output, counting how it was
+    /// obtained. Only a run counts as a stage run: a disk hit or a delta
+    /// skip makes the next request an ordinary hit without one.
+    fn record(&mut self, idx: usize, artifact: &Artifact, source: Source) {
         if let Some(stat) = self.stats.get_mut(idx) {
             match source {
                 Source::Run(wall_ns) => {
@@ -844,7 +797,9 @@ impl ArtifactStore {
             stat.items = artifact.items();
             stat.bytes = artifact.approx_bytes();
         }
-        self.slots.insert((idx, fp), artifact.clone());
+        if let Some(slot) = self.slots.get_mut(idx) {
+            *slot = Some(artifact.clone());
+        }
     }
 }
 
@@ -872,9 +827,10 @@ enum Source {
 /// [`InferenceConfig`] and optional per-AS prefix table, and caches
 /// every stage output in its [`ArtifactStore`]. Repeated queries — the
 /// same accessor twice, or different accessors sharing upstream stages —
-/// reuse artifacts instead of recomputing them; [`Snapshot::set_config`]
-/// keeps the store, so only stages whose fingerprint actually changed
-/// re-run.
+/// reuse artifacts instead of recomputing them. The configuration is
+/// fixed for the snapshot's life; another configuration is another
+/// snapshot, which a persistent cache lets reuse every frame whose key
+/// did not move.
 ///
 /// ```
 /// use asrank_core::engine::Snapshot;
@@ -906,10 +862,14 @@ pub struct Snapshot<'a> {
     /// Optional persistent spill/load tier under a `--cache-dir`.
     cache: Option<crate::persist::CacheDir>,
     /// Content hash of `env.paths`, mixed into every on-disk key (the
-    /// in-memory fingerprints deliberately exclude path content, since
-    /// the store is bound to one dataset; a persistent key is not).
-    /// Computed once when a cache is attached, 0 otherwise.
+    /// stage fingerprints hash configuration only, and a cache directory
+    /// outlives any one dataset). Computed once when a cache is
+    /// attached, 0 otherwise.
     content_fp: u64,
+    /// Every stage's chained fingerprint ([`fingerprints`]), computed
+    /// when the configuration or prefix table is bound; only the on-disk
+    /// keys read them.
+    fps: Vec<u64>,
 }
 
 impl<'a> Snapshot<'a> {
@@ -919,13 +879,15 @@ impl<'a> Snapshot<'a> {
     /// `--cache-dir`), the snapshot spills to and loads from it
     /// automatically.
     pub fn new(paths: &'a PathSet, cfg: InferenceConfig) -> Self {
+        let env = Env {
+            paths,
+            cfg,
+            prefixes: None,
+            prefix_fp: hash_prefixes(None),
+        };
         let snapshot = Snapshot {
-            env: Env {
-                paths,
-                cfg,
-                prefixes: None,
-                prefix_fp: hash_prefixes(None),
-            },
+            fps: fingerprints(&env.fp_ctx()),
+            env,
             store: ArtifactStore::new(),
             cache: None,
             content_fp: 0,
@@ -947,37 +909,22 @@ impl<'a> Snapshot<'a> {
         self
     }
 
-    /// Detach the persistent cache (the CLI's `--no-cache`): the
-    /// snapshot keeps only its in-memory store.
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self.content_fp = 0;
-        self
-    }
-
     /// The attached persistent cache directory, if any.
     pub fn cache_dir(&self) -> Option<&std::path::Path> {
         self.cache.as_ref().map(|c| c.root())
     }
 
     /// Attach a per-AS prefix table (used by the cone stages to weight
-    /// cones by prefixes/addresses). Invalidates only the cone stages.
+    /// cones by prefixes/addresses), before the first materialization:
+    /// the fingerprints are recomputed and the in-memory store cleared.
+    /// Only the cone stages' on-disk keys move, so a cache directory
+    /// warmed under another table still serves every other stage.
     pub fn with_prefixes(mut self, prefixes: HashMap<Asn, Vec<Ipv4Prefix>>) -> Self {
         self.env.prefix_fp = hash_prefixes(Some(&prefixes));
         self.env.prefixes = Some(prefixes);
+        self.fps = fingerprints(&self.env.fp_ctx());
+        self.store = ArtifactStore::new();
         self
-    }
-
-    /// Replace the active configuration, keeping the artifact store:
-    /// only stages whose config subset (or an upstream's) changed will
-    /// re-run on the next materialization.
-    pub fn set_config(&mut self, cfg: InferenceConfig) {
-        self.env.cfg = cfg;
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &InferenceConfig {
-        &self.env.cfg
     }
 
     /// Names of every stage, in DAG (topological) order.
@@ -985,31 +932,25 @@ impl<'a> Snapshot<'a> {
         STAGES.iter().map(|s| s.name).collect()
     }
 
-    /// Chained fingerprint of stage `idx` under the current config.
-    fn fingerprint(&self, idx: usize) -> u64 {
-        fingerprint_with(&self.env.fp_ctx(), idx)
-    }
-
-    /// On-disk key for stage `idx` under fingerprint `fp`: the chained
-    /// config fingerprint extended with the dataset content hash.
-    fn disk_key(&self, fp: u64) -> u64 {
-        mix_disk_key(self.content_fp, fp)
+    /// On-disk key for stage `idx`: its chained config fingerprint
+    /// extended with the dataset content hash.
+    fn disk_key(&self, idx: usize) -> u64 {
+        mix_disk_key(self.content_fp, self.fps[idx])
     }
 
     fn materialize_idx(&mut self, idx: usize) -> Result<Artifact, EngineError> {
         let Some(spec) = STAGES.get(idx) else {
             return Err(EngineError::UnknownStage(format!("#{idx}")));
         };
-        let fp = self.fingerprint(idx);
-        if let Some(found) = self.store.lookup(idx, fp) {
+        if let Some(found) = self.store.lookup(idx) {
             return Ok(found);
         }
         // Spill tier: an in-memory miss may still be answered from the
         // persistent cache — the warm-process path that materializes a
         // stage without touching any of its inputs.
         if let (Some(cache), Some(tag)) = (&self.cache, crate::persist::tag_for_stage(spec.name)) {
-            if let Some(artifact) = cache.load(spec.name, self.disk_key(fp), tag) {
-                self.store.record(idx, fp, &artifact, Source::Disk);
+            if let Some(artifact) = cache.load(spec.name, self.disk_key(idx), tag) {
+                self.store.record(idx, &artifact, Source::Disk);
                 return Ok(artifact);
             }
         }
@@ -1024,17 +965,17 @@ impl<'a> Snapshot<'a> {
         };
         let artifact = (spec.run)(&self.env, &inputs)?;
         let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.keep(idx, fp, &artifact, Source::Run(wall_ns));
+        self.keep(idx, &artifact, Source::Run(wall_ns));
         Ok(artifact)
     }
 
-    /// Enter `artifact` as stage `idx`'s output under `fp` and spill it
-    /// to the attached cache directory — the one write path for every
-    /// stage output not loaded from that directory.
-    fn keep(&mut self, idx: usize, fp: u64, artifact: &Artifact, source: Source) {
-        self.store.record(idx, fp, artifact, source);
+    /// Enter `artifact` as stage `idx`'s output and spill it to the
+    /// attached cache directory — the one write path for every stage
+    /// output not loaded from that directory.
+    fn keep(&mut self, idx: usize, artifact: &Artifact, source: Source) {
+        self.store.record(idx, artifact, source);
         let Some(cache) = &self.cache else { return };
-        let stored = cache.store(STAGES[idx].name, self.disk_key(fp), artifact);
+        let stored = cache.store(STAGES[idx].name, self.disk_key(idx), artifact);
         if let Some(stat) = self.store.stats.get_mut(idx) {
             if stored {
                 stat.disk_stores += 1;
@@ -1145,15 +1086,14 @@ impl<'a> Snapshot<'a> {
         }
         let mut changed = vec![false; STAGES.len()];
         for (idx, spec) in STAGES.iter().enumerate() {
-            let fp = self.fingerprint(idx);
             if spec.reads & aspects == 0 && !spec.inputs.iter().any(|&j| changed[j]) {
-                self.keep(idx, fp, &prev[idx], Source::DeltaSkip);
+                self.keep(idx, &prev[idx], Source::DeltaSkip);
                 continue;
             }
             let started = Instant::now();
             let mut artifacts = Vec::with_capacity(spec.inputs.len());
             for &j in spec.inputs {
-                artifacts.push(self.store.peek(j, self.fingerprint(j)).ok_or_else(|| {
+                artifacts.push(self.store.peek(j).ok_or_else(|| {
                     EngineError::stage_failed(
                         spec.name,
                         format!("delta run found no input #{j} in the store"),
@@ -1166,7 +1106,7 @@ impl<'a> Snapshot<'a> {
             };
             let artifact = match idx {
                 S1_SANITIZE => Artifact::Sanitized(provider.sanitized()),
-                S6_VP_PROVIDERS if !self.env.cfg.ablation.no_vp_step => {
+                S6_VP_PROVIDERS => {
                     Artifact::Steps(provider.vp_providers(inputs.get(0)?, inputs.get(2)?))
                 }
                 _ => (spec.run)(&self.env, &inputs)?,
@@ -1190,7 +1130,7 @@ impl<'a> Snapshot<'a> {
                 }
                 _ => changed[idx] = !artifact_eq(&artifact, &prev[idx]),
             }
-            self.keep(idx, fp, &artifact, Source::DeltaRun(wall_ns));
+            self.keep(idx, &artifact, Source::DeltaRun(wall_ns));
         }
         Ok(())
     }
@@ -1270,22 +1210,8 @@ impl StageReport {
             .map(|&(_, s)| s)
     }
 
-    /// The same report with wall-clock fields zeroed — everything left
-    /// is bit-deterministic across runs, so reports can be compared in
-    /// tests and CI gates.
-    pub fn without_timing(&self) -> StageReport {
-        StageReport {
-            stages: self
-                .stages
-                .iter()
-                .map(|&(n, s)| (n, StageStats { wall_ns: 0, ..s }))
-                .collect(),
-        }
-    }
-
     /// Render as JSON with a fixed stage order and fixed key order:
-    /// deterministic apart from the `wall_ns` values (zero them via
-    /// [`StageReport::without_timing`] for byte-stable output).
+    /// deterministic apart from the `wall_ns` values.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"stages\": [\n");
         for (i, (name, s)) in self.stages.iter().enumerate() {
@@ -1371,7 +1297,7 @@ mod tests {
     fn engine_matches_monolithic_on_fixture() {
         let paths = hierarchy_paths();
         let cfg = InferenceConfig::default();
-        let mono = infer_monolithic(&paths, &cfg);
+        let mono = infer_monolithic(&paths, &cfg, None);
         let mut snap = Snapshot::new(&paths, cfg);
         let inf = snap.inference().unwrap();
         assert_eq!(inf.relationships, mono.relationships);
@@ -1450,7 +1376,11 @@ mod tests {
         let paths = hierarchy_paths();
         let render = |snap: &mut Snapshot| {
             snap.inference().unwrap();
-            snap.stage_report().without_timing().to_json()
+            let mut report = snap.stage_report();
+            for (_, stats) in &mut report.stages {
+                stats.wall_ns = 0;
+            }
+            report.to_json()
         };
         let a = render(&mut Snapshot::new(&paths, InferenceConfig::default()));
         let b = render(&mut Snapshot::new(&paths, InferenceConfig::default()));
@@ -1463,13 +1393,13 @@ mod tests {
     fn prefix_table_invalidates_only_cones() {
         let paths = hierarchy_paths();
         let mut snap = Snapshot::new(&paths, InferenceConfig::default());
-        let no_table = snap.fingerprint(CONE_RECURSIVE);
-        let inf_fp = snap.fingerprint(S11_INFERENCE);
+        let no_table = snap.fps[CONE_RECURSIVE];
+        let inf_fp = snap.fps[S11_INFERENCE];
         let mut table: HashMap<Asn, Vec<Ipv4Prefix>> = HashMap::new();
         table.insert(Asn(100), vec![Ipv4Prefix::new(0x0a000000, 8).unwrap()]);
         snap = Snapshot::new(&paths, InferenceConfig::default()).with_prefixes(table);
-        assert_ne!(no_table, snap.fingerprint(CONE_RECURSIVE));
-        assert_eq!(inf_fp, snap.fingerprint(S11_INFERENCE));
+        assert_ne!(no_table, snap.fps[CONE_RECURSIVE]);
+        assert_eq!(inf_fp, snap.fps[S11_INFERENCE]);
     }
 
     #[test]
@@ -1510,20 +1440,5 @@ mod tests {
             stage_disk_key("s1_sanitize", &cfg, None, content_fp ^ 1)
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn ablation_skips_are_pass_through_stages() {
-        let paths = hierarchy_paths();
-        let mut cfg = InferenceConfig::default();
-        cfg.ablation.no_stub_clique = true;
-        cfg.ablation.no_providerless = true;
-        let mono = infer_monolithic(&paths, &cfg);
-        let mut snap = Snapshot::new(&paths, cfg);
-        let inf = snap.inference().unwrap();
-        assert_eq!(inf.relationships, mono.relationships);
-        assert_eq!(inf.report, mono.report);
-        assert_eq!(inf.report.c2p_stub_clique, 0);
-        assert_eq!(inf.report.c2p_providerless, 0);
     }
 }

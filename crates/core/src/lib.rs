@@ -55,7 +55,7 @@ pub mod valley;
 pub mod visibility;
 
 pub use centrality::{transit_centrality, Centrality};
-pub use clique::{infer_clique, CliqueConfig};
+pub use clique::infer_clique;
 pub use cone::{ConeSize, CustomerCones};
 pub use csr::{Adjacency, Csr};
 pub use degree::DegreeTable;
@@ -71,7 +71,9 @@ pub use persist::{
 pub use persist::view::{
     pathset_fingerprint_from_frame, ConeLayout, ConeView, InferenceLayout, InferenceView,
 };
-pub use pipeline::{infer, infer_monolithic, try_infer, Inference, InferenceConfig, InferenceReport};
+pub use pipeline::{
+    infer, infer_monolithic, try_infer, Inference, InferenceConfig, InferenceReport, Step,
+};
 pub use rank::{rank_ases, RankedAs};
 pub use sanitize::{sanitize, SanitizeConfig, SanitizeReport, SanitizedPaths};
 pub use stability::{jackknife, LinkStability, StabilityReport};

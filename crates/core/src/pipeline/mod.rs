@@ -7,69 +7,27 @@
 
 pub mod steps;
 
-use crate::clique::{infer_clique, CliqueConfig};
+use crate::clique::infer_clique;
 use crate::degree::DegreeTable;
 use crate::sanitize::{sanitize_with, SanitizeConfig, SanitizeReport};
 use asrank_types::prelude::*;
 use asrank_types::EngineError;
 use std::collections::HashSet;
 
-/// Pipeline configuration. `Default` matches the paper's published
-/// parameters where known and conservative values elsewhere.
-#[derive(Debug, Clone)]
+/// Pipeline configuration: the inputs a deployment chooses. The
+/// paper's own parameters are constants beside the steps that read them
+/// ([`crate::clique::CLIQUE_CANDIDATES`], [`steps::VP_PROVIDER_SHARE`],
+/// [`steps::DEGREE_FLIP_RATIO`]).
+#[derive(Debug, Clone, Default)]
 pub struct InferenceConfig {
     /// S1: sanitization (IXP ASN list).
     pub sanitize: SanitizeConfig,
-    /// S3: clique inference parameters.
-    pub clique: CliqueConfig,
-    /// S6: minimum share of a VP's distinct prefixes that must arrive via
-    /// a first-hop neighbor before the neighbor is inferred to be the
-    /// VP's provider.
-    pub vp_provider_threshold: f64,
-    /// S7: a c2p inference is demoted to p2p when the customer's transit
-    /// degree exceeds the provider's by this factor.
-    pub degree_flip_ratio: f64,
-    /// Ablation switches: disable individual steps to measure their
-    /// contribution (all `false` = full pipeline).
-    pub ablation: Ablation,
-    /// Thread budget for the fan-out stages (S1 sanitize, S6 evidence
-    /// collection). The default (`auto`) uses all available cores;
+    /// Thread budget for the fan-out stages (S1 sanitize, the path
+    /// arena, the observed cones). The default (`auto`) uses all available cores;
     /// [`Parallelism::sequential`] runs single-threaded. Results are
     /// identical for every value.
     // lint: allow(fp-excluded, thread budget only — outputs are bit-identical for every value, so it must not invalidate cached artifacts)
     pub parallelism: Parallelism,
-}
-
-/// Per-step ablation switches (used by the E12 ablation experiment).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ablation {
-    /// Skip S4 (poisoned-path discard).
-    pub no_poison_filter: bool,
-    /// Skip S6 (VP-side provider inference).
-    pub no_vp_step: bool,
-    /// Skip S7 (degree-anomaly repair).
-    pub no_anomaly_repair: bool,
-    /// Skip S8 (stub-to-clique links).
-    pub no_stub_clique: bool,
-    /// Skip S9 (providers for provider-less transit ASes).
-    pub no_providerless: bool,
-}
-
-impl Default for InferenceConfig {
-    fn default() -> Self {
-        InferenceConfig {
-            sanitize: SanitizeConfig::default(),
-            clique: CliqueConfig::default(),
-            // The paper's published parameters: a first-hop neighbor must
-            // carry ≥ 35% of a VP's prefixes to be inferred its provider
-            // (S6), and a customer whose transit degree exceeds its
-            // provider's 10× triggers the S7 demotion.
-            vp_provider_threshold: 0.35,
-            degree_flip_ratio: 10.0,
-            ablation: Ablation::default(),
-            parallelism: Parallelism::default(),
-        }
-    }
 }
 
 impl InferenceConfig {
@@ -80,6 +38,24 @@ impl InferenceConfig {
             ..Default::default()
         }
     }
+}
+
+/// A step the reference pipeline can leave out ([`infer_monolithic`]),
+/// so experiments measure what each one contributes. The others are not
+/// optional: S1–S3 feed every step, S5 is the core inference, S10 and S11
+/// complete and audit the map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// S4: the poisoned-path discard.
+    PoisonFilter,
+    /// S6: VP-side provider inference.
+    VpProviders,
+    /// S7: the degree-anomaly repair.
+    AnomalyRepair,
+    /// S8: stub-to-clique links.
+    StubClique,
+    /// S9: providers for provider-less transit ASes.
+    Providerless,
 }
 
 /// Per-step accounting of the pipeline run.
@@ -165,9 +141,13 @@ pub fn try_infer(paths: &PathSet, cfg: &InferenceConfig) -> Result<Inference, En
 /// bit-identical against (see `tests/engine_equivalence.rs`). It builds
 /// no path arena: S4–S11 run the path-slice step definitions in
 /// [`steps`] over the sorted distinct paths, so the oracle shares no
-/// S4/S5/S8/S9/S10 code with the engine. Prefer [`infer`] — it memoizes
-/// through the engine — for everything except equivalence oracles.
-pub fn infer_monolithic(paths: &PathSet, cfg: &InferenceConfig) -> Inference {
+/// S4/S5/S8/S9/S10 code with the engine. `skip` leaves one [`Step`]
+/// out, which is how the step-ablation experiment measures each step;
+/// with `None` the output is the engine's. Prefer [`infer`] — it
+/// memoizes through the engine — for everything except equivalence
+/// oracles and step variants.
+pub fn infer_monolithic(paths: &PathSet, cfg: &InferenceConfig, skip: Option<Step>) -> Inference {
+    let runs = |step: Step| skip != Some(step);
     // S1: sanitize.
     let sanitized = sanitize_with(paths, &cfg.sanitize, cfg.parallelism);
     let mut report = InferenceReport {
@@ -179,7 +159,7 @@ pub fn infer_monolithic(paths: &PathSet, cfg: &InferenceConfig) -> Inference {
     let degrees = DegreeTable::compute(&sanitized);
 
     // S3: clique.
-    let clique = infer_clique(&sanitized, &degrees, &cfg.clique);
+    let clique = infer_clique(&sanitized, &degrees);
     let clique_set: HashSet<Asn> = clique.iter().copied().collect();
 
     // Distinct paths in ASN-lexicographic order: multiplicity (one
@@ -190,10 +170,10 @@ pub fn infer_monolithic(paths: &PathSet, cfg: &InferenceConfig) -> Inference {
     distinct.dedup();
 
     // S4: discard poisoned paths.
-    let kept = if cfg.ablation.no_poison_filter {
-        distinct
-    } else {
+    let kept = if runs(Step::PoisonFilter) {
         steps::discard_poisoned(distinct, &clique_set, &mut report)
+    } else {
+        distinct
     };
 
     // Clique links are p2p by construction.
@@ -204,18 +184,18 @@ pub fn infer_monolithic(paths: &PathSet, cfg: &InferenceConfig) -> Inference {
         }
     }
 
-    // S5–S10, each honouring its ablation switch.
+    // S5–S10, less the skipped step.
     steps::infer_topdown(&kept, &degrees, &clique_set, &mut rels, &mut report);
-    if !cfg.ablation.no_vp_step {
-        steps::infer_vp_providers(&sanitized, &degrees, cfg, &mut rels, &mut report);
+    if runs(Step::VpProviders) {
+        steps::infer_vp_providers(&sanitized, &degrees, &mut rels, &mut report);
     }
-    if !cfg.ablation.no_anomaly_repair {
-        steps::repair_anomalies(&degrees, cfg, &mut rels, &mut report);
+    if runs(Step::AnomalyRepair) {
+        steps::repair_anomalies(&degrees, &mut rels, &mut report);
     }
-    if !cfg.ablation.no_stub_clique {
+    if runs(Step::StubClique) {
         steps::infer_stub_clique(&kept, &degrees, &clique_set, &mut rels, &mut report);
     }
-    if !cfg.ablation.no_providerless {
+    if runs(Step::Providerless) {
         steps::infer_providerless(&kept, &degrees, &clique_set, &mut rels, &mut report);
     }
     steps::assign_remaining_p2p(&kept, &mut rels, &mut report);

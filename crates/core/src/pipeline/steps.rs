@@ -11,7 +11,7 @@
 //! occurrence index and the observed link list S8/S10 both need are
 //! read from the arena built exactly once.
 
-use super::{InferenceConfig, InferenceReport};
+use super::InferenceReport;
 use crate::degree::DegreeTable;
 use crate::patharena::PathArena;
 use crate::sanitize::SanitizedPaths;
@@ -217,15 +217,18 @@ pub(crate) fn infer_topdown_arena(
     }
 }
 
+/// The paper's S6 share: a first-hop neighbor must deliver at least
+/// this fraction of a VP's distinct prefixes to be inferred its provider.
+pub const VP_PROVIDER_SHARE: f64 = 0.35;
+
 /// S6 — a vantage point's own links are rarely seen in descent (no other
 /// path routes *through* a stub VP), so classify them from feed shares:
-/// a first-hop neighbor delivering at least `vp_provider_threshold` of
+/// a first-hop neighbor delivering at least [`VP_PROVIDER_SHARE`] of
 /// the VP's distinct prefixes is inferred to be its provider — a peer
 /// would only deliver its own customer cone.
 pub fn infer_vp_providers(
     sanitized: &SanitizedPaths,
     degrees: &DegreeTable,
-    cfg: &InferenceConfig,
     rels: &mut RelationshipMap,
     report: &mut InferenceReport,
 ) {
@@ -281,7 +284,6 @@ pub fn infer_vp_providers(
         },
         |vp| totals.get(&vp.0).copied().unwrap_or(0),
         degrees,
-        cfg,
         rels,
         report,
     );
@@ -300,11 +302,9 @@ pub(crate) fn classify_vp_providers(
     via_count: impl Fn(Asn, Asn) -> usize,
     total_count: impl Fn(Asn) -> usize,
     degrees: &DegreeTable,
-    cfg: &InferenceConfig,
     rels: &mut RelationshipMap,
     report: &mut InferenceReport,
 ) {
-    let threshold = cfg.vp_provider_threshold;
     for &(vp, w) in candidates {
         if rels.get(vp, w).is_some() {
             continue;
@@ -314,29 +314,32 @@ pub(crate) fn classify_vp_providers(
             continue;
         }
         let share = via_count(vp, w) as f64 / total as f64;
-        if share >= threshold && degrees.transit_degree(w) >= degrees.transit_degree(vp) {
+        if share >= VP_PROVIDER_SHARE && degrees.transit_degree(w) >= degrees.transit_degree(vp) {
             rels.insert_c2p(vp, w);
             report.c2p_from_vps += 1;
         }
     }
 }
 
+/// The paper's S7 ratio: a c2p inference is demoted to p2p when the
+/// customer's transit degree exceeds the provider's by this factor.
+pub const DEGREE_FLIP_RATIO: f64 = 10.0;
+
 /// S7 — demote c2p inferences whose customer dwarfs the provider: a
-/// "customer" with 10× the provider's transit degree is overwhelmingly
-/// more likely a peer observed at a path peak than an actual customer.
+/// "customer" with [`DEGREE_FLIP_RATIO`] times the provider's transit
+/// degree is overwhelmingly more likely a peer observed at a path peak
+/// than an actual customer.
 pub fn repair_anomalies(
     degrees: &DegreeTable,
-    cfg: &InferenceConfig,
     rels: &mut RelationshipMap,
     report: &mut InferenceReport,
 ) {
-    let ratio = cfg.degree_flip_ratio;
     let offenders: Vec<(Asn, Asn)> = rels
         .c2p_pairs()
         .filter(|&(c, p)| {
             let tc = degrees.transit_degree(c);
             let tp = degrees.transit_degree(p);
-            tp > 0 && tc as f64 > ratio * tp as f64 && tc >= 10
+            tp > 0 && tc as f64 > DEGREE_FLIP_RATIO * tp as f64 && tc >= 10
         })
         .collect();
     for (c, p) in offenders {
@@ -770,8 +773,7 @@ mod tests {
         let mut rels = RelationshipMap::new();
         rels.insert_c2p(Asn(5), Asn(7)); // giant customer of a minnow
         let mut report = InferenceReport::default();
-        let cfg = InferenceConfig::default();
-        repair_anomalies(&degrees, &cfg, &mut rels, &mut report);
+        repair_anomalies(&degrees, &mut rels, &mut report);
         assert!(rels.is_p2p(Asn(5), Asn(7)));
         assert_eq!(report.repaired_anomalies, 1);
     }
@@ -831,8 +833,7 @@ mod tests {
         let degrees = DegreeTable::compute(&sanitized);
         let mut rels = RelationshipMap::new();
         let mut report = InferenceReport::default();
-        let cfg = InferenceConfig::default();
-        infer_vp_providers(&sanitized, &degrees, &cfg, &mut rels, &mut report);
+        infer_vp_providers(&sanitized, &degrees, &mut rels, &mut report);
         assert!(rels.is_c2p(Asn(100), Asn(5)), "80% share ⇒ provider");
         assert_eq!(rels.get(Asn(100), Asn(6)), None, "20% share ⇒ unknown");
         assert_eq!(report.c2p_from_vps, 1);
@@ -1037,7 +1038,6 @@ mod tests {
         fn two_sorts(
             sanitized: &SanitizedPaths,
             degrees: &DegreeTable,
-            cfg: &InferenceConfig,
             rels: &mut RelationshipMap,
             report: &mut InferenceReport,
             sides: &mut [usize; 2],
@@ -1067,14 +1067,13 @@ mod tests {
             }
             for (vp, w) in &candidates {
                 let share = via[&(*vp, *w)] as f64 / totals[vp] as f64;
-                sides[usize::from(share >= cfg.vp_provider_threshold)] += 1;
+                sides[usize::from(share >= VP_PROVIDER_SHARE)] += 1;
             }
             classify_vp_providers(
                 &candidates,
                 |vp, w| via[&(vp, w)],
                 |vp| totals.get(&vp).copied().unwrap_or(0),
                 degrees,
-                cfg,
                 rels,
                 report,
             );
@@ -1183,11 +1182,9 @@ mod tests {
                     seeded.insert_p2p(Asn(100), Asn(1 + d.below(6) as u32));
                 }
                 let (mut rels_want, mut report_want) = (seeded.clone(), InferenceReport::default());
-                let base = InferenceConfig::default();
                 two_sorts(
                     &sanitized,
                     &degrees,
-                    &base,
                     &mut rels_want,
                     &mut report_want,
                     &mut sides,
@@ -1195,16 +1192,10 @@ mod tests {
                 inferred += report_want.c2p_from_vps;
                 for (order, samples) in ["drawn", "shuffled", "prefix-major"].iter().zip(&orders) {
                     let sanitized = sanitized_of(samples);
-                    for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-                        let cfg = InferenceConfig {
-                            parallelism: par,
-                            ..base.clone()
-                        };
-                        let (mut rels, mut report) = (seeded.clone(), InferenceReport::default());
-                        infer_vp_providers(&sanitized, &degrees, &cfg, &mut rels, &mut report);
-                        assert_eq!(rels, rels_want, "case {case}, {order} order, at {par}");
-                        assert_eq!(report, report_want, "case {case}, {order} order, at {par}");
-                    }
+                    let (mut rels, mut report) = (seeded.clone(), InferenceReport::default());
+                    infer_vp_providers(&sanitized, &degrees, &mut rels, &mut report);
+                    assert_eq!(rels, rels_want, "case {case}, {order} order");
+                    assert_eq!(report, report_want, "case {case}, {order} order");
                 }
             }
             assert!(

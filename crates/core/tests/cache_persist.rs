@@ -9,8 +9,9 @@ use asrank_core::persist::kind;
 use asrank_core::pipeline::InferenceConfig;
 use asrank_core::{decode_artifact, encode_artifact, pathset_fingerprint};
 use asrank_types::codec::Encoder;
-use asrank_types::{Asn, AsPath, Parallelism, PathSample, PathSet};
+use asrank_types::{AsPath, Asn, Ipv4Prefix, Parallelism, PathSample, PathSet};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 fn path_set(paths: Vec<Vec<u32>>) -> PathSet {
@@ -151,7 +152,7 @@ fn corrupted_cache_entry_recomputes_and_rewrites() {
     let mut warm = Snapshot::new(&ps, cfg.clone()).with_cache_dir(&dir);
     for name in Snapshot::stage_names() {
         let got = encode_artifact(&warm.materialize(name).unwrap());
-        let mut reference = Snapshot::new(&ps, cfg.clone()).without_cache();
+        let mut reference = Snapshot::new(&ps, cfg.clone());
         let want = encode_artifact(&reference.materialize(name).unwrap());
         assert_eq!(got, want, "stage {name} corrupted by damaged cache");
     }
@@ -206,7 +207,7 @@ fn truncated_and_version_skewed_entries_fall_back() {
     let mut warm = Snapshot::new(&ps, cfg.clone()).with_cache_dir(&dir);
     for name in Snapshot::stage_names() {
         let got = encode_artifact(&warm.materialize(name).unwrap());
-        let mut reference = Snapshot::new(&ps, cfg.clone()).without_cache();
+        let mut reference = Snapshot::new(&ps, cfg.clone());
         let want = encode_artifact(&reference.materialize(name).unwrap());
         assert_eq!(got, want, "stage {name} diverged after cache damage");
     }
@@ -232,6 +233,63 @@ fn different_configs_do_not_share_entries() {
     let t = totals(&b.stage_report());
     assert_eq!(t.disk_hits, 0, "config change must invalidate keys");
     assert!(t.disk_stores > 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Chained invalidation on the one input below the IXP list that moves
+/// keys: the prefix table. A cache warmed under one table serves a fresh
+/// snapshot under another without running any stage from S1 to S11 or
+/// the arena — each is a disk hit or never requested — and each cone
+/// runs exactly once.
+#[test]
+fn new_prefix_table_reruns_only_the_cones() {
+    let ps = fixture();
+    let dir = tmp_cache("prefix_table");
+    let cfg = InferenceConfig::default();
+    let table = |len: u8| -> HashMap<Asn, Vec<Ipv4Prefix>> {
+        [10u32, 11, 12, 20, 21, 22, 23]
+            .into_iter()
+            .map(|a| (Asn(a), vec![Ipv4Prefix::new(a << 24, len).unwrap()]))
+            .collect()
+    };
+
+    let mut cold = Snapshot::new(&ps, cfg.clone())
+        .with_cache_dir(&dir)
+        .with_prefixes(table(8));
+    for name in Snapshot::stage_names() {
+        cold.materialize(name).unwrap();
+    }
+    let cold_cones = cold.cones().unwrap();
+
+    let mut warm = Snapshot::new(&ps, cfg)
+        .with_cache_dir(&dir)
+        .with_prefixes(table(16));
+    let warm_cones = warm.cones().unwrap();
+    let report = warm.stage_report();
+    for name in Snapshot::stage_names() {
+        let stats = report.get(name).unwrap();
+        if name.starts_with("cone_") {
+            assert_eq!((stats.runs, stats.disk_hits), (1, 0), "stage {name}");
+        } else {
+            assert_eq!(stats.runs, 0, "stage {name} ran under a new prefix table");
+            assert!(stats.disk_hits <= 1, "stage {name}");
+        }
+    }
+    for name in ["s11_inference", "path_arena"] {
+        assert_eq!(
+            report.get(name).unwrap().disk_hits,
+            1,
+            "stage {name} missed"
+        );
+    }
+    // The new table reached the cones: the same ASes, fewer addresses.
+    let recursive = (&cold_cones.0, &warm_cones.0);
+    assert_eq!(recursive.0.len(), recursive.1.len());
+    assert_ne!(
+        recursive.0.size(Asn(10)).addresses,
+        recursive.1.size(Asn(10)).addresses
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

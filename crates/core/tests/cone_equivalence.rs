@@ -245,9 +245,7 @@ fn observed_cones_match_definitions_across_merge_blocks() {
     );
     let cfg = InferenceConfig::with_ixps(topo.ixps.iter().map(|i| i.route_server));
     let prefixes = topo.ground_truth.prefixes.clone();
-    let mut snapshot = Snapshot::new(&sim.paths, cfg)
-        .without_cache()
-        .with_prefixes(prefixes.clone());
+    let mut snapshot = Snapshot::new(&sim.paths, cfg).with_prefixes(prefixes.clone());
     let arena = snapshot.arena().expect("arena");
     assert!(
         arena.num_ases() >= 2048,

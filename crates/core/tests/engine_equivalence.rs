@@ -1,20 +1,22 @@
-//! Property and invalidation tests for the staged engine:
+//! Property and cache-behavior tests for the staged engine and the
+//! reference pipeline it is pinned to:
 //!
 //! * on random path sets, `Snapshot::inference()` must be bit-identical
 //!   to `infer_monolithic` — at `Parallelism::sequential()` and
-//!   `Parallelism::threads(4)`, and under every ablation switch. The
-//!   engine's S2 and S3 read the path arena while the monolithic
-//!   pipeline runs `DegreeTable::compute` / `infer_clique` over the
-//!   sanitized samples, so the degree table and clique are compared too;
-//! * changing an S7-only knob (`degree_flip_ratio`) must invalidate
-//!   exactly S7-and-downstream: S1–S6, the arena, and the observed-link
-//!   list keep their single run and are served as cache hits;
+//!   `Parallelism::threads(4)`. The engine's S2 and S3 read the path
+//!   arena while the monolithic pipeline runs `DegreeTable::compute` /
+//!   `infer_clique` over the sanitized samples, so the degree table and
+//!   clique are compared too;
+//! * a step the reference pipeline skips reports a zero counter, and
+//!   every step before it in paper order reports what the full run
+//!   reports — on random path sets, and on a fixed set where every
+//!   skippable step has work to do;
 //! * a second command over the same snapshot (the `rank`-after-`infer`
 //!   shape) recomputes nothing upstream — zero redundant sanitize /
 //!   arena / degree work, pinned via the cache counters.
 
 use asrank_core::engine::Snapshot;
-use asrank_core::pipeline::{infer_monolithic, InferenceConfig};
+use asrank_core::pipeline::{infer_monolithic, InferenceConfig, InferenceReport, Step};
 use asrank_types::prelude::*;
 use proptest::prelude::*;
 
@@ -40,13 +42,75 @@ fn path_set(paths: &[Vec<u32>]) -> PathSet {
 /// Assert the engine and the monolithic pipeline produce bit-identical
 /// inferences for one config.
 fn assert_engine_matches(ps: &PathSet, cfg: &InferenceConfig) {
-    let mono = infer_monolithic(ps, cfg);
+    let mono = infer_monolithic(ps, cfg, None);
     let mut snap = Snapshot::new(ps, cfg.clone());
     let inf = snap.inference().expect("engine inference");
     assert_eq!(inf.relationships, mono.relationships, "relationships differ");
     assert_eq!(inf.degrees, mono.degrees, "degree table differs");
     assert_eq!(inf.clique, mono.clique, "clique differs");
     assert_eq!(inf.report, mono.report, "report differs");
+}
+
+/// The S4–S9 counters in paper order: S4 discards, S5's inferences and
+/// conflicts, then S6, S7, S8 and S9.
+fn paper_order_counters(r: &InferenceReport) -> [usize; 7] {
+    [
+        r.discarded_poisoned,
+        r.c2p_from_topdown,
+        r.conflicts,
+        r.c2p_from_vps,
+        r.repaired_anomalies,
+        r.c2p_stub_clique,
+        r.c2p_providerless,
+    ]
+}
+
+/// Every skippable step, in paper order.
+const STEPS: [Step; 5] = [
+    Step::PoisonFilter,
+    Step::VpProviders,
+    Step::AnomalyRepair,
+    Step::StubClique,
+    Step::Providerless,
+];
+
+/// The position of a skippable step's own counter in
+/// [`paper_order_counters`].
+fn counter_of(step: Step) -> usize {
+    match step {
+        Step::PoisonFilter => 0,
+        Step::VpProviders => 3,
+        Step::AnomalyRepair => 4,
+        Step::StubClique => 5,
+        Step::Providerless => 6,
+    }
+}
+
+/// Run the reference pipeline in full and with each step skipped. A
+/// skipped step's counter is 0, and S1–S3 and every counter before it
+/// in paper order equal the full run's. Returns the full run's counters.
+fn assert_skips_are_exact(ps: &PathSet) -> [usize; 7] {
+    let cfg = InferenceConfig::default();
+    let full = infer_monolithic(ps, &cfg, None);
+    let want = paper_order_counters(&full.report);
+    for step in STEPS {
+        let at = counter_of(step);
+        let skipped = infer_monolithic(ps, &cfg, Some(step));
+        let got = paper_order_counters(&skipped.report);
+        assert_eq!(got[at], 0, "{step:?} skipped but counted");
+        assert_eq!(
+            got[..at],
+            want[..at],
+            "{step:?} skipped: an earlier step changed"
+        );
+        assert_eq!(
+            skipped.report.sanitize, full.report.sanitize,
+            "{step:?}: S1 changed"
+        );
+        assert_eq!(skipped.degrees, full.degrees, "{step:?}: S2 changed");
+        assert_eq!(skipped.clique, full.clique, "{step:?}: S3 changed");
+    }
+    want
 }
 
 proptest! {
@@ -61,19 +125,38 @@ proptest! {
     }
 
     #[test]
-    fn engine_matches_monolithic_under_ablations(paths in paths_strategy()) {
-        let ps = path_set(&paths);
-        for flag in 0..5usize {
-            let mut cfg = InferenceConfig::default();
-            match flag {
-                0 => cfg.ablation.no_poison_filter = true,
-                1 => cfg.ablation.no_vp_step = true,
-                2 => cfg.ablation.no_anomaly_repair = true,
-                3 => cfg.ablation.no_stub_clique = true,
-                _ => cfg.ablation.no_providerless = true,
-            }
-            assert_engine_matches(&ps, &cfg);
-        }
+    fn skipped_step_counts_zero_and_earlier_steps_match(paths in paths_strategy()) {
+        assert_skips_are_exact(&path_set(&paths));
+    }
+}
+
+/// The same check on four paths plus a ten-path fan through AS 3 (a
+/// transit degree ≥ 10, which S7 needs), found by search so that every
+/// counter of [`paper_order_counters`] is nonzero: each skippable step
+/// has work to do, and skipping it must change the map.
+#[test]
+fn every_skip_is_exact_where_every_step_does_work() {
+    let mut raw: Vec<Vec<u32>> = vec![
+        vec![7, 10, 8, 3],
+        vec![1, 10, 2, 6, 5],
+        vec![10, 1, 11, 3, 7],
+        vec![8, 7, 9, 5, 1],
+    ];
+    raw.extend((0..10).map(|i| vec![100 + i, 3, 200 + i]));
+    let ps = path_set(&raw);
+    let counters = assert_skips_are_exact(&ps);
+    assert!(
+        counters.iter().all(|&c| c > 0),
+        "a step does no work: {counters:?}"
+    );
+    let cfg = InferenceConfig::default();
+    let full = infer_monolithic(&ps, &cfg, None);
+    for step in STEPS {
+        let skipped = infer_monolithic(&ps, &cfg, Some(step));
+        assert_ne!(
+            skipped.relationships, full.relationships,
+            "{step:?} skip changed nothing"
+        );
     }
 }
 
@@ -91,59 +174,6 @@ fn fixture() -> PathSet {
         &[21, 11, 3, 1, 10, 23],
     ];
     path_set(&raw.iter().map(|p| p.to_vec()).collect::<Vec<_>>())
-}
-
-/// Upstream stages that are looked up (and must hit) while re-running
-/// S7-and-downstream: every direct input of a re-run stage.
-const UPSTREAM_HIT_ON_S7_CHANGE: &[&str] = &[
-    "s1_sanitize",
-    "path_arena",
-    "s2_degrees",
-    "s3_clique",
-    "s4_poison",
-    "observed_links",
-    "s6_vp_providers",
-];
-
-const S7_AND_DOWNSTREAM: &[&str] = &[
-    "s7_anomaly_repair",
-    "s8_stub_clique",
-    "s9_providerless",
-    "s10_p2p",
-    "s11_inference",
-];
-
-#[test]
-fn s7_config_change_invalidates_only_s7_and_downstream() {
-    let ps = fixture();
-    let mut snap = Snapshot::new(&ps, InferenceConfig::default());
-    snap.inference().expect("cold inference");
-    let before = snap.stage_report();
-
-    let mut changed = InferenceConfig::default();
-    changed.degree_flip_ratio = 25.0;
-    snap.set_config(changed);
-    snap.inference().expect("warm inference after S7 knob change");
-    let after = snap.stage_report();
-
-    for name in UPSTREAM_HIT_ON_S7_CHANGE {
-        let (b, a) = (before.get(name).unwrap(), after.get(name).unwrap());
-        assert_eq!(a.runs, b.runs, "{name} recomputed after an S7-only change");
-        assert_eq!(a.misses, b.misses, "{name} took a cache miss");
-        assert!(a.hits > b.hits, "{name} was never served from cache");
-    }
-    // S5 sits behind the cache-hit S6, so the warm run never even looks
-    // it up — strictly less work than a hit.
-    let (b, a) = (
-        before.get("s5_topdown").unwrap(),
-        after.get("s5_topdown").unwrap(),
-    );
-    assert_eq!(a.runs, b.runs, "s5_topdown recomputed after an S7-only change");
-    assert_eq!(a.misses, b.misses);
-    for name in S7_AND_DOWNSTREAM {
-        let (b, a) = (before.get(name).unwrap(), after.get(name).unwrap());
-        assert_eq!(a.runs, b.runs + 1, "{name} should re-run exactly once");
-    }
 }
 
 #[test]

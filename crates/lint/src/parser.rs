@@ -697,7 +697,10 @@ fn after() {}
     #[test]
     fn base_type_ident_strips_refs_and_paths() {
         assert_eq!(base_type_ident("&'c InferenceConfig"), "InferenceConfig");
-        assert_eq!(base_type_ident("crate::clique::CliqueConfig"), "CliqueConfig");
+        assert_eq!(
+            base_type_ident("crate::sanitize::SanitizeConfig"),
+            "SanitizeConfig"
+        );
         assert_eq!(base_type_ident("HashSet<Asn>"), "HashSet");
         assert_eq!(base_type_ident("f64"), "f64");
         assert_eq!(base_type_ident("&mut Vec<u8>"), "Vec");

@@ -129,11 +129,7 @@ fn stale_config_misses_cleanly() {
     let root = scratch("cfgmiss");
     let ps = sample_paths();
     let mut spec = warm_cache(&root, b"cfg-rib-bytes-v1", &ps);
-    spec.cfg = {
-        let mut cfg = InferenceConfig::default();
-        cfg.vp_provider_threshold *= 2.0;
-        cfg
-    };
+    spec.cfg = InferenceConfig::with_ixps([Asn(999)]);
     match ServeSnapshot::load(&spec, 1) {
         Err(ServeError::MissingFrame { .. }) => {}
         other => panic!("expected MissingFrame under changed config, got {other:?}"),
