@@ -37,7 +37,12 @@ test:
 # only this oracle sees it), the sort-and-stream RIB encoder to the
 # record-tree encode it replaced, bgpsim's unsorted frontier and bucket
 # drains to the sorted drain and to the (hash, id) argmin of each
-# route's parent, plus the cache invalidation/reuse counters (the disk
+# route's parent, bgpsim's demand-driven closure to the full tree (the
+# closure suite `target_routes_match_the_full_tree` on random target
+# subsets, and `sim::tests::leaky_paths_equal_the_full_tree` on every
+# path `simulate` emits at leak rate 0.05), the BGP4MP update writer to
+# the per-path BTreeMap writer it replaced (in `encode_oracle`), plus
+# the cache invalidation/reuse counters (the disk
 # cache's cold/warm identity, damaged-frame fallback and a new prefix
 # table rerunning only the cones), and the
 # thread-invariance suites of the one fork-join helper

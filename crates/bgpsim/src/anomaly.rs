@@ -56,8 +56,6 @@ impl AnomalyConfig {
 /// Counters of artifacts actually injected during a simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnomalyStats {
-    /// Paths that traversed at least one leaked route edge.
-    pub leak_destinations: u64,
     /// Emitted paths that were poisoned.
     pub poisoned_paths: u64,
     /// Emitted paths with at least one prepended hop.
@@ -69,7 +67,6 @@ pub struct AnomalyStats {
 impl AnomalyStats {
     /// Accumulate another stats block (for merging per-thread counters).
     pub fn merge(&mut self, other: &AnomalyStats) {
-        self.leak_destinations += other.leak_destinations;
         self.poisoned_paths += other.poisoned_paths;
         self.prepended_paths += other.prepended_paths;
         self.rs_inserted_paths += other.rs_inserted_paths;
@@ -245,7 +242,6 @@ mod tests {
     #[test]
     fn stats_merge_adds() {
         let mut a = AnomalyStats {
-            leak_destinations: 1,
             poisoned_paths: 2,
             prepended_paths: 3,
             rs_inserted_paths: 4,

@@ -6,7 +6,7 @@ use crate::anomaly::{emit_path, AnomalyConfig, AnomalyStats};
 use crate::collector::{select_vps, VantagePoint, VpSelection};
 use crate::graph::PolicyGraph;
 use crate::hash;
-use crate::propagate::{compute_route_tree_with, PropagationWorkspace};
+use crate::propagate::{propagate, PropagationWorkspace, Targets};
 use as_topology_gen::GeneratedTopology;
 use asrank_types::prelude::*;
 
@@ -81,12 +81,7 @@ pub struct SimOutput {
 /// are pure functions of the seed, and the output `PathSet` is assembled
 /// in destination order regardless of thread interleaving.
 pub fn simulate(topo: &GeneratedTopology, config: &SimConfig) -> SimOutput {
-    let fabrics: Vec<(Asn, Vec<Asn>)> = topo
-        .ixps
-        .iter()
-        .map(|ixp| (ixp.route_server, ixp.members.clone()))
-        .collect();
-    let g = PolicyGraph::with_ixp_links(&topo.ground_truth, &fabrics);
+    let g = policy_graph(topo);
     let vps = select_vps(
         &g,
         &config.vp_selection,
@@ -118,12 +113,21 @@ pub fn simulate(topo: &GeneratedTopology, config: &SimConfig) -> SimOutput {
         .enumerate()
         .filter_map(|(i, vp)| g.id(vp.asn).map(|id| (i, id)))
         .collect();
+    let run = Run {
+        // Only the VPs' routes are read: their closure is computed once.
+        targets: Targets::new(&g, vp_ids.iter().map(|&(_, id)| id)),
+        leaks: LeakDraw::new(&g, config),
+        g: &g,
+        topo,
+        vps: &vps,
+        vp_ids: &vp_ids,
+        config,
+    };
 
     // Each worker returns (samples, stats) for a contiguous run of
     // destinations; results come back in destination order.
-    let per_chunk = Parallelism::threads(config.threads).map_ranges(1, origins.len(), |range| {
-        run_chunk(&g, topo, &vps, &vp_ids, &origins[range], config)
-    });
+    let per_chunk = Parallelism::threads(config.threads)
+        .map_ranges(1, origins.len(), |range| run_chunk(&run, &origins[range]));
 
     let mut paths = PathSet::new();
     let mut stats = SimStats::default();
@@ -147,51 +151,82 @@ pub fn simulate(topo: &GeneratedTopology, config: &SimConfig) -> SimOutput {
     SimOutput { paths, vps, stats }
 }
 
+/// The policy graph `simulate` routes over: the ground truth plus the
+/// IXP fabrics' route servers.
+fn policy_graph(topo: &GeneratedTopology) -> PolicyGraph {
+    let fabrics: Vec<(Asn, Vec<Asn>)> = topo
+        .ixps
+        .iter()
+        .map(|ixp| (ixp.route_server, ixp.members.clone()))
+        .collect();
+    PolicyGraph::with_ixp_links(&topo.ground_truth, &fabrics)
+}
+
+/// The route-leak draws: AS `a` leaks toward destination `d` when the
+/// mix of `[a, d, tag]` falls below `leak_prob`. The `[a]` prefix is the
+/// same for every destination, so it is mixed once per AS; propagation
+/// asks only about the ASes whose leak can reach a VP.
+struct LeakDraw {
+    prefix: Vec<u64>,
+    prob: f64,
+}
+
+impl LeakDraw {
+    fn new(g: &PolicyGraph, config: &SimConfig) -> Self {
+        let prob = config.anomalies.leak_prob;
+        let prefix = if prob > 0.0 {
+            g.ids()
+                .map(|id| hash::mix(config.seed, &[g.asn(id).0 as u64]))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        LeakDraw { prefix, prob }
+    }
+
+    /// Does AS `id` leak toward `dest`?
+    fn leaks(&self, id: u32, dest: Asn) -> bool {
+        self.prob > 0.0
+            && hash::below(
+                hash::absorb(self.prefix[id as usize], &[dest.0 as u64, 0x1ea4]),
+                self.prob,
+            )
+    }
+}
+
+/// What every worker of one simulation reads.
+struct Run<'a> {
+    g: &'a PolicyGraph,
+    topo: &'a GeneratedTopology,
+    vps: &'a [VantagePoint],
+    /// `(index into vps, dense id)` of every VP in the graph.
+    vp_ids: &'a [(usize, u32)],
+    /// The VPs, closed for [`propagate`].
+    targets: Targets,
+    leaks: LeakDraw,
+    config: &'a SimConfig,
+}
+
 /// Propagate one chunk of destinations and emit VP observations.
-fn run_chunk(
-    g: &PolicyGraph,
-    topo: &GeneratedTopology,
-    vps: &[VantagePoint],
-    vp_ids: &[(usize, u32)],
-    dests: &[Asn],
-    config: &SimConfig,
-) -> (Vec<PathSample>, SimStats) {
+fn run_chunk(run: &Run<'_>, dests: &[Asn]) -> (Vec<PathSample>, SimStats) {
+    let &Run {
+        g,
+        topo,
+        vps,
+        vp_ids,
+        config,
+        ..
+    } = run;
     let mut samples = Vec::new();
     let mut stats = SimStats::default();
-    let leak_on = config.anomalies.leak_prob > 0.0;
-    let mut leakers: Vec<bool> = vec![false; g.len()];
-    // The leak draw of AS `a` toward destination `d` mixes `[a, d, tag]`;
-    // the `[a]` prefix is the same for every destination, so it is mixed
-    // once per AS.
-    let leak_prefix: Vec<u64> = if leak_on {
-        g.ids()
-            .map(|id| hash::mix(config.seed, &[g.asn(id).0 as u64]))
-            .collect()
-    } else {
-        Vec::new()
-    };
     let mut ws = PropagationWorkspace::new();
 
     for &dest_asn in dests {
         let Some(dest) = g.id(dest_asn) else { continue };
         stats.destinations += 1;
 
-        let leak_slice = if leak_on {
-            let mut any = false;
-            for (leaks, &prefix) in leakers.iter_mut().zip(&leak_prefix) {
-                let h = hash::absorb(prefix, &[dest_asn.0 as u64, 0x1ea4]);
-                *leaks = hash::below(h, config.anomalies.leak_prob);
-                any |= *leaks;
-            }
-            if any {
-                stats.anomalies.leak_destinations += 1;
-            }
-            Some(leakers.as_slice())
-        } else {
-            None
-        };
-
-        let tree = compute_route_tree_with(g, dest, leak_slice, &mut ws);
+        let leaks = |id: u32| run.leaks.leaks(id, dest_asn);
+        let tree = propagate(g, dest, &run.targets, leaks, &mut ws);
         let prefixes = &topo.ground_truth.prefixes[&dest_asn];
 
         for &(vp_idx, vp_id) in vp_ids {
@@ -410,6 +445,42 @@ mod tests {
         assert!(out.paths.is_empty());
         assert!(out.vps.is_empty());
         assert!(out.stats.destinations > 0, "propagation still ran");
+    }
+
+    #[test]
+    fn leaky_paths_equal_the_full_tree() {
+        // At a leak rate 250 times `realistic`'s, leakers outside the
+        // VPs' closure reroute VPs on many destinations: every emitted
+        // path must still be the full tree's path under the same draws.
+        for (scale, vps) in [(TopologyConfig::tiny(), 8), (TopologyConfig::small(), 20)] {
+            let topo = generate(&scale, 17);
+            let mut cfg = SimConfig::defaults(17);
+            cfg.vp_selection = VpSelection::Count(vps);
+            cfg.full_feed_fraction = 1.0;
+            cfg.anomalies.leak_prob = 0.05;
+            let out = simulate(&topo, &cfg);
+            assert!(!out.paths.is_empty());
+
+            let g = policy_graph(&topo);
+            let draw = LeakDraw::new(&g, &cfg);
+            let all = Targets::new(&g, g.ids());
+            let (mut ws, mut clean_ws) = (PropagationWorkspace::new(), PropagationWorkspace::new());
+            let mut rerouted = 0;
+            let samples = out.paths.samples();
+            for run in samples.chunk_by(|a, b| a.path.origin() == b.path.origin()) {
+                let origin = run[0].path.origin().unwrap();
+                let dest = g.id(origin).unwrap();
+                let full = propagate(&g, dest, &all, |id| draw.leaks(id, origin), &mut ws);
+                let clean = propagate(&g, dest, &all, |_| false, &mut clean_ws);
+                for s in run {
+                    let vp = g.id(s.vp).unwrap();
+                    let want: Vec<Asn> = full.path(vp).unwrap().iter().map(|&i| g.asn(i)).collect();
+                    assert_eq!(s.path.0, want, "{} toward {origin}", s.vp);
+                    rerouted += usize::from(clean.path(vp) != full.path(vp));
+                }
+            }
+            assert!(rerouted > 0, "no leak reached a VP");
+        }
     }
 
     #[test]

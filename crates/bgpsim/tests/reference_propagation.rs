@@ -1,6 +1,10 @@
 //! Cross-validation of the optimized three-stage propagation against
 //! slow, obviously-correct references.
 //!
+//! The full route tree is the propagation with every AS a target
+//! (`Targets::new(g, g.ids())`); the first two suites pin it, and the third holds
+//! every smaller target set to it.
+//!
 //! * A fixpoint iteration that applies the Gao-Rexford export and
 //!   preference rules literally. On random hierarchies, both must agree
 //!   on reachability, preference class, and AS-path length for every
@@ -10,12 +14,23 @@
 //!   every BFS frontier and Dial bucket was sorted before it was drained,
 //!   and against its definition, the `(hash, id)`-least neighbour that
 //!   offers the same class at the same length.
+//! * The closure suite: for random target subsets, on the same
+//!   hierarchies and leakers, every target's route and path must equal
+//!   the full tree's.
 
 use asrank_types::prelude::*;
 use bgp_sim::hash;
-use bgp_sim::propagate::{compute_route_tree, PrefClass, Route};
+use bgp_sim::propagate::{propagate, PrefClass, PropagationWorkspace, Route, Targets};
 use bgp_sim::PolicyGraph;
 use proptest::prelude::*;
+
+/// Every AS's route toward `dest` on the full tree.
+fn full_routes(g: &PolicyGraph, dest: u32, leakers: Option<&[bool]>) -> Vec<Option<Route>> {
+    let mut ws = PropagationWorkspace::new();
+    let leaks = |v: u32| leakers.is_some_and(|l| l[v as usize]);
+    let tree = propagate(g, dest, &Targets::new(g, g.ids()), leaks, &mut ws);
+    g.ids().map(|id| tree.route(id)).collect()
+}
 
 /// A random acyclic transit hierarchy: node i > 0 buys transit from 1–2
 /// lower-numbered nodes; random peer links are sprinkled on top.
@@ -135,13 +150,11 @@ proptest! {
         dests.sort();
         for &dest in &dests {
             let Some(dest_id) = g.id(dest) else { continue };
-            let tree = compute_route_tree(&g, dest_id, None);
+            let routes = full_routes(&g, dest_id, None);
             let reference = reference_routes(&gt, dest);
             for &asn in gt.classes.keys() {
                 let id = g.id(asn).unwrap();
-                let fast: RefRoute = tree
-                    .route(id)
-                    .map(|r| (pref_rank(r.pref), r.hops));
+                let fast: RefRoute = routes[id as usize].map(|r| (pref_rank(r.pref), r.hops));
                 let slow: RefRoute = reference.get(&asn).copied();
                 prop_assert_eq!(
                     fast, slow,
@@ -383,8 +396,7 @@ proptest! {
                     .collect()
             });
             let leakers = leakers.as_deref();
-            let tree = compute_route_tree(&g, dest, leakers);
-            let routes: Vec<Option<Route>> = g.ids().map(|id| tree.route(id)).collect();
+            let routes = full_routes(&g, dest, leakers);
             prop_assert_eq!(
                 &routes,
                 &sorted_drain_routes(&g, dest, leakers),
@@ -408,6 +420,50 @@ proptest! {
                     dest,
                     route
                 );
+            }
+        }
+    }
+}
+
+/// The path from `node` to `dest` through the parents in `routes`.
+fn walk(routes: &[Option<Route>], dest: u32, node: u32) -> Option<Vec<u32>> {
+    let mut path = vec![node];
+    while *path.last()? != dest {
+        path.push(routes[*path.last()? as usize]?.parent);
+    }
+    Some(path)
+}
+
+proptest! {
+    // A joined leaker that matters needs a particular shape of small
+    // graph, so this suite draws more cases than the two above.
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+    #[test]
+    fn target_routes_match_the_full_tree(
+        case in arb_topology_with_siblings(),
+        pick in any::<u64>(),
+        one_in in 2u64..8,
+    ) {
+        let (gt, seed) = case;
+        let g = PolicyGraph::new(&gt);
+        // One to three random targets; each AS leaks toward each
+        // destination with probability 1/`one_in`.
+        let n = g.len() as u64;
+        let subset: Vec<u32> = (0..1 + pick % 3)
+            .map(|i| (hash::mix(pick, &[i]) % n) as u32)
+            .collect();
+        let targets = Targets::new(&g, subset.iter().copied());
+        let mut ws = PropagationWorkspace::new();
+        for dest in g.ids() {
+            let leakers: Vec<bool> = g
+                .ids()
+                .map(|id| hash::mix(seed, &[u64::from(id), u64::from(dest)]).is_multiple_of(one_in))
+                .collect();
+            let full = full_routes(&g, dest, Some(&leakers));
+            let tree = propagate(&g, dest, &targets, |v| leakers[v as usize], &mut ws);
+            for &t in &subset {
+                prop_assert_eq!(tree.route(t), full[t as usize], "target {} dest {}", t, dest);
+                prop_assert_eq!(tree.path(t), walk(&full, dest, t), "target {} dest {}", t, dest);
             }
         }
     }

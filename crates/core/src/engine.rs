@@ -485,19 +485,43 @@ fn mix_disk_key(content_fp: u64, fp: u64) -> u64 {
 ///
 /// This is what lets `asrank serve` map cache frames directly: resolve
 /// the RIB's content fingerprint from the ingest cache frame, then ask
-/// for each stage's key — no `PathSet`, no engine run.
+/// for each stage's key — no `PathSet`, no engine run. A caller keying
+/// several stages builds one [`StageKeys`] instead.
 pub fn stage_disk_key(
     stage: &str,
     cfg: &InferenceConfig,
     prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
     content_fp: u64,
 ) -> Option<u64> {
-    let idx = STAGES.iter().position(|s| s.name == stage)?;
-    let ctx = FpCtx {
-        cfg,
-        prefix_fp: hash_prefixes(prefixes),
-    };
-    Some(mix_disk_key(content_fp, fingerprints(&ctx)[idx]))
+    StageKeys::new(cfg, prefixes).disk_key(stage, content_fp)
+}
+
+/// Every stage's chained fingerprint under one configuration and prefix
+/// table: [`stage_disk_key`] with the prefix table hashed and the stage
+/// chain mixed once, for any number of stages and content fingerprints.
+#[derive(Debug, Clone)]
+pub struct StageKeys {
+    fps: Vec<u64>,
+}
+
+impl StageKeys {
+    /// Hash `prefixes` and chain every stage's fingerprint under `cfg`.
+    pub fn new(cfg: &InferenceConfig, prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>) -> Self {
+        let ctx = FpCtx {
+            cfg,
+            prefix_fp: hash_prefixes(prefixes),
+        };
+        StageKeys {
+            fps: fingerprints(&ctx),
+        }
+    }
+
+    /// The on-disk key of `stage` for a dataset with `content_fp`;
+    /// `None` for unknown stage names.
+    pub fn disk_key(&self, stage: &str, content_fp: u64) -> Option<u64> {
+        let idx = STAGES.iter().position(|s| s.name == stage)?;
+        Some(mix_disk_key(content_fp, self.fps[idx]))
+    }
 }
 
 /// Hash the optional per-AS prefix table in sorted (deterministic) order.

@@ -61,7 +61,7 @@ pub use csr::{Adjacency, Csr};
 pub use degree::DegreeTable;
 pub use delta::{DeltaOutcome, DeltaSession};
 pub use diff::{diff_relationships, ChangedLink, RelDiff};
-pub use engine::{stage_disk_key, Artifact, Snapshot, StageReport, StageStats};
+pub use engine::{stage_disk_key, Artifact, Snapshot, StageKeys, StageReport, StageStats};
 pub use io::{read_as_rel, write_as_rel, AsRelError};
 pub use patharena::PathArena;
 pub use persist::{

@@ -445,36 +445,68 @@ impl TableDumpV1 {
     }
 }
 
+/// Append a BGP UPDATE message (marker + header + body): the withdrawn
+/// prefixes, the attribute block `attributes` appends, and the
+/// announced prefixes, with every length patched in.
+pub(crate) fn encode_update_message<'a>(
+    out: &mut Vec<u8>,
+    withdrawn: impl IntoIterator<Item = &'a Ipv4Prefix>,
+    attributes: impl FnOnce(&mut Vec<u8>) -> Result<(), MrtError>,
+    announced: impl IntoIterator<Item = &'a Ipv4Prefix>,
+) -> Result<(), MrtError> {
+    let start = out.len();
+    out.extend_from_slice(&[0xff; 16]);
+    let len_pos = out.len();
+    put_u16(out, 0); // patched below
+    out.push(2); // message type: UPDATE
+
+    let withdrawn_pos = out.len();
+    put_u16(out, 0);
+    for p in withdrawn {
+        encode_nlri(out, p);
+    }
+    patch_len_u16(out, withdrawn_pos, "withdrawn length")?;
+
+    let attrs_pos = out.len();
+    put_u16(out, 0);
+    attributes(out)?;
+    patch_len_u16(out, attrs_pos, "attributes length")?;
+
+    for p in announced {
+        encode_nlri(out, p);
+    }
+
+    let total = fit_u16(out.len() - start, "bgp message length")?;
+    out[len_pos..len_pos + 2].copy_from_slice(&total.to_be_bytes());
+    Ok(())
+}
+
+/// Append the `BGP4MP_MESSAGE_AS4` fields that precede the BGP message.
+pub(crate) fn put_bgp4mp_as4_header(
+    out: &mut Vec<u8>,
+    peer_asn: Asn,
+    local_asn: Asn,
+    if_index: u16,
+    peer_ip: u32,
+    local_ip: u32,
+) {
+    put_u32(out, peer_asn.0);
+    put_u32(out, local_asn.0);
+    put_u16(out, if_index);
+    put_u16(out, 1); // AFI: IPv4
+    put_u32(out, peer_ip);
+    put_u32(out, local_ip);
+}
+
 impl BgpUpdate {
     /// Encode the UPDATE as a full BGP message (marker + header + body).
     fn encode_message(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
-        let start = out.len();
-        out.extend_from_slice(&[0xff; 16]);
-        let len_pos = out.len();
-        put_u16(out, 0); // patched below
-        out.push(2); // message type: UPDATE
-
-        let withdrawn_pos = out.len();
-        put_u16(out, 0);
-        for p in &self.withdrawn {
-            encode_nlri(out, p);
-        }
-        patch_len_u16(out, withdrawn_pos, "withdrawn length")?;
-
-        let attrs_pos = out.len();
-        put_u16(out, 0);
-        for a in &self.attributes {
-            a.encode(out)?;
-        }
-        patch_len_u16(out, attrs_pos, "attributes length")?;
-
-        for p in &self.announced {
-            encode_nlri(out, p);
-        }
-
-        let total = fit_u16(out.len() - start, "bgp message length")?;
-        out[len_pos..len_pos + 2].copy_from_slice(&total.to_be_bytes());
-        Ok(())
+        encode_update_message(
+            out,
+            &self.withdrawn,
+            |out| self.attributes.iter().try_for_each(|a| a.encode(out)),
+            &self.announced,
+        )
     }
 
     /// Decode a full BGP message, expecting an UPDATE.
@@ -514,12 +546,14 @@ impl BgpUpdate {
 
 impl Bgp4mpMessageAs4 {
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
-        put_u32(out, self.peer_asn.0);
-        put_u32(out, self.local_asn.0);
-        put_u16(out, self.if_index);
-        put_u16(out, 1); // AFI: IPv4
-        put_u32(out, self.peer_ip);
-        put_u32(out, self.local_ip);
+        put_bgp4mp_as4_header(
+            out,
+            self.peer_asn,
+            self.local_asn,
+            self.if_index,
+            self.peer_ip,
+            self.local_ip,
+        );
         self.update.encode_message(out)
     }
 

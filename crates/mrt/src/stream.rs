@@ -5,13 +5,16 @@
 //! BGP4MP_MESSAGE_AS4` framing RouteViews uses, respecting the 4096-byte
 //! BGP message bound by chunking NLRI blocks.
 
-use crate::attrs::PathAttribute;
+use crate::attrs::{put_as_path, PathAttribute, SEGMENT_SEQUENCE};
 use crate::error::MrtError;
 use crate::reader::MrtReader;
-use crate::record::{Bgp4mpMessageAs4, BgpUpdate, MrtRecord};
+use crate::record::{
+    begin_record, encode_update_message, end_record, put_bgp4mp_as4_header, MrtRecord, MRT_BGP4MP,
+    SUBTYPE_BGP4MP_MESSAGE_AS4,
+};
 use crate::writer::MrtWriter;
 use asrank_types::update::UpdateMessage;
-use asrank_types::{AsPath, Ipv4Prefix};
+use asrank_types::{AsPath, Asn, Ipv4Prefix};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
@@ -20,53 +23,53 @@ use std::io::{Read, Write};
 const MAX_NLRI_PER_MESSAGE: usize = 600;
 
 /// Serialize update messages as a BGP4MP stream. Announcements with the
-/// same AS path share UPDATE messages (as real speakers do); withdrawals
-/// ride their own messages. Returns records written; the stream is
-/// flushed.
+/// same AS path share UPDATE messages (as real speakers do), paths in
+/// lexicographic order and prefixes sorted within each; withdrawals ride
+/// their own messages. Each record is encoded straight into the writer's
+/// reused buffer. Returns records written; the stream is flushed.
 pub fn write_update_stream<W: Write>(
     updates: &[UpdateMessage],
     out: W,
     timestamp: u32,
 ) -> Result<u64, MrtError> {
     let mut writer = MrtWriter::new(out);
+    let mut order: Vec<usize> = Vec::new();
     for (i, update) in updates.iter().enumerate() {
         let local_ip = 0x0a00_0000 + i as u32 + 1;
-        let base = Bgp4mpMessageAs4 {
-            peer_asn: update.vp,
-            local_asn: asrank_types::Asn(65_000),
-            if_index: 0,
-            peer_ip: local_ip + 0x0100_0000,
-            local_ip,
-            update: BgpUpdate::default(),
+        let peer_ip = local_ip + 0x0100_0000;
+        // One UPDATE: the withdrawals, or the announcements `announced`
+        // (indices into `update.announced`) sharing `path`.
+        let mut write = |withdrawn: &[Ipv4Prefix], path: Option<&AsPath>, announced: &[usize]| {
+            writer.write_with(|out| {
+                let start = begin_record(out, timestamp, MRT_BGP4MP, SUBTYPE_BGP4MP_MESSAGE_AS4);
+                put_bgp4mp_as4_header(out, update.vp, Asn(65_000), 0, peer_ip, local_ip);
+                let attributes = |out: &mut Vec<u8>| {
+                    let Some(path) = path else { return Ok(()) };
+                    PathAttribute::Origin(0).encode(out)?;
+                    put_as_path(out, std::iter::once((SEGMENT_SEQUENCE, &path.0[..])), true)?;
+                    PathAttribute::NextHop(peer_ip).encode(out)
+                };
+                let nlri = announced.iter().map(|&j| &update.announced[j].0);
+                encode_update_message(out, withdrawn, attributes, nlri)?;
+                end_record(out, start)
+            })
         };
 
-        // Withdrawals, chunked.
         for chunk in update.withdrawn.chunks(MAX_NLRI_PER_MESSAGE) {
-            let mut msg = base.clone();
-            msg.update.withdrawn = chunk.to_vec();
-            writer.write_record(timestamp, &MrtRecord::Bgp4mpMessageAs4(msg))?;
+            write(chunk, None, &[])?;
         }
 
-        // Announcements grouped by path, chunked.
-        let mut by_path: BTreeMap<Vec<u32>, Vec<Ipv4Prefix>> = BTreeMap::new();
-        for (prefix, path) in &update.announced {
-            by_path
-                .entry(path.iter().map(|a| a.0).collect())
-                .or_default()
-                .push(*prefix);
-        }
-        for (path_u32, mut prefixes) in by_path {
-            prefixes.sort();
-            let path = AsPath::from_u32s(path_u32);
-            for chunk in prefixes.chunks(MAX_NLRI_PER_MESSAGE) {
-                let mut msg = base.clone();
-                msg.update.attributes = vec![
-                    PathAttribute::Origin(0),
-                    PathAttribute::as_path_sequence(&path),
-                    PathAttribute::NextHop(local_ip + 0x0100_0000),
-                ];
-                msg.update.announced = chunk.to_vec();
-                writer.write_record(timestamp, &MrtRecord::Bgp4mpMessageAs4(msg))?;
+        order.clear();
+        order.extend(0..update.announced.len());
+        order.sort_unstable_by(|&a, &b| {
+            let (prefix_a, path_a) = &update.announced[a];
+            let (prefix_b, path_b) = &update.announced[b];
+            (&path_a.0, prefix_a).cmp(&(&path_b.0, prefix_b))
+        });
+        for group in order.chunk_by(|&a, &b| update.announced[a].1 == update.announced[b].1) {
+            let path = &update.announced[group[0]].1;
+            for chunk in group.chunks(MAX_NLRI_PER_MESSAGE) {
+                write(&[], Some(path), chunk)?;
             }
         }
     }

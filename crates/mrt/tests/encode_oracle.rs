@@ -7,13 +7,21 @@
 //! empty and extended-length paths, 4-byte ASNs, `/0` and `/32`
 //! prefixes, VPs in any order) and on bgpsim's tables.
 //!
+//! `write_update_stream` sorts each update's announcements by `(path,
+//! prefix)` and writes every chunk straight into the same buffer. It is
+//! held to the writer it replaced: announcements grouped per path in a
+//! `BTreeMap`, and each chunk built as a [`Bgp4mpMessageAs4`] from a
+//! cloned base message. Both must produce the same bytes on drawn update
+//! sets, on chunked ones, and on bgpsim's depeering updates.
+//!
 //! Fields the wire cannot carry are pinned too: a path over 255 hops
 //! round-trips as consecutive `AS_SEQUENCE` segments, and every other
 //! count or length that does not fit is a typed error, not a clamp.
 
 use as_topology_gen::{generate, TopologyConfig};
+use asrank_types::update::UpdateMessage;
 use asrank_types::{AsPath, Asn, Ipv4Prefix, Parallelism, PathSample, PathSet};
-use bgp_sim::{simulate, AnomalyConfig, SimConfig, VpSelection};
+use bgp_sim::{simulate, simulate_event, AnomalyConfig, RoutingEvent, SimConfig, VpSelection};
 use mrt_codec::{
     read_rib_dump, read_rib_dump_parallel, write_rib_dump, write_update_stream, Bgp4mpMessageAs4,
     BgpUpdate, MrtError, MrtRecord, MrtWriter, PathAttribute, PeerEntry, PeerIndexTable, RibEntry,
@@ -170,6 +178,143 @@ fn bgpsim_tables_match_record_tree_encode() {
             assert!(!paths.is_empty(), "{name} seed {seed}");
             assert!(
                 encode(&paths, seed as u32).unwrap() == record_tree_encode(&paths, seed as u32),
+                "{name} seed {seed}: bytes differ"
+            );
+        }
+    }
+}
+
+/// The update-stream writer `write_update_stream` replaced.
+fn record_tree_update_stream(updates: &[UpdateMessage], timestamp: u32) -> Vec<u8> {
+    const MAX_NLRI_PER_MESSAGE: usize = 600;
+    let mut writer = MrtWriter::new(Vec::new());
+    for (i, update) in updates.iter().enumerate() {
+        let local_ip = 0x0a00_0000 + i as u32 + 1;
+        let base = Bgp4mpMessageAs4 {
+            peer_asn: update.vp,
+            local_asn: Asn(65_000),
+            if_index: 0,
+            peer_ip: local_ip + 0x0100_0000,
+            local_ip,
+            update: BgpUpdate::default(),
+        };
+        for chunk in update.withdrawn.chunks(MAX_NLRI_PER_MESSAGE) {
+            let mut msg = base.clone();
+            msg.update.withdrawn = chunk.to_vec();
+            writer
+                .write_record(timestamp, &MrtRecord::Bgp4mpMessageAs4(msg))
+                .unwrap();
+        }
+        let mut by_path: BTreeMap<Vec<u32>, Vec<Ipv4Prefix>> = BTreeMap::new();
+        for (prefix, path) in &update.announced {
+            by_path
+                .entry(path.iter().map(|a| a.0).collect())
+                .or_default()
+                .push(*prefix);
+        }
+        for (path_u32, mut prefixes) in by_path {
+            prefixes.sort();
+            let path = AsPath::from_u32s(path_u32);
+            for chunk in prefixes.chunks(MAX_NLRI_PER_MESSAGE) {
+                let mut msg = base.clone();
+                msg.update.attributes = vec![
+                    PathAttribute::Origin(0),
+                    PathAttribute::as_path_sequence(&path),
+                    PathAttribute::NextHop(local_ip + 0x0100_0000),
+                ];
+                msg.update.announced = chunk.to_vec();
+                writer
+                    .write_record(timestamp, &MrtRecord::Bgp4mpMessageAs4(msg))
+                    .unwrap();
+            }
+        }
+    }
+    writer.into_inner().unwrap()
+}
+
+fn encode_updates(updates: &[UpdateMessage], timestamp: u32) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_update_stream(updates, &mut out, timestamp).unwrap();
+    out
+}
+
+/// One update per VP of a drawn path set: a sample with an empty path
+/// withdraws its prefix, any other announces it. Paths and prefixes
+/// repeat, and so do whole `(prefix, path)` announcements.
+fn drawn_updates(seed: u64, samples: usize) -> Vec<UpdateMessage> {
+    let mut per_vp: BTreeMap<Asn, UpdateMessage> = BTreeMap::new();
+    for s in drawn_path_set(seed, samples).iter() {
+        let update = per_vp.entry(s.vp).or_insert_with(|| UpdateMessage {
+            vp: s.vp,
+            ..UpdateMessage::default()
+        });
+        if s.path.is_empty() {
+            update.withdrawn.push(s.prefix);
+        } else {
+            update.announced.push((s.prefix, s.path.clone()));
+        }
+    }
+    per_vp.into_values().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn write_update_stream_matches_record_tree_writer(seed in any::<u64>(), n in 0usize..80) {
+        let updates = drawn_updates(seed, n);
+        let ts = (seed >> 32) as u32;
+        prop_assert_eq!(encode_updates(&updates, ts), record_tree_update_stream(&updates, ts));
+    }
+}
+
+#[test]
+fn chunked_updates_match_record_tree_writer() {
+    // 1,300 announcements over two paths and 700 withdrawals: both
+    // paths and the withdrawals span more than one 600-prefix message.
+    let prefix = |i: u32| Ipv4Prefix::new(i.wrapping_mul(0x9e37_79b9) & 0xffff_ff00, 24).unwrap();
+    let paths = [AsPath::from_u32s([7, 3, 1]), AsPath::from_u32s([7, 2])];
+    let updates = vec![
+        UpdateMessage {
+            vp: Asn(7),
+            withdrawn: (0..700).map(|i| prefix(5_000 + i)).collect(),
+            announced: (0..1_300)
+                .map(|i| (prefix(i), paths[i as usize % 2].clone()))
+                .collect(),
+        },
+        UpdateMessage {
+            vp: Asn(9),
+            withdrawn: Vec::new(),
+            announced: vec![(prefix(1), AsPath::from_u32s([9]))],
+        },
+    ];
+    assert_eq!(
+        encode_updates(&updates, 5),
+        record_tree_update_stream(&updates, 5)
+    );
+}
+
+#[test]
+fn bgpsim_updates_match_record_tree_writer() {
+    for (name, topology) in [
+        ("tiny", TopologyConfig::tiny()),
+        ("small", TopologyConfig::small()),
+    ] {
+        for seed in 1..=3 {
+            let topo = generate(&topology, seed);
+            let clique = topo.ground_truth.clique();
+            let mut cfg = SimConfig::defaults(seed);
+            cfg.vp_selection = VpSelection::Count(20);
+            cfg.anomalies = AnomalyConfig::realistic(clique.clone());
+            let event = RoutingEvent::LinkDown {
+                a: clique[0],
+                b: clique[1],
+            };
+            let (_, _, updates) = simulate_event(&topo, event, &cfg);
+            assert!(!updates.is_empty(), "{name} seed {seed}");
+            assert!(
+                encode_updates(&updates, seed as u32)
+                    == record_tree_update_stream(&updates, seed as u32),
                 "{name} seed {seed}: bytes differ"
             );
         }

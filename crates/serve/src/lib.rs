@@ -8,7 +8,8 @@
 //! the read path:
 //!
 //! * [`SourceSpec::resolve`] derives the exact frame paths from the RIB
-//!   checksum + [`asrank_core::engine::stage_disk_key`];
+//!   checksum + [`asrank_core::engine::StageKeys`], the keys of
+//!   [`asrank_core::engine::stage_disk_key`];
 //! * [`ServeSnapshot::load`] memory-maps the INFERENCE and three CONE
 //!   frames ([`mmap::MappedBytes`]), validates each **once**, and keeps
 //!   only `Copy` section layouts + two small ASN-sorted indexes;

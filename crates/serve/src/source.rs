@@ -9,9 +9,10 @@
 //! 2. stream-hash that PATHSET frame
 //!    ([`pathset_fingerprint_from_frame`]) to recover the engine's
 //!    `content_fp` without materializing a path set;
-//! 3. feed `content_fp` + the inference config to
-//!    [`stage_disk_key`] for each served stage, yielding the exact frame
-//!    paths `Snapshot` persisted.
+//! 3. key each served stage from `content_fp` + the inference config
+//!    and prefix table through one [`StageKeys`] (the keys
+//!    `asrank_core::engine::stage_disk_key` gives), yielding the exact
+//!    frame paths `Snapshot` persisted.
 //!
 //! A missing frame is a hard error (with the path it looked for), not a
 //! silent recompute: the serve tier is read-only by design and the fix is
@@ -22,7 +23,7 @@
 //! cache and hot-swap to the new snapshot.
 
 use crate::mmap::MappedBytes;
-use asrank_core::engine::stage_disk_key;
+use asrank_core::engine::StageKeys;
 use asrank_core::{pathset_fingerprint_from_frame, CacheDir, InferenceConfig};
 use asrank_types::{checksum64, Asn, Ipv4Prefix};
 use std::collections::HashMap;
@@ -252,7 +253,19 @@ impl SourceSpec {
     /// The on-disk frame path for one stage under this spec's config and
     /// `content_fp` — error (with the probed path) when absent.
     pub fn locate(&self, stage: &str, content_fp: u64) -> Result<PathBuf, ServeError> {
-        let key = stage_disk_key(stage, &self.cfg, self.prefixes.as_ref(), content_fp)
+        let keys = StageKeys::new(&self.cfg, self.prefixes.as_ref());
+        self.locate_with(&keys, stage, content_fp)
+    }
+
+    /// [`SourceSpec::locate`] with the stage keys already built.
+    fn locate_with(
+        &self,
+        keys: &StageKeys,
+        stage: &str,
+        content_fp: u64,
+    ) -> Result<PathBuf, ServeError> {
+        let key = keys
+            .disk_key(stage, content_fp)
             .ok_or_else(|| ServeError::BadQuery(format!("unknown stage {stage}")))?;
         let path = self.cache().entry_path(stage, key);
         if path.is_file() {
@@ -266,15 +279,18 @@ impl SourceSpec {
     }
 
     /// Resolve every served frame path from the current on-disk state —
-    /// the cold path (startup and hot-swap).
+    /// the cold path (startup and hot-swap). The prefix table is hashed
+    /// and the stage chain mixed once for all four frames.
     pub fn resolve(&self) -> Result<ResolvedFrames, ServeError> {
         let (pathset, content_fp) = self.content_fp()?;
+        let keys = StageKeys::new(&self.cfg, self.prefixes.as_ref());
+        let locate = |stage: &str| self.locate_with(&keys, stage, content_fp);
         Ok(ResolvedFrames {
-            inference: self.locate(INFERENCE_STAGE, content_fp)?,
+            inference: locate(INFERENCE_STAGE)?,
             cones: [
-                self.locate(ConeFlavor::Recursive.stage(), content_fp)?,
-                self.locate(ConeFlavor::BgpObserved.stage(), content_fp)?,
-                self.locate(ConeFlavor::ProviderPeer.stage(), content_fp)?,
+                locate(ConeFlavor::Recursive.stage())?,
+                locate(ConeFlavor::BgpObserved.stage())?,
+                locate(ConeFlavor::ProviderPeer.stage())?,
             ],
             pathset,
             content_fp,

@@ -4,12 +4,15 @@
 
 mod common;
 
-use asrank_core::engine::Snapshot;
+use asrank_core::engine::{stage_disk_key, Snapshot};
 use asrank_core::pipeline::InferenceConfig;
-use asrank_core::rank_ases;
-use asrank_serve::{Answer, ConeFlavor, Query, ServeError, ServeSnapshot, SourceSpec};
-use asrank_types::Asn;
+use asrank_core::{rank_ases, CacheDir};
+use asrank_serve::{
+    Answer, ConeFlavor, Query, ServeError, ServeSnapshot, SourceSpec, INFERENCE_STAGE,
+};
+use asrank_types::{Asn, Ipv4Prefix};
 use common::{sample_paths, scratch, warm_cache};
+use std::collections::HashMap;
 
 fn probes(ps: &asrank_types::PathSet) -> Vec<Asn> {
     let mut seen: Vec<Asn> = ps.iter().flat_map(|s| s.path.iter()).collect();
@@ -101,6 +104,36 @@ fn batch_answers_match_single_answers() {
     assert_eq!(batch.len(), queries.len());
     for (q, a) in queries.iter().zip(batch.iter()) {
         assert_eq!(serve.answer(*q), *a, "{q:?}");
+    }
+}
+
+#[test]
+fn resolved_frames_sit_at_stage_disk_keys() {
+    // `resolve` keys all four frames from one `StageKeys`; each must be
+    // the path `stage_disk_key` names, with and without a prefix table.
+    let ps = sample_paths();
+    let prefixes: HashMap<Asn, Vec<Ipv4Prefix>> =
+        [(Asn(10), vec!["10.0.0.0/8".parse().unwrap()])].into();
+    for (name, table) in [("keys", None), ("keys-prefixed", Some(prefixes))] {
+        let root = scratch(name);
+        let mut spec = warm_cache(&root, b"keys-rib-bytes-v1", &ps);
+        if let Some(table) = &table {
+            let mut snap = Snapshot::new(&ps, InferenceConfig::default())
+                .with_cache_dir(&spec.cache_root)
+                .with_prefixes(table.clone());
+            snap.cones().expect("materialize prefixed cones");
+        }
+        spec.prefixes = table;
+        let frames = spec.resolve().expect("resolve");
+        let cache = CacheDir::new(&spec.cache_root);
+        let stages = [INFERENCE_STAGE]
+            .into_iter()
+            .chain(ConeFlavor::ALL.map(|f| f.stage()));
+        let located = [&frames.inference].into_iter().chain(&frames.cones);
+        for (stage, path) in stages.zip(located) {
+            let key = stage_disk_key(stage, &spec.cfg, spec.prefixes.as_ref(), frames.content_fp);
+            assert_eq!(*path, cache.entry_path(stage, key.unwrap()), "{stage}");
+        }
     }
 }
 
