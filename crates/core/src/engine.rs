@@ -479,8 +479,8 @@ fn mix_disk_key(content_fp: u64, fp: u64) -> u64 {
 /// The exact on-disk [`crate::persist::CacheDir`] key a snapshot uses
 /// for `stage`, computed **without the dataset**: configuration, the
 /// optional per-AS prefix table, and the dataset's content fingerprint
-/// ([`crate::persist::pathset_fingerprint`], or its streaming twin
-/// [`crate::persist::view::pathset_fingerprint_from_frame`]) fully
+/// ([`crate::persist::pathset_fingerprint`], or the copy a PATHSET
+/// frame records, [`crate::persist::pathset_fingerprint_from_frame`]) fully
 /// determine it. `None` for unknown stage names.
 ///
 /// This is what lets `asrank serve` map cache frames directly: resolve
@@ -524,21 +524,32 @@ impl StageKeys {
     }
 }
 
-/// Hash the optional per-AS prefix table in sorted (deterministic) order.
+/// Hash the optional per-AS prefix table in sorted (deterministic) order:
+/// ASes ascending, each AS's prefixes ascending. A list that is already
+/// sorted, as loaded tables are, is hashed in place; only an unsorted
+/// one is copied and sorted. Every serve reload pays this once.
 fn hash_prefixes(prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>) -> u64 {
     let Some(table) = prefixes else { return 1 };
     let mut h = FxHasher::default();
-    let mut keys: Vec<Asn> = table.keys().copied().collect();
-    keys.sort_unstable();
-    for a in keys {
+    let mut entries: Vec<(Asn, &[Ipv4Prefix])> = table
+        .iter()
+        .map(|(&a, list)| (a, list.as_slice()))
+        .collect();
+    entries.sort_unstable_by_key(|&(a, _)| a);
+    let mut unsorted = Vec::new();
+    for (a, list) in entries {
         h.write_u32(a.0);
-        if let Some(list) = table.get(&a) {
-            let mut sorted = list.clone();
-            sorted.sort_unstable();
-            for p in sorted {
-                h.write_u32(p.network());
-                h.write_u8(p.len());
-            }
+        let sorted = if list.is_sorted() {
+            list
+        } else {
+            unsorted.clear();
+            unsorted.extend_from_slice(list);
+            unsorted.sort_unstable();
+            &unsorted
+        };
+        for p in sorted {
+            h.write_u32(p.network());
+            h.write_u8(p.len());
         }
     }
     // Avoid colliding an empty table with the no-table case (hash 1) or
@@ -1315,6 +1326,44 @@ mod tests {
                 path: AsPath::from_u32s(p.iter().copied()),
             })
             .collect()
+    }
+
+    /// The prefix-table hash is part of every cone's disk key, so it must
+    /// equal the clone-and-sort definition the keys were written under,
+    /// for sorted and unsorted per-AS lists alike.
+    #[test]
+    fn prefix_table_hash_is_the_sorted_definition() {
+        fn reference(table: &HashMap<Asn, Vec<Ipv4Prefix>>) -> u64 {
+            let mut h = FxHasher::default();
+            let mut keys: Vec<Asn> = table.keys().copied().collect();
+            keys.sort_unstable();
+            for a in keys {
+                h.write_u32(a.0);
+                let mut sorted = table[&a].clone();
+                sorted.sort_unstable();
+                for p in sorted {
+                    h.write_u32(p.network());
+                    h.write_u8(p.len());
+                }
+            }
+            h.write_u8(2);
+            h.finish()
+        }
+        let prefix = |net: u32, len: u8| Ipv4Prefix::new(net << 24, len).unwrap();
+        let table: HashMap<Asn, Vec<Ipv4Prefix>> = [
+            (Asn(30), vec![prefix(3, 8), prefix(3, 16), prefix(4, 8)]),
+            (Asn(10), vec![prefix(9, 8), prefix(1, 8), prefix(5, 16)]),
+            (Asn(20), vec![]),
+            (Asn(40), vec![prefix(7, 8)]),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(hash_prefixes(Some(&table)), reference(&table));
+        assert_eq!(
+            hash_prefixes(Some(&HashMap::new())),
+            reference(&HashMap::new())
+        );
+        assert_eq!(hash_prefixes(None), 1);
     }
 
     #[test]

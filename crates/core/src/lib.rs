@@ -65,12 +65,10 @@ pub use engine::{stage_disk_key, Artifact, Snapshot, StageKeys, StageReport, Sta
 pub use io::{read_as_rel, write_as_rel, AsRelError};
 pub use patharena::PathArena;
 pub use persist::{
-    decode_artifact, encode_artifact, pathset_fingerprint, process_cache_dir,
-    set_process_cache_dir, CacheDir,
+    decode_artifact, encode_artifact, pathset_fingerprint, pathset_fingerprint_from_frame,
+    process_cache_dir, set_process_cache_dir, CacheDir,
 };
-pub use persist::view::{
-    pathset_fingerprint_from_frame, ConeLayout, ConeView, InferenceLayout, InferenceView,
-};
+pub use persist::view::{ConeLayout, ConeView, InferenceLayout, InferenceView};
 pub use pipeline::{
     infer, infer_monolithic, try_infer, Inference, InferenceConfig, InferenceReport, Step,
 };

@@ -5,7 +5,7 @@
 //! [`Artifact`] store is per-process. This module extends it across
 //! process boundaries: every artifact kind has a compact binary encoding
 //! over the [`asrank_types::codec`] frame format (length-prefixed,
-//! version-worded, FxHash-checksummed), and [`CacheDir`] maps
+//! version-worded, checksummed), and [`CacheDir`] maps
 //! `(stage name, cache key)` to one frame file under a user-supplied
 //! `--cache-dir`.
 //!
@@ -499,9 +499,14 @@ pub fn decode_artifact(bytes: &[u8], expected: u16) -> Result<Artifact, CodecErr
     Ok(artifact)
 }
 
-/// Serialize a raw path set (the CLI's decoded-RIB cache entry).
+/// Serialize a raw path set (the CLI's decoded-RIB cache entry). The
+/// payload opens with the set's [`pathset_fingerprint`], so a reader
+/// that only needs the content fingerprint (the serve tier, per reload)
+/// takes it from [`pathset_fingerprint_from_frame`] without hashing the
+/// samples again; the sample section follows.
 pub fn encode_pathset(paths: &PathSet) -> Vec<u8> {
     let mut e = Encoder::new(kind::PATHSET);
+    e.u64(pathset_fingerprint(paths));
     e.usize(paths.len());
     for s in paths.iter() {
         put_sample(&mut e, s.vp, s.prefix, &s.path.0);
@@ -512,6 +517,7 @@ pub fn encode_pathset(paths: &PathSet) -> Vec<u8> {
 /// Decode a raw path set frame.
 pub fn decode_pathset(bytes: &[u8]) -> Result<PathSet, CodecError> {
     let mut d = Decoder::open(bytes, kind::PATHSET)?;
+    d.u64("pathset fingerprint")?;
     let count = get_sample_count(&mut d)?;
     let mut samples = Vec::with_capacity(count);
     for _ in 0..count {
@@ -524,6 +530,17 @@ pub fn decode_pathset(bytes: &[u8]) -> Result<PathSet, CodecError> {
     }
     d.finish()?;
     Ok(PathSet::from_samples(samples))
+}
+
+/// The [`pathset_fingerprint`] a PATHSET frame records, without
+/// materializing a `PathSet` or walking its samples. The whole frame is
+/// validated first (magic, version, kind, length and checksum), so a
+/// damaged frame is an error, never a wrong fingerprint. This is what
+/// lets `asrank serve` resolve exact stage cache keys from a RIB file
+/// plus cache directory alone: read the recorded fingerprint, then feed
+/// it to `engine::stage_disk_key`.
+pub fn pathset_fingerprint_from_frame(bytes: &[u8]) -> Result<u64, CodecError> {
+    Decoder::open(bytes, kind::PATHSET)?.u64("pathset fingerprint")
 }
 
 // ---------------------------------------------------------------------

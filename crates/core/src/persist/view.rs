@@ -8,7 +8,7 @@
 //! **checksum-once rule**:
 //!
 //! 1. `open()` validates the whole frame exactly once — magic, version,
-//!    kind, declared length, FxHash checksum — and then walks the payload
+//!    kind, declared length, checksum — and then walks the payload
 //!    recording *where* each section lives (offset + entry count) while
 //!    checking every structural invariant the accessors later index by
 //!    (tag ranges, sort order, monotone bounds, in-range set ids). A
@@ -336,103 +336,6 @@ impl<'a> SizesView<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Variable-stride sample section
-// ---------------------------------------------------------------------
-
-/// One path sample read in place: scalars are decoded (they are the
-/// iteration cursor), the hop list stays a borrowed [`U32View`].
-#[derive(Debug, Clone, Copy)]
-pub struct SampleRef<'a> {
-    /// Vantage point that observed the path.
-    pub vp: Asn,
-    /// Announced prefix.
-    pub prefix: Ipv4Prefix,
-    /// AS hops, VP first.
-    pub hops: U32View<'a>,
-}
-
-/// Borrowed view over a variable-stride sample section. `read` walks the
-/// whole section once at open time (validating prefixes and hop-list
-/// lengths); iteration then re-walks the same bytes infallibly.
-#[derive(Debug, Clone, Copy)]
-pub struct SamplesView<'a> {
-    raw: &'a [u8],
-    count: usize,
-}
-
-impl<'a> SamplesView<'a> {
-    fn read(d: &mut Decoder<'a>) -> Result<Self, CodecError> {
-        let count = d.seq_len(9, "sample count")?;
-        let start = d.position();
-        let tail = d.tail();
-        for _ in 0..count {
-            d.u32("sample vp")?;
-            let network = d.u32("sample prefix network")?;
-            let plen = d.u8("sample prefix length")?;
-            if Ipv4Prefix::new(network, plen).is_err() {
-                return Err(bad("sample prefix length", u64::from(plen)));
-            }
-            d.seq_u32_view("sample path")?;
-        }
-        let consumed = d.position() - start;
-        Ok(SamplesView {
-            raw: &tail[..consumed],
-            count,
-        })
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True when the section holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Iterate the samples in stored order.
-    pub fn iter(&self) -> SamplesIter<'a> {
-        SamplesIter {
-            raw: self.raw,
-            pos: 0,
-            left: self.count,
-        }
-    }
-}
-
-/// Iterator over a validated [`SamplesView`].
-#[derive(Debug)]
-pub struct SamplesIter<'a> {
-    raw: &'a [u8],
-    pos: usize,
-    left: usize,
-}
-
-impl<'a> Iterator for SamplesIter<'a> {
-    type Item = SampleRef<'a>;
-
-    fn next(&mut self) -> Option<SampleRef<'a>> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        let vp = rd_u32(self.raw, self.pos)?;
-        let network = rd_u32(self.raw, self.pos + 4)?;
-        let plen = *self.raw.get(self.pos + 8)?;
-        let hop_count = usize::try_from(rd_u64(self.raw, self.pos + 9)?).ok()?;
-        let hops_off = self.pos + 17;
-        let hops = U32View::new(self.raw.get(hops_off..hops_off + hop_count * 4)?);
-        self.pos = hops_off + hop_count * 4;
-        Some(SampleRef {
-            vp: Asn(vp),
-            prefix: Ipv4Prefix::new(network, plen).ok()?,
-            hops,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
 // Frame views, per artifact kind
 // ---------------------------------------------------------------------
 
@@ -676,43 +579,4 @@ impl<'a> ConeView<'a> {
             Some((asn, size))
         })
     }
-}
-
-/// View of a PATHSET frame (the CLI's decoded-RIB ingest cache).
-#[derive(Debug, Clone, Copy)]
-pub struct PathsetView<'a> {
-    /// The raw samples, in place.
-    pub samples: SamplesView<'a>,
-}
-
-impl<'a> PathsetView<'a> {
-    /// Validate and open a PATHSET frame.
-    pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::open(bytes, kind::PATHSET)?;
-        let samples = SamplesView::read(&mut d)?;
-        d.finish()?;
-        Ok(PathsetView { samples })
-    }
-}
-
-/// Compute [`super::pathset_fingerprint`] straight from a PATHSET frame,
-/// without materializing a `PathSet`. This is what lets `asrank serve`
-/// resolve exact stage cache keys from a RIB file plus cache directory
-/// alone: hash the streamed samples exactly as the owned fingerprint
-/// does, then feed the result to `engine::stage_disk_key`.
-pub fn pathset_fingerprint_from_frame(bytes: &[u8]) -> Result<u64, CodecError> {
-    use std::hash::Hasher;
-    let v = PathsetView::open(bytes)?;
-    let mut h = asrank_types::FxHasher::default();
-    h.write_usize(v.samples.len());
-    for s in v.samples.iter() {
-        h.write_u32(s.vp.0);
-        h.write_u32(s.prefix.network());
-        h.write_u8(s.prefix.len());
-        h.write_usize(s.hops.len());
-        for a in s.hops.iter() {
-            h.write_u32(a);
-        }
-    }
-    Ok(h.finish())
 }

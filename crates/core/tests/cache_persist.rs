@@ -4,11 +4,11 @@
 //! level — and damaged cache files are silently recomputed, never
 //! trusted and never fatal.
 
-use asrank_core::engine::{Snapshot, StageReport, StageStats};
-use asrank_core::persist::kind;
+use asrank_core::engine::{stage_disk_key, Snapshot, StageReport, StageStats};
+use asrank_core::persist::{kind, tag_for_stage};
 use asrank_core::pipeline::InferenceConfig;
-use asrank_core::{decode_artifact, encode_artifact, pathset_fingerprint};
-use asrank_types::codec::Encoder;
+use asrank_core::{decode_artifact, encode_artifact, pathset_fingerprint, write_as_rel, CacheDir};
+use asrank_types::codec::{checksum64, Encoder, CODEC_VERSION, TRAILER_LEN};
 use asrank_types::{AsPath, Asn, Ipv4Prefix, Parallelism, PathSample, PathSet};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -361,6 +361,119 @@ fn arena_frame_with_multiplicity_sequence_is_a_one_time_miss() {
         current,
         "arena frame not rewritten"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The as-rel text of a snapshot's inference.
+fn as_rel(snap: &mut Snapshot<'_>) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_as_rel(&snap.inference().unwrap().relationships, &mut out).unwrap();
+    out
+}
+
+/// `frame` marked as codec version 1 and sealed again, so the version
+/// word is the only thing a reader can reject it on.
+fn as_version_one(mut frame: Vec<u8>) -> Vec<u8> {
+    frame[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let body_end = frame.len() - TRAILER_LEN;
+    let sum = checksum64(&frame[..body_end]);
+    frame[body_end..].copy_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+/// A PATHSET frame in the version-1 layout: the sample section with no
+/// recorded fingerprint before it.
+fn version_one_pathset(ps: &PathSet) -> Vec<u8> {
+    let mut e = Encoder::new(kind::PATHSET);
+    e.usize(ps.len());
+    for s in ps.iter() {
+        e.u32(s.vp.0);
+        e.u32(s.prefix.network());
+        e.u8(s.prefix.len());
+        e.seq_u32(&s.path.0.iter().map(|a| a.0).collect::<Vec<u32>>());
+    }
+    as_version_one(e.finish())
+}
+
+/// A cache written by codec version 1 (stage frames and the ingest
+/// frame alike) is a one-time miss: every frame and `load_paths` miss,
+/// one snapshot recomputes and rewrites every frame in the current
+/// format, and the next snapshot runs no stage and writes byte-identical
+/// as-rel output.
+#[test]
+fn version_one_cache_is_a_one_time_miss() {
+    let ps = fixture();
+    let dir = tmp_cache("version_one");
+    let cfg = InferenceConfig::default();
+    let cache = CacheDir::new(&dir);
+    const RIB_KEY: u64 = 0x0123_4567_89ab_cdef;
+
+    let mut cold = Snapshot::new(&ps, cfg.clone()).with_cache_dir(&dir);
+    for name in Snapshot::stage_names() {
+        cold.materialize(name).unwrap();
+    }
+    let cold_rel = as_rel(&mut cold);
+    assert!(cache.store_paths("rib_ingest", RIB_KEY, &ps));
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), Snapshot::stage_names().len() + 1);
+    let current: Vec<Vec<u8>> = files.iter().map(|f| std::fs::read(f).unwrap()).collect();
+    let ingest = cache.entry_path("rib_ingest", RIB_KEY);
+    for (file, bytes) in files.iter().zip(&current) {
+        let old = if *file == ingest {
+            version_one_pathset(&ps)
+        } else {
+            as_version_one(bytes.clone())
+        };
+        std::fs::write(file, &old).unwrap();
+    }
+
+    let content_fp = pathset_fingerprint(&ps);
+    assert!(cache.load_paths("rib_ingest", RIB_KEY).is_none());
+    for name in Snapshot::stage_names() {
+        let key = stage_disk_key(name, &cfg, None, content_fp).unwrap();
+        let tag = tag_for_stage(name).unwrap();
+        assert!(
+            cache.load(name, key, tag).is_none(),
+            "stage {name} hit a version-1 frame"
+        );
+    }
+
+    let mut rewarm = Snapshot::new(&ps, cfg.clone()).with_cache_dir(&dir);
+    for name in Snapshot::stage_names() {
+        rewarm.materialize(name).unwrap();
+    }
+    let report = rewarm.stage_report();
+    for name in Snapshot::stage_names() {
+        let stats = report.get(name).unwrap();
+        assert_eq!(
+            (stats.disk_hits, stats.runs, stats.disk_stores),
+            (0, 1, 1),
+            "stage {name}"
+        );
+    }
+    assert!(cache.store_paths("rib_ingest", RIB_KEY, &ps));
+    for (file, bytes) in files.iter().zip(&current) {
+        let rewritten = std::fs::read(file).unwrap();
+        assert_eq!(rewritten[4..8], CODEC_VERSION.to_le_bytes());
+        assert_eq!(&rewritten, bytes, "{} not rewritten", file.display());
+    }
+    assert_eq!(
+        cache.load_paths("rib_ingest", RIB_KEY).unwrap().samples(),
+        ps.samples()
+    );
+
+    let mut warm = Snapshot::new(&ps, cfg).with_cache_dir(&dir);
+    let warm_rel = as_rel(&mut warm);
+    for name in Snapshot::stage_names() {
+        warm.materialize(name).unwrap();
+    }
+    assert_eq!(totals(&warm.stage_report()).runs, 0);
+    assert_eq!(warm_rel, cold_rel);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

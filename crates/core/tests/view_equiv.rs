@@ -1,18 +1,20 @@
 //! Borrowed frame views must be indistinguishable from the owned decode:
-//! for every artifact kind the serve tier maps (inference, cone, and the
-//! pathset ingest frame), every accessor the view exposes agrees with the
-//! owned structure rebuilt by `decode_artifact` — at sequential and
-//! parallel engine runs, since the frames themselves must not depend on
-//! parallelism. And a view constructor must reject damaged frames before
-//! any query touches them.
+//! for every artifact kind the serve tier maps (inference and cone),
+//! every accessor the view exposes agrees with the owned structure
+//! rebuilt by `decode_artifact` — at sequential and parallel engine runs,
+//! since the frames themselves must not depend on parallelism. The
+//! pathset ingest frame, of which serve reads only the recorded content
+//! fingerprint, must record exactly `pathset_fingerprint` of its set. And
+//! a view constructor, like the ingest frame's readers, must reject
+//! damaged frames before any query touches them.
 
 use asrank_core::engine::Snapshot;
-use asrank_core::persist::view::{
-    pathset_fingerprint_from_frame, ConeView, InferenceView, PathsetView,
-};
-use asrank_core::persist::{encode_pathset, kind, tag_for_stage};
+use asrank_core::persist::view::{ConeView, InferenceView};
+use asrank_core::persist::{decode_pathset, encode_pathset, kind, tag_for_stage};
 use asrank_core::pipeline::InferenceConfig;
-use asrank_core::{decode_artifact, encode_artifact, pathset_fingerprint, Artifact};
+use asrank_core::{
+    decode_artifact, encode_artifact, pathset_fingerprint, pathset_fingerprint_from_frame, Artifact,
+};
 use asrank_types::{Asn, AsPath, Ipv4Prefix, Parallelism, PathSample, PathSet};
 use proptest::prelude::*;
 
@@ -127,18 +129,12 @@ fn assert_all_stages_match(ps: &PathSet, par: Parallelism) {
     }
     // PATHSET is not an engine stage; check it directly, fingerprint too.
     let bytes = encode_pathset(ps);
-    let v = PathsetView::open(&bytes).expect("open pathset");
-    assert_eq!(v.samples.len(), ps.len());
-    for (sv, so) in v.samples.iter().zip(ps.iter()) {
-        assert_eq!(sv.vp, so.vp);
-        assert_eq!(sv.prefix, so.prefix);
-        let hops: Vec<u32> = so.path.iter().map(|a| a.0).collect();
-        assert_eq!(sv.hops.to_vec(), hops);
-    }
+    let back = decode_pathset(&bytes).expect("decode pathset");
+    assert_eq!(back.samples(), ps.samples());
     assert_eq!(
         pathset_fingerprint_from_frame(&bytes).expect("frame fingerprint"),
         pathset_fingerprint(ps),
-        "streamed fingerprint must equal the owned one"
+        "recorded fingerprint must equal the owned one"
     );
 }
 
@@ -213,13 +209,47 @@ fn view_constructors_reject_damaged_frames() {
             );
         }
     }
+    // The ingest frame: both readers reject every damage the views do,
+    // the recorded fingerprint field included.
     let bytes = encode_pathset(&ps);
-    assert!(PathsetView::open(&bytes).is_ok());
-    let mut bad = bytes.clone();
-    bad[bytes.len() / 2] ^= 0x01;
-    assert!(PathsetView::open(&bad).is_err());
-    assert!(pathset_fingerprint_from_frame(&bad).is_err());
-    assert!(PathsetView::open(&bytes[..bytes.len() - 3]).is_err());
+    assert!(decode_pathset(&bytes).is_ok());
+    assert!(pathset_fingerprint_from_frame(&bytes).is_ok());
+    let fingerprint_field = asrank_types::codec::HEADER_LEN + 3;
+    for pos in [
+        0,
+        5,
+        9,
+        12,
+        HEADER_MID,
+        fingerprint_field,
+        bytes.len() / 2,
+        bytes.len() - 1,
+    ] {
+        let mut bad = bytes.clone();
+        bad[pos] ^= 0x10;
+        assert!(decode_pathset(&bad).is_err(), "pathset: flip at byte {pos}");
+        assert!(
+            pathset_fingerprint_from_frame(&bad).is_err(),
+            "fingerprint: flip at byte {pos}"
+        );
+    }
+    for cut in [
+        0,
+        4,
+        HEADER_MID,
+        fingerprint_field,
+        bytes.len() / 2,
+        bytes.len() - 1,
+    ] {
+        assert!(
+            decode_pathset(&bytes[..cut]).is_err(),
+            "pathset: cut to {cut}"
+        );
+        assert!(
+            pathset_fingerprint_from_frame(&bytes[..cut]).is_err(),
+            "fingerprint: cut to {cut}"
+        );
+    }
 }
 
 const HEADER_MID: usize = 15;

@@ -6,17 +6,20 @@
 //!
 //! 1. checksum the raw RIB bytes — the key the CLI ingest tier stores the
 //!    decoded [`PathSet`](asrank_types::PathSet) frame under (`rib_ingest`);
-//! 2. stream-hash that PATHSET frame
-//!    ([`pathset_fingerprint_from_frame`]) to recover the engine's
-//!    `content_fp` without materializing a path set;
+//! 2. validate that PATHSET frame (checksum included) and read the
+//!    engine's `content_fp` from the field the writer recorded in it
+//!    ([`pathset_fingerprint_from_frame`]): no sample is decoded or
+//!    hashed, so a reload costs the bytes it validates;
 //! 3. key each served stage from `content_fp` + the inference config
 //!    and prefix table through one [`StageKeys`] (the keys
 //!    `asrank_core::engine::stage_disk_key` gives), yielding the exact
 //!    frame paths `Snapshot` persisted.
 //!
-//! A missing frame is a hard error (with the path it looked for), not a
-//! silent recompute: the serve tier is read-only by design and the fix is
-//! to warm the cache with `asrank infer --cache-dir ...` first.
+//! A missing or rejected frame is a hard error (with the path it looked
+//! for, or the reason it was rejected), not a silent recompute: the serve
+//! tier is read-only by design and the fix is to warm the cache with
+//! `asrank infer --cache-dir ...` first. A cache written by an older
+//! frame format is rejected that way too.
 //!
 //! [`SourceStamp`] captures `(len, mtime)` of the RIB and every resolved
 //! frame; the server's watcher thread polls it to detect a re-warmed
@@ -143,6 +146,9 @@ pub enum ServeError {
     ),
 }
 
+/// What an operator does about a frame serve cannot use.
+const REWARM_HINT: &str = "warm the cache with `asrank infer --rib ... --cache-dir ...` first";
+
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -151,13 +157,13 @@ impl fmt::Display for ServeError {
             }
             ServeError::MissingFrame { stage, path } => write!(
                 f,
-                "serve: no cached {stage} frame at {} — warm the cache with \
-                 `asrank infer --rib ... --cache-dir ...` first",
+                "serve: no cached {stage} frame at {} — {REWARM_HINT}",
                 path.display()
             ),
-            ServeError::BadFrame { stage, detail } => {
-                write!(f, "serve: cached {stage} frame rejected: {detail}")
-            }
+            ServeError::BadFrame { stage, detail } => write!(
+                f,
+                "serve: cached {stage} frame rejected: {detail} — {REWARM_HINT}"
+            ),
             ServeError::BadQuery(q) => write!(f, "serve: bad query: {q}"),
         }
     }
@@ -176,7 +182,7 @@ fn io_err(path: &Path, e: impl fmt::Display) -> ServeError {
 /// pathset, inference, then one CONE frame per [`ConeFlavor::ALL`] entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedFrames {
-    /// The `rib_ingest` PATHSET frame (hashed for `content_fp`, not mapped
+    /// The `rib_ingest` PATHSET frame (read for `content_fp`, not mapped
     /// by the snapshot).
     pub pathset: PathBuf,
     /// The `s11_inference` frame.
@@ -227,10 +233,11 @@ impl SourceSpec {
     }
 
     /// Recover the engine's content fingerprint from the current on-disk
-    /// state: checksum the RIB bytes, find the ingest PATHSET frame, and
-    /// stream-hash it. Returns the frame path too (it enters the
-    /// hot-swap stamp). No frame payload is decoded, and the RIB is
-    /// checksummed through a mapping rather than copied to the heap.
+    /// state: checksum the RIB bytes, find the ingest PATHSET frame,
+    /// validate it and read the fingerprint it records. Returns the frame
+    /// path too (it enters the hot-swap stamp). No sample is decoded, and
+    /// the RIB and frame are checksummed through mappings rather than
+    /// copied to the heap.
     pub fn content_fp(&self) -> Result<(PathBuf, u64), ServeError> {
         let rib_key = checksum64(&MappedBytes::open(&self.rib).map_err(|e| io_err(&self.rib, e))?);
 

@@ -6,8 +6,10 @@
 
 mod common;
 
-use asrank_serve::{ConeFlavor, Server, ServeSnapshot, ServeState};
-use asrank_types::Asn;
+use asrank_core::persist::kind;
+use asrank_serve::{ConeFlavor, ServeError, ServeSnapshot, ServeState, Server};
+use asrank_types::codec::{checksum64, Encoder, TRAILER_LEN};
+use asrank_types::{Asn, PathSet};
 use common::{alternate_paths, sample_paths, scratch, warm_cache, warm_cache_frames};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -211,5 +213,102 @@ fn watcher_counts_failed_reloads_and_keeps_serving() {
     assert_eq!(send(&mut reader, &mut writer, "gen"), "1");
     assert_eq!(send(&mut reader, &mut writer, "rel 1 2"), rel);
     assert_eq!(state.generation(), 1);
+    drop(server);
+}
+
+/// A `rib_ingest` frame as codec version 1 wrote it: the sample section
+/// with no recorded fingerprint before it, under version word 1. It is
+/// sealed with the current checksum, so only the version word rejects
+/// it; a reader that skipped that check would take the sample count for
+/// the fingerprint and look for stage frames under a wrong key.
+fn version_one_pathset(ps: &PathSet) -> Vec<u8> {
+    let mut e = Encoder::new(kind::PATHSET);
+    e.usize(ps.len());
+    for s in ps.iter() {
+        e.u32(s.vp.0);
+        e.u32(s.prefix.network());
+        e.u8(s.prefix.len());
+        e.seq_u32(&s.path.0.iter().map(|a| a.0).collect::<Vec<u32>>());
+    }
+    let mut frame = e.finish();
+    frame[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let body_end = frame.len() - TRAILER_LEN;
+    let sum = checksum64(&frame[..body_end]);
+    frame[body_end..].copy_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+/// A cache whose ingest frame an older codec version wrote: the load is
+/// a `BadFrame` on `rib_ingest` that says how to re-warm, a running
+/// server keeps answering its generation and counts the failed reloads,
+/// and after a re-warm the reload succeeds.
+#[test]
+fn version_one_ingest_frame_fails_reload_until_rewarmed() {
+    let root = scratch("v1ingest");
+    let ps = sample_paths();
+    let rib: &[u8] = b"v1-ingest-rib";
+    let spec = warm_cache(&root, rib, &ps);
+    let server =
+        Server::start(spec.clone(), 0, Some(Duration::from_millis(20))).expect("start server");
+    let state = Arc::clone(server.state());
+
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let rel = send(&mut reader, &mut writer, "rel 1 2");
+    assert_ne!(rel, "none");
+
+    // Replace the ingest frame by rename, as a cache writer would.
+    let frame = state.current().frames().pathset.clone();
+    let tmp = frame.with_extension("old");
+    std::fs::write(&tmp, version_one_pathset(&ps)).unwrap();
+    std::fs::rename(&tmp, &frame).unwrap();
+
+    let Err(err) = ServeSnapshot::load(&spec, 99) else {
+        panic!("a version-1 ingest frame loaded");
+    };
+    let ServeError::BadFrame { stage, detail } = &err else {
+        panic!("expected BadFrame on rib_ingest, got {err}");
+    };
+    assert_eq!(stage, "rib_ingest");
+    assert!(detail.contains("version 1"), "detail: {detail}");
+    assert!(
+        err.to_string().contains("--cache-dir"),
+        "no re-warm hint: {err}"
+    );
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while state.reload_failures() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "watcher never tried the old frame"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let error = state.last_reload_error().expect("failure recorded");
+    assert!(
+        error.contains("rib_ingest"),
+        "error names the stage: {error}"
+    );
+    assert_eq!(send(&mut reader, &mut writer, "gen"), "1");
+    assert_eq!(send(&mut reader, &mut writer, "rel 1 2"), rel);
+
+    // Re-warm: the ingest frame is written in the current format, and
+    // the watcher's next reload publishes a new generation.
+    warm_cache_frames(&spec.cache_root, rib, &ps);
+    assert!(ServeSnapshot::load(&spec, 100).is_ok());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while send(&mut reader, &mut writer, "gen") == "1" {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "watcher never reloaded after the re-warm"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(send(&mut reader, &mut writer, "rel 1 2"), rel);
     drop(server);
 }

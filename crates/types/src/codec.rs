@@ -12,7 +12,7 @@
 //! 8       2     kind         artifact-kind tag (owned by the encoder's caller)
 //! 10      8     payload_len  little-endian u64
 //! 18      n     payload      artifact-specific encoding
-//! 18+n    8     checksum     FxHash of bytes [0, 18+n)
+//! 18+n    8     checksum     checksum64 of bytes [0, 18+n)
 //! ```
 //!
 //! Design constraints, in priority order:
@@ -30,8 +30,12 @@
 //!   [`CodecError`]; the cache layer treats every variant as a miss and
 //!   recomputes.
 //!
-//! The checksum is [`FxHasher`] over the header and payload. Fx is not
-//! cryptographic — the cache directory is trusted local state, and the
+//! The checksum is [`checksum64`] over the header and payload: four
+//! independent Fx lanes, one per 8-byte word of each 32-byte block, folded
+//! with the byte length and the tail words. The lanes have no data
+//! dependency on each other, so their multiply chains overlap instead of
+//! waiting on one another, and validation runs at memory speed. Fx is
+//! not cryptographic — the cache directory is trusted local state, and the
 //! checksum only needs to catch torn writes and bit rot, deterministically
 //! across processes (which `DefaultHasher` would not guarantee).
 
@@ -45,7 +49,7 @@ pub const CODEC_MAGIC: u32 = u32::from_le_bytes(*b"ASRC");
 /// Current frame format version. Bump whenever any artifact encoding
 /// changes shape; old files then decode as [`CodecError::BadVersion`]
 /// and fall back to recompute.
-pub const CODEC_VERSION: u32 = 1;
+pub const CODEC_VERSION: u32 = 2;
 
 /// Fixed frame header length (magic + version + kind + payload length).
 pub const HEADER_LEN: usize = 18;
@@ -120,12 +124,33 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FxHash of a byte slice — the frame checksum primitive. Public so
-/// callers can key cache entries by content with the same function the
-/// trailer uses.
+/// Bytes per block of [`checksum64`]: one little-endian word per lane.
+const CHECKSUM_BLOCK: usize = 32;
+
+/// The frame checksum primitive: four independent Fx lanes over the
+/// words of each 32-byte block, then one Fx chain over the byte length,
+/// the four lane states and the tail (under 32 bytes, the last word
+/// zero-padded). Public so callers can key cache entries by content with
+/// the same function the trailer uses.
 pub fn checksum64(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(b);
+        u64::from_le_bytes(w)
+    };
+    let mut lanes = [FxHasher::default(); 4];
+    let mut blocks = bytes.chunks_exact(CHECKSUM_BLOCK);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            lane.write_u64(word(w));
+        }
+    }
     let mut h = FxHasher::default();
-    h.write(bytes);
+    h.write_u64(bytes.len() as u64);
+    for lane in &lanes {
+        h.write_u64(lane.finish());
+    }
+    h.write(blocks.remainder());
     h.finish()
 }
 
@@ -416,13 +441,6 @@ impl<'a> Decoder<'a> {
     /// relationship entries) without decoding it.
     pub fn bytes(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
         self.take(n, context)
-    }
-
-    /// The unconsumed payload, without advancing. A view layer pairs this
-    /// with [`Decoder::position`] to slice out a variable-stride section
-    /// it validates by walking forward.
-    pub fn tail(&self) -> &'a [u8] {
-        &self.payload[self.pos..]
     }
 }
 
@@ -736,37 +754,126 @@ mod tests {
     }
 
     /// Frames and cache keys on disk are sealed with `checksum64`, so its
-    /// output may never change. These values were computed by the
-    /// original byte-chunk loop; every length 0..=17 covers the empty
-    /// input, each tail width, and one and two whole words.
+    /// output may only change together with [`CODEC_VERSION`]. These
+    /// values were computed by the four-lane function of codec version 2;
+    /// lengths 0..=40 cover the empty input, every tail width of a
+    /// 32-byte block, one whole block, and one block plus each word tail.
     #[test]
     fn checksum64_golden_values() {
-        const SHORT: [u64; 18] = [
+        const SHORT: [u64; 41] = [
             0x0000000000000000,
-            0x833ee9d4222a179f,
-            0x8e4430686ceb069f,
-            0x53abe397cf0a069f,
-            0x3cb4017e950a069f,
-            0xec9ded2e950a069f,
-            0x7b74062e950a069f,
-            0xf048062e950a069f,
-            0x7048062e950a069f,
-            0x07d529b80a5969ab,
-            0x6b158ff13a30b0ab,
-            0x1d7d75c586b8b0ab,
-            0xf416d7fc0ab8b0ab,
-            0xc19170320ab8b0ab,
-            0x45d289320ab8b0ab,
-            0x6c1689320ab8b0ab,
-            0xa01689320ab8b0ab,
-            0xdba56bfe3fa67958,
+            0x36ecba09bc5ec374,
+            0xfdee92b325e3eb1a,
+            0x6b04704a67f1e566,
+            0xd5bed32b5464e851,
+            0xdac7a6bfeaf876e4,
+            0xdcca7c70002bce7e,
+            0x074d1260cf272354,
+            0x3c162562b3a55127,
+            0x4c9a9db66f62703c,
+            0xdc61ff35ed14b6d3,
+            0xc56b8583df7af840,
+            0xf432769f2847f761,
+            0x5855f0345f9894ed,
+            0x9697a48635092746,
+            0xf12cd0b0c3c78b82,
+            0x2273ec5dccd203d0,
+            0x24265b784f3e1dfc,
+            0xcd681e13ec7c588c,
+            0xd7ef2fd84b2f9b22,
+            0xe94b3b2147677f2f,
+            0xbe0011705d3fce0c,
+            0x8ac2aa07cd047633,
+            0x8f59490d9b397bd0,
+            0x235e63b95fcc0411,
+            0xff546016148e6ec6,
+            0xe439651aa84c4606,
+            0x1ff134b6e0122903,
+            0xd04449f85c787b08,
+            0x46bd91b115f7240c,
+            0x7b8d32213a99afd8,
+            0x944d033b8adec07a,
+            0x9612165d6f358c7e,
+            0xd0653bf46da17404,
+            0x7cb6fb8d7146b41d,
+            0x6dab186aa497e597,
+            0x7b188d8b9a883b0c,
+            0x4757fe710e56da8b,
+            0x706ae5cea02753fd,
+            0x36a472ed68efe4ed,
+            0x3536ff9071abd615,
         ];
-        let short = seeded_bytes(17, 17);
+        let short = seeded_bytes(17, 40);
         for (n, &want) in SHORT.iter().enumerate() {
             assert_eq!(checksum64(&short[..n]), want, "length {n}");
         }
         let big = seeded_bytes(0x5eed, 1 << 20);
-        assert_eq!(checksum64(&big), 0xee86_05b6_cfb5_474d);
+        assert_eq!(checksum64(&big), 0xb2f3_1904_d055_f3e3);
+    }
+
+    /// Every single-byte change of `buf`, every truncation by 1..=8
+    /// bytes and every append of 1..=8 zero bytes must move the checksum.
+    /// `positions` limits the byte changes to the given offsets (all of
+    /// them when `None`).
+    fn assert_checksum_sees_every_edit(buf: &[u8], xor: u8, positions: Option<&[usize]>) {
+        let base = checksum64(buf);
+        let all: Vec<usize> = (0..buf.len()).collect();
+        for &at in positions.unwrap_or(&all) {
+            let mut edited = buf.to_vec();
+            edited[at] ^= xor;
+            assert_ne!(
+                checksum64(&edited),
+                base,
+                "byte {at} of {} changed",
+                buf.len()
+            );
+        }
+        for cut in 1..=8.min(buf.len()) {
+            assert_ne!(
+                checksum64(&buf[..buf.len() - cut]),
+                base,
+                "{} bytes cut by {cut}",
+                buf.len()
+            );
+        }
+        for extra in 1..=8 {
+            let mut longer = buf.to_vec();
+            longer.resize(buf.len() + extra, 0);
+            assert_ne!(
+                checksum64(&longer),
+                base,
+                "{} bytes + {extra} zeros",
+                buf.len()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn checksum64_sees_every_small_edit(
+            buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=300),
+            xor in 1u8..=255,
+        ) {
+            assert_checksum_sees_every_edit(&buf, xor, None);
+        }
+    }
+
+    /// The 1 MiB case: a change of every byte of the first and the last
+    /// block, and of every 4099th byte between (a stride that walks all
+    /// four lanes and every byte of a word), plus every truncation and
+    /// zero append. Hashing every position would take minutes
+    /// unoptimized.
+    #[test]
+    fn checksum64_sees_edits_of_a_large_buffer() {
+        let big = seeded_bytes(0x5eed, 1 << 20);
+        let last = big.len() - CHECKSUM_BLOCK;
+        let positions: Vec<usize> = (0..CHECKSUM_BLOCK)
+            .chain((CHECKSUM_BLOCK..last).step_by(4099))
+            .chain(last..big.len())
+            .collect();
+        assert_checksum_sees_every_edit(&big, 0x01, Some(&positions));
     }
 
     #[test]
