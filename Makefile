@@ -65,9 +65,11 @@ test-engine:
 	$(CARGO) test -p asrank-core engine::
 
 # Source-level determinism/robustness checks: the file-local rules
-# L001–L005 plus the cross-file semantic passes L006–L009 (fingerprint
+# L001–L005 plus the cross-file semantic passes L006–L010 (fingerprint
 # coverage, unsafe/SAFETY contracts, atomics pairing, codec kind
-# exhaustiveness). Exit 1 on any violation; annotate intentional
+# exhaustiveness, a non-test caller for every library pub item, with
+# benchmark/src and examples/ read as callers). Exit 1 on any
+# violation; annotate intentional
 # exceptions with
 #   // lint: allow(<slug>, <reason>)
 lint:
@@ -111,7 +113,7 @@ bench-test:
 # The full pre-merge gate: compile, test (workspace tests include the
 # engine-, delta- and cone-equivalence suites; test-engine re-runs them
 # explicitly so a failure is named in the gate output), strict source
-# lint (all nine rules + the annotation audit), semantic audit,
+# lint (all ten rules + the annotation audit), semantic audit,
 # benchmark lock check and the benchmark's unit tests.
 verify: build test test-engine lint-strict audit bench-lock bench-test
 

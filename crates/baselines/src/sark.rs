@@ -11,7 +11,7 @@
 //! comparison surfaces.
 
 use asrank_types::prelude::*;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// SARK parameters.
 #[derive(Debug, Clone)]
@@ -132,32 +132,6 @@ pub fn pruning_levels(links: &HashSet<AsLink>) -> HashMap<Asn, usize> {
     levels
 }
 
-/// BFS levels of the union link graph from a start AS (exposed for tests;
-/// SARK's original formulation layers each view this way).
-pub fn bfs_levels(links: &HashSet<AsLink>, start: Asn) -> HashMap<Asn, usize> {
-    let mut adj: HashMap<Asn, Vec<Asn>> = HashMap::new();
-    for l in links {
-        adj.entry(l.a).or_default().push(l.b);
-        adj.entry(l.b).or_default().push(l.a);
-    }
-    let mut level: HashMap<Asn, usize> = HashMap::new();
-    let mut q = VecDeque::new();
-    level.insert(start, 0);
-    q.push_back(start);
-    while let Some(a) = q.pop_front() {
-        let d = level[&a];
-        if let Some(ns) = adj.get(&a) {
-            for &b in ns {
-                if let std::collections::hash_map::Entry::Vacant(e) = level.entry(b) {
-                    e.insert(d + 1);
-                    q.push_back(b);
-                }
-            }
-        }
-    }
-    level
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,23 +170,6 @@ mod tests {
             &SarkConfig::default(),
         );
         assert!(rels.is_p2p(Asn(1), Asn(2)), "{rels:?}");
-    }
-
-    #[test]
-    fn bfs_levels_count_hops() {
-        let links: HashSet<AsLink> = [
-            AsLink::new(Asn(1), Asn(2)),
-            AsLink::new(Asn(2), Asn(3)),
-            AsLink::new(Asn(1), Asn(4)),
-        ]
-        .into_iter()
-        .collect();
-        let levels = bfs_levels(&links, Asn(1));
-        assert_eq!(levels[&Asn(1)], 0);
-        assert_eq!(levels[&Asn(2)], 1);
-        assert_eq!(levels[&Asn(3)], 2);
-        assert_eq!(levels[&Asn(4)], 1);
-        assert!(!levels.contains_key(&Asn(9)));
     }
 
     #[test]

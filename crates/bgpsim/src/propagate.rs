@@ -189,6 +189,7 @@ impl RouteTree<'_> {
     }
 
     /// The route selected at `node`, if it has any.
+    // lint: allow(no-caller, reference_propagation compares every route of a tree to its sorted-drain oracle with it)
     pub fn route(&self, node: u32) -> Option<Route> {
         self.routes[node as usize]
     }

@@ -304,7 +304,7 @@ mod tests {
     fn paths_start_at_vp_and_end_at_origin() {
         let (topo, out) = tiny_sim(2);
         for s in out.paths.iter() {
-            assert_eq!(s.path.head(), Some(s.vp), "path must start at the VP");
+            assert_eq!(s.path.0.first(), Some(&s.vp), "path must start at the VP");
             let origin = s.path.origin().unwrap();
             let originated = topo
                 .ground_truth

@@ -20,8 +20,11 @@ use asrank_core::sanitize::{sanitize_with, SanitizeConfig};
 use asrank_types::{Asn, EngineError, Parallelism};
 
 /// Audit one engine stage artifact: shares the `--rib`/`--topo`/`--threads`
-/// loader with `infer` and `rank`, so a warm snapshot is graded without
-/// re-running anything upstream of the named stage.
+/// loader with `infer` and `rank`. With a warm `--cache-dir`, a stage that
+/// has a frame (the arena, S11 and the cones) is read back without
+/// running anything upstream; any other stage is recomputed, over the
+/// arena frame where it reads the arena and from the cached ingest frame
+/// otherwise.
 fn run_stage(stage: &str, flags: &Flags) -> i32 {
     let inputs = match load_inputs(flags) {
         Ok(i) => i,

@@ -2,12 +2,13 @@
 //! or two inference runs) and report the delta.
 //!
 //! Either side may be a raw `.mrt` RIB; those are inferred through the
-//! staged engine before diffing, so `diff --old a.mrt --new b.mrt`
-//! compares two captures directly.
+//! staged engine (default configuration, no IXP list) before diffing, so
+//! `diff --old a.mrt --new b.mrt` compares two captures directly.
 
 use crate::args::{Flags, CACHE_SWITCHES};
 use crate::snapshot::{apply_cache_flags, rels_from};
 use asrank_core::diff_relationships;
+use asrank_core::pipeline::InferenceConfig;
 use asrank_types::Parallelism;
 
 pub fn run(args: &[String]) -> i32 {
@@ -28,10 +29,14 @@ pub fn run(args: &[String]) -> i32 {
         return 2;
     };
 
-    let Some(old) = rels_from(old_path, threads) else {
+    let cfg = InferenceConfig {
+        parallelism: threads,
+        ..Default::default()
+    };
+    let Some(old) = rels_from(old_path, &cfg) else {
         return 1;
     };
-    let Some(new) = rels_from(new_path, threads) else {
+    let Some(new) = rels_from(new_path, &cfg) else {
         return 1;
     };
 

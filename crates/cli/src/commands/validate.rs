@@ -2,11 +2,11 @@
 //! ground truth and against emulated validation corpora.
 //!
 //! `--inferred` also accepts a raw `.mrt` RIB: the relationships are then
-//! inferred through the staged engine, skipping the separate
-//! `infer --out` round trip.
+//! inferred through the staged engine with the bundle's IXP list, as
+//! `infer --topo` would, skipping the separate `infer --out` round trip.
 
 use crate::args::{Flags, CACHE_SWITCHES};
-use crate::snapshot::{apply_cache_flags, rels_from};
+use crate::snapshot::{apply_cache_flags, rels_from, topo_config};
 use as_topology_gen::load_bundle;
 use asrank_types::Parallelism;
 use asrank_validation::{
@@ -32,15 +32,17 @@ pub fn run(args: &[String]) -> i32 {
         return 2;
     };
 
-    let Some(inferred) = rels_from(inferred_path, threads) else {
-        return 1;
-    };
     let topo = match load_bundle(&PathBuf::from(topo_dir)) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("failed to load bundle: {e}");
             return 1;
         }
+    };
+    let mut cfg = topo_config(&topo);
+    cfg.parallelism = threads;
+    let Some(inferred) = rels_from(inferred_path, &cfg) else {
+        return 1;
     };
 
     let truth = &topo.ground_truth.relationships;

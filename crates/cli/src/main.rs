@@ -82,9 +82,10 @@ available cores.
 
 Every pipeline-running subcommand (infer, rank, validate, diff,
 stability, audit) also accepts [--cache-dir DIR] [--no-cache]:
---cache-dir persists expensive artifacts (decoded RIBs, every engine
-stage) as checksummed binary files keyed by input content + config, so a
-warm re-run skips straight to the answer; --no-cache disables it.
+--cache-dir persists expensive artifacts (the decoded RIB, the path
+arena, the inference and the three cones) as checksummed binary files
+keyed by input content + config, so a warm re-run skips straight to the
+answer; --no-cache disables it.
 Corrupt or stale cache files are recomputed silently, never trusted.
 
 serve runs a zero-copy query daemon over a cache previously warmed by

@@ -17,7 +17,7 @@
 //! so a warm run skips MRT decoding entirely.
 
 use crate::args::Flags;
-use as_topology_gen::load_bundle;
+use as_topology_gen::{load_bundle, GeneratedTopology};
 use asrank_core::engine::Snapshot;
 use asrank_core::pipeline::InferenceConfig;
 use asrank_core::{read_as_rel, CacheDir, InferenceView};
@@ -100,6 +100,11 @@ pub fn load_rib(path: &str, threads: Parallelism) -> Result<PathSet, EngineError
 /// Per-AS originated prefixes, as a `--topo` bundle records them.
 type PrefixTable = HashMap<Asn, Vec<Ipv4Prefix>>;
 
+/// The inference config of a topology bundle: its IXP route servers.
+pub fn topo_config(topo: &GeneratedTopology) -> InferenceConfig {
+    InferenceConfig::with_ixps(topo.ixps.iter().map(|i| i.route_server))
+}
+
 /// The inference config (IXP list) and prefix table of the `--topo`
 /// bundle, or the defaults without one. On a load failure, prints it and
 /// returns exit code 1.
@@ -108,10 +113,7 @@ fn load_topo(flags: &Flags) -> Result<(InferenceConfig, Option<PrefixTable>), i3
         return Ok((InferenceConfig::default(), None));
     };
     match load_bundle(&PathBuf::from(dir)) {
-        Ok(t) => Ok((
-            InferenceConfig::with_ixps(t.ixps.iter().map(|i| i.route_server)),
-            Some(t.ground_truth.prefixes),
-        )),
+        Ok(t) => Ok((topo_config(&t), Some(t.ground_truth.prefixes))),
         Err(e) => {
             eprintln!("{}", EngineError::ingest(dir, e.to_string()));
             Err(1)
@@ -168,16 +170,16 @@ pub fn load_serve_spec(flags: &Flags) -> Result<SourceSpec, i32> {
 }
 
 /// Warm-cache fast path for [`rels_from`]: when the inference frame for
-/// this RIB (under the default config) is already persisted, rebuild the
-/// relationship map straight from the borrowed frame view — the RIB is
-/// read once for its checksum, but no `PathSet` is materialized, no
-/// pipeline stage runs, and no owned artifact is decoded.
-fn cached_rels(path: &str) -> Option<RelationshipMap> {
+/// this RIB under `cfg` is already persisted, rebuild the relationship
+/// map straight from the borrowed frame view — the RIB is read once for
+/// its checksum, but no `PathSet` is materialized, no pipeline stage
+/// runs, and no owned artifact is decoded.
+fn cached_rels(path: &str, cfg: &InferenceConfig) -> Option<RelationshipMap> {
     let cache_root = asrank_core::process_cache_dir()?;
     let spec = SourceSpec {
         rib: PathBuf::from(path),
         cache_root,
-        cfg: InferenceConfig::default(),
+        cfg: cfg.clone(),
         prefixes: None,
     };
     let (_, content_fp) = spec.content_fp().ok()?;
@@ -198,25 +200,24 @@ fn cached_rels(path: &str) -> Option<RelationshipMap> {
 
 /// Load a relationship map from either an as-rel text file or — when the
 /// path ends in `.mrt` — an MRT RIB, in which case the relationships are
-/// inferred through the staged engine. This lets `validate` and `diff`
-/// consume raw RIBs directly without a separate `infer --out` round trip.
-/// With a warm cache the inference frame is read through a borrowed view
+/// inferred through the staged engine under `cfg` (its IXP list and
+/// thread budget). This lets `validate` and `diff` consume raw RIBs
+/// directly without a separate `infer --out` round trip. With a warm
+/// cache the inference frame is read through a borrowed view
 /// ([`cached_rels`]) and the decode/re-infer path is skipped entirely.
-pub fn rels_from(path: &str, threads: Parallelism) -> Option<RelationshipMap> {
+pub fn rels_from(path: &str, cfg: &InferenceConfig) -> Option<RelationshipMap> {
     if path.ends_with(".mrt") {
-        if let Some(rels) = cached_rels(path) {
+        if let Some(rels) = cached_rels(path, cfg) {
             return Some(rels);
         }
-        let paths = match load_rib(path, threads) {
+        let paths = match load_rib(path, cfg.parallelism) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("{e}");
                 return None;
             }
         };
-        let mut cfg = InferenceConfig::default();
-        cfg.parallelism = threads;
-        let mut snap = Snapshot::new(&paths, cfg);
+        let mut snap = Snapshot::new(&paths, cfg.clone());
         return match snap.inference() {
             Ok(inf) => Some(inf.relationships.clone()),
             Err(e) => {

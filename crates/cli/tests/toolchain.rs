@@ -343,6 +343,15 @@ fn tiny_rib(dir: &std::path::Path) -> PathBuf {
     rib
 }
 
+/// The stages with a disk frame: the ones a later run reads.
+const FRAMED: [&str; 5] = [
+    "path_arena",
+    "s11_inference",
+    "cone_recursive",
+    "cone_bgp_observed",
+    "cone_provider_peer",
+];
+
 /// A cache directory that cannot be created (its parent is a regular
 /// file) must not fail `infer`, but the dropped RIB ingest store is
 /// reported on stderr, naming the stage and the directory.
@@ -377,9 +386,10 @@ fn failed_rib_ingest_store_is_reported() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every stage's failed spill to an unusable cache directory is counted
-/// in the stage report (per stage and in the totals), and `infer` still
-/// succeeds from its in-memory store.
+/// Every framed stage's failed spill to an unusable cache directory is
+/// counted in the stage report (per stage and in the totals), the other
+/// stages attempt none, and `infer` still succeeds from its in-memory
+/// store.
 #[test]
 fn failed_stage_stores_are_counted_in_the_stage_report() {
     let dir = tmp("stage_store_fail");
@@ -420,9 +430,11 @@ fn failed_stage_stores_are_counted_in_the_stage_report() {
     let mut sum = 0;
     for line in &stages {
         let failures = count(line, "disk_store_failures").expect("per-stage failure count");
-        assert!(
+        let framed = FRAMED.iter().any(|name| line.contains(&format!("\"{name}\"")));
+        assert_eq!(
             failures > 0,
-            "stage stored nothing yet reports no failure: {line}"
+            framed,
+            "a framed stage stored nothing yet reports no failure, or another stage tried to store: {line}"
         );
         assert_eq!(count(line, "disk_stores"), Some(0), "{line}");
         sum += failures;
@@ -470,8 +482,9 @@ fn cache_dir_warm_run_matches_cold_and_no_cache_disables() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // The ingest frame plus the five frames a later run reads.
     let entries = std::fs::read_dir(&cache).unwrap().count();
-    assert!(entries > 0, "cold run wrote no cache entries");
+    assert_eq!(entries, 1 + FRAMED.len(), "cold run cache entries");
 
     // Inference-relevant stdout: everything except the trailing
     // "wrote N relationships to PATH" line (the path differs per run).
@@ -484,6 +497,7 @@ fn cache_dir_warm_run_matches_cold_and_no_cache_disables() {
     };
 
     // Warm run: same stdout, same as-rel bytes, nothing new computed.
+    let report = dir.join("warm-report.json");
     let warm = bin()
         .args(sv(&[
             "infer",
@@ -491,6 +505,8 @@ fn cache_dir_warm_run_matches_cold_and_no_cache_disables() {
             rib.to_str().unwrap(),
             "--cache-dir",
             cache.to_str().unwrap(),
+            "--stage-report",
+            report.to_str().unwrap(),
             "--out",
             warm_rel.to_str().unwrap(),
         ]))
@@ -502,6 +518,53 @@ fn cache_dir_warm_run_matches_cold_and_no_cache_disables() {
         std::fs::read(&cold_rel).unwrap(),
         std::fs::read(&warm_rel).unwrap()
     );
+    // It runs no stage and reads only the inference and cone frames.
+    let json = std::fs::read_to_string(&report).expect("warm stage report");
+    let count = |line: &str, key: &str| -> Option<u64> {
+        let rest = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
+        rest[..rest.find(|c: char| !c.is_ascii_digit())?]
+            .parse()
+            .ok()
+    };
+    let stages: Vec<&str> = json.lines().filter(|l| l.contains("\"stage\":")).collect();
+    assert_eq!(stages.len(), 16, "{json}");
+    for line in stages {
+        let read = ["s11_inference", "cone_recursive", "cone_bgp_observed", "cone_provider_peer"]
+            .iter()
+            .any(|name| line.contains(&format!("\"{name}\"")));
+        assert_eq!(count(line, "runs"), Some(0), "{line}");
+        assert_eq!(count(line, "disk_hits"), Some(u64::from(read)), "{line}");
+    }
+
+    // The cache is ready to serve: a one-shot query, with no daemon,
+    // answers relationships exactly as the as-rel file states them.
+    let as_rel = std::fs::read_to_string(&cold_rel).unwrap();
+    let lines: Vec<&str> = as_rel.lines().filter(|l| !l.starts_with('#')).collect();
+    assert!(lines.len() >= 3, "{as_rel}");
+    for line in lines.iter().step_by(lines.len() / 3).take(3) {
+        let fields: Vec<&str> = line.split('|').collect();
+        let want = match fields[2] {
+            "-1" => "customer",
+            "0" => "peer",
+            "2" => "sibling",
+            other => panic!("unexpected relationship {other} in {line}"),
+        };
+        let answer = bin()
+            .args(sv(&[
+                "query",
+                "--rib",
+                rib.to_str().unwrap(),
+                "--cache-dir",
+                cache.to_str().unwrap(),
+                "rel",
+                fields[0],
+                fields[1],
+            ]))
+            .output()
+            .expect("one-shot query");
+        assert!(answer.status.success(), "{}", String::from_utf8_lossy(&answer.stderr));
+        assert_eq!(String::from_utf8_lossy(&answer.stdout).trim(), want, "{line}");
+    }
 
     // --no-cache wins over --cache-dir and still produces identical output.
     let plain = bin()
@@ -540,5 +603,86 @@ fn cache_dir_warm_run_matches_cold_and_no_cache_disables() {
     assert!(ranked.status.success());
     assert!(String::from_utf8_lossy(&ranked.stdout).contains("cone ASes"));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `validate --inferred rib.mrt --topo T` infers with T's IXP list, so
+/// its report is byte-identical to validating the file `infer --topo T`
+/// wrote — cold, and from a cache that `infer --topo T` warmed. The
+/// fixture (tiny seed 5, realistic anomalies) inserts IXP route servers
+/// into paths, so the IXP list changes the inferred links.
+#[test]
+fn validate_of_a_rib_uses_the_topo_ixp_list() {
+    let dir = tmp("validate_ixps");
+    let topo = dir.join("topo");
+    let rib = dir.join("rib.mrt");
+    let cache = dir.join("cache");
+    let with_topo = dir.join("with-topo.txt");
+    let without_topo = dir.join("without-topo.txt");
+    let (t, r) = (topo.to_str().unwrap(), rib.to_str().unwrap());
+    for args in [
+        sv(&["generate", "--scale", "tiny", "--seed", "5", "--out", t]),
+        sv(&["simulate", "--topo", t, "--vps", "8", "--seed", "5", "--anomalies", "realistic", "--out", r]),
+        sv(&["infer", "--rib", r, "--topo", t, "--cache-dir", cache.to_str().unwrap(), "--out", with_topo.to_str().unwrap()]),
+        sv(&["infer", "--rib", r, "--out", without_topo.to_str().unwrap()]),
+    ] {
+        assert!(bin().args(&args).status().unwrap().success(), "{args:?}");
+    }
+    assert_ne!(
+        std::fs::read(&with_topo).unwrap(),
+        std::fs::read(&without_topo).unwrap(),
+        "fixture: the IXP list must change the inferred links"
+    );
+
+    let validate = |inferred: &std::path::Path, extra: &[&str]| -> Vec<u8> {
+        let mut args = sv(&["validate", "--inferred", inferred.to_str().unwrap(), "--topo", t]);
+        args.extend(sv(extra));
+        let out = bin().args(&args).output().expect("validate");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let want = validate(&with_topo, &[]);
+    assert_eq!(validate(&rib, &[]), want, "cold .mrt report");
+    assert_eq!(
+        validate(&rib, &["--cache-dir", cache.to_str().unwrap()]),
+        want,
+        "warm .mrt report"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A delta refresh spills no frames: its path set is no RIB's ingest
+/// frame, so no later run could find them. `timeline --cache-dir` over a
+/// RIB and one update capture leaves only the RIB's six files.
+#[test]
+fn timeline_refresh_writes_no_frames() {
+    let dir = tmp("timeline_frames");
+    let topo = dir.join("topo");
+    let rib = dir.join("rib.mrt");
+    let storm = dir.join("storm.mrt");
+    let cache = dir.join("cache");
+    let (t, r, s) = (
+        topo.to_str().unwrap(),
+        rib.to_str().unwrap(),
+        storm.to_str().unwrap(),
+    );
+    for args in [
+        sv(&["generate", "--scale", "tiny", "--seed", "1", "--out", t]),
+        sv(&["simulate", "--topo", t, "--vps", "8", "--seed", "1", "--out", r]),
+        sv(&["depeer", "--topo", t, "--vps", "8", "--seed", "1", "--out", s]),
+        sv(&["timeline", r, s, "--cache-dir", cache.to_str().unwrap()]),
+    ] {
+        assert!(bin().args(&args).status().unwrap().success(), "{args:?}");
+    }
+    let mut files: Vec<String> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 1 + FRAMED.len(), "{files:?}");
+    assert!(files.iter().any(|f| f.starts_with("rib_ingest-")), "{files:?}");
+    for name in FRAMED {
+        assert!(files.iter().any(|f| f.starts_with(&format!("{name}-"))), "{files:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -76,11 +76,6 @@ impl Csr {
         self.len() == 0
     }
 
-    /// Number of (directed) edges.
-    pub fn edge_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Out-neighbors of `u` as a contiguous slice.
     pub fn neighbors(&self, u: u32) -> &[u32] {
         let start = self.offsets[u as usize] as usize;
@@ -133,7 +128,6 @@ mod tests {
     fn builds_and_preserves_edge_order() {
         let g = Csr::from_edges(4, &[(0, 2), (0, 1), (2, 3), (0, 2)]);
         assert_eq!(g.len(), 4);
-        assert_eq!(g.edge_count(), 4);
         assert_eq!(g.neighbors(0), &[2, 1, 2]);
         assert_eq!(g.neighbors(1), &[] as &[u32]);
         assert_eq!(g.neighbors(2), &[3]);
@@ -145,7 +139,6 @@ mod tests {
         let g = Csr::from_edges_dedup(4, &[(0, 2), (0, 1), (2, 3), (0, 2), (0, 1)]);
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.neighbors(2), &[3]);
-        assert_eq!(g.edge_count(), 3);
     }
 
     #[test]

@@ -21,11 +21,18 @@
 //!   prefix table, hashed once in sorted order) hash any configuration;
 //!   every other stage's subset hash is 0;
 //! * input fingerprints chain, so a new IXP list moves every key, while
-//!   a new prefix table moves only the cones' keys and every frame
-//!   upstream of them is reused;
+//!   a new prefix table moves only the cones' keys: the cones rerun
+//!   over the reused arena and S11 frames;
 //! * [`Parallelism`] is deliberately **excluded** from every subset:
 //!   results are identical for every thread budget, so a thread-count
 //!   change must (and does) hit the cache.
+//!
+//! **Frames.** With a cache directory attached, only the stages a later
+//! run reads spill to and load from disk ([`StageSpec::frame`]): S11 and
+//! the three cones, which every warm run and `asrank serve` read, and
+//! the arena, which the cones read when a new prefix table reruns them.
+//! A warm run that asks for any other stage recomputes it from those
+//! frames or from the path set.
 //!
 //! Step variants (leaving S4, S6, S7, S8 or S9 out) are not engine
 //! configuration: the reference pipeline
@@ -257,10 +264,10 @@ impl<'a> Env<'a> {
 }
 
 /// One node of the stage DAG: a name, the stages it consumes, the dirt
-/// aspects it reads, the config subset entering its fingerprint, and a
-/// pure body. The entry is the only statement of the node's edges: the
-/// fingerprint chain, cold materialization and the delta run's dirty
-/// rule all derive from it.
+/// aspects it reads, the config subset entering its fingerprint, whether
+/// it has a disk frame, and a pure body. The entry is the only statement
+/// of the node's edges: the fingerprint chain, cold materialization, the
+/// cache tier and the delta run's dirty rule all derive from it.
 struct StageSpec {
     name: &'static str,
     /// Indices into [`STAGES`] of the artifacts this stage consumes, in
@@ -271,6 +278,10 @@ struct StageSpec {
     reads: u8,
     /// Hash of the config subset this stage reads (0 when it reads none).
     cfg_fp: fn(&FpCtx) -> u64,
+    /// The stage spills to, and loads from, an attached cache directory:
+    /// true only where a later run reads the frame (see *Frames* in the
+    /// module doc).
+    frame: bool,
     /// The stage body. Pure: output depends only on `env` and `inputs`.
     run: fn(&Env, &Inputs) -> Result<Artifact, EngineError>,
 }
@@ -319,6 +330,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[],
         reads: dirt::SAMPLES,
         cfg_fp: fp_sanitize,
+        frame: false,
         run: run_sanitize,
     },
     StageSpec {
@@ -326,6 +338,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S1_SANITIZE],
         reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
+        frame: true,
         run: run_arena,
     },
     StageSpec {
@@ -333,6 +346,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[PATH_ARENA],
         reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
+        frame: false,
         run: run_degrees,
     },
     StageSpec {
@@ -340,6 +354,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[PATH_ARENA, S2_DEGREES],
         reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
+        frame: false,
         run: run_clique,
     },
     StageSpec {
@@ -347,6 +362,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[PATH_ARENA, S3_CLIQUE],
         reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
+        frame: false,
         run: run_poison,
     },
     StageSpec {
@@ -354,6 +370,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[PATH_ARENA, S4_POISON],
         reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
+        frame: false,
         run: run_links,
     },
     StageSpec {
@@ -361,6 +378,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[PATH_ARENA, S4_POISON, S2_DEGREES, S3_CLIQUE],
         reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
+        frame: false,
         run: run_topdown,
     },
     StageSpec {
@@ -368,6 +386,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S5_TOPDOWN, S1_SANITIZE, S2_DEGREES],
         reads: dirt::SAMPLES,
         cfg_fp: fp_none,
+        frame: false,
         run: run_vp_providers,
     },
     StageSpec {
@@ -375,6 +394,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S6_VP_PROVIDERS, S2_DEGREES],
         reads: 0,
         cfg_fp: fp_none,
+        frame: false,
         run: run_anomaly_repair,
     },
     StageSpec {
@@ -382,6 +402,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S7_ANOMALY_REPAIR, OBSERVED_LINKS, S2_DEGREES, S3_CLIQUE],
         reads: 0,
         cfg_fp: fp_none,
+        frame: false,
         run: run_stub_clique,
     },
     StageSpec {
@@ -389,6 +410,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S8_STUB_CLIQUE, PATH_ARENA, S4_POISON, S2_DEGREES, S3_CLIQUE],
         reads: dirt::STRUCTURE,
         cfg_fp: fp_none,
+        frame: false,
         run: run_providerless,
     },
     StageSpec {
@@ -396,6 +418,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S9_PROVIDERLESS, OBSERVED_LINKS],
         reads: 0,
         cfg_fp: fp_none,
+        frame: false,
         run: run_p2p,
     },
     StageSpec {
@@ -403,6 +426,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S10_P2P, S1_SANITIZE, S2_DEGREES, S3_CLIQUE],
         reads: dirt::REPORT,
         cfg_fp: fp_none,
+        frame: true,
         run: run_inference,
     },
     StageSpec {
@@ -410,6 +434,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S11_INFERENCE],
         reads: dirt::RELS,
         cfg_fp: fp_prefixes,
+        frame: true,
         run: run_cone_recursive,
     },
     StageSpec {
@@ -417,6 +442,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S11_INFERENCE, PATH_ARENA],
         reads: dirt::RELS | dirt::STRUCTURE,
         cfg_fp: fp_prefixes,
+        frame: true,
         run: run_cone_bgp,
     },
     StageSpec {
@@ -424,6 +450,7 @@ static STAGES: &[StageSpec] = &[
         inputs: &[S11_INFERENCE, PATH_ARENA],
         reads: dirt::RELS | dirt::STRUCTURE,
         cfg_fp: fp_prefixes,
+        frame: true,
         run: run_cone_provider_peer,
     },
 ];
@@ -980,11 +1007,14 @@ impl<'a> Snapshot<'a> {
         if let Some(found) = self.store.lookup(idx) {
             return Ok(found);
         }
-        // Spill tier: an in-memory miss may still be answered from the
-        // persistent cache — the warm-process path that materializes a
-        // stage without touching any of its inputs.
-        if let (Some(cache), Some(tag)) = (&self.cache, crate::persist::tag_for_stage(spec.name)) {
-            if let Some(artifact) = cache.load(spec.name, self.disk_key(idx), tag) {
+        // Spill tier: an in-memory miss on a framed stage may still be
+        // answered from the persistent cache — the warm-process path that
+        // materializes a stage without touching any of its inputs.
+        if let Some(cache) = self.cache.as_ref().filter(|_| spec.frame) {
+            let tag = crate::persist::tag_for_stage(spec.name);
+            if let Some(artifact) =
+                tag.and_then(|tag| cache.load(spec.name, self.disk_key(idx), tag))
+            {
                 self.store.record(idx, &artifact, Source::Disk);
                 return Ok(artifact);
             }
@@ -1000,24 +1030,20 @@ impl<'a> Snapshot<'a> {
         };
         let artifact = (spec.run)(&self.env, &inputs)?;
         let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.keep(idx, &artifact, Source::Run(wall_ns));
-        Ok(artifact)
-    }
-
-    /// Enter `artifact` as stage `idx`'s output and spill it to the
-    /// attached cache directory — the one write path for every stage
-    /// output not loaded from that directory.
-    fn keep(&mut self, idx: usize, artifact: &Artifact, source: Source) {
-        self.store.record(idx, artifact, source);
-        let Some(cache) = &self.cache else { return };
-        let stored = cache.store(STAGES[idx].name, self.disk_key(idx), artifact);
-        if let Some(stat) = self.store.stats.get_mut(idx) {
-            if stored {
-                stat.disk_stores += 1;
-            } else {
-                stat.disk_store_failures += 1;
+        self.store.record(idx, &artifact, Source::Run(wall_ns));
+        // The one write path: a framed stage's run spills its output to
+        // the attached cache directory.
+        if let Some(cache) = self.cache.as_ref().filter(|_| spec.frame) {
+            let stored = cache.store(spec.name, self.disk_key(idx), &artifact);
+            if let Some(stat) = self.store.stats.get_mut(idx) {
+                if stored {
+                    stat.disk_stores += 1;
+                } else {
+                    stat.disk_store_failures += 1;
+                }
             }
         }
+        Ok(artifact)
     }
 
     /// Materialize a stage by name — the partial-materialization entry
@@ -1103,10 +1129,10 @@ impl<'a> Snapshot<'a> {
     ///
     /// Every other recomputed stage is content-compared against its
     /// previous artifact, so a dirty input whose recomputation lands on
-    /// the same output cuts the propagation off immediately. Both
-    /// skipped and recomputed artifacts are (re-)spilled to the attached
-    /// cache directory, keeping the emission serve-ready under the new
-    /// dataset content fingerprint.
+    /// the same output cuts the propagation off immediately. Artifacts
+    /// are recorded in the store, never spilled: a refreshed path set
+    /// is no RIB's ingest frame, so neither `serve` nor `infer` could
+    /// ever look up frames keyed by it.
     pub(crate) fn delta_run(
         &mut self,
         prev: &[Artifact],
@@ -1122,7 +1148,7 @@ impl<'a> Snapshot<'a> {
         let mut changed = vec![false; STAGES.len()];
         for (idx, spec) in STAGES.iter().enumerate() {
             if spec.reads & aspects == 0 && !spec.inputs.iter().any(|&j| changed[j]) {
-                self.keep(idx, &prev[idx], Source::DeltaSkip);
+                self.store.record(idx, &prev[idx], Source::DeltaSkip);
                 continue;
             }
             let started = Instant::now();
@@ -1165,7 +1191,7 @@ impl<'a> Snapshot<'a> {
                 }
                 _ => changed[idx] = !artifact_eq(&artifact, &prev[idx]),
             }
-            self.keep(idx, &artifact, Source::DeltaRun(wall_ns));
+            self.store.record(idx, &artifact, Source::DeltaRun(wall_ns));
         }
         Ok(())
     }
@@ -1493,13 +1519,23 @@ mod tests {
         }
         let cache = crate::persist::CacheDir::new(&dir);
         let content_fp = crate::persist::pathset_fingerprint(&paths);
+        // Exactly the stages a later run reads have a frame.
+        let framed = [
+            "path_arena",
+            "s11_inference",
+            "cone_recursive",
+            "cone_bgp_observed",
+            "cone_provider_peer",
+        ];
         for name in Snapshot::stage_names() {
             let key = stage_disk_key(name, &cfg, None, content_fp).unwrap();
-            assert!(
+            assert_eq!(
                 cache.entry_path(name, key).is_file(),
-                "stage {name}: no frame at the path-free key"
+                framed.contains(&name),
+                "stage {name}: frame at the path-free key"
             );
         }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), framed.len());
         assert!(stage_disk_key("nope", &cfg, None, content_fp).is_none());
         // A different config or dataset moves the key.
         let mut other = InferenceConfig::default();

@@ -75,5 +75,5 @@ pub use pipeline::{
 pub use rank::{rank_ases, RankedAs};
 pub use sanitize::{sanitize, SanitizeConfig, SanitizeReport, SanitizedPaths};
 pub use stability::{jackknife, LinkStability, StabilityReport};
-pub use valley::{check_valley_free, grade_arena, valley_free_fraction, ValleyStats, ValleyVerdict};
+pub use valley::{grade_arena, ValleyStats, ValleyVerdict};
 pub use visibility::{LinkVisibility, VisibilityTable};

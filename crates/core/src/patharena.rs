@@ -218,7 +218,9 @@ impl PathArena {
 
     /// All distinct paths as owned [`AsPath`]s, in arena (ASN-lexicographic)
     /// order — the exact set and order the pipeline's old
-    /// `HashSet<&AsPath>` + clone + sort produced.
+    /// `HashSet<&AsPath>` + clone + sort produced; the oracle this
+    /// module's and `valley`'s tests compare against.
+    #[cfg(test)]
     pub fn distinct_aspaths(&self) -> Vec<AsPath> {
         (0..self.len()).map(|p| self.resolve_path(p)).collect()
     }

@@ -4,9 +4,9 @@
 //! vantage point toward the origin has the shape *uphill\* peer? downhill\**
 //! (sibling hops are transparent). A path that violates this against a
 //! relationship assignment indicates either a route leak or — when the
-//! assignment is an inference — an inference error. The checker is used
-//! by the simulator's tests, the pipeline's audit, and downstream
-//! consumers who want to grade paths against an inference.
+//! assignment is an inference — an inference error. [`grade_arena`]
+//! grades every distinct path of an arena for the semantic audit; the
+//! per-`AsPath` definition it must agree with lives with the tests.
 
 use crate::patharena::PathArena;
 use asrank_types::prelude::*;
@@ -33,30 +33,9 @@ pub enum ValleyVerdict {
     },
 }
 
-/// Check one path (VP first, origin last) against a relationship map.
-///
-/// ```
-/// use asrank_core::valley::{check_valley_free, ValleyVerdict};
-/// use asrank_types::{AsPath, Asn, RelationshipMap};
-///
-/// let mut rels = RelationshipMap::new();
-/// rels.insert_c2p(Asn(10), Asn(1));
-/// rels.insert_p2p(Asn(1), Asn(2));
-/// rels.insert_c2p(Asn(20), Asn(2));
-///
-/// // VP 10 → provider 1 → peer 2 → customer 20: valley-free.
-/// let ok = AsPath::from_u32s([10, 1, 2, 20]);
-/// assert_eq!(check_valley_free(&ok, &rels), ValleyVerdict::ValleyFree);
-///
-/// // 1 → 2 (peer) → 20 (descend) → … climbing again would be a valley:
-/// let leak = AsPath::from_u32s([2, 1, 10]); // wait — this one is fine too
-/// assert_eq!(check_valley_free(&leak, &rels), ValleyVerdict::ValleyFree);
-///
-/// // 20 → 2 → 1 → 10: up to 2? no — 2 is 20's provider (up), 2–1 peer,
-/// // 1–10 down: valley-free. A genuine valley needs up after down:
-/// let valley = AsPath::from_u32s([10, 1, 2, 20, 2]);
-/// assert_ne!(check_valley_free(&valley, &rels), ValleyVerdict::ValleyFree);
-/// ```
+/// Check one path (VP first, origin last) against a relationship map:
+/// the definitional checker the tests hold [`grade_arena`] to.
+#[cfg(test)]
 pub fn check_valley_free(path: &AsPath, rels: &RelationshipMap) -> ValleyVerdict {
     // Phase 0: ascending. Phase 1: after the peak (peered or descended).
     let mut phase = 0u8;
@@ -154,7 +133,7 @@ pub fn grade_arena(arena: &PathArena, rels: &RelationshipMap, par_cfg: Paralleli
     out
 }
 
-/// [`check_valley_free`] over dense-id hops (already prepending-free).
+/// The valley-free check over dense-id hops (already prepending-free).
 fn check_valley_ids(hops: &[u32], interner: &AsnInterner, rels: &RelationshipMap) -> ValleyVerdict {
     let mut phase = 0u8;
     let mut peered = false;
@@ -186,26 +165,6 @@ fn check_valley_ids(hops: &[u32], interner: &AsnInterner, rels: &RelationshipMap
         }
     }
     ValleyVerdict::ValleyFree
-}
-
-/// Fraction of paths in a set that are valley-free under `rels`
-/// (unknown-link paths count as violations).
-pub fn valley_free_fraction<'a, I>(paths: I, rels: &RelationshipMap) -> f64
-where
-    I: IntoIterator<Item = &'a AsPath>,
-{
-    let (mut ok, mut total) = (0usize, 0usize);
-    for p in paths {
-        total += 1;
-        if check_valley_free(p, rels) == ValleyVerdict::ValleyFree {
-            ok += 1;
-        }
-    }
-    if total == 0 {
-        1.0
-    } else {
-        ok as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -386,15 +345,5 @@ mod tests {
         assert_eq!(stats.total, 4);
         assert_eq!(stats.unknown, 1);
         assert_eq!(stats.valleys, 1);
-    }
-
-    #[test]
-    fn fraction() {
-        let r = rels();
-        let good = AsPath::from_u32s([100, 10, 1]);
-        let bad = AsPath::from_u32s([1, 999]);
-        let f = valley_free_fraction([&good, &bad], &r);
-        assert!((f - 0.5).abs() < 1e-12);
-        assert!((valley_free_fraction(std::iter::empty(), &r) - 1.0).abs() < 1e-12);
     }
 }

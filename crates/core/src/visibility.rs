@@ -81,34 +81,6 @@ impl VisibilityTable {
     pub fn iter(&self) -> impl Iterator<Item = (AsLink, &LinkVisibility)> {
         self.links.iter().map(|(&l, v)| (l, v))
     }
-
-    /// Links observed by at most `k` VPs — the weak-evidence tail where
-    /// the paper expects most inference errors to live.
-    pub fn weakly_observed(&self, k: usize) -> Vec<AsLink> {
-        let mut v: Vec<AsLink> = self
-            .links
-            .iter()
-            .filter(|(_, vis)| vis.vps <= k)
-            .map(|(&l, _)| l)
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// Histogram of links by VP-count buckets `(1, 2-5, 6-20, >20)`.
-    pub fn vp_histogram(&self) -> [usize; 4] {
-        let mut h = [0usize; 4];
-        for vis in self.links.values() {
-            let idx = match vis.vps {
-                0 | 1 => 0,
-                2..=5 => 1,
-                6..=20 => 2,
-                _ => 3,
-            };
-            h[idx] += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -145,16 +117,14 @@ mod tests {
     }
 
     #[test]
-    fn weak_tail_and_histogram() {
+    fn shared_link_counts_every_vp() {
         let s = sanitized(&[(9, &[9, 1, 2]), (8, &[8, 1, 2]), (7, &[7, 1, 2])]);
         let t = VisibilityTable::compute(&s);
         // 1-2 seen by 3 VPs; each VP link by 1.
-        let weak = t.weakly_observed(1);
-        assert_eq!(weak.len(), 3);
-        assert!(!weak.contains(&AsLink::new(Asn(1), Asn(2))));
-        let h = t.vp_histogram();
-        assert_eq!(h[0], 3);
-        assert_eq!(h[1], 1);
+        assert_eq!(t.get(Asn(1), Asn(2)).unwrap().vps, 3);
+        for vp in [7, 8, 9] {
+            assert_eq!(t.get(Asn(vp), Asn(1)).unwrap().vps, 1);
+        }
         assert_eq!(t.len(), 4);
     }
 
@@ -162,6 +132,5 @@ mod tests {
     fn empty_input() {
         let t = VisibilityTable::compute(&SanitizedPaths::default());
         assert!(t.is_empty());
-        assert_eq!(t.vp_histogram(), [0, 0, 0, 0]);
     }
 }

@@ -1,16 +1,17 @@
 //! `asrank-lint` — repo-specific static source checker for the asrank
 //! workspace.
 //!
-//! Nine rules guard the properties the test suite cannot cheaply
+//! Ten rules guard the properties the test suite cannot cheaply
 //! observe. Five are file-local pattern checks: deterministic iteration
 //! in ordered-output code (L001), panic-freedom of `crates/core` (L002),
 //! no unannotated relaxed atomics outside tests (L003), doc
 //! coverage of the public API (L004), and checked narrowing on dense-id
-//! arithmetic (L005). Four are cross-file semantic passes over a
+//! arithmetic (L005). Five are cross-file semantic passes over a
 //! whole-workspace item index ([`semantic::WorkspaceIndex`]): stage
 //! fingerprint coverage of every config field (L006), `unsafe`/`SAFETY:`
 //! contracts (L007), the release/acquire pairing of atomic publication
-//! protocols (L008), and codec kind-tag exhaustiveness (L009). Strict
+//! protocols (L008), codec kind-tag exhaustiveness (L009), and a
+//! non-test caller for every library `pub` item (L010). Strict
 //! mode adds L000, a meta-check on the allow-annotations themselves. See
 //! [`rules::RULES`] for the full table and `README.md` for the workflow.
 //!
@@ -68,18 +69,21 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     }
     let mut out: Vec<(String, PathBuf)> = files
         .into_iter()
-        .filter_map(|p| {
-            let rel = p.strip_prefix(root).ok()?;
-            let rel = rel
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            Some((rel, p))
-        })
+        .filter_map(|p| Some((rel_label(root, &p)?, p)))
         .collect();
     out.sort();
     Ok(out)
+}
+
+/// `path` relative to `root`, with forward slashes (the rule scoping key).
+fn rel_label(root: &Path, path: &Path) -> Option<String> {
+    let rel = path.strip_prefix(root).ok()?;
+    Some(
+        rel.components()
+            .map(|c| c.as_os_str().to_string_lossy())
+            .collect::<Vec<_>>()
+            .join("/"),
+    )
 }
 
 fn collect_rs(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -100,7 +104,8 @@ fn collect_rs(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Lint the whole workspace rooted at `root`, restricted to `rule_filter`
 /// when non-empty (rule ids like `L001`). `strict` additionally audits
 /// the allow-annotations themselves (L000: unknown slugs, missing
-/// reasons).
+/// reasons). `benchmark/src` and `examples/` are read as callers for
+/// L010 but not linted.
 pub fn lint_workspace(root: &Path, rule_filter: &[String], strict: bool) -> io::Result<Report> {
     let files = workspace_files(root)?;
     let files_scanned = files.len();
@@ -112,6 +117,18 @@ pub fn lint_workspace(root: &Path, rule_filter: &[String], strict: bool) -> io::
     let mut findings = Vec::new();
     for (rel, source) in &sources {
         findings.extend(check_file(rel, source));
+    }
+    let mut callers = Vec::new();
+    for dir in ["benchmark/src", "examples"] {
+        if root.join(dir).is_dir() {
+            collect_rs(&root.join(dir), &mut callers)?;
+        }
+    }
+    callers.sort();
+    for path in callers {
+        if let Some(rel) = rel_label(root, &path) {
+            sources.push((rel, fs::read_to_string(&path)?));
+        }
     }
     let index = WorkspaceIndex::build(&sources);
     findings.extend(semantic::check_index(&index));

@@ -24,8 +24,9 @@ OPTIONS:
     --list-rules       print the rule table and exit
     -h, --help         show this help
 
-Rules L001-L005 are scoped per file; L006-L009 are cross-file semantic
-passes over the whole workspace (see README.md). Suppress a single
+Rules L001-L005 are scoped per file; L006-L010 are cross-file semantic
+passes over the whole workspace (see README.md); L010 also reads
+benchmark/src and examples/ as callers. Suppress a single
 finding with a trailing or preceding comment:
     // lint: allow(<slug>, <reason>)
 The reason is mandatory; annotations without one are ignored.

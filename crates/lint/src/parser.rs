@@ -2,9 +2,10 @@
 //!
 //! This is deliberately **not** a full AST: it recovers just the item
 //! skeleton the semantic rules need — which items exist (structs, enums,
-//! fns, mods, traits, impls, consts), where each one starts and ends
-//! (line spans), the named fields of structs (name + type text), and the
-//! type text of consts. Function bodies stay opaque token spans; rules
+//! fns, mods, traits, impls, consts, type aliases, `use` declarations),
+//! whether each is bare `pub`, where each one starts and ends (line
+//! spans), the named fields of structs (name + type text), and the type
+//! text of consts. Function bodies stay opaque token spans; rules
 //! that care about references inside a body slice the stripped lines by
 //! the recorded span and pattern-match there.
 //!
@@ -13,8 +14,6 @@
 //! resilient by construction: anything it does not recognize is skipped
 //! token by token, and unbalanced input simply truncates spans at
 //! end-of-file — a linter must not crash on the code it inspects.
-
-use crate::lexer;
 
 /// What kind of item a [`Item`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +38,10 @@ pub enum ItemKind {
     Static,
     /// `extern "C" { .. }` foreign block.
     ExternBlock,
+    /// `type Name = ..;` (free or associated).
+    TypeAlias,
+    /// `use ..;` declaration; the name is empty.
+    Use,
 }
 
 /// One named field of a struct.
@@ -75,6 +78,8 @@ pub struct Item {
     /// Index (into the flat item list) of the enclosing mod/impl/trait,
     /// or `None` at file level.
     pub parent: Option<usize>,
+    /// Declared with a bare `pub` (not `pub(crate)` or private).
+    pub is_pub: bool,
 }
 
 /// The leading identifier of a type's final path segment, with
@@ -164,11 +169,6 @@ pub fn parse_items(stripped_lines: &[String]) -> Vec<Item> {
     let mut pos = 0usize;
     parse_block(&tokens, &mut pos, None, &mut items);
     items
-}
-
-/// Convenience: strip + parse raw source.
-pub fn parse_source(source: &str) -> Vec<Item> {
-    parse_items(&lexer::strip(source).lines)
 }
 
 fn ident_at<'t>(tokens: &'t [Token], pos: usize) -> Option<&'t str> {
@@ -362,8 +362,12 @@ fn parse_block(
     items: &mut Vec<Item>,
 ) -> usize {
     let mut last_line = line_at(tokens, *pos);
+    // Set by a bare `pub` and carried across the other modifiers to the
+    // declaring keyword; any other token clears it.
+    let mut pub_pending = false;
     while *pos < tokens.len() {
         last_line = tokens[*pos].line;
+        let is_pub = std::mem::take(&mut pub_pending);
         match &tokens[*pos].tok {
             Tok::Punct('}') => return last_line, // caller consumes
             Tok::Punct('#') => {
@@ -382,8 +386,10 @@ fn parse_block(
                 match word.as_str() {
                     w if MODIFIERS.contains(&w) => {
                         *pos += 1;
+                        pub_pending = is_pub || w == "pub";
                         if w == "pub" && punct_at(tokens, *pos) == Some('(') {
                             skip_balanced(tokens, pos, '(', ')');
+                            pub_pending = false; // `pub(crate)` and kin
                         }
                     }
                     "extern" => {
@@ -403,10 +409,12 @@ fn parse_block(
                                     ty: String::new(),
                                     fields: Vec::new(),
                                     parent,
+                                    is_pub,
                                 });
                             }
                             (_, Some("crate")) => skip_to_semicolon(tokens, pos),
-                            _ => {} // modifier position (`extern "C" fn`)
+                            // modifier position (`extern "C" fn`)
+                            _ => pub_pending = is_pub,
                         }
                     }
                     "struct" | "enum" | "union" => {
@@ -452,6 +460,7 @@ fn parse_block(
                             ty: String::new(),
                             fields,
                             parent,
+                            is_pub,
                         });
                     }
                     "fn" => {
@@ -475,6 +484,7 @@ fn parse_block(
                             ty: String::new(),
                             fields: Vec::new(),
                             parent,
+                            is_pub,
                         });
                     }
                     "mod" | "trait" | "impl" => {
@@ -507,6 +517,7 @@ fn parse_block(
                             ty: String::new(),
                             fields: Vec::new(),
                             parent,
+                            is_pub,
                         });
                         if scan_to_body(tokens, pos) {
                             items[idx].body_start = line_at(tokens, *pos);
@@ -528,6 +539,7 @@ fn parse_block(
                         };
                         *pos += 1;
                         if ident_at(tokens, *pos) == Some("fn") {
+                            pub_pending = is_pub;
                             continue; // `const fn` — handled by the fn arm
                         }
                         if ident_at(tokens, *pos) == Some("mut") {
@@ -552,11 +564,32 @@ fn parse_block(
                             ty,
                             fields: Vec::new(),
                             parent,
+                            is_pub,
                         });
                     }
                     "use" | "type" => {
+                        let kind = if word == "use" {
+                            ItemKind::Use
+                        } else {
+                            ItemKind::TypeAlias
+                        };
                         *pos += 1;
+                        let name = match (kind, ident_at(tokens, *pos)) {
+                            (ItemKind::TypeAlias, Some(n)) => n.to_string(),
+                            _ => String::new(),
+                        };
                         skip_to_semicolon(tokens, pos);
+                        items.push(Item {
+                            kind,
+                            name,
+                            line: kw_line,
+                            body_start: kw_line,
+                            body_end: line_at(tokens, pos.saturating_sub(1)),
+                            ty: String::new(),
+                            fields: Vec::new(),
+                            parent,
+                            is_pub,
+                        });
                     }
                     "macro_rules" => {
                         *pos += 1; // `!`, name, then a balanced body
@@ -585,9 +618,10 @@ fn parse_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer;
 
     fn items(src: &str) -> Vec<Item> {
-        parse_source(src)
+        parse_items(&lexer::strip(src).lines)
     }
 
     #[test]
@@ -704,6 +738,38 @@ fn after() {}
         assert_eq!(base_type_ident("HashSet<Asn>"), "HashSet");
         assert_eq!(base_type_ident("f64"), "f64");
         assert_eq!(base_type_ident("&mut Vec<u8>"), "Vec");
+    }
+
+    #[test]
+    fn visibility_aliases_and_uses() {
+        let src = "\
+pub const fn a() {}
+pub(crate) fn b() {}
+pub unsafe extern \"C\" fn c() {}
+fn d() {}
+pub type Alias = u32;
+pub use x::{
+    Y,
+};
+use z::W;
+";
+        let its = items(src);
+        let got: Vec<(ItemKind, &str, bool, usize, usize)> = its
+            .iter()
+            .map(|i| (i.kind, i.name.as_str(), i.is_pub, i.line, i.body_end))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (ItemKind::Fn, "a", true, 1, 1),
+                (ItemKind::Fn, "b", false, 2, 2),
+                (ItemKind::Fn, "c", true, 3, 3),
+                (ItemKind::Fn, "d", false, 4, 4),
+                (ItemKind::TypeAlias, "Alias", true, 5, 5),
+                (ItemKind::Use, "", true, 6, 8),
+                (ItemKind::Use, "", false, 9, 9),
+            ]
+        );
     }
 
     #[test]

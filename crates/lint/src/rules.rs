@@ -2,7 +2,7 @@
 //! local rule is a line-oriented pattern check over [`lexer::strip`]ped
 //! text, scoped to the files where the property matters, with
 //! `// lint: allow(<slug>, <reason>)` as the escape hatch. The
-//! cross-file rules (L006–L009) live in [`crate::semantic`] and run over
+//! cross-file rules (L006–L010) live in [`crate::semantic`] and run over
 //! a whole-workspace item index.
 //!
 //! These are deliberately token-level heuristics, not a type checker:
@@ -32,7 +32,7 @@ pub struct Finding {
 
 /// Static description of a rule, for `--list-rules` and report footers.
 pub struct RuleInfo {
-    /// Rule id (`L001`..`L009`, plus the `L000` strict meta-check).
+    /// Rule id (`L001`..`L010`, plus the `L000` strict meta-check).
     pub id: &'static str,
     /// Annotation slug.
     pub slug: &'static str,
@@ -54,7 +54,7 @@ pub const META_RULE: RuleInfo = RuleInfo {
 };
 
 /// All rules, in id order.
-pub const RULES: [RuleInfo; 9] = [
+pub const RULES: [RuleInfo; 10] = [
     RuleInfo {
         id: "L001",
         slug: "nondeterministic-iter",
@@ -121,6 +121,14 @@ pub const RULES: [RuleInfo; 9] = [
         summary: "artifact kind tag without encode and decode coverage",
         help: "give every `u16` tag in `persist::kind` an `Encoder::new(kind::X)` site and a \
                decode match arm (or `Decoder::open`) — or remove the dead tag",
+    },
+    RuleInfo {
+        id: "L010",
+        slug: "no-caller",
+        summary: "library pub item that no non-test code names",
+        help: "delete the item with the tests that only exercise it, move it under \
+               `#[cfg(test)]` when only its own crate's tests use it, or annotate \
+               `// lint: allow(no-caller, <which tests use it, and as what>)`",
     },
 ];
 

@@ -1,4 +1,4 @@
-//! Cross-file semantic rules (L006–L009).
+//! Cross-file semantic rules (L006–L010).
 //!
 //! Unlike the line-oriented rules in [`crate::rules`], these passes index
 //! the whole workspace first — every file stripped, test-masked, and
@@ -7,8 +7,9 @@
 //! fingerprint functions in `engine.rs` (L006), `unsafe` sites against
 //! the module allowlist and their `// SAFETY:` contracts (L007), release
 //! stores against acquire loads elsewhere in the same compilation unit
-//! (L008), and codec kind tags against their encode/decode call sites
-//! (L009).
+//! (L008), codec kind tags against their encode/decode call sites
+//! (L009), and every library `pub` item against the non-test code that
+//! names it (L010).
 //!
 //! The same annotation grammar applies: a finding is suppressed by
 //! `// lint: allow(<slug>, <reason>)` on the flagged line or the line
@@ -37,12 +38,21 @@ pub struct FileIndex {
 pub struct WorkspaceIndex {
     /// One entry per scanned file, in input order.
     pub files: Vec<FileIndex>,
+    /// Read-only caller files (see [`is_caller_only`]): L010 counts the
+    /// names they use, and no rule checks them.
+    pub callers: Vec<FileIndex>,
+}
+
+/// True for files outside the linted tree whose code still calls the
+/// workspace's library API: the benchmark package and the examples.
+pub fn is_caller_only(rel: &str) -> bool {
+    rel.starts_with("benchmark/") || rel.starts_with("examples/")
 }
 
 impl WorkspaceIndex {
-    /// Index `(rel, source)` pairs.
+    /// Index `(rel, source)` pairs; caller-only paths land in `callers`.
     pub fn build(files: &[(String, String)]) -> WorkspaceIndex {
-        let files = files
+        let (callers, files): (Vec<FileIndex>, Vec<FileIndex>) = files
             .iter()
             .map(|(rel, source)| {
                 let stripped = lexer::strip(source);
@@ -56,8 +66,8 @@ impl WorkspaceIndex {
                     stripped,
                 }
             })
-            .collect();
-        WorkspaceIndex { files }
+            .partition(|f| is_caller_only(&f.rel));
+        WorkspaceIndex { files, callers }
     }
 
     /// Locate a non-test struct definition by name: `prefer_file` (the
@@ -80,6 +90,7 @@ impl WorkspaceIndex {
 
 /// Run all semantic rules over pre-labelled `(rel, source)` pairs.
 /// Fixture tests call this directly with synthetic path labels.
+// lint: allow(no-caller, tests/semantic.rs drives every cross-file rule through it on labelled fixtures)
 pub fn check_workspace(files: &[(String, String)]) -> Vec<Finding> {
     check_index(&WorkspaceIndex::build(files))
 }
@@ -91,6 +102,7 @@ pub fn check_index(idx: &WorkspaceIndex) -> Vec<Finding> {
     l007_unsafe_contracts(idx, &mut out);
     l008_atomics_audit(idx, &mut out);
     l009_codec_kinds(idx, &mut out);
+    l010_no_caller(idx, &mut out);
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     out
 }
@@ -613,9 +625,205 @@ fn kind_usage(idx: &WorkspaceIndex, tag: &str, usage: KindUse) -> bool {
     false
 }
 
+// ---------------------------------------------------------------- L010
+
+/// True for library source: `src/` of the root facade or of a crate.
+fn is_library_source(rel: &str) -> bool {
+    let parts: Vec<&str> = rel.split('/').collect();
+    parts.first() == Some(&"src") || (parts.len() >= 3 && parts[0] == "crates" && parts[2] == "src")
+}
+
+/// The self type an `impl` header (as [`parser`] captures it) names:
+/// `Trait for Foo<T>` → `Foo`,
+/// `<T> Foo<T>` → `Foo`.
+fn impl_self_type(header: &str) -> &str {
+    let mut rest = header.trim();
+    if rest.starts_with('<') {
+        let mut depth = 0i32;
+        for (i, c) in rest.char_indices() {
+            match c {
+                '<' => depth += 1,
+                '>' => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                rest = &rest[i + 1..];
+                break;
+            }
+        }
+    }
+    let self_ty = match rules::ident_occurrences(rest, "for").last() {
+        Some(&at) => &rest[at + "for".len()..],
+        None => rest,
+    };
+    base_type_ident(self_ty)
+}
+
+/// L010: every bare-`pub` fn, struct, enum, trait and type alias in
+/// library source needs a caller — a non-test line, outside the item's
+/// own definition, that names it. Test code (`#[cfg(test)]` items and
+/// `tests/` trees) does not count, nor does a `pub use` re-export; the
+/// caller-only files (benchmark, examples) do. A type's own `impl`
+/// blocks are part of its definition. `is_empty` beside a `len` that
+/// has a caller is exempt.
+///
+/// Names are matched as identifiers, not resolved, so two items that
+/// share a name vouch for each other: the rule misses some dead items
+/// and never flags a live one.
+fn l010_no_caller(idx: &WorkspaceIndex, out: &mut Vec<Finding>) {
+    let info = &RULES[9];
+    // Candidates, keyed by name.
+    let mut candidates: Vec<(usize, usize)> = Vec::new();
+    let mut wanted: std::collections::HashMap<&str, Vec<(usize, usize)>> =
+        std::collections::HashMap::new();
+    for (fi, f) in idx.files.iter().enumerate() {
+        if !is_library_source(&f.rel) {
+            continue;
+        }
+        for (ii, it) in f.items.iter().enumerate() {
+            let kind_ok = matches!(
+                it.kind,
+                ItemKind::Fn
+                    | ItemKind::Struct
+                    | ItemKind::Enum
+                    | ItemKind::Trait
+                    | ItemKind::TypeAlias
+            );
+            if it.is_pub && kind_ok && !it.name.is_empty() && !in_mask(f, it.line) {
+                candidates.push((fi, ii));
+                wanted.entry(it.name.as_str()).or_default();
+            }
+        }
+    }
+    if candidates.is_empty() {
+        return;
+    }
+
+    // Every counted occurrence of a candidate name: (file, 1-based line),
+    // where file indexes `idx.files` and then `idx.callers`.
+    let all: Vec<&FileIndex> = idx.files.iter().chain(idx.callers.iter()).collect();
+    let mut uses: std::collections::HashMap<&str, Vec<(usize, usize)>> =
+        std::collections::HashMap::new();
+    for (fi, f) in all.iter().enumerate() {
+        if rules::is_test_path(&f.rel) {
+            continue;
+        }
+        let mut reexport = vec![false; f.stripped.lines.len()];
+        for it in &f.items {
+            if it.kind == ItemKind::Use && it.is_pub {
+                for l in it.line..=it.body_end {
+                    if let Some(slot) = reexport.get_mut(l - 1) {
+                        *slot = true;
+                    }
+                }
+            }
+        }
+        for (i, line) in f.stripped.lines.iter().enumerate() {
+            if f.mask.get(i).copied().unwrap_or(false) || reexport[i] {
+                continue;
+            }
+            for word in line.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                if let Some((name, _)) = wanted.get_key_value(word) {
+                    uses.entry(name).or_default().push((fi, i + 1));
+                }
+            }
+        }
+    }
+
+    // A type's definition also covers the `impl` blocks of that type.
+    let mut impl_spans: std::collections::HashMap<&str, Vec<(usize, usize, usize)>> =
+        std::collections::HashMap::new();
+    for (fi, f) in idx.files.iter().enumerate() {
+        for it in &f.items {
+            if it.kind == ItemKind::Impl {
+                let ty = impl_self_type(&it.name);
+                if wanted.contains_key(ty) {
+                    impl_spans
+                        .entry(ty)
+                        .or_default()
+                        .push((fi, it.line, it.body_end));
+                }
+            }
+        }
+    }
+
+    let has_caller = |fi: usize, ii: usize| -> bool {
+        let it = &idx.files[fi].items[ii];
+        let own = |f: usize, l: usize| f == fi && (it.line..=it.body_end).contains(&l);
+        let impls: &[(usize, usize, usize)] = match it.kind {
+            ItemKind::Fn | ItemKind::Trait => &[],
+            _ => impl_spans
+                .get(it.name.as_str())
+                .map(Vec::as_slice)
+                .unwrap_or(&[]),
+        };
+        uses.get(it.name.as_str())
+            .map(|sites| {
+                sites.iter().any(|&(f, l)| {
+                    !own(f, l)
+                        && !impls
+                            .iter()
+                            .any(|&(g, a, b)| g == f && (a..=b).contains(&l))
+                })
+            })
+            .unwrap_or(false)
+    };
+    for &(fi, ii) in &candidates {
+        if has_caller(fi, ii) {
+            continue;
+        }
+        let f = &idx.files[fi];
+        let it = &f.items[ii];
+        let len_is_used = it.name == "is_empty"
+            && f.items.iter().enumerate().any(|(j, sib)| {
+                sib.parent == it.parent
+                    && sib.kind == ItemKind::Fn
+                    && sib.name == "len"
+                    && has_caller(fi, j)
+            });
+        if len_is_used {
+            continue;
+        }
+        emit(
+            out,
+            f,
+            info,
+            it.line,
+            format!(
+                "`{}` is `pub` but no non-test code names it outside its own definition (a \
+                 `pub use` is not a caller); shipped API that only tests reach is dead weight",
+                it.name
+            ),
+        );
+    }
+}
+
+fn in_mask(f: &FileIndex, line: usize) -> bool {
+    f.mask.get(line.saturating_sub(1)).copied().unwrap_or(false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn impl_self_types() {
+        assert_eq!(impl_self_type("PrefixTrie"), "PrefixTrie");
+        assert_eq!(impl_self_type("Default for PrefixTrie"), "PrefixTrie");
+        assert_eq!(impl_self_type("<T> Node<T>"), "Node");
+        assert_eq!(impl_self_type("<'a> Iterator for Iter<'a>"), "Iter");
+        assert_eq!(impl_self_type("From<u32> for Asn"), "Asn");
+        assert_eq!(impl_self_type("<T>FromIterator<(P,T)>for Trie<T>"), "Trie");
+    }
+
+    #[test]
+    fn library_source_paths() {
+        assert!(is_library_source("src/lib.rs"));
+        assert!(is_library_source("crates/core/src/engine.rs"));
+        assert!(!is_library_source("crates/core/tests/x.rs"));
+        assert!(!is_library_source("tests/properties.rs"));
+        assert!(!is_library_source("benchmark/src/main.rs"));
+    }
 
     #[test]
     fn unit_keys() {

@@ -1,7 +1,8 @@
-//! The workspace lints itself: all nine rules plus the strict annotation
+//! The workspace lints itself: all ten rules plus the strict annotation
 //! audit, pinned at zero findings. Any new in-tree violation — an
 //! unfingerprinted config knob, a bare `unsafe`, an unpaired Release
-//! store, a dead codec tag, a reason-less annotation — fails this test
+//! store, a dead codec tag, a `pub` item only tests call, a reason-less
+//! annotation — fails this test
 //! before it fails a human reviewer.
 
 use std::path::PathBuf;

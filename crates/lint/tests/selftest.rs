@@ -130,6 +130,13 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
+/// An example under `dir` that calls `name`, so the library fn the test
+/// plants has a caller and L010 stays out of the way.
+fn example_calling(dir: &std::path::Path, name: &str) {
+    fs::create_dir_all(dir.join("examples")).unwrap();
+    fs::write(dir.join("examples/main.rs"), format!("fn main() {{ {name}(); }}\n")).unwrap();
+}
+
 #[test]
 fn cli_exit_zero_on_clean_tree() {
     let dir = tmp("clean");
@@ -138,6 +145,7 @@ fn cli_exit_zero_on_clean_tree() {
         "/// Docs.\npub fn ok() {}\n",
     )
     .unwrap();
+    example_calling(&dir, "ok");
     let out = bin().args(["--root", dir.to_str().unwrap()]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
@@ -152,6 +160,7 @@ fn cli_exit_one_with_findings_and_json_output() {
         "/// Docs.\npub fn boom(x: Option<u32>) -> u32 { x.unwrap() }\n",
     )
     .unwrap();
+    example_calling(&dir, "boom");
     let out = bin()
         .args(["--root", dir.to_str().unwrap(), "--format", "json"])
         .output()
@@ -199,7 +208,7 @@ fn cli_list_rules() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     for id in [
-        "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L000",
+        "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L010", "L000",
     ] {
         assert!(text.contains(id), "{text}");
     }
@@ -213,6 +222,7 @@ fn cli_strict_audits_annotations() {
         "/// Docs.\npub fn f() -> u32 {\n    // lint: allow(panics)\n    1\n}\n",
     )
     .unwrap();
+    example_calling(&dir, "f");
     // Default mode tolerates the reason-less annotation (it just doesn't
     // suppress anything, and nothing here needs suppressing).
     let out = bin().args(["--root", dir.to_str().unwrap()]).output().unwrap();

@@ -1,4 +1,4 @@
-//! Fixture tests for the cross-file semantic rules (L006–L009): exact
+//! Fixture tests for the cross-file semantic rules (L006–L010): exact
 //! rule/file/line spans against seeded violations, with the fixtures
 //! labelled as the workspace paths each rule scopes on.
 
@@ -20,6 +20,15 @@ fn ws(files: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect()
 }
 
+/// The findings of one rule, as `--rule` would report them: each
+/// fixture seeds one rule's violations, and its `pub` items would also
+/// draw L010 findings that are beside the point.
+fn rule_findings(files: &[(String, String)], rule: &str) -> Vec<Finding> {
+    let mut findings = check_workspace(files);
+    findings.retain(|f| f.rule == rule);
+    findings
+}
+
 /// (rule, file, line) triples of all findings, in report order.
 fn spans(findings: &[Finding]) -> Vec<(&'static str, String, usize)> {
     findings
@@ -36,7 +45,7 @@ fn l006_uncovered_fields_across_files() {
         ("crates/core/src/engine.rs", "l006_engine.rs"),
         ("crates/core/src/pipeline/mod.rs", "l006_config.rs"),
     ]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L006");
     assert_eq!(
         spans(&findings),
         vec![
@@ -55,7 +64,11 @@ fn l006_uncovered_fields_across_files() {
     );
     // The reason-less exclusion does not suppress, and says why.
     let reasonless = findings.iter().find(|f| f.line == 16).unwrap();
-    assert!(reasonless.message.contains("no reason"), "{}", reasonless.message);
+    assert!(
+        reasonless.message.contains("no reason"),
+        "{}",
+        reasonless.message
+    );
     // The nested struct is reached through a covered field's type.
     let nested = findings.iter().find(|f| f.line == 23).unwrap();
     assert!(nested.message.contains("NestedConfig.dead"), "{}", nested.message);
@@ -66,7 +79,7 @@ fn l006_silent_without_fingerprint_machinery() {
     // No FpCtx anywhere: the rule does not apply (fixture workspaces,
     // downstream forks without the engine).
     let files = ws(&[("crates/core/src/pipeline/mod.rs", "l006_config.rs")]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L006");
     assert!(
         findings.iter().all(|f| f.rule != "L006"),
         "findings: {findings:#?}"
@@ -79,7 +92,7 @@ fn l006_registry_missing_is_itself_a_finding() {
     // the struct, not silence.
     let engine = "struct FpCtx<'c> {\n    cfg: &'c Cfg,\n}\n";
     let files = vec![("crates/core/src/engine.rs".to_string(), engine.to_string())];
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L006");
     assert_eq!(
         spans(&findings),
         vec![("L006", "crates/core/src/engine.rs".to_string(), 1)],
@@ -93,7 +106,7 @@ fn l006_registry_missing_is_itself_a_finding() {
 #[test]
 fn l007_allowlisted_module_needs_safety_comments() {
     let files = ws(&[("crates/serve/src/mmap.rs", "l007.rs")]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L007");
     assert_eq!(
         spans(&findings),
         vec![
@@ -108,7 +121,7 @@ fn l007_allowlisted_module_needs_safety_comments() {
 #[test]
 fn l007_outside_allowlist_every_unsafe_is_flagged() {
     let files = ws(&[("crates/core/src/bad.rs", "l007.rs")]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L007");
     assert_eq!(
         spans(&findings),
         vec![
@@ -137,7 +150,7 @@ fn l008_unpaired_release_store_cross_file() {
         ("crates/serve/src/state.rs", "l008_store.rs"),
         ("crates/serve/src/reader.rs", "l008_load.rs"),
     ]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L008");
     assert_eq!(
         spans(&findings),
         vec![("L008", "crates/serve/src/state.rs".to_string(), 15)],
@@ -154,7 +167,7 @@ fn l008_pairing_does_not_cross_unit_boundaries() {
         ("crates/serve/src/state.rs", "l008_store.rs"),
         ("crates/other/src/reader.rs", "l008_load.rs"),
     ]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L008");
     assert_eq!(
         spans(&findings),
         vec![
@@ -168,7 +181,7 @@ fn l008_pairing_does_not_cross_unit_boundaries() {
 #[test]
 fn l008_relaxed_in_tests_flagged_unless_annotated() {
     let files = ws(&[("crates/serve/tests/counter.rs", "l008_test_relaxed.rs")]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L008");
     assert_eq!(
         spans(&findings),
         vec![("L008", "crates/serve/tests/counter.rs".to_string(), 10)],
@@ -181,7 +194,7 @@ fn l008_relaxed_in_src_is_l003_territory() {
     // The same source under a src label: L008 stays quiet (L003 handles
     // non-test code; here the rule would double-report).
     let files = ws(&[("crates/serve/src/counter.rs", "l008_test_relaxed.rs")]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L008");
     assert!(
         findings.iter().all(|f| f.rule != "L008"),
         "findings: {findings:#?}"
@@ -196,7 +209,7 @@ fn l009_missing_coverage_spans() {
         ("crates/core/src/persist/mod.rs", "l009_kinds.rs"),
         ("crates/core/src/persist/codec.rs", "l009_codec.rs"),
     ]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L009");
     assert_eq!(
         spans(&findings),
         vec![
@@ -235,10 +248,64 @@ fn l009_right_of_arrow_reference_is_not_decode_coverage() {
         ("crates/core/src/persist/mod.rs", "l009_kinds.rs"),
         ("crates/core/src/persist/codec.rs", "l009_codec.rs"),
     ]);
-    let findings = check_workspace(&files);
+    let findings = rule_findings(&files, "L009");
     let orphan = findings
         .iter()
         .find(|f| f.rule == "L009" && f.line == 11)
         .expect("ORPHAN finding");
     assert!(orphan.message.contains("decode"), "{}", orphan.message);
+}
+
+// ---------------------------------------------------------------- L010
+
+fn l010_workspace() -> Vec<(String, String)> {
+    ws(&[
+        ("crates/demo/src/lib.rs", "l010_lib.rs"),
+        ("crates/demo/tests/it.rs", "l010_test.rs"),
+        ("benchmark/src/main.rs", "l010_bench.rs"),
+        ("examples/demo.rs", "l010_example.rs"),
+    ])
+}
+
+#[test]
+fn l010_flags_items_no_production_code_names() {
+    let findings = check_workspace(&l010_workspace());
+    // Every finding is L010: nothing else is seeded, and the read-only
+    // caller files are never linted themselves.
+    assert_eq!(
+        spans(&findings),
+        vec![
+            ("L010", "crates/demo/src/lib.rs".to_string(), 7),
+            ("L010", "crates/demo/src/lib.rs".to_string(), 12),
+            ("L010", "crates/demo/src/lib.rs".to_string(), 34),
+            ("L010", "crates/demo/src/lib.rs".to_string(), 60),
+        ],
+        "findings: {findings:#?}"
+    );
+    let unused = &findings[0];
+    assert!(unused.message.contains("`unused`"), "{}", unused.message);
+    let reasonless = &findings[2];
+    assert!(reasonless.message.contains("no reason"), "{}", reasonless.message);
+    let reexported = &findings[3];
+    assert!(
+        reexported.message.contains("`Reexported`"),
+        "{}",
+        reexported.message
+    );
+}
+
+#[test]
+fn l010_benchmark_and_examples_are_the_callers() {
+    // The same library without its read-only callers: the two fns they
+    // call and `Bag` (named by the benchmark) lose their callers, and
+    // `is_empty` loses its exemption with `len`.
+    let files: Vec<(String, String)> = l010_workspace()
+        .into_iter()
+        .filter(|(rel, _)| !rel.starts_with("benchmark/") && !rel.starts_with("examples/"))
+        .collect();
+    let lines: Vec<usize> = rule_findings(&files, "L010")
+        .iter()
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, vec![7, 12, 17, 22, 34, 44, 48, 53, 60]);
 }

@@ -45,7 +45,7 @@ pub use record::{
     Bgp4mpMessageAs4, BgpUpdate, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
     RibIpv6Unicast, TableDumpV1,
 };
-pub use batch::{read_update_batch, UpdateBatchIter};
+pub use batch::read_update_batch;
 pub use stream::{read_update_stream, write_update_stream};
 pub use table::{read_rib_dump, write_rib_dump, write_rib_dump_v1};
 pub use writer::MrtWriter;

@@ -138,6 +138,7 @@ fn peer_addr(index: usize) -> u32 {
 /// `AS_TRANS`, as RFC 6793 prescribes). Useful for exercising consumers
 /// of pre-2008 RouteViews archives. Returns records written; the stream
 /// is flushed.
+// lint: allow(no-caller, parallel_ingest and the table tests write v1 dumps with it to drive the TABLE_DUMP v1 reader)
 pub fn write_rib_dump_v1<W: Write>(
     paths: &PathSet,
     out: W,

@@ -4,7 +4,7 @@
 
 use asrank_types::update::{PathDelta, UpdateMessage};
 use asrank_types::{AsPath, Asn, Ipv4Prefix, Parallelism};
-use mrt_codec::batch::{read_update_batch, UpdateBatchIter};
+use mrt_codec::batch::read_update_batch;
 use mrt_codec::{read_update_stream, write_update_stream, MrtError};
 
 fn pfx(s: &str) -> Ipv4Prefix {
@@ -133,7 +133,7 @@ fn every_truncation_is_a_typed_error() {
 
 /// Corruption *inside* a well-framed record — a BGP message length that
 /// overruns the MRT frame — is caught by the body decoder as a typed
-/// error, sequentially and via the windowed iterator.
+/// error.
 #[test]
 fn oversized_inner_bgp_length_is_a_typed_error() {
     let mut bytes = sample_capture();
@@ -142,9 +142,6 @@ fn oversized_inner_bgp_length_is_a_typed_error() {
     bytes[48] = 0xff;
     bytes[49] = 0xff;
     assert!(read_update_batch(&bytes, Parallelism::sequential()).is_err());
-    let mut iter = UpdateBatchIter::new(&bytes, 8).unwrap();
-    assert!(iter.next().unwrap().is_err());
-    assert!(iter.next().is_none(), "iterator poisons after a bad body");
 }
 
 /// A non-UPDATE BGP message type inside a BGP4MP record is rejected with

@@ -134,15 +134,6 @@ impl MappedBytes {
             MappedBytes::Owned(v) => v,
         }
     }
-
-    /// True when the bytes are a kernel mapping rather than a heap copy.
-    pub fn is_mapped(&self) -> bool {
-        match self {
-            #[cfg(unix)]
-            MappedBytes::Mapped(_) => true,
-            MappedBytes::Owned(_) => false,
-        }
-    }
 }
 
 impl std::ops::Deref for MappedBytes {
@@ -165,7 +156,7 @@ mod tests {
         let mapped = MappedBytes::open(&path).unwrap();
         assert_eq!(&mapped[..], &content[..]);
         #[cfg(unix)]
-        assert!(mapped.is_mapped(), "unix target should really mmap");
+        assert!(matches!(mapped, MappedBytes::Mapped(_)), "unix target should really mmap");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -175,7 +166,7 @@ mod tests {
         std::fs::write(&path, b"").unwrap();
         let mapped = MappedBytes::open(&path).unwrap();
         assert!(mapped.is_empty());
-        assert!(!mapped.is_mapped());
+        assert!(matches!(mapped, MappedBytes::Owned(_)));
         let _ = std::fs::remove_file(&path);
     }
 

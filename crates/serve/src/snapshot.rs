@@ -230,11 +230,6 @@ impl ServeSnapshot {
         index_lookup(&self.rank_index, x).map(u64::from)
     }
 
-    /// Number of ranked ASes.
-    pub fn ranked_len(&self) -> usize {
-        self.rank_index.len()
-    }
-
     /// Answer one query.
     pub fn answer(&self, q: Query) -> Answer {
         match q {

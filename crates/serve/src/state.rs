@@ -79,6 +79,7 @@ impl ServeState {
 
     /// The error text of the most recent failed reload (it names the
     /// stage or file that failed), `None` if no reload has failed.
+    // lint: allow(no-caller, the hot_swap tests read it; ROADMAP item 6 reports it through a serve `stats` verb)
     pub fn last_reload_error(&self) -> Option<String> {
         self.failures().last.clone()
     }

@@ -238,13 +238,6 @@ pub struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    /// The artifact-kind tag of a frame, validated only as far as the
-    /// header (magic + version + length). Lets a generic cache layer
-    /// dispatch on kind before full decode.
-    pub fn peek_kind(bytes: &'a [u8]) -> Result<u16, CodecError> {
-        Self::validate(bytes).map(|(kind, _)| kind)
-    }
-
     /// Validate a whole frame and return a payload decoder, or the
     /// precise reason the frame is unusable.
     pub fn open(bytes: &'a [u8], expected_kind: u16) -> Result<Self, CodecError> {
@@ -422,14 +415,6 @@ impl<'a> Decoder<'a> {
         Ok(U32View { raw })
     }
 
-    /// Read a length-prefixed u64 sequence as a borrowed [`U64View`] —
-    /// the zero-copy twin of [`Decoder::seq_u64`].
-    pub fn seq_u64_view(&mut self, context: &'static str) -> Result<U64View<'a>, CodecError> {
-        let len = self.seq_len(8, context)?;
-        let raw = self.take(len * 8, context)?;
-        Ok(U64View { raw })
-    }
-
     /// Skip `n` raw payload bytes (a section the caller indexes later via
     /// a recorded offset instead of decoding now).
     pub fn skip(&mut self, n: usize, context: &'static str) -> Result<(), CodecError> {
@@ -523,55 +508,6 @@ impl<'a> U32View<'a> {
     }
 }
 
-/// Borrowed view over a packed little-endian `u64` sequence — the u64
-/// twin of [`U32View`].
-#[derive(Debug, Clone, Copy)]
-pub struct U64View<'a> {
-    raw: &'a [u8],
-}
-
-impl<'a> U64View<'a> {
-    /// View over raw bytes holding packed LE u64s. Trailing bytes that
-    /// do not fill a whole element are ignored.
-    pub fn new(raw: &'a [u8]) -> Self {
-        U64View {
-            raw: &raw[..raw.len() - raw.len() % 8],
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.raw.len() / 8
-    }
-
-    /// True when the sequence is empty.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
-    /// Element `i`, or `None` past the end.
-    pub fn get(&self, i: usize) -> Option<u64> {
-        let off = i.checked_mul(8)?;
-        let s = self.raw.get(off..off + 8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Some(u64::from_le_bytes(b))
-    }
-
-    /// Iterate the elements in order, decoding each on the fly.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + 'a {
-        self.raw.chunks_exact(8).map(|c| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            u64::from_le_bytes(b)
-        })
-    }
-
-    /// Decode into an owned `Vec`.
-    pub fn to_vec(&self) -> Vec<u64> {
-        self.iter().collect()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -590,7 +526,6 @@ mod tests {
     #[test]
     fn roundtrip() {
         let bytes = sample_frame();
-        assert_eq!(Decoder::peek_kind(&bytes), Ok(7));
         let mut d = Decoder::open(&bytes, 7).unwrap();
         assert_eq!(d.u8("a").unwrap(), 3);
         assert_eq!(d.u32("b").unwrap(), 0xdead_beef);
@@ -701,13 +636,9 @@ mod tests {
             assert_eq!(v32.get(i), Some(want));
         }
         assert_eq!(v32.get(o32.len()), None);
-        let o64 = owned.seq_u64("e").unwrap();
-        let v64 = viewed.seq_u64_view("e").unwrap();
-        assert_eq!(v64.to_vec(), o64);
-        for (i, &want) in o64.iter().enumerate() {
-            assert_eq!(v64.get(i), Some(want));
-        }
         assert_eq!(owned.position(), viewed.position());
+        owned.seq_u64("e").unwrap();
+        viewed.seq_u64("e").unwrap();
         owned.finish().unwrap();
         viewed.finish().unwrap();
     }

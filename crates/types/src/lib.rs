@@ -34,13 +34,12 @@ pub mod path;
 pub mod prefix;
 pub mod prefix6;
 pub mod relationship;
-pub mod trie;
 pub mod update;
 
 pub use asn::{dense_id, Asn, AsnClass, AsnInterner};
 pub use bitset::BitSet;
 pub use codec::{
-    checksum64, CodecError, Decoder, Encoder, U32View, U64View, CODEC_MAGIC, CODEC_VERSION,
+    checksum64, CodecError, Decoder, Encoder, U32View, CODEC_MAGIC, CODEC_VERSION,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use parallel::Parallelism;
@@ -50,7 +49,6 @@ pub use path::{AsPath, PathSample, PathSet};
 pub use prefix::Ipv4Prefix;
 pub use prefix6::Ipv6Prefix;
 pub use relationship::{AsLink, LinkRel, Orientation, RelationshipKind, RelationshipMap};
-pub use trie::PrefixTrie;
 pub use update::{PathDelta, UpdateBatch, UpdateMessage};
 
 /// Convenience prelude re-exporting the types used by virtually every

@@ -35,13 +35,9 @@ impl AsPath {
     }
 
     /// The AS that originated the route (last hop), if any.
+    // lint: allow(no-caller, bgpsim's sim and events tests check each emitted path's origin with it)
     pub fn origin(&self) -> Option<Asn> {
         self.0.last().copied()
-    }
-
-    /// The AS nearest the vantage point (first hop), if any.
-    pub fn head(&self) -> Option<Asn> {
-        self.0.first().copied()
     }
 
     /// Iterate over hops from VP to origin.
@@ -89,15 +85,6 @@ impl AsPath {
     /// Iterate over adjacent pairs `(near, far)` from the VP outward.
     pub fn links(&self) -> impl Iterator<Item = (Asn, Asn)> + '_ {
         self.0.windows(2).map(|w| (w[0], w[1]))
-    }
-
-    /// Iterate over consecutive triplets `(a, b, c)` from the VP outward.
-    ///
-    /// Triplets are the unit of evidence in the top-down inference step:
-    /// knowing the `a–b` relationship constrains the `b–c` relationship in
-    /// a valley-free path.
-    pub fn triplets(&self) -> impl Iterator<Item = (Asn, Asn, Asn)> + '_ {
-        self.0.windows(3).map(|w| (w[0], w[1], w[2]))
     }
 
     /// Position of `asn` in the path, if present.
@@ -319,25 +306,19 @@ mod tests {
     }
 
     #[test]
-    fn links_and_triplets() {
+    fn links_from_the_vp_outward() {
         let p = AsPath::from_u32s([1, 2, 3, 4]);
         let links: Vec<_> = p.links().collect();
         assert_eq!(
             links,
             vec![(Asn(1), Asn(2)), (Asn(2), Asn(3)), (Asn(3), Asn(4))]
         );
-        let trips: Vec<_> = p.triplets().collect();
-        assert_eq!(
-            trips,
-            vec![(Asn(1), Asn(2), Asn(3)), (Asn(2), Asn(3), Asn(4))]
-        );
     }
 
     #[test]
-    fn origin_head_display() {
+    fn origin_and_display() {
         let p = AsPath::from_u32s([7018, 3356, 9]);
         assert_eq!(p.origin(), Some(Asn(9)));
-        assert_eq!(p.head(), Some(Asn(7018)));
         assert_eq!(p.to_string(), "7018 3356 9");
         assert_eq!(AsPath::default().origin(), None);
     }

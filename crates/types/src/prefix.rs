@@ -78,28 +78,6 @@ impl Ipv4Prefix {
     pub fn contains(&self, other: &Ipv4Prefix) -> bool {
         other.len >= self.len && (other.network & Self::mask(self.len)) == self.network
     }
-
-    /// True when `addr` falls inside this prefix.
-    pub fn contains_addr(&self, addr: u32) -> bool {
-        (addr & Self::mask(self.len)) == self.network
-    }
-
-    /// Split into the two child prefixes one bit longer, if any.
-    pub fn children(&self) -> Option<(Ipv4Prefix, Ipv4Prefix)> {
-        if self.len >= 32 {
-            return None;
-        }
-        let len = self.len + 1;
-        let low = Ipv4Prefix {
-            network: self.network,
-            len,
-        };
-        let high = Ipv4Prefix {
-            network: self.network | (1u32 << (32 - len as u32)),
-            len,
-        };
-        Some((low, high))
-    }
 }
 
 impl fmt::Display for Ipv4Prefix {
@@ -176,20 +154,7 @@ mod tests {
         assert!(!p16.contains(&p8));
         assert!(p8.contains(&p8));
         assert!(!p8.contains(&other));
-        assert!(p8.contains_addr(0x0aff_ffff));
-        assert!(!p8.contains_addr(0x0b00_0000));
         assert!(Ipv4Prefix::DEFAULT_ROUTE.contains(&p8));
-    }
-
-    #[test]
-    fn children_split_cleanly() {
-        let p: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
-        let (lo, hi) = p.children().unwrap();
-        assert_eq!(lo.to_string(), "10.0.0.0/9");
-        assert_eq!(hi.to_string(), "10.128.0.0/9");
-        assert!(p.contains(&lo) && p.contains(&hi));
-        let host: Ipv4Prefix = "1.2.3.4/32".parse().unwrap();
-        assert!(host.children().is_none());
     }
 
     #[test]

@@ -69,6 +69,7 @@ impl UpdateBatch {
     /// withdrawals apply before the announcements (so an update that
     /// both withdraws and re-announces a prefix nets to the announce);
     /// across messages the later message wins.
+    // lint: allow(no-caller, parallel_ingest and mrt's batch tests hold read_update_batch to this per-message fold)
     pub fn from_messages<'a, I>(messages: I) -> Self
     where
         I: IntoIterator<Item = &'a UpdateMessage>,

@@ -29,11 +29,6 @@ impl PairedComparison {
     pub fn total(&self) -> usize {
         self.a_only + self.b_only + self.both + self.neither
     }
-
-    /// True when A is better and the difference is significant at `alpha`.
-    pub fn a_significantly_better(&self, alpha: f64) -> bool {
-        self.a_only > self.b_only && self.p_value < alpha
-    }
 }
 
 /// Exact two-sided binomial sign test: probability of a split at least
@@ -144,7 +139,6 @@ mod tests {
         assert_eq!(c.b_only, 1);
         assert_eq!(c.neither, 0);
         assert!((c.p_value - 1.0).abs() < 1e-9, "1-1 split is chance");
-        assert!(!c.a_significantly_better(0.05));
     }
 
     #[test]
@@ -162,7 +156,7 @@ mod tests {
             b.insert_p2p(c, p); // b always wrong
         }
         let c = paired_comparison(&a, &b, &truth);
-        assert_eq!(c.b_only, 0);
-        assert!(c.a_significantly_better(0.01), "p={}", c.p_value);
+        assert_eq!((c.a_only, c.b_only), (40, 0));
+        assert!(c.p_value < 0.01, "p={}", c.p_value);
     }
 }

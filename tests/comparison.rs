@@ -72,9 +72,9 @@ fn seeding_helps_xia_gao() {
             seed.insert_p2p(a, b);
         }
     }
-    for &t1 in &clique {
-        for c in truth.customers_of(t1) {
-            seed.insert_c2p(c, t1);
+    for (c, p) in truth.c2p_pairs() {
+        if clique.contains(&p) {
+            seed.insert_c2p(c, p);
         }
     }
     let seeded = score(
