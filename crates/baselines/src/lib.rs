@@ -27,12 +27,8 @@ pub mod gao;
 pub mod sark;
 pub mod xia_gao;
 
-pub use degree::{degree_heuristic, DegreeHeuristicConfig};
-pub use gao::{gao_infer, GaoConfig};
-pub use sark::{sark_infer, SarkConfig};
-pub use xia_gao::{xia_gao_infer, XiaGaoConfig};
-
-use asrank_types::{PathSet, RelationshipMap};
+use asrank_types::{AsLink, AsPath, Asn, PathSet, RelationshipMap};
+use std::collections::HashMap;
 
 /// A uniform handle over every baseline, so experiment harnesses can
 /// sweep algorithms generically.
@@ -60,15 +56,13 @@ impl Baseline {
         }
     }
 
-    /// Run the baseline with default parameters.
+    /// Run the baseline.
     pub fn run(&self, paths: &PathSet) -> RelationshipMap {
         match self {
-            Baseline::Gao => gao_infer(paths, &GaoConfig::default()),
-            Baseline::XiaGao => {
-                xia_gao_infer(paths, &RelationshipMap::new(), &XiaGaoConfig::default())
-            }
-            Baseline::Sark => sark_infer(paths, &SarkConfig::default()),
-            Baseline::Degree => degree_heuristic(paths, &DegreeHeuristicConfig::default()),
+            Baseline::Gao => gao::gao_infer(paths),
+            Baseline::XiaGao => xia_gao::xia_gao_infer(paths, &RelationshipMap::new()),
+            Baseline::Sark => sark::sark_infer(paths),
+            Baseline::Degree => degree::degree_heuristic(paths),
         }
     }
 
@@ -83,10 +77,42 @@ impl Baseline {
     }
 }
 
+/// The path filter every baseline shares: prepending compressed away,
+/// then only paths with at least one link, no loop and no reserved ASN.
+pub(crate) fn clean_path(path: &AsPath) -> Option<AsPath> {
+    let clean = path.compress_prepending();
+    (clean.len() >= 2 && !clean.has_loop() && clean.all_routable()).then_some(clean)
+}
+
+/// The distinct clean paths of `paths`, sorted by hops.
+pub(crate) fn distinct_clean_paths(paths: &PathSet) -> Vec<AsPath> {
+    let mut distinct: Vec<AsPath> = paths.paths().filter_map(clean_path).collect();
+    distinct.sort_by(|a, b| a.0.cmp(&b.0));
+    distinct.dedup();
+    distinct
+}
+
+/// Node degree (distinct neighbours) of every AS on `paths`, and the
+/// sorted distinct links they observe.
+pub(crate) fn link_graph(paths: &[AsPath]) -> (HashMap<Asn, usize>, Vec<AsLink>) {
+    let mut links: Vec<AsLink> = paths
+        .iter()
+        .flat_map(|p| p.links().map(|(a, b)| AsLink::new(a, b)))
+        .collect();
+    links.sort();
+    links.dedup();
+    let mut degree: HashMap<Asn, usize> = HashMap::new();
+    for link in &links {
+        *degree.entry(link.a).or_default() += 1;
+        *degree.entry(link.b).or_default() += 1;
+    }
+    (degree, links)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asrank_types::{AsPath, Asn, Ipv4Prefix, PathSample};
+    use asrank_types::{Ipv4Prefix, PathSample};
 
     #[test]
     fn every_baseline_runs_on_a_tiny_input() {

@@ -10,32 +10,21 @@
 //! peering with transit near the edges — the weakness the ASRank paper's
 //! comparison surfaces.
 
+use crate::clean_path;
 use asrank_types::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-/// SARK parameters.
-#[derive(Debug, Clone)]
-pub struct SarkConfig {
-    /// A link is p2p when at least this fraction of views rank its
-    /// endpoints at equal levels.
-    pub equal_fraction: f64,
-}
-
-impl Default for SarkConfig {
-    fn default() -> Self {
-        SarkConfig {
-            equal_fraction: 0.5,
-        }
-    }
-}
+/// A link is p2p when at least this share of the views that see it rank
+/// its endpoints at equal levels. Subramanian et al. (INFOCOM 2002)
+/// combine the per-view verdicts by vote; half is the share run here.
+const EQUAL_SHARE: f64 = 0.5;
 
 /// Run the SARK heuristic.
-pub fn sark_infer(paths: &PathSet, cfg: &SarkConfig) -> RelationshipMap {
+pub fn sark_infer(paths: &PathSet) -> RelationshipMap {
     // Group distinct paths per VP (one "view" each).
     let mut views: HashMap<Asn, HashSet<AsPath>> = HashMap::new();
     for s in paths.iter() {
-        let clean = s.path.compress_prepending();
-        if clean.len() >= 2 && !clean.has_loop() && clean.all_routable() {
+        if let Some(clean) = clean_path(&s.path) {
             views.entry(s.vp).or_default().insert(clean);
         }
     }
@@ -79,7 +68,7 @@ pub fn sark_infer(paths: &PathSet, cfg: &SarkConfig) -> RelationshipMap {
     for link in links {
         let views_seen = seen[&link];
         let eq = equal.get(&link).copied().unwrap_or(0);
-        if eq as f64 >= cfg.equal_fraction * views_seen as f64 {
+        if eq as f64 >= EQUAL_SHARE * views_seen as f64 {
             rels.insert_p2p(link.a, link.b);
             continue;
         }
@@ -149,15 +138,12 @@ mod tests {
 
     #[test]
     fn hierarchy_inferred_from_two_views() {
-        let rels = sark_infer(
-            &ps(&[
-                &[100, 10, 1, 20, 200],
-                &[100, 10, 1, 30, 300],
-                &[200, 20, 1, 10, 100],
-                &[200, 20, 1, 30, 300],
-            ]),
-            &SarkConfig::default(),
-        );
+        let rels = sark_infer(&ps(&[
+            &[100, 10, 1, 20, 200],
+            &[100, 10, 1, 30, 300],
+            &[200, 20, 1, 10, 100],
+            &[200, 20, 1, 30, 300],
+        ]));
         assert!(rels.is_c2p(Asn(10), Asn(1)), "{rels:?}");
         assert!(rels.is_c2p(Asn(20), Asn(1)));
     }
@@ -165,17 +151,14 @@ mod tests {
     #[test]
     fn symmetric_links_become_p2p() {
         // 1 and 2 have identical downstream counts in both views.
-        let rels = sark_infer(
-            &ps(&[&[100, 1, 2, 200], &[200, 2, 1, 100]]),
-            &SarkConfig::default(),
-        );
+        let rels = sark_infer(&ps(&[&[100, 1, 2, 200], &[200, 2, 1, 100]]));
         assert!(rels.is_p2p(Asn(1), Asn(2)), "{rels:?}");
     }
 
     #[test]
     fn every_observed_link_classified() {
         let input = ps(&[&[100, 10, 1, 20, 200], &[300, 30, 1, 10, 100]]);
-        let rels = sark_infer(&input, &SarkConfig::default());
+        let rels = sark_infer(&input);
         let mut links = HashSet::new();
         for s in input.iter() {
             for (a, b) in s.path.links() {

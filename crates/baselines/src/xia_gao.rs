@@ -8,44 +8,19 @@
 //! remaining links by voting; unseeded, it degenerates to Gao-style
 //! top-by-degree peak selection.
 
-use crate::gao::{gao_infer, GaoConfig};
+use crate::distinct_clean_paths;
+use crate::gao::gao_infer;
 use asrank_types::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-/// Xia-Gao parameters.
-#[derive(Debug, Clone)]
-pub struct XiaGaoConfig {
-    /// Vote majority required to classify a link from path evidence.
-    pub majority: f64,
-    /// Fallback Gao parameters for links the seeded pass cannot reach.
-    pub fallback: GaoConfig,
-}
-
-impl Default for XiaGaoConfig {
-    fn default() -> Self {
-        XiaGaoConfig {
-            majority: 0.6,
-            fallback: GaoConfig::default(),
-        }
-    }
-}
+/// Share of a link's seeded-pass votes one verdict needs to classify it;
+/// below it the link keeps Gao's verdict. Xia & Gao (2004) classify by
+/// majority of the path evidence; 0.6 is the share this reproduction runs.
+const MAJORITY: f64 = 0.6;
 
 /// Run Xia-Gao with a seed of known relationships.
-pub fn xia_gao_infer(
-    paths: &PathSet,
-    seed: &RelationshipMap,
-    cfg: &XiaGaoConfig,
-) -> RelationshipMap {
-    let distinct: Vec<AsPath> = {
-        let set: HashSet<AsPath> = paths
-            .paths()
-            .map(|p| p.compress_prepending())
-            .filter(|p| p.len() >= 2 && !p.has_loop() && p.all_routable())
-            .collect();
-        let mut v: Vec<AsPath> = set.into_iter().collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    };
+pub fn xia_gao_infer(paths: &PathSet, seed: &RelationshipMap) -> RelationshipMap {
+    let distinct = distinct_clean_paths(paths);
 
     // Vote for each oriented pair: (customer, provider) → count.
     let mut c2p_votes: HashMap<(Asn, Asn), usize> = HashMap::new();
@@ -100,7 +75,7 @@ pub fn xia_gao_infer(
 
     // Start from the fallback inference, then overwrite with seeded-pass
     // majorities, then stamp the seed itself (ground truth wins).
-    let mut rels = gao_infer(paths, &cfg.fallback);
+    let mut rels = gao_infer(paths);
 
     let mut all_links: HashSet<AsLink> = HashSet::new();
     for &(c, pvd) in c2p_votes.keys() {
@@ -118,11 +93,11 @@ pub fn xia_gao_infer(
             continue;
         }
         let share = |n: usize| n as f64 / total as f64;
-        if share(up) >= cfg.majority {
+        if share(up) >= MAJORITY {
             rels.insert_c2p(link.a, link.b);
-        } else if share(down) >= cfg.majority {
+        } else if share(down) >= MAJORITY {
             rels.insert_c2p(link.b, link.a);
-        } else if share(peer) >= cfg.majority {
+        } else if share(peer) >= MAJORITY {
             rels.insert_p2p(link.a, link.b);
         }
     }
@@ -163,7 +138,6 @@ mod tests {
         let rels = xia_gao_infer(
             &ps(&[&[100, 10, 1, 2, 20, 200], &[100, 11, 1, 2, 21, 201]]),
             &seed,
-            &XiaGaoConfig::default(),
         );
         assert!(rels.is_p2p(Asn(1), Asn(2)));
         assert!(rels.is_c2p(Asn(10), Asn(1)), "{rels:?}");
@@ -179,11 +153,7 @@ mod tests {
         let mut seed = RelationshipMap::new();
         seed.insert_c2p(Asn(10), Asn(1));
         seed.insert_c2p(Asn(20), Asn(1));
-        let rels = xia_gao_infer(
-            &ps(&[&[100, 10, 1, 20, 200]]),
-            &seed,
-            &XiaGaoConfig::default(),
-        );
+        let rels = xia_gao_infer(&ps(&[&[100, 10, 1, 20, 200]]), &seed);
         assert!(rels.is_c2p(Asn(100), Asn(10)));
         assert!(rels.is_c2p(Asn(200), Asn(20)));
     }
@@ -192,19 +162,29 @@ mod tests {
     fn seed_always_wins() {
         let mut seed = RelationshipMap::new();
         seed.insert_p2p(Asn(10), Asn(1));
-        let rels = xia_gao_infer(
-            &ps(&[&[100, 10, 1, 20, 200]]),
-            &seed,
-            &XiaGaoConfig::default(),
-        );
+        let rels = xia_gao_infer(&ps(&[&[100, 10, 1, 20, 200]]), &seed);
         assert!(rels.is_p2p(Asn(10), Asn(1)));
+    }
+
+    #[test]
+    fn tied_votes_keep_gaos_verdict() {
+        // Seeded peerings put 10 below 1 in one path and 1 below 10 in the
+        // other: one vote each way is no majority, so the 1–10 link keeps
+        // Gao's sibling verdict (a share of one half would orient it).
+        let mut seed = RelationshipMap::new();
+        seed.insert_p2p(Asn(1), Asn(2));
+        seed.insert_p2p(Asn(10), Asn(2));
+        let input = ps(&[&[10, 1, 2, 20], &[1, 10, 2, 22]]);
+        let verdict = xia_gao_infer(&input, &seed).get(Asn(1), Asn(10));
+        assert_eq!(verdict, gao_infer(&input).get(Asn(1), Asn(10)));
+        assert_eq!(verdict.map(|r| r.kind()), Some(RelationshipKind::S2s));
     }
 
     #[test]
     fn unseeded_degenerates_to_gao() {
         let input = ps(&[&[100, 10, 1, 20, 200], &[200, 20, 1, 10, 100]]);
-        let xg = xia_gao_infer(&input, &RelationshipMap::new(), &XiaGaoConfig::default());
-        let g = gao_infer(&input, &GaoConfig::default());
+        let xg = xia_gao_infer(&input, &RelationshipMap::new());
+        let g = gao_infer(&input);
         let mut a: Vec<_> = xg.iter().collect();
         let mut b: Vec<_> = g.iter().collect();
         a.sort_by_key(|(l, _)| (l.a, l.b));

@@ -4,7 +4,8 @@
 use crate::harness::{Scenario, Workbench};
 use crate::table::{pct, Table};
 use as_topology_gen::Scale;
-use asrank_baselines::{xia_gao_infer, Baseline, XiaGaoConfig};
+use asrank_baselines::xia_gao::xia_gao_infer;
+use asrank_baselines::Baseline;
 use asrank_types::{LinkRel, RelationshipMap};
 use asrank_validation::{evaluate_against_truth, paired_comparison, ValidationSource};
 
@@ -61,7 +62,7 @@ pub fn run(scale: Scale, seed: u64) -> String {
     }
     add(
         "Xia-Gao (seeded: direct)",
-        &xia_gao_infer(&wb.sim.paths, &seed_map, &XiaGaoConfig::default()),
+        &xia_gao_infer(&wb.sim.paths, &seed_map),
     );
 
     format!(

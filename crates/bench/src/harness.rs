@@ -6,7 +6,7 @@
 use as_topology_gen::{generate, GeneratedTopology, Scale, TopologyConfig};
 use asrank_core::pipeline::{infer, Inference, InferenceConfig};
 use asrank_types::prelude::*;
-use asrank_validation::{build_corpus, CorpusConfig, ValidationCorpus};
+use asrank_validation::{build_corpus, ValidationCorpus};
 use bgp_sim::{simulate, AnomalyConfig, SimConfig, SimOutput, VpSelection};
 
 /// A full experiment scenario.
@@ -114,7 +114,7 @@ impl Workbench {
     pub fn build(scenario: Scenario) -> Self {
         let (topo, sim) = generate_and_simulate(&scenario);
         let inference = infer(&sim.paths, &inference_config(&topo));
-        let corpus = build_corpus(&topo.ground_truth, &CorpusConfig::paper_like(scenario.seed));
+        let corpus = build_corpus(&topo.ground_truth, scenario.seed);
         Workbench {
             scenario,
             topo,

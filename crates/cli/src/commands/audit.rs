@@ -14,7 +14,7 @@
 
 use crate::args::{Flags, CACHE_SWITCHES};
 use crate::snapshot::{apply_cache_flags, load_inputs, load_rib};
-use asrank_core::audit::{audit, audit_stage, AuditConfig};
+use asrank_core::audit::{audit, audit_stage};
 use asrank_core::read_as_rel;
 use asrank_core::sanitize::{sanitize_with, SanitizeConfig};
 use asrank_types::{Asn, EngineError, Parallelism};
@@ -31,11 +31,7 @@ fn run_stage(stage: &str, flags: &Flags) -> i32 {
         Err(code) => return code,
     };
     let mut snapshot = inputs.snapshot();
-    let cfg = AuditConfig {
-        parallelism: inputs.cfg.parallelism,
-        ..AuditConfig::default()
-    };
-    match audit_stage(&mut snapshot, stage, &cfg) {
+    match audit_stage(&mut snapshot, stage, inputs.cfg.parallelism) {
         Ok(report) => {
             print!("{}", report.render());
             if report.passed() {
@@ -119,11 +115,7 @@ pub fn run(args: &[String]) -> i32 {
         None => None,
     };
 
-    let cfg = AuditConfig {
-        parallelism: threads,
-        ..AuditConfig::default()
-    };
-    let report = audit(&rels, sanitized.as_ref(), clique.as_deref(), &cfg);
+    let report = audit(&rels, sanitized.as_ref(), clique.as_deref(), threads);
     print!("{}", report.render());
     if report.passed() {
         0

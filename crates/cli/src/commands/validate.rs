@@ -9,9 +9,7 @@ use crate::args::{Flags, CACHE_SWITCHES};
 use crate::snapshot::{apply_cache_flags, rels_from, topo_config};
 use as_topology_gen::load_bundle;
 use asrank_types::Parallelism;
-use asrank_validation::{
-    build_corpus, evaluate_against_corpus, evaluate_against_truth, CorpusConfig,
-};
+use asrank_validation::{build_corpus, evaluate_against_corpus, evaluate_against_truth};
 use std::path::PathBuf;
 
 pub fn run(args: &[String]) -> i32 {
@@ -62,7 +60,7 @@ pub fn run(args: &[String]) -> i32 {
         r.missed_links
     );
 
-    let corpus = build_corpus(&topo.ground_truth, &CorpusConfig::paper_like(corpus_seed));
+    let corpus = build_corpus(&topo.ground_truth, corpus_seed);
     println!("\nagainst emulated validation sources (paper's method):");
     for row in evaluate_against_corpus(&inferred, &corpus) {
         println!(

@@ -20,6 +20,12 @@ mod snapshot;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `help`, or `--help`/`-h` anywhere on the line, prints the usage.
+    if argv.first().is_some_and(|a| a == "help") || argv.iter().any(|a| a == "--help" || a == "-h")
+    {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
     let code = match argv.first().map(String::as_str) {
         Some("audit") => commands::audit::run(&argv[1..]),
         Some("generate") => commands::generate::run(&argv[1..]),
@@ -35,13 +41,9 @@ fn main() {
         Some("realism") => commands::realism::run(&argv[1..]),
         Some("stability") => commands::stability::run(&argv[1..]),
         Some("timeline") => commands::timeline::run(&argv[1..]),
-        Some("--help") | Some("-h") | None => {
+        None => {
             eprintln!("{USAGE}");
-            if argv.is_empty() {
-                2
-            } else {
-                0
-            }
+            2
         }
         Some(other) => {
             eprintln!("unknown subcommand {other:?}\n{USAGE}");

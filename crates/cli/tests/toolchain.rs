@@ -249,6 +249,21 @@ fn unknown_subcommand_fails_with_usage() {
 }
 
 #[test]
+fn help_prints_usage_and_succeeds() {
+    let asks: [&[&str]; 4] = [
+        &["help"],
+        &["--help"],
+        &["infer", "--help"],
+        &["audit", "--rels", "x.txt", "-h"],
+    ];
+    for args in asks {
+        let out = bin().args(args).output().expect("run");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("subcommands"), "{args:?}");
+    }
+}
+
+#[test]
 fn missing_required_flag_fails() {
     let out = bin().args(["generate"]).output().expect("run");
     assert_eq!(out.status.code(), Some(2));

@@ -126,42 +126,28 @@ impl AuditReport {
     }
 }
 
-/// Tunables for the audit; `Default` suits both CI fixtures and
-/// medium-scale runs.
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// Cap on (customer, provider) pairs exhaustively checked for cone
-    /// containment; beyond it a deterministic stride sample is used.
-    pub max_containment_pairs: usize,
-    /// Number of ASes sampled (deterministic stride over the sorted AS
-    /// list) for the hybrid-vs-reference cone comparison.
-    pub reference_sample: usize,
-    /// Valley-violation fraction above which the finding escalates from
-    /// warning to error.
-    pub valley_error_fraction: f64,
-    /// Worker threads for the cone computations.
-    pub parallelism: Parallelism,
-}
+/// Cap on (customer, provider) pairs exhaustively checked for cone
+/// containment; beyond it a deterministic stride sample is used. Sized
+/// for both CI fixtures and medium-scale runs.
+const MAX_CONTAINMENT_PAIRS: usize = 100_000;
 
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            max_containment_pairs: 100_000,
-            reference_sample: 64,
-            valley_error_fraction: 0.05,
-            parallelism: Parallelism::auto(),
-        }
-    }
-}
+/// Number of ASes sampled (deterministic stride over the sorted AS list)
+/// for the hybrid-vs-reference cone comparison.
+const REFERENCE_SAMPLE: usize = 64;
+
+/// Valley-violation fraction above which the finding escalates from
+/// warning to error.
+const VALLEY_ERROR_FRACTION: f64 = 0.05;
 
 /// Run every applicable check. `sanitized` and `clique` are optional so
 /// the auditor can grade a bare relationship file; the corresponding
-/// checks report as skipped.
+/// checks report as skipped. `par` is the thread budget of the arena
+/// build and the valley grading.
 pub fn audit(
     rels: &RelationshipMap,
     sanitized: Option<&SanitizedPaths>,
     clique: Option<&[Asn]>,
-    cfg: &AuditConfig,
+    par: Parallelism,
 ) -> AuditReport {
     let mut report = AuditReport::default();
 
@@ -179,12 +165,12 @@ pub fn audit(
         ),
     }
     check_cycles(rels, &interner, n, &mut report);
-    check_cones(rels, cfg, &mut report);
+    check_cones(rels, &mut report);
     match sanitized {
         Some(s) => {
-            let arena = PathArena::build(s, cfg.parallelism);
+            let arena = PathArena::build(s, par);
             check_arena(&arena, &mut report);
-            check_valley(rels, &arena, cfg, &mut report);
+            check_valley(rels, &arena, par, &mut report);
         }
         None => {
             report.push(
@@ -221,7 +207,7 @@ pub fn audit(
 pub fn audit_stage(
     snapshot: &mut Snapshot<'_>,
     stage: &str,
-    cfg: &AuditConfig,
+    par: Parallelism,
 ) -> Result<AuditReport, EngineError> {
     let artifact = snapshot.materialize(stage)?;
     let mut report = AuditReport::default();
@@ -390,7 +376,7 @@ pub fn audit_stage(
                 &inf.relationships,
                 Some(sanitized.as_ref()),
                 Some(inf.clique.as_slice()),
-                cfg,
+                par,
             );
             report.findings.extend(full.findings);
         }
@@ -637,13 +623,13 @@ fn subset_sorted(sub: &[Asn], sup: &[Asn]) -> bool {
 
 /// Checks 4 and 5: cone containment along every (sampled) c2p link, and
 /// hybrid-vs-reference agreement on a deterministic AS sample.
-fn check_cones(rels: &RelationshipMap, cfg: &AuditConfig, out: &mut AuditReport) {
+fn check_cones(rels: &RelationshipMap, out: &mut AuditReport) {
     let cones = CustomerCones::recursive(rels, None);
 
     // Containment: customer cone ⊆ provider cone for each c2p pair.
     let mut pairs: Vec<(Asn, Asn)> = rels.c2p_pairs().collect();
     pairs.sort_unstable();
-    let stride = (pairs.len() / cfg.max_containment_pairs.max(1)).max(1);
+    let stride = (pairs.len() / MAX_CONTAINMENT_PAIRS).max(1);
     let mut checked = 0usize;
     let mut violations: Vec<String> = Vec::new();
     for (c, p) in pairs.iter().copied().step_by(stride) {
@@ -684,7 +670,7 @@ fn check_cones(rels: &RelationshipMap, cfg: &AuditConfig, out: &mut AuditReport)
     let mut ases: Vec<Asn> = rels.ases().collect();
     ases.sort_unstable();
     ases.dedup();
-    let stride = (ases.len() / cfg.reference_sample.max(1)).max(1);
+    let stride = (ases.len() / REFERENCE_SAMPLE).max(1);
     let mut sampled = 0usize;
     let mut disagreements: Vec<String> = Vec::new();
     for &asn in ases.iter().step_by(stride) {
@@ -750,10 +736,10 @@ pub fn check_arena(arena: &PathArena, out: &mut AuditReport) {
 fn check_valley(
     rels: &RelationshipMap,
     arena: &PathArena,
-    cfg: &AuditConfig,
+    par: Parallelism,
     out: &mut AuditReport,
 ) {
-    let stats = grade_arena(arena, rels, cfg.parallelism);
+    let stats = grade_arena(arena, rels, par);
     let total = stats.total;
     let (unknown, valleys) = (stats.unknown, stats.valleys);
     let first_unknown = stats
@@ -792,7 +778,7 @@ fn check_valley(
             format!("{total} distinct path(s) all valley-free"),
         );
     } else {
-        let sev = if frac > cfg.valley_error_fraction {
+        let sev = if frac > VALLEY_ERROR_FRACTION {
             Severity::Error
         } else {
             Severity::Warning
@@ -827,7 +813,7 @@ mod tests {
     #[test]
     fn clean_toy_assignment_passes() {
         let (rels, clique) = toy_rels();
-        let report = audit(&rels, None, Some(&clique), &AuditConfig::default());
+        let report = audit(&rels, None, Some(&clique), Parallelism::auto());
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.errors(), 0);
         // All structural checks ran.
@@ -847,7 +833,7 @@ mod tests {
         // Keep both ASes in the map so the pair is still expected.
         rels.insert_c2p(Asn(9), Asn(1));
         rels.insert_c2p(Asn(9), Asn(2));
-        let report = audit(&rels, None, Some(&clique), &AuditConfig::default());
+        let report = audit(&rels, None, Some(&clique), Parallelism::auto());
         assert!(!report.passed(), "{}", report.render());
         assert!(report
             .findings
@@ -861,7 +847,7 @@ mod tests {
         // 5 → 3 already exists; close the cycle 5 → 3 → 6 → 5.
         rels.insert_c2p(Asn(6), Asn(5));
         rels.insert_c2p(Asn(3), Asn(6));
-        let report = audit(&rels, None, Some(&clique), &AuditConfig::default());
+        let report = audit(&rels, None, Some(&clique), Parallelism::auto());
         assert!(report.passed(), "{}", report.render());
         assert!(report
             .findings
@@ -878,7 +864,7 @@ mod tests {
         // Add a cycle so a warning exists alongside the error.
         rels.insert_c2p(Asn(7), Asn(9));
         rels.insert_c2p(Asn(9), Asn(7));
-        let report = audit(&rels, None, Some(&clique), &AuditConfig::default());
+        let report = audit(&rels, None, Some(&clique), Parallelism::auto());
         let severities: Vec<Severity> = report.findings.iter().map(|f| f.severity).collect();
         let mut ranked = severities.clone();
         ranked.sort();

@@ -3,7 +3,7 @@
 //! relationship sets must fail loudly on the matching check.
 
 use as_topology_gen::{generate, TopologyConfig};
-use asrank_core::audit::{audit, AuditConfig, Severity};
+use asrank_core::audit::{audit, Severity};
 use asrank_core::pipeline::{infer, InferenceConfig};
 use asrank_core::sanitize::{sanitize, SanitizeConfig};
 use asrank_types::prelude::*;
@@ -46,7 +46,7 @@ fn clean_small_scale_inference_passes() {
         &s.rels,
         Some(&s.sanitized),
         Some(&s.clique),
-        &AuditConfig::default(),
+        Parallelism::auto(),
     );
     assert!(report.passed(), "{}", report.render());
     // Every check actually ran (none skipped).
@@ -85,7 +85,7 @@ fn corrupted_relationships_fail_loudly() {
         &flat,
         Some(&s.sanitized),
         Some(&s.clique),
-        &AuditConfig::default(),
+        Parallelism::auto(),
     );
     assert!(!report.passed(), "{}", report.render());
     assert!(has_error(&report, "valley-free"), "{}", report.render());
@@ -93,7 +93,7 @@ fn corrupted_relationships_fail_loudly() {
     // Corruption 2: drop one clique peering. The clique check must name it.
     let mut declique = s.rels.clone();
     let _ = declique.remove(s.clique[0], s.clique[1]);
-    let report = audit(&declique, None, Some(&s.clique), &AuditConfig::default());
+    let report = audit(&declique, None, Some(&s.clique), Parallelism::auto());
     assert!(has_error(&report, "clique-p2p"), "{}", report.render());
 
     // Corruption 3: drop a classified link entirely; paths crossing it
@@ -104,12 +104,7 @@ fn corrupted_relationships_fail_loudly() {
         .next()
         .expect("inference produced at least one c2p link");
     let _ = dropped.remove(victim.0, victim.1);
-    let report = audit(
-        &dropped,
-        Some(&s.sanitized),
-        None,
-        &AuditConfig::default(),
-    );
+    let report = audit(&dropped, Some(&s.sanitized), None, Parallelism::auto());
     assert!(
         has_error(&report, "valley-unknown-links"),
         "{}",
@@ -165,7 +160,7 @@ fn clean_medium_scale_inference_passes() {
         &s.rels,
         Some(&s.sanitized),
         Some(&s.clique),
-        &AuditConfig::default(),
+        Parallelism::auto(),
     );
     assert!(report.passed(), "{}", report.render());
 }

@@ -30,6 +30,4 @@ pub use metrics::{
     evaluate_against_corpus, evaluate_against_truth, ppv_by_class, GroundTruthReport, SourcePpv,
 };
 pub use significance::{paired_comparison, sign_test, PairedComparison};
-pub use sources::{
-    build_corpus, Assertion, CorpusConfig, SourceConfig, ValidationCorpus, ValidationSource,
-};
+pub use sources::{build_corpus, Assertion, ValidationCorpus, ValidationSource};

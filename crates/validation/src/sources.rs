@@ -18,6 +18,7 @@
 use asrank_types::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::collections::HashSet;
 
 /// The three corpus sources of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,64 +54,30 @@ pub struct Assertion {
     pub source: ValidationSource,
 }
 
-/// Parameters of one emulated source.
-#[derive(Debug, Clone, Copy)]
-pub struct SourceConfig {
-    /// Fraction of eligible ASes that contribute assertions.
-    pub participation: f64,
-    /// Probability an assertion is wrong (stale object, typo, decoding
-    /// error). Errors flip c2p↔p2p or reverse a c2p orientation.
-    pub error_rate: f64,
-    /// Extra selection weight for transit ASes (1.0 = unbiased). The
-    /// paper's sources all skew toward transit operators.
-    pub transit_bias: f64,
-    /// Probability that a participant's *p2p* link is asserted (c2p
-    /// links are always asserted by participants) — models the c2p- or
-    /// p2p-heaviness of each corpus.
-    pub p2p_inclusion: f64,
-}
-
-/// Corpus-wide configuration with per-source parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CorpusConfig {
-    /// Operator reports: rare, accurate, balanced.
-    pub direct: SourceConfig,
-    /// Registry data: moderately common among transit, stale.
-    pub rpsl: SourceConfig,
-    /// Communities: common among transit, p2p-rich, accurate.
-    pub communities: SourceConfig,
-    /// Seed for all sampling.
-    pub seed: u64,
-}
-
-impl CorpusConfig {
-    /// Defaults shaped like the paper's corpus: a small accurate direct
-    /// set, a stale c2p-heavy RPSL set, and a large p2p-rich community
-    /// set.
-    pub fn paper_like(seed: u64) -> Self {
-        CorpusConfig {
-            direct: SourceConfig {
-                participation: 0.02,
-                error_rate: 0.002,
-                transit_bias: 6.0,
-                p2p_inclusion: 1.0,
-            },
-            rpsl: SourceConfig {
-                participation: 0.15,
-                error_rate: 0.06,
-                transit_bias: 3.0,
-                p2p_inclusion: 0.3,
-            },
-            communities: SourceConfig {
-                participation: 0.10,
-                error_rate: 0.01,
-                transit_bias: 4.0,
-                p2p_inclusion: 1.0,
-            },
-            seed,
-        }
-    }
-}
+/// Each source's `(participation, error_rate, transit_bias,
+/// p2p_inclusion)`, shaped like the paper's validation corpus (and the
+/// sources of Dimitropoulos et al., *AS Relationships: Inference and
+/// Validation*): a small accurate direct set, a stale c2p-heavy RPSL set,
+/// and a large p2p-rich community set.
+///
+/// * `participation` — fraction of eligible ASes that contribute
+///   assertions;
+/// * `error_rate` — probability an assertion is wrong (stale object,
+///   typo, decoding error); errors flip c2p↔p2p or reverse a c2p
+///   orientation;
+/// * `transit_bias` — extra selection weight for transit ASes (1.0 =
+///   unbiased); the paper's sources all skew toward transit operators;
+/// * `p2p_inclusion` — probability that a participant's *p2p* link is
+///   asserted (c2p links always are), the c2p- or p2p-heaviness of each
+///   corpus.
+const SOURCES: [(ValidationSource, f64, f64, f64, f64); 3] = [
+    // Operator reports: rare, accurate, balanced.
+    (ValidationSource::DirectReport, 0.02, 0.002, 6.0, 1.0),
+    // Registry data: moderately common among transit, stale.
+    (ValidationSource::Rpsl, 0.15, 0.06, 3.0, 0.3),
+    // Communities: common among transit, p2p-rich, accurate.
+    (ValidationSource::Communities, 0.10, 0.01, 4.0, 1.0),
+];
 
 /// The emulated validation corpus.
 #[derive(Debug, Clone, Default)]
@@ -166,68 +133,54 @@ impl ValidationCorpus {
     }
 }
 
-/// Build an emulated validation corpus from ground truth.
-pub fn build_corpus(gt: &GroundTruth, cfg: &CorpusConfig) -> ValidationCorpus {
+/// Build an emulated validation corpus from ground truth; `seed` drives
+/// all sampling.
+pub fn build_corpus(gt: &GroundTruth, seed: u64) -> ValidationCorpus {
     let mut corpus = ValidationCorpus::default();
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0a11_da7a);
-    for (source, sc) in [
-        (ValidationSource::DirectReport, cfg.direct),
-        (ValidationSource::Rpsl, cfg.rpsl),
-        (ValidationSource::Communities, cfg.communities),
-    ] {
-        emulate_source(gt, source, &sc, &mut rng, &mut corpus);
-    }
-    corpus
-}
-
-fn emulate_source(
-    gt: &GroundTruth,
-    source: ValidationSource,
-    sc: &SourceConfig,
-    rng: &mut StdRng,
-    corpus: &mut ValidationCorpus,
-) {
-    // Choose participants with transit bias.
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0a11_da7a);
     let mut ases: Vec<(Asn, bool)> = gt
         .classes
         .iter()
         .map(|(&a, &c)| (a, c.is_transit()))
         .collect();
     ases.sort_by_key(|(a, _)| *a);
-    let mut participants: Vec<Asn> = Vec::new();
-    for (asn, transit) in ases {
-        let p = if transit {
-            (sc.participation * sc.transit_bias).min(1.0)
-        } else {
-            sc.participation
-        };
-        if rng.random_bool(p) {
-            participants.push(asn);
-        }
-    }
-    let participant_set: std::collections::HashSet<Asn> = participants.iter().copied().collect();
-
-    // Each participant asserts its own links.
     let mut links: Vec<(AsLink, LinkRel)> = gt.relationships.iter().collect();
     links.sort_by_key(|(l, _)| (l.a, l.b));
-    for (link, rel) in links {
-        if !participant_set.contains(&link.a) && !participant_set.contains(&link.b) {
-            continue;
+    for (source, participation, error_rate, transit_bias, p2p_inclusion) in SOURCES {
+        // Choose participants with transit bias.
+        let mut participants: HashSet<Asn> = HashSet::new();
+        for &(asn, transit) in &ases {
+            let p = if transit {
+                (participation * transit_bias).min(1.0)
+            } else {
+                participation
+            };
+            if rng.random_bool(p) {
+                participants.insert(asn);
+            }
         }
-        if rel.kind() == RelationshipKind::P2p && !rng.random_bool(sc.p2p_inclusion) {
-            continue;
+
+        // Each participant asserts its own links.
+        for &(link, rel) in &links {
+            if !participants.contains(&link.a) && !participants.contains(&link.b) {
+                continue;
+            }
+            if rel.kind() == RelationshipKind::P2p && !rng.random_bool(p2p_inclusion) {
+                continue;
+            }
+            let asserted = if rng.random_bool(error_rate) {
+                corrupt(rel, &mut rng)
+            } else {
+                rel
+            };
+            corpus.assertions.push(Assertion {
+                link,
+                rel: asserted,
+                source,
+            });
         }
-        let asserted = if rng.random_bool(sc.error_rate) {
-            corrupt(rel, rng)
-        } else {
-            rel
-        };
-        corpus.assertions.push(Assertion {
-            link,
-            rel: asserted,
-            source,
-        });
     }
+    corpus
 }
 
 /// Produce a *wrong* assertion from a true relationship: flip kind or
@@ -271,8 +224,7 @@ mod tests {
     #[test]
     fn corpus_respects_error_rates() {
         let gt = topo();
-        let cfg = CorpusConfig::paper_like(1);
-        let corpus = build_corpus(&gt, &cfg);
+        let corpus = build_corpus(&gt, 1);
         assert!(!corpus.is_empty());
 
         // Direct reports should be nearly perfect; RPSL notably worse.
@@ -297,7 +249,7 @@ mod tests {
     #[test]
     fn rpsl_is_c2p_heavy_communities_p2p_rich() {
         let gt = topo();
-        let corpus = build_corpus(&gt, &CorpusConfig::paper_like(2));
+        let corpus = build_corpus(&gt, 2);
         let (rc2p, rp2p, _) = corpus.counts(ValidationSource::Rpsl);
         let (cc2p, cp2p, _) = corpus.counts(ValidationSource::Communities);
         let rpsl_p2p_share = rp2p as f64 / (rc2p + rp2p).max(1) as f64;
@@ -311,7 +263,7 @@ mod tests {
     #[test]
     fn direct_reports_are_the_smallest_corpus() {
         let gt = topo();
-        let corpus = build_corpus(&gt, &CorpusConfig::paper_like(3));
+        let corpus = build_corpus(&gt, 3);
         let n = |s| corpus.from_source(s).count();
         assert!(n(ValidationSource::DirectReport) < n(ValidationSource::Rpsl));
         assert!(n(ValidationSource::DirectReport) < n(ValidationSource::Communities));
@@ -320,17 +272,17 @@ mod tests {
     #[test]
     fn deterministic_for_seed() {
         let gt = topo();
-        let a = build_corpus(&gt, &CorpusConfig::paper_like(7));
-        let b = build_corpus(&gt, &CorpusConfig::paper_like(7));
+        let a = build_corpus(&gt, 7);
+        let b = build_corpus(&gt, 7);
         assert_eq!(a.assertions, b.assertions);
-        let c = build_corpus(&gt, &CorpusConfig::paper_like(8));
+        let c = build_corpus(&gt, 8);
         assert_ne!(a.assertions, c.assertions);
     }
 
     #[test]
     fn corpus_error_matches_manual_count() {
         let gt = topo();
-        let corpus = build_corpus(&gt, &CorpusConfig::paper_like(9));
+        let corpus = build_corpus(&gt, 9);
         let manual: f64 = {
             let wrong = corpus
                 .assertions

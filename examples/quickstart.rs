@@ -10,9 +10,7 @@ use asrank::core::pipeline::{infer, InferenceConfig};
 use asrank::core::{rank_ases, CustomerCones};
 use asrank::topology::{generate, TopologyConfig};
 use asrank::types::Asn;
-use asrank::validation::{
-    build_corpus, evaluate_against_corpus, evaluate_against_truth, CorpusConfig,
-};
+use asrank::validation::{build_corpus, evaluate_against_corpus, evaluate_against_truth};
 
 fn main() {
     let seed = 2013; // the paper's year, why not
@@ -68,7 +66,7 @@ fn main() {
 
     // 5. Validate — against emulated corpora (as the paper did) and
     //    against the full ground truth (as only a simulation can).
-    let corpus = build_corpus(&topo.ground_truth, &CorpusConfig::paper_like(seed));
+    let corpus = build_corpus(&topo.ground_truth, seed);
     println!("\nPPV against emulated validation sources:");
     for row in evaluate_against_corpus(&inference.relationships, &corpus) {
         println!(

@@ -2,7 +2,8 @@
 //! same observed paths, ASRank outperforms every baseline on c2p PPV,
 //! and the baselines behave according to their documented weaknesses.
 
-use asrank::baselines::{xia_gao_infer, Baseline, XiaGaoConfig};
+use asrank::baselines::xia_gao::xia_gao_infer;
+use asrank::baselines::Baseline;
 use asrank::bgpsim::{simulate, SimConfig, VpSelection};
 use asrank::core::pipeline::{infer, InferenceConfig};
 use asrank::topology::{generate, TopologyConfig};
@@ -54,14 +55,7 @@ fn seeding_helps_xia_gao() {
     let sim = simulate(&topo, &cfg);
     let truth = &topo.ground_truth.relationships;
 
-    let unseeded = score(
-        &xia_gao_infer(
-            &sim.paths,
-            &RelationshipMap::new(),
-            &XiaGaoConfig::default(),
-        ),
-        truth,
-    );
+    let unseeded = score(&xia_gao_infer(&sim.paths, &RelationshipMap::new()), truth);
 
     // Seed with the true clique peering + the Tier-1s' customer links —
     // a plausible registry snapshot.
@@ -77,10 +71,7 @@ fn seeding_helps_xia_gao() {
             seed.insert_c2p(c, p);
         }
     }
-    let seeded = score(
-        &xia_gao_infer(&sim.paths, &seed, &XiaGaoConfig::default()),
-        truth,
-    );
+    let seeded = score(&xia_gao_infer(&sim.paths, &seed), truth);
     assert!(
         seeded.c2p_ppv >= unseeded.c2p_ppv,
         "seeding must not hurt c2p PPV ({:.3} vs {:.3})",

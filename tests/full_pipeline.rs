@@ -7,9 +7,7 @@ use asrank::core::{sanitize, CustomerCones, PathArena, SanitizeConfig};
 use asrank::mrt::{read_rib_dump, write_rib_dump};
 use asrank::topology::{generate, TopologyConfig};
 use asrank::types::prelude::*;
-use asrank::validation::{
-    build_corpus, evaluate_against_corpus, evaluate_against_truth, CorpusConfig,
-};
+use asrank::validation::{build_corpus, evaluate_against_corpus, evaluate_against_truth};
 
 fn chain(
     seed: u64,
@@ -58,7 +56,7 @@ fn corpus_ppv_beats_corpus_error() {
     // suggest: its PPV against a source is bounded below by roughly
     // (1 - corpus error) when the inference is near-perfect.
     let (topo, _sim, inference) = chain(5);
-    let corpus = build_corpus(&topo.ground_truth, &CorpusConfig::paper_like(5));
+    let corpus = build_corpus(&topo.ground_truth, 5);
     let rows = evaluate_against_corpus(&inference.relationships, &corpus);
     let direct = rows
         .iter()
