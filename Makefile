@@ -113,9 +113,10 @@ bench-test:
 # The full pre-merge gate: compile, test (workspace tests include the
 # engine-, delta- and cone-equivalence suites; test-engine re-runs them
 # explicitly so a failure is named in the gate output), strict source
-# lint (all ten rules + the annotation audit), semantic audit,
-# benchmark lock check and the benchmark's unit tests.
-verify: build test test-engine lint-strict audit bench-lock bench-test
+# lint (all ten rules + the annotation audit), semantic audit, the
+# serve tier's end-to-end smoke, benchmark lock check and the
+# benchmark's unit tests.
+verify: build test test-engine lint-strict audit serve-smoke bench-lock bench-test
 
 # End-to-end smoke of the serve tier: warm a cache with the CLI
 # (generate -> simulate -> infer --cache-dir), start `asrank serve`,

@@ -6,7 +6,8 @@
 //! a topology and derives the BGP update stream each vantage point would
 //! emit — by simulating before and after, then diffing the two RIBs.
 
-use crate::sim::{simulate, SimConfig, SimOutput};
+use crate::collector::{select_vps, VpSelection};
+use crate::sim::{policy_graph, simulate, SimConfig, SimOutput};
 use as_topology_gen::GeneratedTopology;
 use asrank_types::prelude::*;
 use asrank_types::update::UpdateMessage;
@@ -108,18 +109,21 @@ pub fn diff_collections(before: &SimOutput, after: &SimOutput) -> Vec<UpdateMess
 /// The vantage-point set is resolved once, against the *pre-event*
 /// topology, and pinned for both runs — otherwise degree-weighted VP
 /// selection would re-sample on the modified graph and the diff would
-/// conflate VP churn with routing churn.
+/// conflate VP churn with routing churn. Both sides run under the pinned
+/// selection, so feed fractions are drawn identically for both.
 pub fn simulate_event(
     topo: &GeneratedTopology,
     event: RoutingEvent,
     config: &SimConfig,
 ) -> (SimOutput, SimOutput, Vec<UpdateMessage>) {
-    let before = simulate(topo, config);
+    let vps = select_vps(
+        &policy_graph(topo),
+        &config.vp_selection,
+        config.full_feed_fraction,
+        config.seed,
+    );
     let mut pinned = config.clone();
-    pinned.vp_selection =
-        crate::collector::VpSelection::Explicit(before.vps.iter().map(|v| v.asn).collect());
-    // Re-run "before" under the pinned selection so feed fractions are
-    // drawn identically for both sides of the diff.
+    pinned.vp_selection = VpSelection::Explicit(vps.iter().map(|v| v.asn).collect());
     let before = simulate(topo, &pinned);
     let changed = apply_event(topo, event);
     let after = simulate(&changed, &pinned);
@@ -208,6 +212,63 @@ mod tests {
         });
         if was_visible {
             assert!(!updates.is_empty(), "visible link failure must cause churn");
+        }
+    }
+
+    /// `simulate_event` as it was: a throwaway `simulate` to pick the
+    /// VPs, then both sides under the pinned selection.
+    fn three_run_event(
+        topo: &GeneratedTopology,
+        event: RoutingEvent,
+        config: &SimConfig,
+    ) -> (SimOutput, SimOutput, Vec<UpdateMessage>) {
+        let picked = simulate(topo, config);
+        let mut pinned = config.clone();
+        pinned.vp_selection = VpSelection::Explicit(picked.vps.iter().map(|v| v.asn).collect());
+        let before = simulate(topo, &pinned);
+        let after = simulate(&apply_event(topo, event), &pinned);
+        let updates = diff_collections(&before, &after);
+        (before, after, updates)
+    }
+
+    fn same_output(a: &SimOutput, b: &SimOutput) -> bool {
+        a.vps == b.vps
+            && a.paths.iter().eq(b.paths.iter())
+            && a.stats.destinations == b.stats.destinations
+            && a.stats.unreachable_pairs == b.stats.unreachable_pairs
+            && a.stats.anomalies == b.stats.anomalies
+    }
+
+    #[test]
+    fn one_simulation_per_side_matches_the_three_run_formula() {
+        for seed in 1..=3 {
+            let topo = generate(&TopologyConfig::tiny(), seed);
+            let mut cfg = SimConfig::defaults(seed);
+            cfg.vp_selection = VpSelection::Count(8);
+            cfg.anomalies = crate::AnomalyConfig::realistic(vec![Asn(777)]);
+            cfg.threads = 1;
+            let (c, p) = topo.ground_truth.relationships.c2p_pairs().min().unwrap();
+            let origin = *topo.ground_truth.prefixes.keys().max().unwrap();
+            for event in [
+                RoutingEvent::LinkDown { a: c, b: p },
+                RoutingEvent::OriginDown { asn: origin },
+            ] {
+                let (before, after, updates) = simulate_event(&topo, event, &cfg);
+                let (want_before, want_after, want_updates) = three_run_event(&topo, event, &cfg);
+                assert!(
+                    same_output(&before, &want_before),
+                    "seed {seed} {event:?}: before"
+                );
+                assert!(
+                    same_output(&after, &want_after),
+                    "seed {seed} {event:?}: after"
+                );
+                assert_eq!(updates, want_updates, "seed {seed} {event:?}: updates");
+                assert!(
+                    !updates.is_empty(),
+                    "seed {seed} {event:?}: no churn to compare"
+                );
+            }
         }
     }
 

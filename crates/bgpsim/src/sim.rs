@@ -153,7 +153,7 @@ pub fn simulate(topo: &GeneratedTopology, config: &SimConfig) -> SimOutput {
 
 /// The policy graph `simulate` routes over: the ground truth plus the
 /// IXP fabrics' route servers.
-fn policy_graph(topo: &GeneratedTopology) -> PolicyGraph {
+pub(crate) fn policy_graph(topo: &GeneratedTopology) -> PolicyGraph {
     let fabrics: Vec<(Asn, Vec<Asn>)> = topo
         .ixps
         .iter()

@@ -9,7 +9,9 @@
 //!
 //! * [`SourceSpec::resolve`] derives the exact frame paths from the RIB
 //!   checksum + [`asrank_core::engine::StageKeys`], the keys of
-//!   [`asrank_core::engine::stage_disk_key`];
+//!   [`asrank_core::engine::stage_disk_key`]; the RIB checksum and the
+//!   ingest frame's fingerprint are memoized by file identity, so a
+//!   reload over an unchanged RIB and ingest frame reads neither;
 //! * [`ServeSnapshot::load`] memory-maps the INFERENCE and three CONE
 //!   frames ([`mmap::MappedBytes`]), validates each **once**, and keeps
 //!   only `Copy` section layouts + two small ASN-sorted indexes;

@@ -17,7 +17,7 @@
 //! length, on drop. The mapping is private and read-only, so no aliasing
 //! rule can be violated by other code in this process.
 
-use std::fs::File;
+use std::fs::{File, Metadata};
 use std::io::Read;
 use std::path::Path;
 
@@ -112,18 +112,25 @@ pub enum MappedBytes {
 impl MappedBytes {
     /// Map (or read) the whole file at `path`.
     pub fn open(path: &Path) -> std::io::Result<MappedBytes> {
+        Ok(MappedBytes::open_with_metadata(path)?.0)
+    }
+
+    /// [`MappedBytes::open`], plus the metadata of the very handle that
+    /// was mapped (one `fstat`), so a caller can tie the bytes to the
+    /// file identity they were read from.
+    pub(crate) fn open_with_metadata(path: &Path) -> std::io::Result<(MappedBytes, Metadata)> {
         let mut file = File::open(path)?;
-        let len = file.metadata()?.len();
-        let len = usize::try_from(len).map_err(|_| {
+        let meta = file.metadata()?;
+        let len = usize::try_from(meta.len()).map_err(|_| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "file too large to map")
         })?;
         #[cfg(unix)]
         if let Some(mapping) = sys::Mapping::new(&file, len) {
-            return Ok(MappedBytes::Mapped(mapping));
+            return Ok((MappedBytes::Mapped(mapping), meta));
         }
         let mut buf = Vec::with_capacity(len);
         file.read_to_end(&mut buf)?;
-        Ok(MappedBytes::Owned(buf))
+        Ok((MappedBytes::Owned(buf), meta))
     }
 
     /// The file bytes.

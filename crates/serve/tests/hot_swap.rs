@@ -7,11 +7,11 @@
 mod common;
 
 use asrank_core::persist::kind;
-use asrank_serve::{ConeFlavor, ServeError, ServeSnapshot, ServeState, Server};
+use asrank_serve::{ConeFlavor, ServeError, ServeSnapshot, ServeState, Server, SourceStamp};
 use asrank_types::codec::{checksum64, Encoder, TRAILER_LEN};
 use asrank_types::{Asn, PathSet};
 use common::{alternate_paths, sample_paths, scratch, warm_cache, warm_cache_frames};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -92,6 +92,36 @@ fn concurrent_readers_never_see_torn_snapshots() {
         assert!(swaps >= 2, "reader observed swaps (saw {swaps})");
     }
     assert_eq!(state.generation(), 25);
+}
+
+/// A RIB rewritten in place with bytes of the same length, its mtime set
+/// back afterwards, reads the same `(len, mtime)` as before; the stamp
+/// still differs, because the write moved the file's ctime.
+#[test]
+fn an_in_place_rib_rewrite_with_the_mtime_restored_changes_the_stamp() {
+    let root = scratch("stamp");
+    let spec = warm_cache(&root, b"stamp-rib-a", &sample_paths());
+    let frames = spec.resolve().expect("resolve");
+    let before = SourceStamp::capture(&spec.rib, &frames);
+    let meta = std::fs::metadata(&spec.rib).unwrap();
+
+    // Let the rewrite land in a later timestamp tick than the write it
+    // replaces: a few ms on most filesystems, a whole second on those
+    // that keep 1-second timestamps (ext3, HFS+).
+    std::thread::sleep(Duration::from_millis(1100));
+    let mut rib = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&spec.rib)
+        .unwrap();
+    rib.seek(SeekFrom::Start(0)).unwrap();
+    rib.write_all(b"stamp-rib-b").unwrap();
+    rib.set_modified(meta.modified().unwrap()).unwrap();
+    drop(rib);
+    let after = std::fs::metadata(&spec.rib).unwrap();
+    assert_eq!(after.len(), meta.len());
+    assert_eq!(after.modified().unwrap(), meta.modified().unwrap());
+
+    assert_ne!(SourceStamp::capture(&spec.rib, &frames), before);
 }
 
 fn send(
